@@ -410,9 +410,8 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_periods(args) -> int:
-    c = Fraction(args.c)
-    print(f"period(C2-C1) = {atlas.period_c2_minus_c1(c)}")
-    print(f"period(C4-C3) = {atlas.period_c4_minus_c3(c)}")
+    print(f"period(C2-C1) = {atlas.period_c2_minus_c1(args.c)}")
+    print(f"period(C4-C3) = {atlas.period_c4_minus_c3(args.c)}")
     return 0
 
 
@@ -424,7 +423,7 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
-    c = float(Fraction(args.c))
+    c = float(args.c)
     config = flow.IntegratorConfig(rtol=args.rtol, atol=args.atol,
                                    switch_threshold=args.R)
     initial = flow.FlowState("W1", args.q0, args.p0, args.t0, c)
@@ -443,8 +442,30 @@ def _cmd_integrate(args) -> int:
     return 0
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"not a rational number: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"not a positive integer: {text!r}")
+    return int(text)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one line on stderr and exit status 2."""
+
+    def error(self, message):
+        self.exit(2, f"p2lab: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="p2lab",
         description="verification laboratory for the second Painleve "
                     "equation's space of initial conditions")
@@ -460,17 +481,19 @@ def build_parser() -> argparse.ArgumentParser:
                     help="emit the known-discrepancy records as JSON lines")
 
     g = sub.add_parser("gamma", help="orbit class coefficients")
-    g.add_argument("--n", type=int, required=True)
+    g.add_argument("--n", type=_positive_int, required=True)
     g.add_argument("--full", action="store_true")
 
     pe = sub.add_parser("periods", help="vanishing-cycle period coefficients")
-    pe.add_argument("--c", required=True, help="rational, e.g. 1/3")
+    pe.add_argument("--c", type=_rational, required=True,
+                    help="rational, e.g. 1/3")
 
     ob = sub.add_parser("orbit", help="orbit verification table")
     ob.add_argument("--n-max", type=int, default=50)
 
     it = sub.add_parser("integrate", help="integrate one trajectory to CSV")
-    it.add_argument("--c", required=True, help="rational parameter")
+    it.add_argument("--c", type=_rational, required=True,
+                    help="rational parameter")
     it.add_argument("--t0", type=float, required=True)
     it.add_argument("--t1", type=float, required=True)
     it.add_argument("--q0", type=float, required=True)
@@ -482,7 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "verify":
         return _print_report(run_suite(args.suite), args.json)
     if args.command == "curves":
@@ -494,7 +518,10 @@ def run(argv=None) -> int:
     if args.command == "orbit":
         return _cmd_orbit(args)
     if args.command == "integrate":
-        return _cmd_integrate(args)
+        try:
+            return _cmd_integrate(args)
+        except flow.FlowError as exc:
+            parser.error(str(exc))
     raise AssertionError("unreachable")
 
 

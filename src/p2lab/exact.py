@@ -9,11 +9,17 @@ Everything symbolic in this package runs on two types defined here:
 * ``RationalFunction``: a quotient of two polynomials kept in a canonical
   form, so that ``==`` is exact mathematical equality.
 
-Canonical form of a quotient: numerator and denominator are divided by their
-polynomial gcd, then scaled so the denominator has integer coprime
-coefficients ("content 1") and a positive leading coefficient under the
-graded-lexicographic order induced by the alphabet order.  The zero function
-is ``0/1``.
+Canonical form of a quotient: numerator and denominator are coprime, and
+scaled so the denominator has integer coprime coefficients ("content 1") and
+a positive leading coefficient under the graded-lexicographic order induced
+by the alphabet order.  The zero function is ``0/1``.
+
+Only the public constructor divides by the gcd of the full numerator and
+denominator.  The field operations and ``partial`` start from canonical
+operands and cancel only against the factor the operands share (Henrici's
+rule): a product cancels each numerator against the other denominator, a
+sum takes the gcd of the two denominators and then cancels the new
+numerator against that gcd alone.
 
 Rational numbers themselves are plain ``fractions.Fraction``; nothing here
 wraps them.
@@ -130,11 +136,6 @@ class Polynomial:
                 if p:
                     present.add(i)
         return tuple(ALPHABET[i] for i in sorted(present))
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def degree_in(self, name: str) -> int:
         i = var_index(name)
@@ -428,8 +429,20 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return b.primitive()
     if b.is_zero():
         return a.primitive()
+    if len(a.terms) == 1:
+        return _monomial_gcd(a, b)
+    if len(b.terms) == 1:
+        return _monomial_gcd(b, a)
     a = a.primitive()
     b = b.primitive()
+    if a == b:
+        return a
+    return _prs_gcd(a, b)
+
+
+def _prs_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """gcd of two nonzero primitive polynomials by the primitive PRS in
+    their top variable, recursing into the contents."""
     va, vb = _top_var(a), _top_var(b)
     if va is None or vb is None:
         return Polynomial.const(1)
@@ -458,6 +471,21 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return (g_cont * g).primitive()
 
 
+def _monomial_gcd(m: Polynomial, b: Polynomial) -> Polynomial:
+    """gcd of a one-term polynomial with a nonzero b: every divisor of a
+    monomial is a monomial, so it is the least exponent per variable."""
+    (low,) = m.terms
+    for e in b.terms:
+        if not any(low):
+            break
+        low = tuple(map(min, low, e))
+    return Polynomial({low: Fraction(1)})
+
+
+def _is_one(p: Polynomial) -> bool:
+    return len(p.terms) == 1 and p.terms.get(_ZERO_EXP) == 1
+
+
 def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.is_zero() or b.is_zero():
         return Polynomial.zero()
@@ -478,14 +506,28 @@ class RationalFunction:
             den = Polynomial.const(1)
         if den.is_zero():
             raise DivisionByZero("zero denominator")
+        if not num.is_zero():
+            g = poly_gcd(num, den)
+            if not _is_one(g):
+                num = divexact(num, g)
+                den = divexact(den, g)
+        self._scale(num, den)
+
+    @classmethod
+    def _coprime(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """Quotient of a pair known to have no common factor, skipping the
+        gcd that the public constructor takes."""
+        self = object.__new__(cls)
+        self._scale(num, den)
+        return self
+
+    def _scale(self, num: Polynomial, den: Polynomial) -> None:
+        """Store a coprime pair with the denominator scaled to content 1
+        and a positive leading coefficient."""
         if num.is_zero():
             self.num = Polynomial.zero()
             self.den = Polynomial.const(1)
             return
-        g = poly_gcd(num, den)
-        if not (g.is_constant() and g.constant_value() == 1):
-            num = divexact(num, g)
-            den = divexact(den, g)
         r = den.signed_content()
         if r != 1:
             den = Polynomial({e: q / r for e, q in den.terms.items()})
@@ -497,18 +539,18 @@ class RationalFunction:
 
     @classmethod
     def const(cls, value: Scalar) -> "RationalFunction":
-        return cls(Polynomial.const(value))
+        return cls._coprime(Polynomial.const(value), Polynomial.const(1))
 
     @classmethod
     def variable(cls, name: str) -> "RationalFunction":
-        return cls(Polynomial.variable(name))
+        return cls._coprime(Polynomial.variable(name), Polynomial.const(1))
 
     @staticmethod
     def coerce(x) -> "RationalFunction":
         if isinstance(x, RationalFunction):
             return x
         if isinstance(x, Polynomial):
-            return RationalFunction(x)
+            return RationalFunction._coprime(x, Polynomial.const(1))
         if isinstance(x, (int, Fraction)):
             return RationalFunction.const(x)
         raise ExactError(f"cannot interpret {x!r} as a rational function")
@@ -535,16 +577,36 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     # -- field operations ---------------------------------------------
+    #
+    # Operands are canonical, so num and den of each are coprime; every
+    # result is assembled so that it is coprime too, and only gcds
+    # against the factors the operands share are ever taken.
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._coprime(-self.num, self.den)
 
     def __add__(self, other):
         try:
             o = RationalFunction.coerce(other)
         except ExactError:
             return NotImplemented
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
+        if self.is_zero():
+            return o
+        if o.is_zero():
+            return self
+        d1, d2 = self.den, o.den
+        g = poly_gcd(d1, d2)
+        if _is_one(g):
+            # a prime dividing d1 and the top would divide n1 * d2
+            return RationalFunction._coprime(self.num * d2 + o.num * d1,
+                                             d1 * d2)
+        e1, e2 = divexact(d1, g), divexact(d2, g)
+        # the top is coprime to e1 * e2; only g can share a factor with it
+        top = self.num * e2 + o.num * e1
+        h = poly_gcd(top, g)
+        if not _is_one(h):
+            top, d2 = divexact(top, h), divexact(d2, h)
+        return RationalFunction._coprime(top, e1 * d2)
 
     __radd__ = __add__
 
@@ -567,7 +629,7 @@ class RationalFunction:
             o = RationalFunction.coerce(other)
         except ExactError:
             return NotImplemented
-        return RationalFunction(self.num * o.num, self.den * o.den)
+        return _cross_cancel(self.num, self.den, o.num, o.den)
 
     __rmul__ = __mul__
 
@@ -578,7 +640,7 @@ class RationalFunction:
             return NotImplemented
         if o.is_zero():
             raise DivisionByZero("division by zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
+        return _cross_cancel(self.num, self.den, o.den, o.num)
 
     def __rtruediv__(self, other):
         try:
@@ -591,8 +653,8 @@ class RationalFunction:
         if n < 0:
             if self.is_zero():
                 raise DivisionByZero("negative power of zero")
-            return RationalFunction(self.den ** (-n), self.num ** (-n))
-        return RationalFunction(self.num ** n, self.den ** n)
+            return RationalFunction._coprime(self.den ** (-n), self.num ** (-n))
+        return RationalFunction._coprime(self.num ** n, self.den ** n)
 
     # -- substitution and calculus ------------------------------------
 
@@ -613,9 +675,18 @@ class RationalFunction:
     def partial(self, name: str) -> "RationalFunction":
         """Partial derivative (quotient rule, exact)."""
         var_index(name)
-        dn = self.num.diff(name)
-        dd = self.den.diff(name)
-        return RationalFunction(dn * self.den - self.num * dd, self.den * self.den)
+        n, d = self.num, self.den
+        dn, dd = n.diff(name), d.diff(name)
+        # (n/d)' = (dn*e - n*f) / (g*e^2) with g = gcd(d, dd), e = d/g,
+        # f = dd/g; the top is coprime to e, so only g can share a factor
+        # (when dd = 0, g is d itself and this cancels dn against d)
+        g = poly_gcd(d, dd)
+        e, f = divexact(d, g), divexact(dd, g)
+        top = dn * e - n * f
+        h = poly_gcd(top, g)
+        if not _is_one(h):
+            top, g = divexact(top, h), divexact(g, h)
+        return RationalFunction._coprime(top, g * e * e)
 
     def as_polynomial(self) -> Polynomial:
         if not self.den.is_constant():
@@ -662,9 +733,24 @@ def _subs_poly_rf(p: Polynomial, bindings: Mapping[str, RationalFunction]) -> Ra
                 if key not in pow_cache:
                     pow_cache[key] = v ** k
                 factor = factor * pow_cache[key]
-        factor = factor * RationalFunction(Polynomial({tuple(rest): Fraction(1)}))
+        factor = factor * Polynomial({tuple(rest): Fraction(1)})
         total = total + factor
     return total
+
+
+def _cross_cancel(n1: Polynomial, d1: Polynomial,
+                  n2: Polynomial, d2: Polynomial) -> RationalFunction:
+    """(n1/d1) * (n2/d2) for coprime pairs: cancelling n1 against d2 and
+    n2 against d1 leaves a coprime product."""
+    if n1.is_zero() or n2.is_zero():
+        return RationalFunction.const(0)
+    g1 = poly_gcd(n1, d2)
+    if not _is_one(g1):
+        n1, d2 = divexact(n1, g1), divexact(d2, g1)
+    g2 = poly_gcd(n2, d1)
+    if not _is_one(g2):
+        n2, d1 = divexact(n2, g2), divexact(d1, g2)
+    return RationalFunction._coprime(n1 * n2, d1 * d2)
 
 
 # ---------------------------------------------------------------------------
@@ -681,30 +767,3 @@ def rfvar(name: str) -> RationalFunction:
 
 def rfvars(*names: str) -> tuple[RationalFunction, ...]:
     return tuple(RationalFunction.variable(n) for n in names)
-
-
-def arith(a, b, kind: str) -> RationalFunction:
-    """Binary field operation; kind is one of add / sub / mul / div."""
-    a = rf(a)
-    b = rf(b)
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise ExactError(f"unknown arith kind {kind!r}")
-
-
-def substitute(expr, bindings) -> RationalFunction:
-    return rf(expr).substitute(bindings)
-
-
-def partial(expr, name: str) -> RationalFunction:
-    return rf(expr).partial(name)
-
-
-def as_polynomial(expr) -> Polynomial:
-    return rf(expr).as_polynomial()

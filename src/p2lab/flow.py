@@ -154,7 +154,7 @@ def transport(i: str, j: str, y: float, z: float, t: float, c: float):
     fy, fz = _transition_fns(i, j)
     try:
         return fy(y, z, t, c), fz(y, z, t, c)
-    except ZeroDivisionError:
+    except (ZeroDivisionError, OverflowError):
         return math.nan, math.nan
 
 
@@ -304,8 +304,11 @@ def _adaptive(f, u0, t0, t1, config, on_accept=None, stats=None):
             h = t1 - t
         if any(not math.isfinite(x) for x in u):
             raise StepFailure("state became non-finite")
-        u_new, err = _rk_step(f, u, t, h)
-        norm = _error_norm(u, u_new, err, config.rtol, config.atol)
+        try:
+            u_new, err = _rk_step(f, u, t, h)
+            norm = _error_norm(u, u_new, err, config.rtol, config.atol)
+        except OverflowError:
+            norm = math.inf
         if not math.isfinite(norm):
             if stats is not None:
                 stats[1] += 1

@@ -4,6 +4,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from p2lab import cli
+
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "p2lab.cli", *args],
@@ -111,3 +115,23 @@ def test_outputs_are_byte_identical_across_runs():
         a = run_cli(*args)
         b = run_cli(*args)
         assert a.stdout == b.stdout and a.stderr == b.stderr, args
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--n", "0"],
+    ["gamma", "--n", "x"],
+    ["periods", "--c", "abc"],
+    ["integrate", "--c", "1/0", "--t0", "0", "--t1", "1",
+     "--q0", "0", "--p0", "0"],
+    # every RK stage overflows, so the step size collapses: a FlowError
+    ["integrate", "--c", "1/2", "--t0", "0", "--t1", "1",
+     "--q0", "1e200", "--p0", "0"],
+])
+def test_bad_input_is_a_one_line_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("p2lab: error: ")

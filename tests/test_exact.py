@@ -15,6 +15,7 @@ from p2lab.exact import (
     NotPolynomial,
     Polynomial,
     RationalFunction,
+    _prs_gcd,
     divexact,
     poly_gcd,
     poly_lcm,
@@ -48,6 +49,23 @@ nonzero_polys = polys().filter(bool)
 small_exponents = st.tuples(st.integers(0, 2), st.integers(0, 2),
                             st.integers(0, 1))
 small_polys = polys(max_terms=3, exps=small_exponents).filter(bool)
+
+
+# canonical operands for the fast-path properties; the reference route is
+# the full gcd over the unreduced product, whose runtime has a heavy tail in
+# the denominators' degrees, so those stay linear in each variable
+linear_exponents = st.tuples(st.integers(0, 1), st.integers(0, 1),
+                             st.integers(0, 1))
+rationals = st.builds(RationalFunction, polys(max_terms=3, exps=small_exponents),
+                      polys(max_terms=3, exps=linear_exponents).filter(bool))
+tiny_polys = polys(max_terms=2, exps=small_exponents).filter(bool)
+tiny_linear_polys = polys(max_terms=2, exps=linear_exponents).filter(bool)
+multi_term_polys = polys(max_terms=3, exps=small_exponents).filter(
+    lambda p: len(p.terms) > 1)
+
+
+def _parts(r):
+    return r.num.terms, r.den.terms
 
 
 @given(polys(), polys(), polys())
@@ -196,3 +214,67 @@ def test_coeff_extraction():
     p = (q + t) ** 3
     assert p.coeff_in("q", 2) == 3 * t
     assert p.degree_in("q") == 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(rationals, rationals)
+def test_field_operations_match_full_canonicalization(a, b):
+    n1, d1, n2, d2 = a.num, a.den, b.num, b.den
+    assert _parts(a + b) == _parts(RationalFunction(n1 * d2 + n2 * d1, d1 * d2))
+    assert _parts(a - b) == _parts(RationalFunction(n1 * d2 - n2 * d1, d1 * d2))
+    assert _parts(a * b) == _parts(RationalFunction(n1 * n2, d1 * d2))
+    assert _parts(-a) == _parts(RationalFunction(-n1, d1))
+    if b:
+        assert _parts(a / b) == _parts(RationalFunction(n1 * d2, d1 * n2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(tiny_polys, tiny_linear_polys, tiny_polys, tiny_linear_polys,
+       tiny_linear_polys)
+def test_sums_with_shared_denominator_factor(n1, d1, n2, d2, g):
+    # force gcd(d1, d2) != 1 so the cancellation against g is exercised
+    a = RationalFunction(n1, d1 * g)
+    b = RationalFunction(n2, d2 * g)
+    n1, d1, n2, d2 = a.num, a.den, b.num, b.den
+    assert _parts(a + b) == _parts(RationalFunction(n1 * d2 + n2 * d1, d1 * d2))
+    assert _parts(a - b) == _parts(RationalFunction(n1 * d2 - n2 * d1, d1 * d2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rationals, st.integers(-3, 3))
+def test_power_matches_full_canonicalization(a, k):
+    if k < 0:
+        if not a:
+            return
+        ref = RationalFunction(a.den ** -k, a.num ** -k)
+    else:
+        ref = RationalFunction(a.num ** k, a.den ** k)
+    assert _parts(a ** k) == _parts(ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rationals)
+def test_partial_matches_full_canonicalization(a):
+    n, d = a.num, a.den
+    for v in VARS:
+        ref = RationalFunction(n.diff(v) * d - n * d.diff(v), d * d)
+        assert _parts(a.partial(v)) == _parts(ref)
+
+
+def test_partial_cancels_when_denominator_is_constant_in_the_variable():
+    y3, z3 = rfvar("y3"), rfvar("z3")
+    assert ((y3 ** 4 * z3 - 2) / y3 ** 4).partial("z3") == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(multi_term_polys, st.integers(-5, 5).filter(bool))
+def test_gcd_of_equal_arguments_matches_prs(a, k):
+    assert poly_gcd(a, k * a) == _prs_gcd(a.primitive(), a.primitive())
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(max_terms=1).filter(bool), multi_term_polys)
+def test_gcd_with_monomial_matches_prs(m, b):
+    ref = _prs_gcd(m.primitive(), b.primitive())
+    assert poly_gcd(m, b) == ref
+    assert poly_gcd(b, m) == ref

@@ -18,6 +18,8 @@ from p2lab.flow import (
     FlowState,
     IntegratorConfig,
     NoChart,
+    StepFailure,
+    _adaptive,
     best_chart,
     compile_rf,
     integrate,
@@ -151,3 +153,25 @@ def test_config_validation():
 def test_to_w1_identity_on_base_chart():
     s = FlowState("W1", 0.25, -0.5, 1.0, 0.5)
     assert to_w1(s) == (0.25, -0.5)
+
+
+def test_overflow_in_transport_means_outside_the_overlap():
+    y, z = transport("W1", "W3", 1e200, 1.0, 0.0, 0.5)
+    assert math.isnan(y) and math.isnan(z)
+    with pytest.raises(NoChart):
+        best_chart("W1", 1e200, 1.0, 0.0, 0.5)
+
+
+def test_overflow_in_a_step_is_a_rejected_step():
+    def overflowing(u, t):
+        return (math.exp(1e3),)
+    stats = [0, 0]
+    with pytest.raises(StepFailure):
+        _adaptive(overflowing, (0.0,), 0.0, 1.0, IntegratorConfig(), None,
+                  stats)
+    assert stats[0] == 0 and stats[1] > 0
+
+
+def test_overflowing_start_raises_a_flow_error():
+    with pytest.raises(flow.FlowError):
+        integrate(0.5, FlowState("W1", 1e200, 0.0, 0.0, 0.5), 1.0)
