@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -450,6 +451,17 @@ def _rational(text: str) -> Fraction:
             f"not a rational number: {text!r}") from None
 
 
+def _finite_float(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(
+            f"not a finite number: {text!r}")
+    return x
+
+
 def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(
@@ -494,13 +506,13 @@ def build_parser() -> argparse.ArgumentParser:
     it = sub.add_parser("integrate", help="integrate one trajectory to CSV")
     it.add_argument("--c", type=_rational, required=True,
                     help="rational parameter")
-    it.add_argument("--t0", type=float, required=True)
-    it.add_argument("--t1", type=float, required=True)
-    it.add_argument("--q0", type=float, required=True)
-    it.add_argument("--p0", type=float, required=True)
-    it.add_argument("--rtol", type=float, default=1e-10)
-    it.add_argument("--atol", type=float, default=1e-12)
-    it.add_argument("--R", type=float, default=5.0)
+    it.add_argument("--t0", type=_finite_float, required=True)
+    it.add_argument("--t1", type=_finite_float, required=True)
+    it.add_argument("--q0", type=_finite_float, required=True)
+    it.add_argument("--p0", type=_finite_float, required=True)
+    it.add_argument("--rtol", type=_finite_float, default=1e-10)
+    it.add_argument("--atol", type=_finite_float, default=1e-12)
+    it.add_argument("--R", type=_finite_float, default=5.0)
     return ap
 
 

@@ -9,6 +9,14 @@ Kutta steps are approximate.
 The per-chart vector fields are compiled from the symbolically derived
 Hamiltonians, and their mutual consistency through the transition chain
 rule is checked both symbolically (once) and at random sample points.
+
+Compiled code is generated Python source, built once per expression
+and per state size: straight-line float fields and transitions, and an
+unrolled Dormand-Prince step whose last stage is reused as the next
+step's first (FSAL).  The generated code does the same float operations
+in the same order as a term-by-term interpreter and a generic stage
+loop (both kept in tests/test_flow.py as references), so its results
+agree with theirs to the bit.
 """
 from __future__ import annotations
 
@@ -45,9 +53,10 @@ class IntegratorConfig:
     no_chart_bound: float = 1e8
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
+        # written so that nan fails too
+        if not (self.rtol > 0 and self.atol > 0):
             raise FlowError("tolerances must be positive")
-        if self.switch_threshold <= 1:
+        if not self.switch_threshold > 1:
             raise FlowError("switch threshold must exceed 1")
 
 
@@ -85,65 +94,66 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# compiling exact expressions to float evaluators
+# compiling exact expressions to straight-line float code
+
+
+def _poly_source(poly: Polynomial, idx: dict) -> str:
+    """Float source of a polynomial over the arguments a0, a1, ...: each
+    term is ``coeff * a_k ** p * ...`` multiplied left to right, and the
+    terms are summed left to right from 0.0."""
+    total = "0.0"
+    for e, q in poly.terms.items():
+        term = repr(float(q))
+        for i, p in enumerate(e):
+            if p:
+                if i not in idx:
+                    raise FlowError(
+                        f"expression uses unbound variable index {i}")
+                term += f" * a{idx[i]} ** {p}"
+        total += f" + {term}"
+    return total
+
+
+def _rf_source(expr: RationalFunction | Polynomial,
+               names: tuple[str, ...]) -> str:
+    expr = RationalFunction.coerce(expr)
+    idx = {var_index(n): k for k, n in enumerate(names)}
+    num = _poly_source(expr.num, idx)
+    if expr.den.is_constant():
+        return f"({num}) / {float(expr.den.constant_value())!r}"
+    return f"({num}) / ({_poly_source(expr.den, idx)})"
+
+
+def _generated_lambda(body: str, names: tuple[str, ...]):
+    params = ", ".join(f"a{k}" for k in range(len(names)))
+    return eval(f"lambda {params}: {body}", {})
 
 
 def compile_rf(expr: RationalFunction | Polynomial, names: tuple[str, ...]):
     """Close an exact expression over an argument order; returns a plain
-    float function of len(names) arguments."""
-    expr = RationalFunction.coerce(expr)
-    idx = {var_index(n): k for k, n in enumerate(names)}
+    float function of len(names) arguments, generated as one expression."""
+    return _generated_lambda(_rf_source(expr, names), names)
 
-    def build(poly: Polynomial):
-        terms = []
-        for e, q in poly.terms.items():
-            spots = []
-            for i, p in enumerate(e):
-                if p:
-                    if i not in idx:
-                        raise FlowError(
-                            f"expression uses unbound variable index {i}")
-                    spots.append((idx[i], p))
-            terms.append((float(q), tuple(spots)))
-        return terms
 
-    num_terms = build(expr.num)
-    den_terms = build(expr.den)
-
-    def ev(terms, args):
-        total = 0.0
-        for coeff, spots in terms:
-            v = coeff
-            for k, p in spots:
-                v *= args[k] ** p
-            total += v
-        return total
-
-    if expr.den.is_constant():
-        d = float(expr.den.constant_value())
-
-        def f(*args):
-            return ev(num_terms, args) / d
-        return f
-
-    def g(*args):
-        return ev(num_terms, args) / ev(den_terms, args)
-    return g
+def compile_map(exprs, names: tuple[str, ...]):
+    """Like ``compile_rf`` for several expressions at once: one generated
+    function returning the tuple of their values, computed in order."""
+    return _generated_lambda(
+        "(" + "".join(f"{_rf_source(e, names)}, " for e in exprs) + ")",
+        names)
 
 
 @lru_cache(maxsize=None)
 def chart_field(chart: str):
-    """Compiled (dy/dt, dz/dt) for one chart, arguments (y, z, t, c)."""
-    fy, fz = atlas.hamilton_field(chart)
-    names = atlas.CHART_VARS[chart] + ("t", "c")
-    return compile_rf(fy, names), compile_rf(fz, names)
+    """Compiled (y, z, t, c) -> (dy/dt, dz/dt) for one chart."""
+    return compile_map(atlas.hamilton_field(chart),
+                       atlas.CHART_VARS[chart] + ("t", "c"))
 
 
 @lru_cache(maxsize=None)
-def _transition_fns(i: str, j: str):
+def _transition_fn(i: str, j: str):
     tr = atlas.transition(i, j)
-    names = atlas.CHART_VARS[i] + ("t", "c")
-    return compile_rf(tr.y_img, names), compile_rf(tr.z_img, names)
+    return compile_map((tr.y_img, tr.z_img), atlas.CHART_VARS[i] + ("t", "c"))
 
 
 def transport(i: str, j: str, y: float, z: float, t: float, c: float):
@@ -151,16 +161,14 @@ def transport(i: str, j: str, y: float, z: float, t: float, c: float):
     point sits outside the overlap."""
     if i == j:
         return y, z
-    fy, fz = _transition_fns(i, j)
     try:
-        return fy(y, z, t, c), fz(y, z, t, c)
+        return _transition_fn(i, j)(y, z, t, c)
     except (ZeroDivisionError, OverflowError):
         return math.nan, math.nan
 
 
 def vector_field(chart: str, y: float, z: float, t: float, c: float):
-    fy, fz = chart_field(chart)
-    return fy(y, z, t, c), fz(y, z, t, c)
+    return chart_field(chart)(y, z, t, c)
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +193,13 @@ def field_consistency_symbolic(i: str, j: str) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _jacobian_fns(i: str, j: str):
+def _jacobian_fn(i: str, j: str):
     tr = atlas.transition(i, j)
     sy, sz = atlas.CHART_VARS[i]
-    names = (sy, sz, "t", "c")
-    return tuple(compile_rf(expr, names) for expr in (
+    return compile_map((
         tr.y_img.partial(sy), tr.y_img.partial(sz), tr.y_img.partial("t"),
-        tr.z_img.partial(sy), tr.z_img.partial(sz), tr.z_img.partial("t")))
+        tr.z_img.partial(sy), tr.z_img.partial(sz), tr.z_img.partial("t")),
+        (sy, sz, "t", "c"))
 
 
 def field_consistency_numeric(i: str, j: str, n: int = 100, seed: int = 0) -> float:
@@ -199,7 +207,7 @@ def field_consistency_numeric(i: str, j: str, n: int = 100, seed: int = 0) -> fl
     with the transition Jacobian evaluated exactly (in float)."""
     rng = random.Random(seed)
     worst = 0.0
-    yy, yz, yt, zy, zz, zt = _jacobian_fns(i, j)
+    jacobian = _jacobian_fn(i, j)
     for _ in range(n):
         y = rng.uniform(0.2, 2.0) * rng.choice((-1, 1))
         z = rng.uniform(0.2, 2.0) * rng.choice((-1, 1))
@@ -208,8 +216,9 @@ def field_consistency_numeric(i: str, j: str, n: int = 100, seed: int = 0) -> fl
         yj, zj = transport(i, j, y, z, t, c)
         fy, fz = vector_field(i, y, z, t, c)
         gy, gz = vector_field(j, yj, zj, t, c)
-        push_y = yy(y, z, t, c) * fy + yz(y, z, t, c) * fz + yt(y, z, t, c)
-        push_z = zy(y, z, t, c) * fy + zz(y, z, t, c) * fz + zt(y, z, t, c)
+        yy, yz, yt, zy, zz, zt = jacobian(y, z, t, c)
+        push_y = yy * fy + yz * fz + yt
+        push_z = zy * fy + zz * fz + zt
         for got, ref in ((push_y, gy), (push_z, gz)):
             scale = max(1.0, abs(ref))
             worst = max(worst, abs(got - ref) / scale)
@@ -259,19 +268,39 @@ _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
        187 / 2100, 1 / 40)
 
 
-def _rk_step(f, u, t, h):
-    """One embedded step for f(u, t) -> du; returns (u5, err_vector)."""
-    k = [f(u, t)]
-    n = len(u)
+@lru_cache(maxsize=None)
+def _step_fn(n: int):
+    """Generated Dormand-Prince step for states of n components:
+    ``step(f, u, t, h, k1) -> (u5, err, k7)`` with k1 = f(u, t).
+
+    Every combination is ``u_m + h * (0.0 + w_1*k1_m + w_2*k2_m + ...)``,
+    all tableau weights kept, zeros included.  The seventh stage's input
+    is therefore u5 bit for bit (``_A[6] == _B5[:6]``, ``_B5[6] == 0``,
+    and its time is t + 1.0*h), so k7 = f(u5, t + h): the first stage of
+    the next step when nothing moved the state in between."""
+    def unpack(name):
+        return "".join(f"{name}_{m}, " for m in range(n)) + f"= {name}"
+
+    def comb(weights, m):
+        return " + ".join(["0.0"] + [f"{w!r} * k{r + 1}_{m}"
+                                     for r, w in enumerate(weights)])
+
+    def vec(parts):
+        return "(" + "".join(f"{p}, " for p in parts) + ")"
+
+    lines = ["def step(f, u, t, h, k1):", "    " + unpack("u"),
+             "    " + unpack("k1")]
     for s in range(1, 7):
-        us = tuple(u[m] + h * sum(_A[s][r] * k[r][m] for r in range(s))
-                   for m in range(n))
-        k.append(f(us, t + _C[s] * h))
-    u5 = tuple(u[m] + h * sum(_B5[r] * k[r][m] for r in range(7))
-               for m in range(n))
-    err = tuple(h * sum((_B5[r] - _B4[r]) * k[r][m] for r in range(7))
-                for m in range(n))
-    return u5, err
+        stage = vec(f"u_{m} + h * ({comb(_A[s], m)})" for m in range(n))
+        lines += [f"    k{s + 1} = f({stage}, t + {_C[s]!r} * h)",
+                  f"    {unpack(f'k{s + 1}')}"]
+    err_w = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
+    u5 = vec(f"u_{m} + h * ({comb(_B5, m)})" for m in range(n))
+    err = vec(f"h * ({comb(err_w, m)})" for m in range(n))
+    lines.append(f"    return {u5}, {err}, k7")
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["step"]
 
 
 def _error_norm(u, u_new, err, rtol, atol):
@@ -284,15 +313,24 @@ def _error_norm(u, u_new, err, rtol, atol):
 
 def _adaptive(f, u0, t0, t1, config, on_accept=None, stats=None):
     """Drive f from t0 to t1 with PI step control; on_accept may replace
-    the state (chart switching hooks in there); stats, when given, is a
-    two-slot list receiving [accepted, rejected] counts."""
+    the state (chart switching hooks in there) and must return a new
+    object when it does; stats, when given, is a two-slot list receiving
+    [accepted, rejected] counts.
+
+    The first stage is reused (FSAL): after a rejected step u and t are
+    unchanged, and after an accepted step that on_accept left alone the
+    step's last stage is f at the new state.  Each step therefore costs
+    six evaluations of f, plus one at the start, after a replaced state
+    and after an OverflowError."""
     if t1 == t0:
         return u0
+    step = _step_fn(len(u0))
     direction = 1.0 if t1 > t0 else -1.0
     u, t = u0, t0
     h = direction * min(config.h_init, config.h_max, abs(t1 - t0))
     err_prev = 1.0
     steps = 0
+    k1 = None
     while (t1 - t) * direction > 0:
         steps += 1
         if steps > config.max_steps:
@@ -302,12 +340,15 @@ def _adaptive(f, u0, t0, t1, config, on_accept=None, stats=None):
         final_step = (t + h - t1) * direction >= 0
         if final_step:
             h = t1 - t
-        if any(not math.isfinite(x) for x in u):
+        if not all(map(math.isfinite, u)):
             raise StepFailure("state became non-finite")
         try:
-            u_new, err = _rk_step(f, u, t, h)
+            if k1 is None:
+                k1 = f(u, t)
+            u_new, err, k7 = step(f, u, t, h, k1)
             norm = _error_norm(u, u_new, err, config.rtol, config.atol)
         except OverflowError:
+            k1 = None
             norm = math.inf
         if not math.isfinite(norm):
             if stats is not None:
@@ -319,6 +360,7 @@ def _adaptive(f, u0, t0, t1, config, on_accept=None, stats=None):
             u = u_new
             if on_accept is not None:
                 u = on_accept(u, t)
+            k1 = k7 if u is u_new and not final_step else None
             if stats is not None:
                 stats[0] += 1
             fac = 0.9 * (norm ** -0.14 if norm > 0 else 2.0) \
@@ -336,13 +378,14 @@ def integrate(c: float, initial: FlowState, t1: float,
               config: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """Integrate from the initial state's time to t1, hopping charts as
     needed; every accepted step appends a sample."""
+    if not (math.isfinite(initial.t) and math.isfinite(t1)):
+        raise FlowError("integration bounds must be finite")
     traj = Trajectory(c=float(c))
     traj.states.append(initial)
     chart_box = [initial.chart]
 
     def f(u, t):
-        fy, fz = chart_field(chart_box[0])
-        return (fy(u[0], u[1], t, c), fz(u[0], u[1], t, c))
+        return chart_field(chart_box[0])(u[0], u[1], t, c)
 
     def on_accept(u, t):
         y, z = u
@@ -391,7 +434,7 @@ def to_w1(state: FlowState) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=None)
-def _phase_map_fns(kind: str):
+def _phase_map_fn(kind: str):
     if kind == "translation":
         m = backlund.phase_translation()
     elif kind == "reflection":
@@ -400,18 +443,15 @@ def _phase_map_fns(kind: str):
         m = backlund.phase_negation()
     else:
         raise FlowError(f"unknown phase map {kind!r}")
-    names = ("q", "p", "t", "c")
-    return (compile_rf(m.q_img, names), compile_rf(m.p_img, names),
-            compile_rf(m.c_img, ("c",)))
+    return compile_map((m.q_img, m.p_img, m.c_img), ("q", "p", "t", "c"))
 
 
 def apply_phase_map(kind: str, q: float, p: float, t: float, c: float):
     """(q', p', c') under one of the exact symmetries, in float."""
     if kind == "negation" and c == 0.0:
         return q, p, 0.0   # degenerates to the identity; avoids 0/0 at p=0
-    fq, fp, fc = _phase_map_fns(kind)
     try:
-        return fq(q, p, t, c), fp(q, p, t, c), fc(c)
+        return _phase_map_fn(kind)(q, p, t, c)
     except ZeroDivisionError:
         raise FlowError(f"phase map {kind!r} undefined at this state") from None
 

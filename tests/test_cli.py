@@ -117,6 +117,11 @@ def test_outputs_are_byte_identical_across_runs():
         assert a.stdout == b.stdout and a.stderr == b.stderr, args
 
 
+def integrate_argv(**opts):
+    argv = {"c": "1/2", "t0": "0", "t1": "1", "q0": "0", "p0": "0", **opts}
+    return ["integrate"] + [f"--{k}={v}" for k, v in argv.items()]
+
+
 @pytest.mark.parametrize("argv", [
     ["gamma", "--n", "0"],
     ["gamma", "--n", "x"],
@@ -126,6 +131,12 @@ def test_outputs_are_byte_identical_across_runs():
     # every RK stage overflows, so the step size collapses: a FlowError
     ["integrate", "--c", "1/2", "--t0", "0", "--t1", "1",
      "--q0", "1e200", "--p0", "0"],
+    integrate_argv(t1="x"),
+    # non-finite numbers: before, --t1 nan printed a nan row and exited 0,
+    # --t1 inf ran to the step budget and --rtol nan to step-size underflow
+    *[integrate_argv(**{option: value})
+      for option in ("t0", "t1", "q0", "p0", "rtol", "atol", "R")
+      for value in ("nan", "inf", "-inf", "1e400")],
 ])
 def test_bad_input_is_a_one_line_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
