@@ -501,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="rational, e.g. 1/3")
 
     ob = sub.add_parser("orbit", help="orbit verification table")
-    ob.add_argument("--n-max", type=int, default=50)
+    ob.add_argument("--n-max", type=_positive_int, default=50)
 
     it = sub.add_parser("integrate", help="integrate one trajectory to CSV")
     it.add_argument("--c", type=_rational, required=True,

@@ -3,11 +3,21 @@
 Everything symbolic in this package runs on two types defined here:
 
 * ``Polynomial``: a sparse multivariate polynomial with ``fractions.Fraction``
-  coefficients.  A monomial is an exponent tuple over a closed, build-time
-  variable alphabet (``ALPHABET``); there is no dynamic variable creation, so
-  exponent tuples from different expressions always line up.
+  coefficients over a closed, build-time variable alphabet (``ALPHABET``);
+  there is no dynamic variable creation, so monomials from different
+  expressions always line up.
 * ``RationalFunction``: a quotient of two polynomials kept in a canonical
   form, so that ``==`` is exact mathematical equality.
+
+A monomial is stored packed into one int (Monagan & Pearce's packed
+monomials): one 8-bit field per variable, ``ALPHABET[0]`` highest, and the
+total degree in a field above them all.  Integer order is then exactly the
+graded-lexicographic order, and multiplying monomials is adding ints.  The
+top bit of every field is a guard bit that stays 0, so one subtraction
+tests divisibility in every field at once.  A total degree above
+``MAX_DEGREE`` raises ``ExactError``: products check it before they add, so
+a carry never passes from one field into the next.  The packing is private;
+``Polynomial`` takes and ``Polynomial.terms`` shows exponent tuples.
 
 Canonical form of a quotient: numerator and denominator are coprime, and
 scaled so the denominator has integer coprime coefficients ("content 1") and
@@ -26,9 +36,10 @@ wraps them.
 """
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping
 from fractions import Fraction
 from math import gcd as _int_gcd
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 # Closed variable alphabet.  Order matters: it fixes the monomial order and
 # therefore every canonical form and every rendered string.
@@ -41,7 +52,15 @@ ALPHABET = (
 )
 NVARS = len(ALPHABET)
 _INDEX = {name: i for i, name in enumerate(ALPHABET)}
-_ZERO_EXP = (0,) * NVARS
+
+# Packed monomials: byte 0 (most significant) of the big-endian encoding is
+# the total degree, byte 1 + i the exponent of ALPHABET[i].
+_NBYTES = NVARS + 1
+MAX_DEGREE = 0x7F                      # a field's value bits; bit 7 is the guard
+_SHIFT = tuple(8 * (NVARS - 1 - i) for i in range(NVARS))
+_DEG_SHIFT = 8 * NVARS
+_ONE = tuple((1 << _DEG_SHIFT) | (1 << s) for s in _SHIFT)   # x_i, packed
+_GUARDS = int.from_bytes(b"\x80" * _NBYTES, "big")
 
 Scalar = Union[int, Fraction]
 
@@ -79,85 +98,162 @@ def var_index(name: str) -> int:
         raise UnknownVariable(name) from None
 
 
-def _grlex_key(exp):
-    return (sum(exp), exp)
+def _degree(key: int) -> int:
+    return key >> _DEG_SHIFT
+
+
+def _check_degree(deg: int) -> None:
+    if deg > MAX_DEGREE:
+        raise ExactError(f"total degree {deg} exceeds {MAX_DEGREE}")
+
+
+def _pack(exp) -> int:
+    """Packed int of an exponent tuple over the whole alphabet."""
+    exp = tuple(exp)
+    if len(exp) != NVARS:
+        raise ExactError(f"exponent tuple has {len(exp)} entries, not {NVARS}")
+    if min(exp) < 0:
+        raise ExactError(f"negative exponent in {exp}")
+    deg = sum(exp)
+    _check_degree(deg)
+    return int.from_bytes(bytes((deg, *exp)), "big")
+
+
+def _unpack(key: int) -> tuple:
+    """Exponent tuple of a packed monomial."""
+    return tuple(key.to_bytes(_NBYTES, "big")[1:])
+
+
+class _Terms(Mapping):
+    """Read-only view of a polynomial's terms with exponent-tuple keys, in
+    the polynomial's own term order."""
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: dict):
+        self._terms = terms
+
+    def __getitem__(self, exp):
+        try:
+            key = _pack(exp)
+        except (ExactError, TypeError):
+            raise KeyError(exp) from None
+        return self._terms[key]
+
+    def __iter__(self):
+        return map(_unpack, self._terms)
+
+    def __len__(self):
+        return len(self._terms)
+
+    def items(self):
+        return _TermItems(self)
+
+    def values(self):
+        return self._terms.values()
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class _TermItems(ItemsView):
+    def __iter__(self):
+        for key, q in self._mapping._terms.items():
+            yield _unpack(key), q
+
+
+def _add_into(out: dict, terms: dict) -> None:
+    """out += terms, dropping terms that cancel; a new monomial goes last."""
+    for e, q in terms.items():
+        if e in out:
+            s = out[e] + q
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        else:
+            out[e] = q
 
 
 class Polynomial:
-    """Sparse polynomial: ``{exponent tuple: nonzero Fraction}``."""
+    """Sparse polynomial: ``{packed monomial: nonzero Fraction}``."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[tuple, Fraction] | None = None):
+    def __init__(self, terms: Mapping[tuple, Scalar] | None = None):
+        """From a mapping of exponent tuples (over the whole alphabet) to
+        rational coefficients; zero coefficients are dropped."""
         if terms:
-            self.terms = {e: q for e, q in terms.items() if q}
+            self._terms = {_pack(e): Fraction(q) for e, q in terms.items() if q}
         else:
-            self.terms = {}
+            self._terms = {}
+
+    @classmethod
+    def _new(cls, terms: dict) -> "Polynomial":
+        """Wrap a packed dict whose coefficients are nonzero Fractions."""
+        p = object.__new__(cls)
+        p._terms = terms
+        return p
+
+    @property
+    def terms(self) -> Mapping[tuple, Fraction]:
+        return _Terms(self._terms)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls()
+        return cls._new({})
 
     @classmethod
     def const(cls, value: Scalar) -> "Polynomial":
         q = Fraction(value)
-        return cls({_ZERO_EXP: q}) if q else cls()
+        return cls._new({0: q} if q else {})
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
-        i = var_index(name)
-        exp = tuple(1 if j == i else 0 for j in range(NVARS))
-        return cls({exp: Fraction(1)})
+        return cls._new({_ONE[var_index(name)]: Fraction(1)})
 
     # -- predicates and views -----------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and _ZERO_EXP in self.terms)
+        return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
 
     def constant_value(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
         if not self.is_constant():
             raise ExactError("polynomial is not constant")
-        return self.terms[_ZERO_EXP]
+        return self._terms[0]
 
     def variables(self) -> tuple[str, ...]:
-        present = set()
-        for e in self.terms:
-            for i, p in enumerate(e):
-                if p:
-                    present.add(i)
-        return tuple(ALPHABET[i] for i in sorted(present))
+        present = 0
+        for e in self._terms:
+            present |= e
+        return tuple(ALPHABET[i] for i, p in enumerate(_unpack(present)) if p)
 
     def degree_in(self, name: str) -> int:
-        i = var_index(name)
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
+        return _deg_idx(self, var_index(name))
 
     def leading(self) -> tuple[tuple, Fraction]:
         """Leading (exponent, coefficient) under graded lex; error on zero."""
-        if not self.terms:
+        if not self._terms:
             raise ExactError("zero polynomial has no leading term")
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
+        e = max(self._terms)
+        return _unpack(e), self._terms[e]
 
     def coeff_in(self, name: str, power: int) -> "Polynomial":
         """Coefficient of ``name**power``, a polynomial in the other variables."""
         i = var_index(name)
-        out = {}
-        for e, q in self.terms.items():
-            if e[i] == power:
-                out[e[:i] + (0,) + e[i + 1:]] = q
-        return Polynomial(out)
+        s, drop = _SHIFT[i], power * _ONE[i]
+        return Polynomial._new({e - drop: q for e, q in self._terms.items()
+                                if (e >> s) & 0xFF == power})
 
     # -- ring operations ----------------------------------------------
 
@@ -173,26 +269,21 @@ class Polynomial:
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        return self.terms == p.terms
+        return self._terms == p._terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({e: -q for e, q in self.terms.items()})
+        return Polynomial._new({e: -q for e, q in self._terms.items()})
 
     def __add__(self, other):
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, q in p.terms.items():
-            s = out.get(e, Fraction(0)) + q
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Polynomial(out)
+        out = dict(self._terms)
+        _add_into(out, p._terms)
+        return Polynomial._new(out)
 
     __radd__ = __add__
 
@@ -212,16 +303,24 @@ class Polynomial:
         p = self._coerce(other)
         if p is None:
             return NotImplemented
+        t1, t2 = self._terms, p._terms
+        if not t1 or not t2:
+            return Polynomial._new({})
+        # the top monomial has the top degree; below the bound no field carries
+        _check_degree(_degree(max(t1)) + _degree(max(t2)))
         out: dict = {}
-        for e1, q1 in self.terms.items():
-            for e2, q2 in p.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + q1 * q2
-                if s:
-                    out[e] = s
+        for e1, q1 in t1.items():
+            for e2, q2 in t2.items():
+                e = e1 + e2
+                if e in out:
+                    s = out[e] + q1 * q2
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
                 else:
-                    out.pop(e, None)
-        return Polynomial(out)
+                    out[e] = q1 * q2
+        return Polynomial._new(out)
 
     __rmul__ = __mul__
 
@@ -230,43 +329,45 @@ class Polynomial:
             raise ExactError("negative power of a polynomial; use RationalFunction")
         result = Polynomial.const(1)
         base = self
-        while n:
+        while True:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     # -- calculus and substitution ------------------------------------
 
     def diff(self, name: str) -> "Polynomial":
         i = var_index(name)
+        s, one = _SHIFT[i], _ONE[i]
         out: dict = {}
-        for e, q in self.terms.items():
-            p = e[i]
+        for e, q in self._terms.items():
+            p = (e >> s) & 0xFF
             if p:
-                out[e[:i] + (p - 1,) + e[i + 1:]] = q * p
-        return Polynomial(out)
+                out[e - one] = q * p
+        return Polynomial._new(out)
 
     def subs_poly(self, bindings: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Substitute polynomials for variables (others untouched)."""
         idx = {var_index(n): p for n, p in bindings.items()}
-        result = Polynomial.zero()
+        out: dict = {}
         pow_cache: dict[tuple[int, int], Polynomial] = {}
-        for e, q in self.terms.items():
+        for e, q in self._terms.items():
             term = Polynomial.const(q)
-            rest = list(e)
+            rest = e
             for i, p in idx.items():
-                k = rest[i]
+                k = (rest >> _SHIFT[i]) & 0xFF
                 if k:
-                    rest[i] = 0
+                    rest -= k * _ONE[i]
                     key = (i, k)
                     if key not in pow_cache:
                         pow_cache[key] = p ** k
                     term = term * pow_cache[key]
-            term = term * Polynomial({tuple(rest): Fraction(1)})
-            result = result + term
-        return result
+            term = term * Polynomial._new({rest: Fraction(1)})
+            _add_into(out, term._terms)
+        return Polynomial._new(out)
 
     def eval_fractions(self, bindings: Mapping[str, Scalar]) -> Fraction:
         """Fully evaluate; every variable present must be bound."""
@@ -274,9 +375,9 @@ class Polynomial:
         for n, v in bindings.items():
             vals[var_index(n)] = Fraction(v)
         total = Fraction(0)
-        for e, q in self.terms.items():
+        for e, q in self._terms.items():
             prod = q
-            for i, p in enumerate(e):
+            for i, p in enumerate(_unpack(e)):
                 if p:
                     if i not in vals:
                         raise ExactError(f"unbound variable {ALPHABET[i]!r} in evaluation")
@@ -289,35 +390,34 @@ class Polynomial:
     def signed_content(self) -> Fraction:
         """Rational r with self == r * primitive, primitive having coprime
         integer coefficients and positive leading coefficient.  Zero for 0."""
-        if not self.terms:
+        if not self._terms:
             return Fraction(0)
         num_gcd = 0
         den_lcm = 1
-        for q in self.terms.values():
+        for q in self._terms.values():
             num_gcd = _int_gcd(num_gcd, abs(q.numerator))
             den_lcm = den_lcm * q.denominator // _int_gcd(den_lcm, q.denominator)
         r = Fraction(num_gcd, den_lcm)
-        _, lc = self.leading()
-        if lc < 0:
+        if self._terms[max(self._terms)] < 0:
             r = -r
         return r
 
     def primitive(self) -> "Polynomial":
-        if not self.terms:
+        if not self._terms:
             return self
         r = self.signed_content()
-        return Polynomial({e: q / r for e, q in self.terms.items()})
+        return _scaled(self, r)
 
     # -- rendering ----------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         parts = []
-        for e in sorted(self.terms, key=_grlex_key, reverse=True):
-            q = self.terms[e]
+        for e in sorted(self._terms, reverse=True):
+            q = self._terms[e]
             factors = []
-            for i, p in enumerate(e):
+            for i, p in enumerate(_unpack(e)):
                 if p == 1:
                     factors.append(ALPHABET[i])
                 elif p > 1:
@@ -341,6 +441,11 @@ class Polynomial:
     __repr__ = __str__
 
 
+def _scaled(p: Polynomial, r: Fraction) -> Polynomial:
+    """p / r for a nonzero rational r."""
+    return Polynomial._new({e: q / r for e, q in p._terms.items()})
+
+
 # ---------------------------------------------------------------------------
 # gcd machinery (primitive PRS)
 
@@ -351,47 +456,65 @@ def divexact(a: Polynomial, b: Polynomial) -> Polynomial:
         raise DivisionByZero("exact division by zero polynomial")
     if a.is_zero():
         return a
-    eb, cb = b.leading()
+    eb = max(b._terms)
+    cb = b._terms[eb]
+    rest = [(e, c) for e, c in b._terms.items() if e != eb]
     quotient: dict = {}
-    rem = a
-    while not rem.is_zero():
-        er, cr = rem.leading()
-        diff = tuple(x - y for x, y in zip(er, eb))
-        if any(d < 0 for d in diff):
+    rem = dict(a._terms)
+    while rem:
+        er = max(rem)
+        # a field of er below eb's borrows from its own guard bit only
+        d = (er | _GUARDS) - eb
+        if d & _GUARDS != _GUARDS:
             raise ExactError("inexact polynomial division")
-        q = cr / cb
-        quotient[diff] = quotient.get(diff, Fraction(0)) + q
-        rem = rem - Polynomial({diff: q}) * b
-    return Polynomial(quotient)
+        d ^= _GUARDS
+        q = rem.pop(er) / cb
+        quotient[d] = q
+        for e, c in rest:
+            e += d
+            if e in rem:
+                s = rem[e] - q * c
+                if s:
+                    rem[e] = s
+                else:
+                    del rem[e]
+            else:
+                rem[e] = -(q * c)
+    return Polynomial._new(quotient)
 
 
 def _top_var(p: Polynomial) -> int | None:
     """Highest alphabet index present, or None for constants."""
-    best = None
-    for e in p.terms:
-        for i in range(NVARS - 1, -1, -1):
-            if e[i]:
-                if best is None or i > best:
-                    best = i
-                break
-    return best
+    present = 0
+    for e in p._terms:
+        present |= e
+    present &= (1 << _DEG_SHIFT) - 1
+    if not present:
+        return None
+    low = (present & -present).bit_length() - 1
+    return NVARS - 1 - low // 8
 
 
 def _deg_idx(p: Polynomial, i: int) -> int:
-    return max((e[i] for e in p.terms), default=-1)
+    s = _SHIFT[i]
+    return max(((e >> s) & 0xFF for e in p._terms), default=-1)
 
 
 def _coeffs_idx(p: Polynomial, i: int) -> dict[int, Polynomial]:
+    s, one = _SHIFT[i], _ONE[i]
     out: dict[int, dict] = {}
-    for e, q in p.terms.items():
-        d = e[i]
-        out.setdefault(d, {})[e[:i] + (0,) + e[i + 1:]] = q
-    return {d: Polynomial(t) for d, t in out.items()}
+    for e, q in p._terms.items():
+        d = (e >> s) & 0xFF
+        out.setdefault(d, {})[e - d * one] = q
+    return {d: Polynomial._new(t) for d, t in out.items()}
+
 
 def _mul_power(p: Polynomial, i: int, k: int) -> Polynomial:
-    if k == 0:
+    if k == 0 or not p._terms:
         return p
-    return Polynomial({e[:i] + (e[i] + k,) + e[i + 1:]: q for e, q in p.terms.items()})
+    _check_degree(_degree(max(p._terms)) + k)
+    shift = k * _ONE[i]
+    return Polynomial._new({e + shift: q for e, q in p._terms.items()})
 
 
 def _content_wrt(p: Polynomial, i: int) -> Polynomial:
@@ -429,9 +552,9 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return b.primitive()
     if b.is_zero():
         return a.primitive()
-    if len(a.terms) == 1:
+    if len(a._terms) == 1:
         return _monomial_gcd(a, b)
-    if len(b.terms) == 1:
+    if len(b._terms) == 1:
         return _monomial_gcd(b, a)
     a = a.primitive()
     b = b.primitive()
@@ -474,16 +597,19 @@ def _prs_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 def _monomial_gcd(m: Polynomial, b: Polynomial) -> Polynomial:
     """gcd of a one-term polynomial with a nonzero b: every divisor of a
     monomial is a monomial, so it is the least exponent per variable."""
-    (low,) = m.terms
-    for e in b.terms:
-        if not any(low):
+    (low,) = m._terms
+    fields = [(_SHIFT[i], k) for i, k in enumerate(_unpack(low)) if k]
+    for e in b._terms:
+        if not fields:
             break
-        low = tuple(map(min, low, e))
-    return Polynomial({low: Fraction(1)})
+        fields = [(s, min(k, (e >> s) & 0xFF)) for s, k in fields]
+        fields = [(s, k) for s, k in fields if k]
+    key = sum(k << s for s, k in fields) + (sum(k for _, k in fields) << _DEG_SHIFT)
+    return Polynomial._new({key: Fraction(1)})
 
 
 def _is_one(p: Polynomial) -> bool:
-    return len(p.terms) == 1 and p.terms.get(_ZERO_EXP) == 1
+    return len(p._terms) == 1 and p._terms.get(0) == 1
 
 
 def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -530,8 +656,8 @@ class RationalFunction:
             return
         r = den.signed_content()
         if r != 1:
-            den = Polynomial({e: q / r for e, q in den.terms.items()})
-            num = Polynomial({e: q / r for e, q in num.terms.items()})
+            den = _scaled(den, r)
+            num = _scaled(num, r)
         self.num = num
         self.den = den
 
@@ -694,7 +820,7 @@ class RationalFunction:
         d = self.den.constant_value()
         if d == 1:
             return self.num
-        return Polynomial({e: q / d for e, q in self.num.terms.items()})
+        return _scaled(self.num, d)
 
     def eval_fractions(self, bindings: Mapping[str, Scalar]) -> Fraction:
         den = self.den.eval_fractions(bindings)
@@ -709,9 +835,9 @@ class RationalFunction:
             return str(self.num)
         num = str(self.num)
         den = str(self.den)
-        if len(self.num.terms) > 1:
+        if len(self.num._terms) > 1:
             num = f"({num})"
-        if len(self.den.terms) > 1:
+        if len(self.den._terms) > 1:
             den = f"({den})"
         return f"{num}/{den}"
 
@@ -722,18 +848,18 @@ def _subs_poly_rf(p: Polynomial, bindings: Mapping[str, RationalFunction]) -> Ra
     idx = {var_index(n): v for n, v in bindings.items()}
     total = RationalFunction.const(0)
     pow_cache: dict[tuple[int, int], RationalFunction] = {}
-    for e, q in p.terms.items():
-        rest = list(e)
+    for e, q in p._terms.items():
+        rest = e
         factor = RationalFunction.const(q)
         for i, v in idx.items():
-            k = rest[i]
+            k = (rest >> _SHIFT[i]) & 0xFF
             if k:
-                rest[i] = 0
+                rest -= k * _ONE[i]
                 key = (i, k)
                 if key not in pow_cache:
                     pow_cache[key] = v ** k
                 factor = factor * pow_cache[key]
-        factor = factor * Polynomial({tuple(rest): Fraction(1)})
+        factor = factor * Polynomial._new({rest: Fraction(1)})
         total = total + factor
     return total
 

@@ -137,6 +137,9 @@ def integrate_argv(**opts):
     *[integrate_argv(**{option: value})
       for option in ("t0", "t1", "q0", "p0", "rtol", "atol", "R")
       for value in ("nan", "inf", "-inf", "1e400")],
+    # before, both printed an empty table and exited 0
+    ["orbit", "--n-max", "0"],
+    ["orbit", "--n-max", "-3"],
 ])
 def test_bad_input_is_a_one_line_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:

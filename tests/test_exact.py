@@ -10,17 +10,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p2lab.exact import (
+    MAX_DEGREE,
+    NVARS,
     DivisionByZero,
+    ExactError,
     IdenticallyZeroDenominator,
     NotPolynomial,
     Polynomial,
     RationalFunction,
+    _mul_power,
+    _pack,
     _prs_gcd,
+    _unpack,
     divexact,
     poly_gcd,
     poly_lcm,
     rf,
     rfvar,
+    var_index,
 )
 
 VARS = ("q", "p", "t")
@@ -278,3 +285,198 @@ def test_gcd_with_monomial_matches_prs(m, b):
     ref = _prs_gcd(m.primitive(), b.primitive())
     assert poly_gcd(m, b) == ref
     assert poly_gcd(b, m) == ref
+
+
+# -- packed monomials -------------------------------------------------------
+#
+# The kernel stores each monomial as one int; the reference below is the
+# exponent tuple it replaced, ordered by (total degree, tuple).
+
+
+def grlex(e):
+    return (sum(e), e)
+
+
+@st.composite
+def exponent_tuples(draw):
+    """Exponent tuples over the whole alphabet: a few variables anywhere in
+    it, total degree at most MAX_DEGREE."""
+    e = [0] * NVARS
+    budget = draw(st.integers(0, MAX_DEGREE))
+    for i in draw(st.lists(st.integers(0, NVARS - 1), max_size=6)):
+        k = draw(st.integers(0, budget))
+        e[i] += k
+        budget -= k
+    return tuple(e)
+
+
+@given(exponent_tuples())
+def test_pack_then_unpack_is_the_identity(e):
+    assert _unpack(_pack(e)) == e
+    assert Polynomial({e: 3}).leading() == (e, 3)
+
+
+@given(exponent_tuples(), exponent_tuples())
+def test_packed_order_is_graded_lex_order(a, b):
+    assert (_pack(a) < _pack(b)) == (grlex(a) < grlex(b))
+    assert (_pack(a) == _pack(b)) == (a == b)
+
+
+@given(exponent_tuples(), exponent_tuples())
+def test_packed_product_is_the_summed_exponents(a, b):
+    total = tuple(x + y for x, y in zip(a, b))
+    if sum(total) > MAX_DEGREE:
+        with pytest.raises(ExactError):
+            Polynomial({a: 2}) * Polynomial({b: 3})
+        return
+    assert _pack(a) + _pack(b) == _pack(total)
+    assert Polynomial({a: 2}) * Polynomial({b: 3}) == Polynomial({total: 6})
+
+
+def tuple_divexact(a: dict, b: dict) -> dict:
+    """Long division on exponent-tuple term dicts, as the kernel did before
+    monomials were packed; raises ExactError if b does not divide a."""
+    eb = max(b, key=grlex)
+    cb = b[eb]
+    quotient: dict = {}
+    rem = dict(a)
+    while rem:
+        er = max(rem, key=grlex)
+        diff = tuple(x - y for x, y in zip(er, eb))
+        if any(d < 0 for d in diff):
+            raise ExactError("inexact polynomial division")
+        q = rem[er] / cb
+        quotient[diff] = quotient.get(diff, Fraction(0)) + q
+        for e, c in b.items():
+            e = tuple(x + y for x, y in zip(diff, e))
+            s = rem.get(e, Fraction(0)) - q * c
+            if s:
+                rem[e] = s
+            else:
+                rem.pop(e, None)
+    return quotient
+
+
+# variables at the top, the middle and the bottom of the packed layout
+SPREAD = ("t", "z5", "x3")
+
+
+@st.composite
+def spread_polys(draw, max_terms=4):
+    out = Polynomial.zero()
+    for _ in range(draw(st.integers(0, max_terms))):
+        mono = Polynomial.const(draw(coeffs))
+        for name in SPREAD:
+            mono = mono * Polynomial.variable(name) ** draw(st.integers(0, 3))
+        out = out + mono
+    return out
+
+
+@settings(deadline=None)
+@given(spread_polys(), spread_polys().filter(bool), spread_polys(max_terms=2))
+def test_divexact_matches_tuple_long_division(c, b, r):
+    a = b * c + r
+    try:
+        ref = tuple_divexact(dict(a.terms.items()), dict(b.terms.items()))
+    except ExactError:
+        with pytest.raises(ExactError):
+            divexact(a, b)
+        return
+    # same terms in the same order
+    assert list(divexact(a, b).terms.items()) == list(ref.items())
+
+
+def test_divexact_raises_on_inexact_input():
+    q, p = Polynomial.variable("q"), Polynomial.variable("p")
+    for a, b in ((q * p + 1, q), (q, p), (q ** 2 + p, q + p),
+                 (Polynomial.const(1), q)):
+        with pytest.raises(ExactError):
+            divexact(a, b)
+
+
+def test_degree_past_the_field_limit_raises():
+    q, x3 = Polynomial.variable("q"), Polynomial.variable("x3")
+    assert (q ** MAX_DEGREE).degree_in("q") == MAX_DEGREE
+    assert (q ** 100 * x3 ** (MAX_DEGREE - 100)).degree_in("x3") == MAX_DEGREE - 100
+    for thunk in (lambda: q ** (MAX_DEGREE + 1),
+                  lambda: q ** 100 * x3 ** (MAX_DEGREE - 99),
+                  # the lowest field: a carry would land in z
+                  lambda: x3 ** MAX_DEGREE * x3,
+                  lambda: rfvar("x3") ** (MAX_DEGREE + 1),
+                  lambda: rfvar("x3") ** -(MAX_DEGREE + 1)):
+        with pytest.raises(ExactError):
+            thunk()
+    e = [0] * NVARS
+    e[var_index("z")] = MAX_DEGREE + 1
+    with pytest.raises(ExactError):
+        Polynomial({tuple(e): 1})
+    # the shift inside the pseudo-remainder
+    assert _mul_power(q ** 120 + 1, var_index("x3"), 7) == (q ** 120 + 1) * x3 ** 7
+    with pytest.raises(ExactError):
+        _mul_power(q ** 120 + 1, var_index("x3"), 8)
+
+
+def test_malformed_exponent_tuples_raise():
+    e = [0] * NVARS
+    e[var_index("q")] = -1
+    e[var_index("p")] = 2
+    with pytest.raises(ExactError):
+        Polynomial({tuple(e): 1})
+    with pytest.raises(ExactError):
+        Polynomial({(1, 2): 1})
+
+
+def test_terms_view_shows_tuples_in_term_order():
+    q, t = Polynomial.variable("q"), Polynomial.variable("t")
+    p = 3 * q + t ** 2 - Fraction(1, 2)
+    e_q, e_t = [0] * NVARS, [0] * NVARS
+    e_q[var_index("q")] = 1
+    e_t[var_index("t")] = 2
+    want = [(tuple(e_q), 3), (tuple(e_t), 1), ((0,) * NVARS, Fraction(-1, 2))]
+    assert list(p.terms.items()) == want
+    assert list(p.terms) == [e for e, _ in want]
+    assert list(p.terms.values()) == [c for _, c in want]
+    assert p.terms == dict(want) and dict(want) == p.terms
+    assert p.terms[tuple(e_t)] == 1 and len(p.terms) == 3
+    assert (0,) * NVARS in p.terms and (1, 2) not in p.terms
+    assert Polynomial(p.terms) == p
+    with pytest.raises(TypeError):
+        p.terms[tuple(e_q)] = 5
+
+
+# -- sympy as an outside oracle (test-only; never a runtime import) ---------
+
+
+def to_sympy(p, sympy):
+    syms = [sympy.Symbol(v) for v in VARS]
+    out = sympy.Integer(0)
+    for e, c in p.terms.items():
+        mono = sympy.Rational(c.numerator, c.denominator)
+        for v, s in zip(VARS, syms):
+            mono *= s ** e[var_index(v)]
+        out += mono
+    return out
+
+
+linear_polys = polys(max_terms=3, exps=linear_exponents).filter(bool)
+
+
+@settings(max_examples=30, deadline=None)
+@given(linear_polys, linear_polys, linear_polys)
+def test_gcd_matches_sympy(a, b, g):
+    sympy = pytest.importorskip("sympy")
+    ours = to_sympy(poly_gcd(a * g, b * g), sympy)
+    theirs = sympy.gcd(to_sympy(a * g, sympy), to_sympy(b * g, sympy))
+    ratio = sympy.cancel(ours / theirs)
+    assert ratio.is_Rational and ratio != 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(polys(max_terms=3, exps=small_exponents), linear_polys, linear_polys)
+def test_canonical_quotient_matches_sympy(a, b, g):
+    sympy = pytest.importorskip("sympy")
+    r = RationalFunction(a * g, b * g)
+    num, den = to_sympy(r.num, sympy), to_sympy(r.den, sympy)
+    given_ = to_sympy(a * g, sympy) / to_sympy(b * g, sympy)
+    assert sympy.cancel(num / den - given_) == 0
+    assert sympy.gcd(num, den).is_Rational
