@@ -8,7 +8,7 @@ first differences twice makes the quadratic growth visible by eye.
 """
 import argparse
 
-from p2lab import lattice, weyl
+from p2lab import weyl
 
 
 def main() -> None:
@@ -16,10 +16,10 @@ def main() -> None:
     ap.add_argument("--n-max", type=int, default=16)
     args = ap.parse_args()
 
+    rows = weyl.orbit_report(args.n_max)
     degs = []
     print(f"{'n':>3} {'deg':>6} {'mod':>12}  class")
-    for n in range(1, args.n_max + 1):
-        g = weyl.gamma_full(n)
+    for n, g, _, _, _ in rows:
         deg = g.coeffs[0]
         degs.append(deg)
         print(f"{n:>3} {deg:>6} {str(weyl.gamma_mod(n)):>12}  {g.coeffs}")
@@ -33,9 +33,7 @@ def main() -> None:
         print(f"constant second difference {d2[0]}: quadratic growth, "
               "so the classes are pairwise distinct")
 
-    f = lattice.anticanonical_class()
-    assert all(lattice.pair(weyl.gamma_full(n), f) == 1
-               for n in range(1, args.n_max + 1))
+    assert all(fp == 1 for _, _, _, fp, _ in rows)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .exact import (
     NotPolynomial, Polynomial, RationalFunction, rf, rfvar, rfvars, var_index,
@@ -45,6 +45,15 @@ class Transition:
     y_img: RationalFunction
     z_img: RationalFunction
     domain: Polynomial
+
+    @cached_property
+    def jacobian(self) -> tuple:
+        """((dy/dsy, dy/dsz, dy/dt), (dz/dsy, dz/dsz, dz/dt)): the target
+        coordinates (y, z) differentiated by the source ones (sy, sz) and
+        by t."""
+        sy, sz = CHART_VARS[self.source]
+        return tuple(tuple(img.partial(v) for v in (sy, sz, "t"))
+                     for img in (self.y_img, self.z_img))
 
     def bindings(self) -> dict:
         ty, tz = CHART_VARS[self.target]
@@ -137,10 +146,8 @@ def consistency_check(quartic_coeff=2, reflect_c_on_direct: bool = False) -> boo
 def jacobian_det(i: str, j: str) -> RationalFunction:
     """Fiberwise Jacobian determinant of the coordinate change at fixed
     (t, c); equals 1 on every pair, which is the symplectic statement."""
-    tr = transition(i, j)
-    sy, sz = CHART_VARS[i]
-    return (tr.y_img.partial(sy) * tr.z_img.partial(sz)
-            - tr.y_img.partial(sz) * tr.z_img.partial(sy))
+    (yy, yz, _), (zy, zz, _) = transition(i, j).jacobian
+    return yy * zz - yz * zy
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +240,8 @@ def symplectic_form(chart: str, h_poly: Polynomial | None = None) -> RelTwoForm:
 
 def pullback_two_form(form: RelTwoForm, tr: Transition) -> RelTwoForm:
     """Express a form on tr.target in tr.source coordinates."""
-    sy, sz = CHART_VARS[tr.source]
     b = tr.bindings()
-    yy, yz, yt = tr.y_img.partial(sy), tr.y_img.partial(sz), tr.y_img.partial("t")
-    zy, zz, zt = tr.z_img.partial(sy), tr.z_img.partial(sz), tr.z_img.partial("t")
+    (yy, yz, yt), (zy, zz, zt) = tr.jacobian
     a = form.dy_dz.substitute(b)
     bb = form.dy_dt.substitute(b)
     cc = form.dz_dt.substitute(b)
@@ -248,12 +253,11 @@ def pullback_two_form(form: RelTwoForm, tr: Transition) -> RelTwoForm:
 
 
 def pullback_one_form(form: RelOneForm, tr: Transition) -> RelOneForm:
-    sy, sz = CHART_VARS[tr.source]
     b = tr.bindings()
+    (yy, yz, _), (zy, zz, _) = tr.jacobian
     a = form.dy.substitute(b)
     bb = form.dz.substitute(b)
-    return RelOneForm(a * tr.y_img.partial(sy) + bb * tr.z_img.partial(sy),
-                      a * tr.y_img.partial(sz) + bb * tr.z_img.partial(sz))
+    return RelOneForm(a * yy + bb * zy, a * yz + bb * zz)
 
 
 def glue_residual(i: str, j: str,

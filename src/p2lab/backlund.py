@@ -290,13 +290,6 @@ def invariant_curve_division(f: Polynomial, c0) -> tuple[bool, Polynomial | None
     return False, None
 
 
-def invariant_curve_test(f: Polynomial, c0) -> bool:
-    """True iff the zero locus of f is invariant under the phase flow at
-    parameter c0."""
-    ok, _ = invariant_curve_division(f, c0)
-    return ok
-
-
 # ---------------------------------------------------------------------------
 # the quadric identity
 

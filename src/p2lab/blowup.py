@@ -34,6 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 from .exact import (
     Polynomial, RationalFunction, divexact, poly_gcd, rf, rfvar, var_index,
@@ -351,8 +353,10 @@ def section_class(regime: str = "generic") -> DivisorClass:
     return DivisorClass(tuple([1, 0] + [-x for x in m]))
 
 
-def engine_classes(regime: str = "generic") -> dict[str, DivisorClass]:
-    """Every named class this engine can derive in the given regime.
+@lru_cache(maxsize=None)
+def engine_classes(regime: str = "generic") -> MappingProxyType:
+    """Every named class this engine can derive in the given regime, as
+    a read-only name -> DivisorClass mapping derived once per regime.
 
     Curves are recomputed from equations; the boundary components D1..D7
     and C3 are exceptional-divisor bookkeeping (each center lies on the
@@ -380,7 +384,7 @@ def engine_classes(regime: str = "generic") -> dict[str, DivisorClass]:
             continue
     if regime == "c=0" and "C2" not in out:
         out["C2"] = out["C1"] + out["C2prime"]
-    return out
+    return MappingProxyType(out)
 
 
 # ---------------------------------------------------------------------------

@@ -169,19 +169,16 @@ def lattice_checks() -> list:
                          note="involution; exchanges the two -1-sections "
                               "over the same fiber"))
 
-    orbit_ok = weyl.distinctness(50)
-    details_ok = True
-    for n in range(1, 51):
-        g = weyl.gamma_full(n)
-        if (lattice.pair(g, g) != -1 or lattice.pair(g, f_cls) != 1
-                or weyl.gamma_mod(n) != weyl.gamma_mod_closed_form(n)
-                or weyl.reduce_mod_boundary(g) != weyl.gamma_mod(n)):
-            details_ok = False
-    checks.append(_check("orbit-invariants", orbit_ok and details_ok,
+    rows = weyl.orbit_report(50)
+    orbit_ok = weyl.distinctness(50) and all(
+        sq == -1 and fp == 1
+        and weyl.gamma_mod(n) == weyl.gamma_mod_closed_form(n) == mod
+        for n, _, sq, fp, mod in rows)
+    checks.append(_check("orbit-invariants", orbit_ok,
                          note="n <= 50: squares -1, meets the anticanonical "
                               "class once, all distinct, closed form holds"))
-    checks.append(_check("orbit-seed", weyl.gamma_full(1) == reg["C2"],
-                         list(weyl.gamma_full(1).coeffs),
+    seed = rows[0][1]
+    checks.append(_check("orbit-seed", seed == reg["C2"], list(seed.coeffs),
                          list(reg["C2"].coeffs)))
 
     low = {n: weyl.gamma_mod(n) for n in (1, 2)}

@@ -180,26 +180,20 @@ def field_consistency_symbolic(i: str, j: str) -> bool:
     the explicit t-derivative of the change) must give the target field
     on the overlap, as an exact identity."""
     tr = atlas.transition(i, j)
-    sy, sz = atlas.CHART_VARS[i]
+    (yy, yz, yt), (zy, zz, zt) = tr.jacobian
     fy_i, fz_i = atlas.hamilton_field(i)
     fy_j, fz_j = atlas.hamilton_field(j)
     b = tr.bindings()
-    push_y = tr.y_img.partial(sy) * fy_i + tr.y_img.partial(sz) * fz_i \
-        + tr.y_img.partial("t")
-    push_z = tr.z_img.partial(sy) * fy_i + tr.z_img.partial(sz) * fz_i \
-        + tr.z_img.partial("t")
+    push_y = yy * fy_i + yz * fz_i + yt
+    push_z = zy * fy_i + zz * fz_i + zt
     return ((push_y - fy_j.substitute(b)).is_zero()
             and (push_z - fz_j.substitute(b)).is_zero())
 
 
 @lru_cache(maxsize=None)
 def _jacobian_fn(i: str, j: str):
-    tr = atlas.transition(i, j)
-    sy, sz = atlas.CHART_VARS[i]
-    return compile_map((
-        tr.y_img.partial(sy), tr.y_img.partial(sz), tr.y_img.partial("t"),
-        tr.z_img.partial(sy), tr.z_img.partial(sz), tr.z_img.partial("t")),
-        (sy, sz, "t", "c"))
+    dy, dz = atlas.transition(i, j).jacobian
+    return compile_map(dy + dz, atlas.CHART_VARS[i] + ("t", "c"))
 
 
 def field_consistency_numeric(i: str, j: str, n: int = 100, seed: int = 0) -> float:

@@ -55,27 +55,10 @@ def smith_normal_form(a):
         for row in v:
             row[dst] += k * row[src]
 
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(n, m):
-        # find a pivot
-        pivot = None
-        for i in range(t, n):
-            for j in range(t, m):
-                if d[i][j]:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+    def clear(t):
+        """Clear row t and column t off the diagonal by repeated division
+        with remainder, then make d[t][t] nonnegative."""
         while True:
-            # clear column t
             done = True
             for i in range(t + 1, n):
                 if d[i][t]:
@@ -94,7 +77,25 @@ def smith_normal_form(a):
             if done:
                 break
         if d[t][t] < 0:
-            negate_row(t)
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
+
+    t = 0
+    while t < min(n, m):
+        # find a pivot
+        pivot = None
+        for i in range(t, n):
+            for j in range(t, m):
+                if d[i][j]:
+                    pivot = (i, j)
+                    break
+            if pivot:
+                break
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        clear(t)
         t += 1
     # enforce the divisibility chain d[i] | d[i+1] (zeros are already last,
     # since the elimination loop always pivots on a nonzero when one exists)
@@ -106,59 +107,10 @@ def smith_normal_form(a):
             a_, b_ = d[i][i], d[i + 1][i + 1]
             if a_ and b_ % a_ != 0:
                 addmul_row(i, i + 1, 1)
-                _rediagonalize_pair(d, u, v, i)
+                clear(i)
+                clear(i + 1)
                 changed = True
     return u, d, v
-
-
-def _rediagonalize_pair(d, u, v, t):
-    """Re-clear the 2x2 block at (t, t) after mixing rows t and t+1."""
-    n, m = len(d), len(d[0])
-
-    def addmul_row(dst, src, k):
-        d[dst] = [x + k * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
-
-    def addmul_col(dst, src, k):
-        for row in d:
-            row[dst] += k * row[src]
-        for row in v:
-            row[dst] += k * row[src]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    while True:
-        done = True
-        for i in (t + 1,):
-            if i < n and d[i][t]:
-                q = d[i][t] // d[t][t]
-                addmul_row(i, t, -q)
-                if d[i][t]:
-                    swap_rows(t, i)
-                    done = False
-        for j in (t + 1,):
-            if j < m and d[t][j]:
-                q = d[t][j] // d[t][t]
-                addmul_col(j, t, -q)
-                if d[t][j]:
-                    swap_cols(t, j)
-                    done = False
-        if done:
-            break
-    if d[t][t] < 0:
-        d[t] = [-x for x in d[t]]
-        u[t] = [-x for x in u[t]]
-    if t + 1 < min(n, m) and d[t + 1][t + 1] < 0:
-        d[t + 1] = [-x for x in d[t + 1]]
-        u[t + 1] = [-x for x in u[t + 1]]
 
 
 def kernel_basis(a):

@@ -9,6 +9,10 @@ each as an isometry.  The composite (first the D-reversing map, then the
 D-fixing one) is the translation; iterating it on C3 sweeps out the
 orbit whose members all square to -1 and meet the anticanonical class
 once.
+
+The orbit is walked once per process: ``orbit(n_max)`` extends a single
+walk from C3 only past the longest prefix asked for so far, and
+``gamma_full``, ``distinctness`` and ``orbit_report`` all read it.
 """
 from __future__ import annotations
 
@@ -166,29 +170,37 @@ def istar() -> LatticeIsometry:
     return _conjugate(cols)
 
 
+@lru_cache(maxsize=None)
 def tplus_star() -> LatticeIsometry:
     """Translation part: D-fixing map after D-reversing map."""
     return istar().compose(jstar())
-
-
-def tplus_star_reversed() -> LatticeIsometry:
-    """Opposite composition order, exposed for experiments only."""
-    return jstar().compose(istar())
 
 
 # ---------------------------------------------------------------------------
 # the -1-class orbit
 
 
+_WALK: list[DivisorClass] = []     # translates of C3 so far: n = 1, 2, ...
+
+
+def orbit(n_max: int) -> tuple[DivisorClass, ...]:
+    """The first n_max translates of C3, numerical -1-classes all."""
+    if n_max < 0:
+        raise WeylError("n_max must be >= 0")
+    if len(_WALK) < n_max:
+        step = tplus_star()
+        cls = _WALK[-1] if _WALK else lattice.named_classes("generic")["C3"]
+        for _ in range(n_max - len(_WALK)):
+            cls = step.apply(cls)
+            _WALK.append(cls)
+    return tuple(_WALK[:n_max])
+
+
 def gamma_full(n: int) -> DivisorClass:
     """n-th translate of C3: a numerical -1-class for every n >= 1."""
     if n < 1:
         raise WeylError("n must be >= 1")
-    cls = lattice.named_classes("generic")["C3"]
-    step = tplus_star()
-    for _ in range(n):
-        cls = step.apply(cls)
-    return cls
+    return orbit(n)[-1]
 
 
 _MOD_STEP = ((0, -1), (1, 2))
@@ -222,21 +234,15 @@ def distinctness(n_max: int) -> bool:
     """Pairwise distinctness of the first n_max orbit classes."""
     if n_max < 2:
         raise WeylError("n_max must be >= 2")
-    seen = [gamma_full(n) for n in range(1, n_max + 1)]
-    return len({cls.coeffs for cls in seen}) == n_max
+    return len({cls.coeffs for cls in orbit(n_max)}) == n_max
 
 
 def orbit_report(n_max: int):
     """(n, class, square, anticanonical pairing, mod-boundary pair) rows."""
     f_cls = lattice.anticanonical_class()
-    rows = []
-    cls = lattice.named_classes("generic")["C3"]
-    step = tplus_star()
-    for n in range(1, n_max + 1):
-        cls = step.apply(cls)
-        rows.append((n, cls, lattice.pair(cls, cls), lattice.pair(cls, f_cls),
-                     reduce_mod_boundary(cls)))
-    return rows
+    return [(n, cls, lattice.pair(cls, cls), lattice.pair(cls, f_cls),
+             reduce_mod_boundary(cls))
+            for n, cls in enumerate(orbit(n_max), 1)]
 
 
 # Published coefficient list for n = 3..5 that conflicts with the

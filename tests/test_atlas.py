@@ -39,6 +39,18 @@ def test_round_trips(i, j):
 def test_fiberwise_jacobians_are_one(i, j):
     assert (jacobian_det(i, j) - 1).is_zero()
     assert (jacobian_det(j, i) - 1).is_zero()
+    assert str(jacobian_det(i, j)) == str(jacobian_det(j, i)) == "1"
+
+
+@pytest.mark.parametrize("i,j", PAIRS + tuple((j, i) for i, j in PAIRS))
+def test_transition_jacobian_is_declared_once(i, j):
+    # one cached tuple of the six partials d(y_img, z_img)/d(sy, sz, t)
+    tr = transition(i, j)
+    sy, sz = atlas.CHART_VARS[i]
+    want = tuple(tuple(img.partial(v) for v in (sy, sz, "t"))
+                 for img in (tr.y_img, tr.z_img))
+    assert tr.jacobian == want
+    assert tr.jacobian is tr.jacobian
 
 
 nonzero_fracs = st.fractions(min_value=-8, max_value=8,

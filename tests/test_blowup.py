@@ -49,6 +49,17 @@ def test_engine_agrees_with_registry():
             assert eng[name] == reg[name], (regime, name)
 
 
+@pytest.mark.parametrize("regime", lattice.REGIMES)
+def test_engine_classes_are_derived_once_and_read_only(regime):
+    eng = engine_classes(regime)
+    assert engine_classes(regime) is eng
+    with pytest.raises(TypeError):
+        eng["C1"] = eng["C3"]
+    with pytest.raises(TypeError):
+        del eng["S"]
+    assert engine_classes(regime)["S"] == lattice.DivisorClass.of(S=1)
+
+
 def test_section_class_is_boundary_anchor():
     assert blowup.section_class() == lattice.named_classes()["D0"]
 

@@ -3,10 +3,11 @@ exit codes, and byte-for-byte determinism across runs."""
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from p2lab import cli
+from p2lab import blowup, cli, weyl
 
 
 def run_cli(*args):
@@ -115,6 +116,29 @@ def test_outputs_are_byte_identical_across_runs():
         a = run_cli(*args)
         b = run_cli(*args)
         assert a.stdout == b.stdout and a.stderr == b.stderr, args
+
+
+def test_verify_all_walks_the_orbit_once(monkeypatch, capsys):
+    # From cold caches, one verify all walks the -1-class orbit once and
+    # derives each regime's engine classes once (2,573 class applications
+    # and 54 chain traces before both were shared).
+    monkeypatch.setattr(weyl, "_WALK", [])
+    blowup.engine_classes.cache_clear()
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(weyl.LatticeIsometry, "apply",
+                        counted("apply", weyl.LatticeIsometry.apply))
+    monkeypatch.setattr(blowup, "chain_trace",
+                        counted("chain_trace", blowup.chain_trace))
+    assert cli.run(["verify", "all"]) == 0
+    capsys.readouterr()
+    assert 0 < calls["apply"] <= 125
+    assert 0 < calls["chain_trace"] <= 20
 
 
 def integrate_argv(**opts):

@@ -1,4 +1,6 @@
 """Random-matrix checks for the integer linear algebra helpers."""
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -110,3 +112,173 @@ def test_invert_unimodular():
     assert matmul(inv, m) == identity(3)
     with pytest.raises(Exception):
         invert_unimodular([[2, 0], [0, 1]])
+
+
+# ---------------------------------------------------------------------------
+# smith_normal_form against the earlier form with a separate 2x2 routine
+# for the divisibility fix-up, kept verbatim as a reference.
+
+
+def _reference_snf(a):
+    """Return (u, d, v) with u @ a @ v == d, u and v unimodular, d diagonal
+    with d[i][i] dividing d[i+1][i+1]."""
+    d = [list(row) for row in a]
+    n = len(d)
+    m = len(d[0]) if n else 0
+    u = identity(n)
+    v = identity(m)
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def addmul_row(dst, src, k):
+        d[dst] = [x + k * y for x, y in zip(d[dst], d[src])]
+        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
+
+    def addmul_col(dst, src, k):
+        for row in d:
+            row[dst] += k * row[src]
+        for row in v:
+            row[dst] += k * row[src]
+
+    def negate_row(i):
+        d[i] = [-x for x in d[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while t < min(n, m):
+        # find a pivot
+        pivot = None
+        for i in range(t, n):
+            for j in range(t, m):
+                if d[i][j]:
+                    pivot = (i, j)
+                    break
+            if pivot:
+                break
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        while True:
+            # clear column t
+            done = True
+            for i in range(t + 1, n):
+                if d[i][t]:
+                    q = d[i][t] // d[t][t]
+                    addmul_row(i, t, -q)
+                    if d[i][t]:
+                        swap_rows(t, i)
+                        done = False
+            for j in range(t + 1, m):
+                if d[t][j]:
+                    q = d[t][j] // d[t][t]
+                    addmul_col(j, t, -q)
+                    if d[t][j]:
+                        swap_cols(t, j)
+                        done = False
+            if done:
+                break
+        if d[t][t] < 0:
+            negate_row(t)
+        t += 1
+    # enforce the divisibility chain d[i] | d[i+1] (zeros are already last,
+    # since the elimination loop always pivots on a nonzero when one exists)
+    r = min(n, m)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(r - 1):
+            a_, b_ = d[i][i], d[i + 1][i + 1]
+            if a_ and b_ % a_ != 0:
+                addmul_row(i, i + 1, 1)
+                _rediagonalize_pair(d, u, v, i)
+                changed = True
+    return u, d, v
+
+
+def _rediagonalize_pair(d, u, v, t):
+    """Re-clear the 2x2 block at (t, t) after mixing rows t and t+1."""
+    n, m = len(d), len(d[0])
+
+    def addmul_row(dst, src, k):
+        d[dst] = [x + k * y for x, y in zip(d[dst], d[src])]
+        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
+
+    def addmul_col(dst, src, k):
+        for row in d:
+            row[dst] += k * row[src]
+        for row in v:
+            row[dst] += k * row[src]
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    while True:
+        done = True
+        for i in (t + 1,):
+            if i < n and d[i][t]:
+                q = d[i][t] // d[t][t]
+                addmul_row(i, t, -q)
+                if d[i][t]:
+                    swap_rows(t, i)
+                    done = False
+        for j in (t + 1,):
+            if j < m and d[t][j]:
+                q = d[t][j] // d[t][t]
+                addmul_col(j, t, -q)
+                if d[t][j]:
+                    swap_cols(t, j)
+                    done = False
+        if done:
+            break
+    if d[t][t] < 0:
+        d[t] = [-x for x in d[t]]
+        u[t] = [-x for x in u[t]]
+    if t + 1 < min(n, m) and d[t + 1][t + 1] < 0:
+        d[t + 1] = [-x for x in d[t + 1]]
+        u[t + 1] = [-x for x in u[t + 1]]
+
+
+@pytest.mark.parametrize("a", [
+    [[2, 0], [0, 3]],
+    [[4, 0], [0, 6]],
+    [[6, 0, 0], [0, 4, 0], [0, 0, 10]],
+    [[2, 0, 0], [0, 3, 0]],
+    [[0, 0], [0, 0]],
+    [[-5]],
+])
+def test_smith_normal_form_matches_reference_on_fixups(a):
+    assert smith_normal_form(a) == _reference_snf(a)
+
+
+def test_smith_normal_form_matches_reference_on_random(monkeypatch):
+    fixups = []
+    pair = _rediagonalize_pair
+
+    def counted(d, u, v, t):
+        fixups.append(t)
+        pair(d, u, v, t)
+    monkeypatch.setattr(sys.modules[__name__], "_rediagonalize_pair", counted)
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        a = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        assert smith_normal_form(a) == _reference_snf(a), a
+    # the random matrices exercise the divisibility fix-up, not only the
+    # elimination loop
+    assert len(fixups) > 100

@@ -124,7 +124,41 @@ def test_stated_orbit_values():
 def test_orbit_report_shape():
     rows = weyl.orbit_report(5)
     assert len(rows) == 5
+    assert [cls for _, cls, _, _, _ in rows] == list(weyl.orbit(5))
     for n, cls, sq, fp, mod in rows:
         assert sq == -1 and fp == 1
         assert mod == (-n, n + 1)
         assert cls == weyl.gamma_full(n)
+
+
+def _reference_walk(n):
+    cls = lattice.named_classes()["C3"]
+    out = []
+    for _ in range(n):
+        cls = weyl.istar().apply(weyl.jstar().apply(cls))
+        out.append(cls)
+    return out
+
+
+@pytest.mark.parametrize("lengths", [(50,), (7, 3, 60), (1, 1, 2, 0, 30)])
+def test_orbit_is_one_walk(monkeypatch, lengths):
+    # from a fresh walk, any sequence of prefix lengths reads the same
+    # classes as walking each prefix from C3 again
+    monkeypatch.setattr(weyl, "_WALK", [])
+    for n in lengths:
+        got = weyl.orbit(n)
+        assert isinstance(got, tuple)
+        assert list(got) == _reference_walk(n)
+        if n:
+            assert weyl.gamma_full(n) == got[-1]
+    assert len(weyl._WALK) == max(lengths)
+
+
+def test_orbit_argument_guards():
+    assert weyl.orbit(0) == ()
+    with pytest.raises(weyl.WeylError):
+        weyl.orbit(-1)
+    with pytest.raises(weyl.WeylError):
+        weyl.gamma_full(0)
+    with pytest.raises(weyl.WeylError):
+        weyl.distinctness(1)
