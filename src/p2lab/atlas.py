@@ -17,7 +17,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .exact import (
-    NotPolynomial, Polynomial, RationalFunction, rf, rfvar, rfvars, var_index,
+    NotPolynomial, Polynomial, RationalFunction, _Unreduced, rf, rfvar, rfvars,
+    var_index,
 )
 
 CHARTS = ("W1", "W3", "W12")
@@ -120,7 +121,7 @@ def transition(source: str, target: str) -> Transition:
 def round_trip_is_identity(i: str, j: str) -> bool:
     out = transition(i, j).compose(transition(j, i))
     sy, sz = CHART_VARS[i]
-    return (out.y_img - rfvar(sy)).is_zero() and (out.z_img - rfvar(sz)).is_zero()
+    return out.y_img == rfvar(sy) and out.z_img == rfvar(sz)
 
 
 def consistency_check(quartic_coeff=2, reflect_c_on_direct: bool = False) -> bool:
@@ -140,7 +141,7 @@ def consistency_check(quartic_coeff=2, reflect_c_on_direct: bool = False) -> boo
     if reflect_c_on_direct:
         dy = dy.substitute({"c": -1 - c})
         dz = dz.substitute({"c": -1 - c})
-    return (composite.y_img - dy).is_zero() and (composite.z_img - dz).is_zero()
+    return composite.y_img == dy and composite.z_img == dz
 
 
 def jacobian_det(i: str, j: str) -> RationalFunction:
@@ -198,7 +199,9 @@ def hamilton_field(chart: str) -> tuple[RationalFunction, RationalFunction]:
 
 @dataclass(frozen=True)
 class RelTwoForm:
-    """A*dy^dz + B*dy^dt + C*dz^dt in a fixed chart's coordinates."""
+    """A*dy^dz + B*dy^dt + C*dz^dt in a fixed chart's coordinates.  The
+    coefficients of a pulled-back form, and of a difference with one, are
+    unreduced quotients."""
 
     dy_dz: RationalFunction
     dy_dt: RationalFunction
@@ -239,12 +242,14 @@ def symplectic_form(chart: str, h_poly: Polynomial | None = None) -> RelTwoForm:
 
 
 def pullback_two_form(form: RelTwoForm, tr: Transition) -> RelTwoForm:
-    """Express a form on tr.target in tr.source coordinates."""
+    """Express a form on tr.target in tr.source coordinates.  The
+    coefficients come out as unreduced quotients: they are only ever
+    tested for zero, which needs no gcd."""
     b = tr.bindings()
-    (yy, yz, yt), (zy, zz, zt) = tr.jacobian
-    a = form.dy_dz.substitute(b)
-    bb = form.dy_dt.substitute(b)
-    cc = form.dz_dt.substitute(b)
+    (yy, yz, yt), (zy, zz, zt) = (map(_Unreduced.of, row) for row in tr.jacobian)
+    a = _Unreduced.of(form.dy_dz).substitute(b)
+    bb = _Unreduced.of(form.dy_dt).substitute(b)
+    cc = _Unreduced.of(form.dz_dt).substitute(b)
     return RelTwoForm(
         a * (yy * zz - yz * zy),
         a * (yy * zt - yt * zy) + bb * yy + cc * zy,
@@ -328,16 +333,16 @@ def involution_check(c_img: RationalFunction | None = None) -> bool:
     lhs_z = tr112.z_img.substitute(sigma)
     # against: transition to W3 at c, then flip both coordinates
     tr13 = transition("W1", "W3")
-    checks.append((lhs_y + tr13.y_img).is_zero())
-    checks.append((lhs_z + tr13.z_img).is_zero())
+    checks.append(lhs_y == -tr13.y_img)
+    checks.append(lhs_z == -tr13.z_img)
 
     # route B: same with the two target charts exchanged
     tr13b = transition("W1", "W3")
     lhs_y = tr13b.y_img.substitute(sigma)
     lhs_z = tr13b.z_img.substitute(sigma)
     tr112b = transition("W1", "W12")
-    checks.append((lhs_y + tr112b.y_img).is_zero())
-    checks.append((lhs_z + tr112b.z_img).is_zero())
+    checks.append(lhs_y == -tr112b.y_img)
+    checks.append(lhs_z == -tr112b.z_img)
     return all(checks)
 
 
@@ -345,9 +350,8 @@ def involution_squared_is_identity() -> bool:
     c = rfvar("c")
     sigma = _involution_w1(-(c + 1))
     twice = {k: v.substitute(sigma) for k, v in sigma.items()}
-    return ((twice["y1"] - rfvar("y1")).is_zero()
-            and (twice["z1"] - rfvar("z1")).is_zero()
-            and (twice["c"] - c).is_zero())
+    return (twice["y1"] == rfvar("y1") and twice["z1"] == rfvar("z1")
+            and twice["c"] == c)
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +378,16 @@ def period_c2_minus_c1(c0) -> Fraction:
     # dy3^dz3 in W4 coordinates: y3 = y4, z3 = 1/z4
     j34 = ((y4).partial("y4") * (1 / z4).partial("z4")
            - (y4).partial("z4") * (1 / z4).partial("y4"))
-    assert (j34 + 1 / z4 ** 2).is_zero()
+    if j34 != -1 / z4 ** 2:
+        raise AtlasError("dy3^dz3 must be -(1/z4^2) dy4^dz4")
 
     # substitute y4 = Y z, z4 = z; the Jacobian multiplies the coefficient
     sub = {"y4": Y * z, "z4": z}
     jblow = ((Y * z).partial("Y") * z.partial("z")
              - (Y * z).partial("z") * z.partial("Y"))
     coeff = j34.substitute(sub) * jblow
-    assert (coeff * z + 1).is_zero(), "form must be -(1/z) dY^dz"
+    if coeff * z != -1:
+        raise AtlasError("form must be -(1/z) dY^dz")
 
     # residue of (1/z) dz ^ dY along z = 0 is dY; integrate over the
     # segment between the marked points of the exceptional line.

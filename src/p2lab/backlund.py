@@ -3,7 +3,13 @@
 Everything here is a residual computation in an exact differential field:
 a derivation is applied formally, the defining second-order rule replaces
 second derivatives, and a map is a symmetry exactly when its residual
-canonicalizes to zero.  No epsilon appears anywhere in this module.
+has a zero numerator.  No epsilon appears anywhere in this module.
+
+The maps themselves are canonical ``RationalFunction`` values.  The
+residuals are worked on unreduced quotients (``exact._Unreduced``), which
+take no gcd: a residual is zero exactly when its numerator is the zero
+polynomial, and a nonzero one is reduced to canonical form only when it
+is printed.
 
 Two fields are in play.  At the solution level the alphabet is
 (t, y, yp, alpha) with D(y) = yp and D(yp) = 2y^3 + t*y + alpha.  At the
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
-    IdenticallyZeroDenominator, Polynomial, RationalFunction,
+    IdenticallyZeroDenominator, Polynomial, RationalFunction, _Unreduced,
     rf, rfvar, rfvars,
 )
 
@@ -45,12 +51,13 @@ class Derivation:
     name: str
     images: tuple  # ((var, RationalFunction), ...)
 
-    def of(self, expr) -> RationalFunction:
-        expr = RationalFunction.coerce(expr)
-        out = rf(0)
-        for var, img in self.images:
-            out = out + expr.partial(var) * img
-        return out
+    def of(self, expr):
+        """D(expr): canonical for a ``RationalFunction`` (or anything it
+        coerces), unreduced for an unreduced quotient."""
+        if not isinstance(expr, _Unreduced):
+            expr = RationalFunction.coerce(expr)
+        terms = [expr.partial(var) * img for var, img in self.images]
+        return sum(terms[1:], terms[0])
 
 
 def _pii_derivation() -> Derivation:
@@ -129,12 +136,14 @@ def sign_flip_only() -> PIIMap:
     return PIIMap("sign-flip-only", -y, alpha)
 
 
-def pii_residual(m: PIIMap) -> RationalFunction:
+def pii_residual(m: PIIMap) -> _Unreduced:
     """D(D(r)) - 2r^3 - t*r - g: zero exactly when m sends solutions at
     parameter alpha to solutions at parameter g(alpha)."""
-    t = rfvar("t")
+    t = Polynomial.variable("t")
+    r = _Unreduced.of(m.r)
     try:
-        return PII.of(PII.of(m.r)) - 2 * m.r ** 3 - t * m.r - m.g
+        # both sides come out over den(r)^4, so the difference reuses it
+        return PII.of(PII.of(r)) - (2 * r ** 3 + t * r + m.g)
     except IdenticallyZeroDenominator as e:
         raise DenominatorVanishes(m.name) from e
 
@@ -200,13 +209,14 @@ def unshifted_reflection() -> PhaseMap:
     return PhaseMap("unshifted-reflection", m.q_img, m.p_img, rfvar("c"))
 
 
-def phase_residual(m: PhaseMap) -> tuple[RationalFunction, RationalFunction]:
+def phase_residual(m: PhaseMap) -> tuple[_Unreduced, _Unreduced]:
     """Defects of the phase system at the image parameter along the two
     mapped variables; (0, 0) exactly when m is a symmetry."""
-    t = rfvar("t")
+    t = Polynomial.variable("t")
+    q, p = _Unreduced.of(m.q_img), _Unreduced.of(m.p_img)
     try:
-        r1 = PHASE.of(m.q_img) - (m.q_img ** 2 + m.p_img + t * _HALF)
-        r2 = PHASE.of(m.p_img) - (-2 * m.q_img * m.p_img + m.c_img)
+        r1 = PHASE.of(q) - (q ** 2 + p + t * _HALF)
+        r2 = PHASE.of(p) - (-2 * q * p + m.c_img)
     except IdenticallyZeroDenominator as e:
         raise DenominatorVanishes(m.name) from e
     return r1, r2
@@ -220,12 +230,12 @@ def phase_bindings(p_image: RationalFunction | None = None,
                    c_image: RationalFunction | None = None) -> dict:
     """Substitution expressing the phase variables through the solution
     alphabet: q = y, p = yp - y^2 - t/2, c = alpha - 1/2 (overridable for
-    negative controls)."""
-    t, y, yp, alpha = rfvars("t", "y", "yp", "alpha")
+    negative controls).  Built as polynomials, so no gcd is taken."""
+    t, y, yp, alpha = (Polynomial.variable(n) for n in ("t", "y", "yp", "alpha"))
     return {
-        "q": y,
-        "p": yp - y ** 2 - t * _HALF if p_image is None else p_image,
-        "c": alpha - _HALF if c_image is None else c_image,
+        "q": rf(y),
+        "p": rf(yp - y ** 2 - t * _HALF) if p_image is None else p_image,
+        "c": rf(alpha - _HALF) if c_image is None else c_image,
     }
 
 
@@ -238,8 +248,8 @@ def phi_conjugation_residuals(p_image=None, c_image=None):
     for var, img in PHASE.images:
         if var == "t":
             continue
-        expr = binding[var]
-        out.append(PII.of(expr) - img.substitute(binding))
+        expr = _Unreduced.of(binding[var])
+        out.append(PII.of(expr) - _Unreduced.of(img).substitute(binding))
     return tuple(out)
 
 
@@ -255,11 +265,12 @@ def composition_coherence_residuals():
     up = shift_up()
     tr = phase_translation()
     binding = phase_bindings()
-    t = rfvar("t")
-    q_res = tr.q_img.substitute(binding) - up.r
-    p_new = PII.of(up.r) - up.r ** 2 - t * _HALF
-    p_res = tr.p_img.substitute(binding) - p_new
-    c_res = tr.c_img.substitute(binding) - (up.g - _HALF)
+    t = Polynomial.variable("t")
+    r = _Unreduced.of(up.r)
+    q_res = _Unreduced.of(tr.q_img).substitute(binding) - r
+    p_new = PII.of(r) - r ** 2 - t * _HALF
+    p_res = _Unreduced.of(tr.p_img).substitute(binding) - p_new
+    c_res = _Unreduced.of(tr.c_img).substitute(binding) - up.g + _HALF
     return q_res, p_res, c_res
 
 

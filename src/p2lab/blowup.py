@@ -249,7 +249,8 @@ def _invert_z8(p: Polynomial) -> tuple[Polynomial, int]:
         out[tuple(e2)] = q
     new = Polynomial(out)
     new, extra = _strip_var(new, "v8")
-    assert extra == 0, "inversion must not leave a spurious v8 factor"
+    if extra:
+        raise BlowupError("inversion must not leave a spurious v8 factor")
     return new, r
 
 
@@ -281,7 +282,9 @@ def chain_trace(spec: CurveSpec, regime: str = "generic") -> ChainTrace:
         nzp = Polynomial.variable(nz)
         cur = cur.subs_poly({y_cur: nyp, z_cur: center + nyp * nzp})
         cur, m = _strip_var(cur, ny)
-        assert m == expected, f"step {k + 1}: factored power {m} != local order {expected}"
+        if m != expected:
+            raise BlowupError(
+                f"step {k + 1}: factored power {m} != local order {expected}")
         trace.steps.append(ChainStep(k + 1, (ny, nz), m, cur))
         if cur.is_constant():
             trace.steps.extend(

@@ -9,6 +9,14 @@ Everything symbolic in this package runs on two types defined here:
 * ``RationalFunction``: a quotient of two polynomials kept in a canonical
   form, so that ``==`` is exact mathematical equality.
 
+A third, private value serves checks that only ask whether an expression
+is zero: ``_Unreduced``, a pair (num, den) that adds, multiplies,
+substitutes and differentiates (by the plain quotient rule) without taking
+any gcd, and reuses a denominator when both operands share it.  It is zero
+exactly when its numerator is the zero polynomial.  It becomes canonical
+only when rendered, through the public ``RationalFunction(num, den)``
+constructor; a zero renders as ``0`` with no gcd.
+
 A monomial is stored packed into one int (Monagan & Pearce's packed
 monomials): one 8-bit field per variable, ``ALPHABET[0]`` highest, and the
 total degree in a field above them all.  Integer order is then exactly the
@@ -877,6 +885,171 @@ def _cross_cancel(n1: Polynomial, d1: Polynomial,
     if not _is_one(g2):
         n2, d1 = divexact(n2, g2), divexact(d1, g2)
     return RationalFunction._coprime(n1 * n2, d1 * d2)
+
+
+# ---------------------------------------------------------------------------
+# unreduced quotients, for zero tests
+
+
+_POLY_ONE = Polynomial.const(1)
+
+
+class _Unreduced:
+    """A quotient ``num/den`` kept as it is built: sums, products,
+    substitution and ``partial`` take no gcd, so numerator and denominator
+    may share factors.  ``is_zero`` is exact all the same, since a quotient
+    vanishes exactly when its numerator does.  Rendering goes through the
+    public constructor, so a nonzero value prints in canonical form and a
+    zero prints ``0`` with no gcd taken."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Polynomial, den: Polynomial):
+        self.num = num
+        self.den = den
+
+    @staticmethod
+    def of(x) -> "_Unreduced":
+        if isinstance(x, _Unreduced):
+            return x
+        if isinstance(x, RationalFunction):
+            return _Unreduced(x.num, x.den)
+        if isinstance(x, Polynomial):
+            return _Unreduced(x, _POLY_ONE)
+        if isinstance(x, (int, Fraction)):
+            return _Unreduced(Polynomial.const(x), _POLY_ONE)
+        raise ExactError(f"cannot interpret {x!r} as a quotient")
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def __bool__(self) -> bool:
+        return not self.num.is_zero()
+
+    def canonical(self) -> RationalFunction:
+        return RationalFunction(self.num, self.den)
+
+    def __str__(self) -> str:
+        return str(self.canonical())
+
+    def __repr__(self) -> str:
+        # no gcd: RationalFunction.coerce formats this into the error it
+        # raises whenever a quotient is the right operand of its operators
+        return (f"<unreduced quotient: {len(self.num._terms)} terms over "
+                f"{len(self.den._terms)}>")
+
+    # -- ring operations ----------------------------------------------
+
+    def __neg__(self):
+        return _Unreduced(-self.num, self.den)
+
+    def __add__(self, other):
+        try:
+            o = _Unreduced.of(other)
+        except ExactError:
+            return NotImplemented
+        n1, d1, n2, d2 = self.num, self.den, o.num, o.den
+        if not n1:
+            return o
+        if not n2:
+            return self
+        if d1 == d2:
+            return _Unreduced(n1 + n2, d1)
+        return _Unreduced(n1 * d2 + n2 * d1, _times(d1, d2))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        try:
+            o = _Unreduced.of(other)
+        except ExactError:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        try:
+            o = _Unreduced.of(other)
+        except ExactError:
+            return NotImplemented
+        return o + (-self)
+
+    def __mul__(self, other):
+        try:
+            o = _Unreduced.of(other)
+        except ExactError:
+            return NotImplemented
+        if not self.num or not o.num:
+            return _Unreduced(Polynomial.zero(), _POLY_ONE)
+        return _Unreduced(self.num * o.num, _times(self.den, o.den))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "_Unreduced":
+        if n < 0:
+            raise ExactError("negative power of an unreduced quotient")
+        return _Unreduced(self.num ** n, self.den ** n)
+
+    # -- substitution and calculus ------------------------------------
+
+    def partial(self, name: str) -> "_Unreduced":
+        """Quotient rule, D(n/d) = (Dn*d - n*Dd)/d^2, or Dn/d when d is
+        free of the variable."""
+        n, d = self.num, self.den
+        dn, dd = n.diff(name), d.diff(name)
+        if not dd:
+            return _Unreduced(dn, d)
+        return _Unreduced(dn * d - n * dd, d * d)
+
+    def substitute(self, bindings: Mapping[str, object]) -> "_Unreduced":
+        """Simultaneously replace variables by quotients.  Numerator and
+        denominator are both multiplied through by den_v ** k_v for each
+        bound v, with k_v the larger of their degrees in v, which clears
+        every inner denominator and leaves the quotient unchanged."""
+        subs = {var_index(n): _Unreduced.of(v) for n, v in bindings.items()}
+        top = {i: max(_deg_idx(self.num, i), _deg_idx(self.den, i))
+               for i in subs}
+        den = _subs_cleared(self.den, subs, top)
+        if den.is_zero():
+            raise IdenticallyZeroDenominator(
+                "substitution sends the denominator to zero identically")
+        return _Unreduced(_subs_cleared(self.num, subs, top), den)
+
+
+def _times(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a * b, skipping a factor 1 (most denominators here are 1)."""
+    if _is_one(a):
+        return b
+    if _is_one(b):
+        return a
+    return a * b
+
+
+def _subs_cleared(p: Polynomial, subs: Mapping[int, _Unreduced],
+                  top: Mapping[int, int]) -> Polynomial:
+    """p with each x_i replaced by subs[i] = n_i/d_i, multiplied by the
+    product of d_i ** top[i]; top[i] is at least p's degree in x_i, so
+    the result is a polynomial."""
+    out: dict = {}
+    pow_cache: dict[tuple[int, int], Polynomial] = {}   # (id(base), k)
+
+    def power(base: Polynomial, k: int) -> Polynomial:
+        key = (id(base), k)
+        if key not in pow_cache:
+            pow_cache[key] = base ** k
+        return pow_cache[key]
+
+    for e, q in p._terms.items():
+        term = _POLY_ONE
+        rest = e
+        for i, v in subs.items():
+            k = (rest >> _SHIFT[i]) & 0xFF
+            if k:
+                rest -= k * _ONE[i]
+                term = term * power(v.num, k)
+            if top[i] > k and not _is_one(v.den):
+                term = term * power(v.den, top[i] - k)
+        _add_into(out, (term * Polynomial._new({rest: q}))._terms)
+    return Polynomial._new(out)
 
 
 # ---------------------------------------------------------------------------

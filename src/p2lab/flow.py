@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import atlas, backlund
-from .exact import Polynomial, RationalFunction, var_index
+from .exact import Polynomial, RationalFunction, _Unreduced, var_index
 
 
 class FlowError(Exception):
@@ -178,11 +178,12 @@ def vector_field(chart: str, y: float, z: float, t: float, c: float):
 def field_consistency_symbolic(i: str, j: str) -> bool:
     """Pushing the source field through the transition's Jacobian (with
     the explicit t-derivative of the change) must give the target field
-    on the overlap, as an exact identity."""
+    on the overlap, as an exact identity (on unreduced quotients, so no
+    gcd is taken)."""
     tr = atlas.transition(i, j)
-    (yy, yz, yt), (zy, zz, zt) = tr.jacobian
+    (yy, yz, yt), (zy, zz, zt) = (map(_Unreduced.of, row) for row in tr.jacobian)
     fy_i, fz_i = atlas.hamilton_field(i)
-    fy_j, fz_j = atlas.hamilton_field(j)
+    fy_j, fz_j = map(_Unreduced.of, atlas.hamilton_field(j))
     b = tr.bindings()
     push_y = yy * fy_i + yz * fz_i + yt
     push_z = zy * fy_i + zz * fz_i + zt

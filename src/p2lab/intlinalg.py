@@ -194,6 +194,7 @@ def invert_unimodular(a):
     for j in range(n):
         e = [1 if i == j else 0 for i in range(n)]
         x = solve_rational(a, e)
-        assert all(f.denominator == 1 for f in x), "matrix is not unimodular"
+        if any(f.denominator != 1 for f in x):
+            raise ValueError("matrix is not unimodular")
         cols.append([int(f) for f in x])
     return transpose(cols)

@@ -196,8 +196,10 @@ def diagonalize_unimodular() -> list[list[int]]:
     for i in range(1, RANK):
         target[i][i] = -1
     ut = intlinalg.transpose(u)
-    assert intlinalg.matmul(intlinalg.matmul(ut, GRAM), u) == target
-    assert abs(intlinalg.det(u)) == 1
+    if intlinalg.matmul(intlinalg.matmul(ut, GRAM), u) != target:
+        raise LatticeError("basis change does not diagonalize the form")
+    if abs(intlinalg.det(u)) != 1:
+        raise LatticeError("basis change is not unimodular")
     return u
 
 

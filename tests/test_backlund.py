@@ -1,12 +1,13 @@
 """Symbolic verification of the solution-level and phase-space symmetry
 maps, with the negative controls that show the checks have teeth."""
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p2lab import backlund
+from p2lab import atlas, backlund
 from p2lab.backlund import (
     PII,
     PHASE,
@@ -140,3 +141,136 @@ def test_quadric_relation():
     assert quadric_residual("W3").is_zero()
     wit = quadric_residual("W1", corrected=False)
     assert str(wit) == "-8*y1^2*z1^2 + 8*c*y1*z1"
+
+
+# -- the unreduced route against the canonical one --------------------------
+#
+# The residuals below are the canonical-route code the unreduced route
+# replaced, kept verbatim as the reference: every intermediate value goes
+# through RationalFunction operations.
+
+def ref_pii_residual(m):
+    t = rfvar("t")
+    return PII.of(PII.of(m.r)) - 2 * m.r ** 3 - t * m.r - m.g
+
+
+def ref_phase_residual(m):
+    t = rfvar("t")
+    r1 = PHASE.of(m.q_img) - (m.q_img ** 2 + m.p_img + t * Fraction(1, 2))
+    r2 = PHASE.of(m.p_img) - (-2 * m.q_img * m.p_img + m.c_img)
+    return r1, r2
+
+
+def ref_phi_conjugation_residuals(p_image=None, c_image=None):
+    binding = backlund.phase_bindings(p_image, c_image)
+    return tuple(PII.of(binding[var]) - img.substitute(binding)
+                 for var, img in PHASE.images if var != "t")
+
+
+def ref_composition_coherence_residuals():
+    up, tr = shift_up(), phase_translation()
+    binding = backlund.phase_bindings()
+    t = rfvar("t")
+    q_res = tr.q_img.substitute(binding) - up.r
+    p_new = PII.of(up.r) - up.r ** 2 - t * Fraction(1, 2)
+    p_res = tr.p_img.substitute(binding) - p_new
+    c_res = tr.c_img.substitute(binding) - (up.g - Fraction(1, 2))
+    return q_res, p_res, c_res
+
+
+SOLUTION_MAPS = (shift_up, shift_down, negation, identity_map)
+PHASE_MAPS = (phase_reflection, phase_negation, phase_translation)
+
+
+def routed_checks():
+    """(name, routed residuals, canonical references, a symmetry?) for
+    every check the unreduced route decides, controls included."""
+    out = []
+    for mk in SOLUTION_MAPS + (sign_flip_only,):
+        m = mk()
+        out.append((f"pii {m.name}", (pii_residual(m),),
+                    (ref_pii_residual(m),), mk is not sign_flip_only))
+    for mk in PHASE_MAPS + (unshifted_reflection,):
+        m = mk()
+        out.append((f"phase {m.name}", phase_residual(m),
+                    ref_phase_residual(m), mk is not unshifted_reflection))
+    for kw in ({}, {"c_image": rfvar("alpha")}, {"p_image": rfvar("yp")}):
+        out.append((f"conjugation {kw}",
+                    backlund.phi_conjugation_residuals(**kw),
+                    ref_phi_conjugation_residuals(**kw), not kw))
+    out.append(("coherence", backlund.composition_coherence_residuals(),
+                ref_composition_coherence_residuals(), True))
+    return out
+
+
+def test_routed_residuals_match_the_canonical_route():
+    for name, rs, refs, symmetry in routed_checks():
+        assert len(rs) == len(refs)
+        for r, ref in zip(rs, refs):
+            assert r.is_zero() == ref.is_zero(), name
+            assert str(r) == str(ref), name
+        assert all(r.is_zero() for r in rs) == symmetry, name
+
+
+def _random_point(rng, variables):
+    return {v: Fraction(rng.randint(-60, 60), rng.randint(1, 25))
+            for v in variables}
+
+
+def test_schwartz_zippel_backstop():
+    """Evaluate each routed residual's unreduced numerator at seeded random
+    rational points off its denominator: every numerator of a passing
+    check vanishes at every point, and some numerator of each control is
+    nonzero at some point.  A nonzero numerator of degree k vanishes at a
+    random point of S**n with probability at most k/|S| (Schwartz 1980)."""
+    rng = random.Random(20261018)
+    checks = [(name, rs, symmetry) for name, rs, _, symmetry in routed_checks()]
+    for i, j in (("W1", "W3"), ("W3", "W12"), ("W1", "W12")):
+        form = atlas.glue_residual(i, j)
+        checks.append((f"glue {i}.{j}", (form.dy_dz, form.dy_dt, form.dz_dt),
+                       True))
+    bumped = atlas.hamiltonian("W1").poly + Polynomial.variable("y1")
+    form = atlas.glue_residual("W1", "W3", h_override={"W1": bumped})
+    checks.append(("glue perturbed", (form.dy_dz, form.dy_dt, form.dz_dt),
+                   False))
+    controls = 0
+    for name, rs, symmetry in checks:
+        values = []
+        for r in rs:
+            variables = set(r.num.variables()) | set(r.den.variables())
+            for _ in range(8):
+                pt = _random_point(rng, variables)
+                while r.den.eval_fractions(pt) == 0:
+                    pt = _random_point(rng, variables)
+                values.append(r.num.eval_fractions(pt))
+        if symmetry:
+            assert all(v == 0 for v in values), name
+        else:
+            controls += 1
+            assert any(v != 0 for v in values), name
+    assert controls == 5
+
+
+def test_routed_zero_checks_take_no_gcd(monkeypatch):
+    from p2lab import exact
+    solution = [mk() for mk in (shift_up, shift_down, negation, identity_map)]
+    phase = [mk() for mk in (phase_reflection, phase_negation,
+                             phase_translation)]
+    up, tr = shift_up(), phase_translation()
+    monkeypatch.setattr(backlund, "shift_up", lambda: up)
+    monkeypatch.setattr(backlund, "phase_translation", lambda: tr)
+    calls = []
+    real = exact.poly_gcd
+    monkeypatch.setattr(exact, "poly_gcd",
+                        lambda a, b: calls.append(1) or real(a, b))
+    for m in solution:
+        r = pii_residual(m)
+        assert r.is_zero() and str(r) == "0"
+    for m in phase:
+        assert all(r.is_zero() and str(r) == "0" for r in phase_residual(m))
+    assert phi_conjugation_check()
+    assert composition_coherence_check()
+    assert calls == []
+    # a nonzero value is printed through the canonical constructor
+    assert str(pii_residual(sign_flip_only())) == "-2*alpha"
+    assert calls

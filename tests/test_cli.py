@@ -1,9 +1,11 @@
 """End-to-end checks of the command-line surface: output contracts,
 exit codes, and byte-for-byte determinism across runs."""
+import hashlib
 import json
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +118,16 @@ def test_outputs_are_byte_identical_across_runs():
         a = run_cli(*args)
         b = run_cli(*args)
         assert a.stdout == b.stdout and a.stderr == b.stderr, args
+
+
+def test_pole_demo_digest(capsys):
+    # the README pole demo's CSV, pinned across Python versions; CI checks
+    # the same digest file against the installed entry point
+    want = (Path(__file__).parent / "pole_demo.sha256").read_text().strip()
+    assert cli.run(["integrate", "--c", "1/2", "--t0", "0", "--t1", "8",
+                    "--q0", "0", "--p0", "0"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 def test_verify_all_walks_the_orbit_once(monkeypatch, capsys):

@@ -19,6 +19,7 @@ from p2lab.exact import (
     Polynomial,
     RationalFunction,
     _mul_power,
+    _Unreduced,
     _pack,
     _prs_gcd,
     _unpack,
@@ -480,3 +481,147 @@ def test_canonical_quotient_matches_sympy(a, b, g):
     given_ = to_sympy(a * g, sympy) / to_sympy(b * g, sympy)
     assert sympy.cancel(num / den - given_) == 0
     assert sympy.gcd(num, den).is_Rational
+
+
+# -- canonical equality -----------------------------------------------------
+
+
+@st.composite
+def canonical_pairs(draw):
+    """Two canonical values, equal about half the time: the second is then
+    the first rebuilt from a multiple of its parts."""
+    a = draw(rationals)
+    if draw(st.booleans()):
+        return a, draw(rationals)
+    g = draw(tiny_linear_polys)
+    k = draw(st.integers(-3, 3).filter(bool))
+    return a, RationalFunction(k * g * a.num, k * g * a.den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(canonical_pairs())
+def test_canonical_equality_is_a_zero_difference(ab):
+    a, b = ab
+    assert (a == b) == (a - b).is_zero()
+    assert (a == -b) == (a + b).is_zero()
+
+
+# -- unreduced quotients ----------------------------------------------------
+#
+# Reference: the same expression built from RationalFunction operations,
+# which keep every intermediate value canonical.  Substitution is applied
+# to a leaf only: the reference route's gcds have a heavy runtime tail
+# once a substituted quotient is itself a sum or product of quotients.
+
+@st.composite
+def expressions(draw, depth):
+    """(canonical value, unreduced value) of one random expression over
+    +, -, *, scalars, partial and substitution."""
+    op = draw(st.sampled_from(("+", "-", "*", "k", "d", "s")))
+    if depth == 0 or draw(st.integers(0, 3)) == 0 or op == "s":
+        a = draw(rationals)
+        if op != "s":
+            return a, _Unreduced.of(a)
+        v = draw(st.sampled_from(VARS))
+        w = draw(rationals)
+        try:
+            ref = a.substitute({v: w})
+        except IdenticallyZeroDenominator:
+            with pytest.raises(IdenticallyZeroDenominator):
+                _Unreduced.of(a).substitute({v: w})
+            return a, _Unreduced.of(a)
+        return ref, _Unreduced.of(a).substitute({v: w})
+    a, ua = draw(expressions(depth - 1))
+    if op in "+-*":
+        b, ub = draw(expressions(depth - 1))
+        if op == "+":
+            return a + b, ua + ub
+        if op == "-":
+            return a - b, ua - ub
+        return a * b, ua * ub
+    if op == "k":
+        k = draw(st.integers(-3, 3))
+        return k * a - k, k * ua - k
+    v = draw(st.sampled_from(VARS))
+    return a.partial(v), ua.partial(v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(expressions(3))
+def test_unreduced_expression_equals_the_canonical_route(pair):
+    ref, u = pair
+    # n/d == N/D exactly when n*D == N*d, which takes no gcd on either side
+    assert u.den
+    assert u.num * ref.den == ref.num * u.den
+    assert u.is_zero() == ref.is_zero()
+
+
+# canonicalizing an unreduced pair is a full gcd, whose runtime has the
+# heavy tail above once the pair comes from nested operations
+@settings(max_examples=60, deadline=None)
+@given(expressions(1))
+def test_unreduced_expression_canonicalizes_to_the_canonical_route(pair):
+    ref, u = pair
+    assert _parts(u.canonical()) == _parts(ref)
+    assert str(u) == str(ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rationals, rationals)
+def test_unreduced_mixes_with_canonical_operands(a, b):
+    u = _Unreduced.of(a)
+    for got, want in ((u + b, a + b), (b + u, b + a), (u - b, a - b),
+                      (b - u, b - a), (u * b, a * b), (b * u, b * a),
+                      (Fraction(1, 3) * u, a / 3), (u - 2, a - 2),
+                      (b.num * u, a * b.num), (u ** 2, a ** 2)):
+        assert isinstance(got, _Unreduced)
+        assert _parts(got.canonical()) == _parts(want)
+
+
+def test_unreduced_sum_reuses_an_equal_denominator():
+    q, p, t = (Polynomial.variable(v) for v in VARS)
+    d = q * p + t
+    s = _Unreduced(q, d) + _Unreduced(p - 1, d)
+    assert s.num == q + p - 1 and s.den == d
+    # a cross-multiplied sum keeps both factors
+    s = _Unreduced(q, d) + _Unreduced(Polynomial.const(1), q)
+    assert s.num == q * q + d and s.den == d * q
+
+
+def test_unreduced_partial_is_the_plain_quotient_rule():
+    q, p, t = (Polynomial.variable(v) for v in VARS)
+    n, d = q ** 2 + t, q * p + 1
+    u = _Unreduced(n, d).partial("q")
+    assert u.num == n.diff("q") * d - n * d.diff("q") and u.den == d * d
+    # a denominator free of the variable is kept as it is
+    u = _Unreduced(n, d).partial("t")
+    assert u.num == Polynomial.const(1) and u.den == d
+
+
+def test_unreduced_zero_test_takes_no_gcd(monkeypatch):
+    from p2lab import exact
+    q, p = rfvar("q"), rfvar("p")
+    f = (q ** 2 + p) / (q - p)
+    g = Polynomial.variable("q") - Polynomial.variable("p")
+    calls = []
+    monkeypatch.setattr(exact, "poly_gcd",
+                        lambda a, b: calls.append(1) or poly_gcd(a, b))
+    u = _Unreduced.of(f)
+    # d/dq (f * g) = f_q * g + f
+    zero = u.partial("q") * g + u - (u * g).partial("q")
+    assert zero.is_zero() and str(zero) == "0" and not zero
+    assert "unreduced" in repr(q + u)
+    assert calls == []
+    assert str(u) == str(f)
+    assert calls
+
+
+def test_unreduced_substitution_guards():
+    q, p = rfvar("q"), rfvar("p")
+    u = _Unreduced.of(1 / (q - p))
+    with pytest.raises(IdenticallyZeroDenominator):
+        u.substitute({"q": p})
+    with pytest.raises(ExactError):
+        _Unreduced.of("q")
+    with pytest.raises(ExactError):
+        u ** -1

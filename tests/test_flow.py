@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p2lab import flow
+from p2lab import atlas, flow
 from p2lab.exact import Polynomial, RationalFunction, rf, rfvar, var_index
 from p2lab.flow import (
     _A,
@@ -53,6 +53,24 @@ def test_compiled_closures_match_exact_evaluation(a, b, c):
 @pytest.mark.parametrize("i,j", [("W1", "W3"), ("W3", "W12"), ("W1", "W12")])
 def test_field_chain_rule_symbolic(i, j):
     assert flow.field_consistency_symbolic(i, j)
+
+
+def ref_field_consistency_symbolic(i, j):
+    """The canonical-route chain rule that the unreduced one replaced."""
+    tr = atlas.transition(i, j)
+    (yy, yz, yt), (zy, zz, zt) = tr.jacobian
+    fy_i, fz_i = atlas.hamilton_field(i)
+    fy_j, fz_j = atlas.hamilton_field(j)
+    b = tr.bindings()
+    return ((yy * fy_i + yz * fz_i + yt - fy_j.substitute(b)).is_zero()
+            and (zy * fy_i + zz * fz_i + zt - fz_j.substitute(b)).is_zero())
+
+
+@pytest.mark.parametrize("i,j", [("W1", "W3"), ("W3", "W12"), ("W1", "W12"),
+                                 ("W3", "W1"), ("W12", "W3"), ("W12", "W1")])
+def test_field_chain_rule_routes_agree(i, j):
+    assert flow.field_consistency_symbolic(i, j)
+    assert ref_field_consistency_symbolic(i, j)
 
 
 @pytest.mark.parametrize("i,j", [("W1", "W3"), ("W3", "W12"), ("W1", "W12")])

@@ -1,5 +1,6 @@
 """Random-matrix checks for the integer linear algebra helpers."""
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -112,6 +113,22 @@ def test_invert_unimodular():
     assert matmul(inv, m) == identity(3)
     with pytest.raises(Exception):
         invert_unimodular([[2, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("a", [[[2]], [[2, 0], [0, 1]], [[1, 1], [1, -1]]])
+def test_invert_unimodular_rejects_other_determinants(a):
+    with pytest.raises(ValueError, match="not unimodular"):
+        invert_unimodular(a)
+
+
+def test_unimodular_guard_survives_optimized_mode():
+    # the guard is a raise, not an assert, so python -O keeps it
+    code = ("from p2lab.intlinalg import invert_unimodular\n"
+            "invert_unimodular([[2]])\n")
+    r = subprocess.run([sys.executable, "-O", "-c", code],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 1
+    assert "ValueError: matrix is not unimodular" in r.stderr
 
 
 # ---------------------------------------------------------------------------

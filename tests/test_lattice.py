@@ -39,6 +39,14 @@ def test_unimodularity():
     assert det(GRAM) == -1
 
 
+def test_diagonalization_guard_raises(monkeypatch):
+    bent = [row[:] for row in GRAM]
+    bent[0][0] += 2
+    monkeypatch.setattr(lattice, "GRAM", bent)
+    with pytest.raises(lattice.LatticeError):
+        lattice.diagonalize_unimodular()
+
+
 def test_named_class_squares():
     reg = lattice.named_classes()
     for name in ("C1", "C2", "C3", "C4"):
