@@ -284,10 +284,11 @@ def glue_residual(i: str, j: str,
 # deformation cocycle
 
 
+@lru_cache(maxsize=None)
 def ks_cocycle(i: str, j: str) -> RelOneForm:
     """d(H_i(tau) - H_j) at fixed (t, c), expressed on chart j, where
     tau carries chart-j coordinates to chart-i ones.  Measures how the
-    two Hamiltonians disagree as functions on the overlap."""
+    two Hamiltonians disagree as functions on the overlap (cached)."""
     tau = transition(j, i)
     hi = rf(hamiltonian(i).poly).substitute(tau.bindings())
     diff = hi - rf(hamiltonian(j).poly)

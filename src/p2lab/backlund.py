@@ -185,17 +185,10 @@ def phase_reflection() -> PhaseMap:
     return PhaseMap("phase-reflection", -q, -2 * q ** 2 - p - t, -1 - c)
 
 
-def phase_negation(c0: Fraction | None = None) -> PhaseMap:
-    """Involution over c |-> -c, regular off p = 0.
-
-    At c = 0 the map degenerates to the identity; that specialization is
-    returned directly so numeric use at p = 0 stays well defined.
-    """
-    t, q, p, c = rfvars("t", "q", "p", "c")
-    if c0 is not None and Fraction(c0) == 0:
-        return PhaseMap("phase-negation", q, p, rf(0))
-    cc = c if c0 is None else rf(Fraction(c0))
-    return PhaseMap("phase-negation", q - cc / p, p, -cc)
+def phase_negation() -> PhaseMap:
+    """Involution over c |-> -c, regular off p = 0."""
+    q, p, c = rfvars("q", "p", "c")
+    return PhaseMap("phase-negation", q - c / p, p, -c)
 
 
 def phase_translation() -> PhaseMap:

@@ -150,14 +150,13 @@ def lattice_checks() -> list:
                          str(weyl.param_apply(["i", "j"], Fraction(5))), "6",
                          "composite of the two reflections is the unit shift"))
     jm, im = weyl.jstar(), weyl.istar()
-    dspan = lattice.d_chain()
     checks.append(_check("isometry-reversing",
                          jm.is_involution()
                          and jm.apply(reg["C1"]) == reg["C3"]
                          and jm.apply(reg["D1"]) == reg["D7"]
                          and jm.apply(f_cls) == f_cls
                          and lattice.sublattice_equal(
-                             [jm.apply(x) for x in dspan], dspan),
+                             [jm.apply(x) for x in d], d),
                          note="involution; swaps the sections, reverses the "
                               "boundary chain, fixes the anticanonical class"))
     checks.append(_check("isometry-fixing",
@@ -165,7 +164,7 @@ def lattice_checks() -> list:
                          and im.apply(reg["C1"]) == reg["C2"]
                          and im.apply(reg["C3"]) == reg["C3"]
                          and lattice.sublattice_equal(
-                             [im.apply(x) for x in dspan], dspan),
+                             [im.apply(x) for x in d], d),
                          note="involution; exchanges the two -1-sections "
                               "over the same fiber"))
 
@@ -447,6 +446,17 @@ def _rational(text: str) -> Fraction:
             f"not a rational number: {text!r}") from None
 
 
+def _float_rational(text: str) -> Fraction:
+    """A rational whose float does not overflow (integrate's --c)."""
+    c = _rational(text)
+    try:
+        float(c)
+    except OverflowError:
+        raise argparse.ArgumentTypeError(
+            f"not a finite number: {text!r}") from None
+    return c
+
+
 def _finite_float(text: str) -> float:
     try:
         x = float(text)
@@ -500,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     ob.add_argument("--n-max", type=_positive_int, default=50)
 
     it = sub.add_parser("integrate", help="integrate one trajectory to CSV")
-    it.add_argument("--c", type=_rational, required=True,
+    it.add_argument("--c", type=_float_rational, required=True,
                     help="rational parameter")
     it.add_argument("--t0", type=_finite_float, required=True)
     it.add_argument("--t1", type=_finite_float, required=True)

@@ -42,15 +42,18 @@ class StepFailure(FlowError):
     """Step size underflow or step budget exhausted."""
 
 
+# first and largest step, step budget, and best_chart's size bound
+H_INIT = 1e-3
+H_MAX = 0.25
+MAX_STEPS = 200_000
+NO_CHART_BOUND = 1e8
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     rtol: float = 1e-10
     atol: float = 1e-12
     switch_threshold: float = 5.0
-    h_init: float = 1e-3
-    h_max: float = 0.25
-    max_steps: int = 200_000
-    no_chart_bound: float = 1e8
 
     def __post_init__(self):
         # written so that nan fails too
@@ -224,12 +227,11 @@ def field_consistency_numeric(i: str, j: str, n: int = 100, seed: int = 0) -> fl
 # chart policy
 
 
-def best_chart(chart: str, y: float, z: float, t: float, c: float,
-               bound: float = 1e8) -> str:
+def best_chart(chart: str, y: float, z: float, t: float, c: float) -> str:
     """Chart in which the point has the smallest max(|y|, |z|), ties
     broken in the fixed order of the atlas; NoChart when every chart
-    blows up past ``bound`` (the point is numerically on the removed
-    divisor)."""
+    blows up past ``NO_CHART_BOUND`` (the point is numerically on the
+    removed divisor)."""
     best = None
     best_size = math.inf
     for cand in atlas.CHARTS:
@@ -239,7 +241,7 @@ def best_chart(chart: str, y: float, z: float, t: float, c: float,
         size = max(abs(yy), abs(zz))
         if size < best_size:
             best, best_size = cand, size
-    if best is None or best_size > bound:
+    if best is None or best_size > NO_CHART_BOUND:
         raise NoChart(f"no finite chart at t={t} (smallest size {best_size})")
     return best
 
@@ -322,13 +324,13 @@ def _adaptive(f, u0, t0, t1, config, on_accept=None, stats=None):
     step = _step_fn(len(u0))
     direction = 1.0 if t1 > t0 else -1.0
     u, t = u0, t0
-    h = direction * min(config.h_init, config.h_max, abs(t1 - t0))
+    h = direction * min(H_INIT, H_MAX, abs(t1 - t0))
     err_prev = 1.0
     steps = 0
     k1 = None
     while (t1 - t) * direction > 0:
         steps += 1
-        if steps > config.max_steps:
+        if steps > MAX_STEPS:
             raise StepFailure("step budget exhausted")
         if abs(h) < 1e-14 * max(1.0, abs(t)):
             raise StepFailure("step size underflow")
@@ -365,7 +367,7 @@ def _adaptive(f, u0, t0, t1, config, on_accept=None, stats=None):
             if stats is not None:
                 stats[1] += 1
             fac = max(0.2, 0.9 * norm ** -0.2)
-        h = direction * min(abs(h) * min(5.0, max(0.2, fac)), config.h_max)
+        h = direction * min(abs(h) * min(5.0, max(0.2, fac)), H_MAX)
     return u
 
 
@@ -386,7 +388,7 @@ def integrate(c: float, initial: FlowState, t1: float,
         y, z = u
         cur = chart_box[0]
         if max(abs(y), abs(z)) > config.switch_threshold:
-            target = best_chart(cur, y, z, t, c, config.no_chart_bound)
+            target = best_chart(cur, y, z, t, c)
             if target != cur:
                 y2, z2 = transport(cur, target, y, z, t, c)
                 traj.switches.append(SwitchEvent(t, cur, target, y, z, y2, z2))
@@ -420,8 +422,7 @@ def to_w1(state: FlowState) -> tuple[float, float]:
     """(q, p) equivalents of a state; infinities on the pole divisor."""
     if state.chart == "W1":
         return state.y, state.z
-    y, z = transport(state.chart, "W1", state.y, state.z, state.t, state.c)
-    return y, z
+    return transport(state.chart, "W1", state.y, state.z, state.t, state.c)
 
 
 # ---------------------------------------------------------------------------
@@ -429,32 +430,24 @@ def to_w1(state: FlowState) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=None)
-def _phase_map_fn(kind: str):
-    if kind == "translation":
-        m = backlund.phase_translation()
-    elif kind == "reflection":
-        m = backlund.phase_reflection()
-    elif kind == "negation":
-        m = backlund.phase_negation()
-    else:
-        raise FlowError(f"unknown phase map {kind!r}")
+def _phase_map_fn():
+    m = backlund.phase_translation()
     return compile_map((m.q_img, m.p_img, m.c_img), ("q", "p", "t", "c"))
 
 
-def apply_phase_map(kind: str, q: float, p: float, t: float, c: float):
-    """(q', p', c') under one of the exact symmetries, in float."""
-    if kind == "negation" and c == 0.0:
-        return q, p, 0.0   # degenerates to the identity; avoids 0/0 at p=0
+def apply_phase_map(q: float, p: float, t: float, c: float):
+    """(q', p', c') under the exact translation c |-> c+1, in float."""
     try:
-        return _phase_map_fn(kind)(q, p, t, c)
+        return _phase_map_fn()(q, p, t, c)
     except ZeroDivisionError:
-        raise FlowError(f"phase map {kind!r} undefined at this state") from None
+        raise FlowError("phase translation undefined at this state") from None
 
 
 def backlund_numeric_check(c: float, initial: FlowState, t1: float,
-                           config: IntegratorConfig = IntegratorConfig(),
-                           kind: str = "translation") -> float:
-    """Transform-then-integrate against integrate-then-transform.
+                           config: IntegratorConfig = IntegratorConfig()
+                           ) -> float:
+    """Transform-then-integrate against integrate-then-transform, with
+    the parameter translation.
 
     Both routes land at parameter c' and time t1; returns the max abs
     discrepancy of (q, p) there.
@@ -463,8 +456,8 @@ def backlund_numeric_check(c: float, initial: FlowState, t1: float,
     q0, p0 = to_w1(initial)
     q1, p1 = to_w1(traj.final)
 
-    q0m, p0m, c_new = apply_phase_map(kind, q0, p0, initial.t, c)
-    q1m, p1m, _ = apply_phase_map(kind, q1, p1, t1, c)
+    q0m, p0m, c_new = apply_phase_map(q0, p0, initial.t, c)
+    q1m, p1m, _ = apply_phase_map(q1, p1, t1, c)
 
     traj2 = integrate(c_new, FlowState("W1", q0m, p0m, initial.t, c_new),
                       t1, config)

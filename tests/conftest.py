@@ -1,11 +1,20 @@
-"""Deterministic hypothesis configuration.
+"""Deterministic hypothesis configuration, and the session's verify
+report.
 
 The gcd-backed strategies have heavy-tailed runtimes, so randomized
 example selection makes the suite flaky in wall-clock terms.  Derandomize
 everything: each run explores the same examples, and a budget that passed
 once keeps passing.
+
+`p2lab verify all` runs once per session; its checks are parametrized as
+one test id each and read through the ``report`` fixture.
 """
+import functools
+
+import pytest
 from hypothesis import HealthCheck, settings
+
+from p2lab import cli
 
 settings.register_profile(
     "p2lab",
@@ -16,3 +25,32 @@ settings.register_profile(
                            HealthCheck.too_slow],
 )
 settings.load_profile("p2lab")
+
+
+@functools.cache
+def _verify_all() -> dict:
+    checks = cli.run_suite("all")["checks"]
+    by_id = {c["id"]: c for c in checks}
+    assert len(by_id) == len(checks), "check ids must be unique"
+    return by_id
+
+
+def pytest_generate_tests(metafunc):
+    # one test id per `p2lab verify all` check, in the report's order
+    if "check_id" in metafunc.fixturenames:
+        ids = list(_verify_all())
+        metafunc.parametrize("check_id", ids, ids=ids)
+
+
+@pytest.fixture(scope="session")
+def report() -> dict:
+    """`p2lab verify all`'s checks by id, computed once per session: the
+    registry in `p2lab.cli` states each identity, and tests read its
+    verdicts here instead of deriving them again."""
+    return _verify_all()
+
+
+@pytest.fixture(scope="session")
+def passes(report):
+    """passes(*ids): every named check of the session report passed."""
+    return lambda *ids: all(report[cid]["status"] == "pass" for cid in ids)

@@ -1,6 +1,7 @@
 """The blow-up engine: curve transforms through the eight centers,
 derived divisor classes, and reproduction of the stated intersection
-numbers from nothing but defining equations."""
+numbers from nothing but defining equations.  Verdicts the `verify`
+registry states are read from the session report (``passes``)."""
 import pytest
 
 from p2lab import blowup, lattice
@@ -13,7 +14,6 @@ from p2lab.blowup import (
     curve_specs,
     engine_classes,
     multiplicities,
-    verify_intersection_table,
 )
 from p2lab.exact import Polynomial
 
@@ -38,15 +38,14 @@ def test_curve_multiplicities(name, mults):
     assert multiplicities(curve_specs()[name]) == mults
 
 
-def test_engine_agrees_with_registry():
+def test_engine_agrees_with_registry(passes):
+    # the registry compares the classes both sides name; here, that the
+    # curves which should be shared are
     for regime in lattice.REGIMES:
-        eng = engine_classes(regime)
-        reg = lattice.named_classes(regime)
-        shared = set(eng) & set(reg)
+        shared = set(engine_classes(regime)) & set(lattice.named_classes(regime))
         split_out = {"c=0": {"C2", "C5"}, "c=-1": {"C6"}}.get(regime, set())
         assert {"S", "f", "C1", "C3", "C4", "C5", "C6"} - split_out <= shared
-        for name in shared:
-            assert eng[name] == reg[name], (regime, name)
+        assert passes(*(f"class[{regime}] {name}" for name in shared))
 
 
 @pytest.mark.parametrize("regime", lattice.REGIMES)
@@ -72,12 +71,8 @@ def test_regime_split_errors():
             chain_trace(curve_specs(regime)[name], regime)
 
 
-def test_split_pieces_reassemble():
-    reg = lattice.named_classes()
-    e0 = engine_classes("c=0")
-    assert e0["C1"] + e0["C2prime"] == reg["C2"]
-    em = engine_classes("c=-1")
-    assert em["C4prime"] + em["C3"] == em["C4"]
+def test_split_pieces_reassemble(passes):
+    assert passes("splitting[c=0] C2", "splitting[c=-1] C4")
 
 
 def test_squarefree_guard():
@@ -87,23 +82,20 @@ def test_squarefree_guard():
         chain_trace(bad)
 
 
-def test_table_generic():
-    checks = verify_intersection_table("generic")
-    bad = {(c.a, c.b) for c in checks if c.status != "pass"}
-    assert bad == set(ALLOWLIST)
-    for c in checks:
-        if (c.a, c.b) in ALLOWLIST:
-            assert c.status == "known-discrepancy"
-            assert (c.computed, c.stated) == (0, 1)
-        else:
-            assert c.computed == c.stated
+def test_table_generic(report):
+    rows = {cid: c for cid, c in report.items()
+            if cid.startswith("table[generic] ")}
+    bad = {cid for cid, c in rows.items() if c["status"] != "pass"}
+    assert bad == {f"table[generic] {a}.{b}" for a, b in ALLOWLIST}
+    for cid in bad:
+        assert rows[cid]["status"] == "known-discrepancy"
+        assert (rows[cid]["computed"], rows[cid]["expected"]) == (0, 1)
 
 
 @pytest.mark.parametrize("regime", ["c=0", "c=-1"])
-def test_table_degenerate_regimes(regime):
-    checks = verify_intersection_table(regime)
-    assert checks, regime
-    assert all(c.status == "pass" for c in checks)
+def test_table_degenerate_regimes(regime, passes, report):
+    ids = [cid for cid in report if cid.startswith(f"table[{regime}] ")]
+    assert ids and passes(*ids)
 
 
 def test_stated_table_spot_values():

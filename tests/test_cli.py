@@ -1,5 +1,7 @@
 """End-to-end checks of the command-line surface: output contracts,
-exit codes, and byte-for-byte determinism across runs."""
+exit codes, and byte-for-byte determinism across runs.  Output contracts
+run in-process through ``cli.run``; the entry point, its exit codes and
+determinism across processes run as subprocesses."""
 import hashlib
 import json
 import subprocess
@@ -9,72 +11,80 @@ from pathlib import Path
 
 import pytest
 
-from p2lab import blowup, cli, weyl
+from p2lab import atlas, blowup, cli, weyl
 
 
 def run_cli(*args):
+    """One run through the ``python -m p2lab.cli`` entry point."""
     return subprocess.run([sys.executable, "-m", "p2lab.cli", *args],
                           capture_output=True, text=True, timeout=600)
 
 
-def test_gamma_output():
-    r = run_cli("gamma", "--n", "3")
-    assert r.returncode == 0
-    assert r.stdout == "(-3, 4)\n"
+def run_in_process(capsys, *args):
+    """Exit status, stdout and stderr of one in-process ``cli.run``."""
+    code = cli.run(list(args))
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
-def test_gamma_full_vector():
-    r = run_cli("gamma", "--n", "1", "--full")
-    assert r.returncode == 0
-    assert r.stdout == "(1, -1, -1, 0, 0, 0, 0, 0, 0, 0)\n"
+def test_gamma_output(capsys):
+    assert run_in_process(capsys, "gamma", "--n", "3") == (0, "(-3, 4)\n", "")
 
 
-def test_periods_output():
-    r = run_cli("periods", "--c", "5/3")
-    assert r.returncode == 0
-    lines = r.stdout.splitlines()
-    assert lines == ["period(C2-C1) = 5/3", "period(C4-C3) = -8/3"]
+def test_gamma_full_vector(capsys):
+    code, out, _ = run_in_process(capsys, "gamma", "--n", "1", "--full")
+    assert code == 0
+    assert out == "(1, -1, -1, 0, 0, 0, 0, 0, 0, 0)\n"
 
 
-def test_curves_csv():
-    r = run_cli("curves", "--regime", "generic")
-    assert r.returncode == 0
-    rows = [line.split(",") for line in r.stdout.strip().splitlines()]
+def test_periods_output(capsys):
+    code, out, _ = run_in_process(capsys, "periods", "--c", "5/3")
+    assert code == 0
+    assert out.splitlines() == ["period(C2-C1) = 5/3", "period(C4-C3) = -8/3"]
+    # exact: a parameter past the float range is no error here
+    code, out, _ = run_in_process(capsys, "periods", "--c", "1e400")
+    assert code == 0
+    assert out.splitlines()[0] == f"period(C2-C1) = {10 ** 400}"
+
+
+def test_curves_csv(capsys):
+    code, out, _ = run_in_process(capsys, "curves", "--regime", "generic")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()]
     header = rows[0]
     c2_row = next(row for row in rows if row[0] == "C2")
     assert c2_row[header.index("C4")] == "2"
 
 
-def test_curves_discrepancy_report():
-    r = run_cli("curves", "--regime", "generic", "--discrepancies")
-    assert r.returncode == 0
-    recs = [json.loads(line) for line in r.stdout.splitlines()]
+def test_curves_discrepancy_report(capsys):
+    code, out, _ = run_in_process(capsys, "curves", "--regime", "generic",
+                                  "--discrepancies")
+    assert code == 0
+    recs = [json.loads(line) for line in out.splitlines()]
     assert [tuple(x["curve_pair"]) for x in recs] == [("C5", "D1"),
                                                       ("C6", "D7")]
     assert all(x["computed"] == 0 and x["stated"] == 1 for x in recs)
 
 
-def test_verify_backlund_lines_and_exit():
-    r = run_cli("verify", "backlund")
-    assert r.returncode == 0
-    assert "[pass] residual shift-up  (ZERO)" in r.stdout
-    summary = r.stdout.strip().splitlines()[-1]
+def test_verify_backlund_lines_and_exit(capsys):
+    code, out, _ = run_in_process(capsys, "verify", "backlund")
+    assert code == 0
+    assert "[pass] residual shift-up  (ZERO)" in out
+    summary = out.strip().splitlines()[-1]
     assert "0 fail" in summary and "0 known-discrepancy" in summary
-    assert not any(line.startswith("[fail]")
-                   for line in r.stdout.splitlines())
+    assert not any(line.startswith("[fail]") for line in out.splitlines())
 
 
-def test_verify_all_known_discrepancies():
-    r = run_cli("verify", "all", "--json")
-    assert r.returncode == 0
-    rep = json.loads(r.stdout)
-    assert rep["suite"] == "all"
-    known = [c for c in rep["checks"] if c["status"] == "known-discrepancy"]
-    assert len(known) == 3
-    ids = {c["id"] for c in known}
-    assert ids == {"table[generic] C5.D1", "table[generic] C6.D7",
-                   "orbit-stated-high"}
-    assert not any(c["status"] == "fail" for c in rep["checks"])
+def test_verify_all_known_discrepancies(capsys, report):
+    # `verify all --json` prints the session report the gate reads
+    code, out, _ = run_in_process(capsys, "verify", "all", "--json")
+    assert code == 0
+    want = {"suite": "all", "checks": list(report.values())}
+    assert json.loads(out) == json.loads(json.dumps(want))
+    known = {c["id"] for c in report.values()
+             if c["status"] == "known-discrepancy"}
+    assert known == {"table[generic] C5.D1", "table[generic] C6.D7",
+                     "orbit-stated-high"}
 
 
 def test_usage_error_exit_code():
@@ -84,26 +94,27 @@ def test_usage_error_exit_code():
     assert r.returncode == 2
 
 
-def test_orbit_table():
-    r = run_cli("orbit", "--n-max", "4")
-    assert r.returncode == 0
-    lines = r.stdout.splitlines()
+def test_orbit_table(capsys):
+    code, out, _ = run_in_process(capsys, "orbit", "--n-max", "4")
+    assert code == 0
+    lines = out.splitlines()
     assert len(lines) == 4
     assert lines[0].startswith("n=1 ")
     assert all("square=-1" in ln and "anticanonical=1" in ln
                for ln in lines)
 
 
-def test_integrate_csv_and_switch_events():
-    r = run_cli("integrate", "--c", "1/2", "--t0", "0", "--t1", "4",
-                "--q0", "0", "--p0", "0")
-    assert r.returncode == 0
-    lines = r.stdout.splitlines()
+def test_integrate_csv_and_switch_events(capsys):
+    code, out, err = run_in_process(capsys, "integrate", "--c", "1/2",
+                                    "--t0", "0", "--t1", "4",
+                                    "--q0", "0", "--p0", "0")
+    assert code == 0
+    lines = out.splitlines()
     assert lines[0] == "t,chart,y,z,q_equiv,p_equiv,switch_flag"
     assert lines[1].startswith("0,W1,0,0,0,0,")
     last = lines[-1].split(",")
     assert last[0] == "4" and last[1] == "W1"
-    events = [json.loads(ln) for ln in r.stderr.splitlines()]
+    events = [json.loads(ln) for ln in err.splitlines()]
     assert len(events) >= 2
     assert events[0]["from"] == "W1" and events[0]["to"] == "W3"
     flagged = [ln for ln in lines[1:] if ln.endswith(",1")]
@@ -111,6 +122,7 @@ def test_integrate_csv_and_switch_events():
 
 
 def test_outputs_are_byte_identical_across_runs():
+    # separate processes: nothing may depend on hash seeds or ids
     for args in (("verify", "lattice", "--json"),
                  ("curves", "--regime", "c=0"),
                  ("integrate", "--c", "1/2", "--t0", "0", "--t1", "2",
@@ -128,6 +140,15 @@ def test_pole_demo_digest(capsys):
                     "--q0", "0", "--p0", "0"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+def test_verify_all_computes_each_cocycle_once(capsys):
+    # the cocycle checks and cocycle-additivity share three values
+    atlas.ks_cocycle.cache_clear()
+    assert cli.run(["verify", "all"]) == 0
+    capsys.readouterr()
+    info = atlas.ks_cocycle.cache_info()
+    assert (info.misses, info.hits) == (3, 3)
 
 
 def test_verify_all_walks_the_orbit_once(monkeypatch, capsys):
@@ -176,6 +197,9 @@ def integrate_argv(**opts):
     # before, both printed an empty table and exited 0
     ["orbit", "--n-max", "0"],
     ["orbit", "--n-max", "-3"],
+    # exact, but its float overflows: before, a traceback and exit 1
+    integrate_argv(c="1e400"),
+    integrate_argv(c="-1e400"),
 ])
 def test_bad_input_is_a_one_line_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
