@@ -23,10 +23,6 @@ from . import atlas, backlund, blowup, flow, lattice, weyl
 from .exact import Polynomial, rfvar
 
 
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 @dataclass
 class Check:
     id: str
@@ -425,14 +421,20 @@ def _cmd_integrate(args) -> int:
     initial = flow.FlowState("W1", args.q0, args.p0, args.t0, c)
     traj = flow.integrate(c, initial, args.t1, config)
     switch_times = {ev.t for ev in traj.switches}
-    print("t,chart,y,z,q_equiv,p_equiv,switch_flag")
-    for s in traj.states:
-        q, p = flow.to_w1(s)
-        flag = 1 if s.t in switch_times else 0
-        print(f"{_f17(s.t)},{s.chart},{_f17(s.y)},{_f17(s.z)},"
-              f"{_f17(q)},{_f17(p)},{flag}")
+    to_w1 = flow.to_w1
+
+    def rows():
+        yield "t,chart,y,z,q_equiv,p_equiv,switch_flag\n"
+        for s in traj.states:
+            chart, y, z, t, _ = s
+            q, p = to_w1(s)
+            flag = 1 if t in switch_times else 0
+            yield (f"{t:.17g},{chart},{y:.17g},{z:.17g},"
+                   f"{q:.17g},{p:.17g},{flag}\n")
+
+    sys.stdout.writelines(rows())
     for ev in traj.switches:
-        print(json.dumps({"event": "switch", "t": _f17(ev.t),
+        print(json.dumps({"event": "switch", "t": f"{ev.t:.17g}",
                           "from": ev.from_chart, "to": ev.to_chart}),
               file=sys.stderr)
     return 0

@@ -10,13 +10,18 @@ The per-chart vector fields are compiled from the symbolically derived
 Hamiltonians, and their mutual consistency through the transition chain
 rule is checked both symbolically (once) and at random sample points.
 
-Compiled code is generated Python source, built once per expression
-and per state size: straight-line float fields and transitions, and an
-unrolled Dormand-Prince step whose last stage is reused as the next
-step's first (FSAL).  The generated code does the same float operations
-in the same order as a term-by-term interpreter and a generic stage
-loop (both kept in tests/test_flow.py as references), so its results
-agree with theirs to the bit.
+Compiled code is generated Python source: straight-line float fields
+and transitions, built once per expression, and one unrolled
+Dormand-Prince step per chart, built when an integration first enters
+the chart.  The step evaluates the chart's Hamiltonian field in place at
+each of its seven stages and the RMS error norm after them, and its last
+stage is reused as the next step's first (FSAL).  The scalar Riccati
+comparison goes through the same generator and driver.  The generated
+code computes the same values in the same order as a term-by-term
+interpreter, a generic stage loop and a generic norm loop (all kept in
+tests/test_flow.py as references); it only takes each power once per
+stage and leaves out factors 1.0 and exponents 1, so its results agree
+with theirs to the bit.
 """
 from __future__ import annotations
 
@@ -25,6 +30,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import atlas, backlund
 from .exact import Polynomial, RationalFunction, _Unreduced, var_index
@@ -63,8 +69,7 @@ class IntegratorConfig:
             raise FlowError("switch threshold must exceed 1")
 
 
-@dataclass(frozen=True)
-class FlowState:
+class FlowState(NamedTuple):
     chart: str
     y: float
     z: float
@@ -90,41 +95,55 @@ class Trajectory:
     switches: list = field(default_factory=list)
     accepted: int = 0
     rejected: int = 0
+    _forced: int = 0
 
     @property
     def final(self) -> FlowState:
         return self.states[-1]
+
+    @property
+    def forced(self) -> int:
+        """Accepted steps whose error norm exceeded 1: taken at the
+        step-size floor, where the step cannot shrink further."""
+        return self._forced
 
 
 # ---------------------------------------------------------------------------
 # compiling exact expressions to straight-line float code
 
 
-def _poly_source(poly: Polynomial, idx: dict) -> str:
+def _poly_source(poly: Polynomial, idx: dict, power=None) -> str:
     """Float source of a polynomial over the arguments a0, a1, ...: each
     term is ``coeff * a_k ** p * ...`` multiplied left to right, and the
-    terms are summed left to right from 0.0."""
+    terms are summed left to right from 0.0.  A factor 1.0 and an
+    exponent 1 are left out, which changes no bit: x * 1.0 and x ** 1 are
+    x.  ``power(k, p)``, when given, names the source of a_k ** p for
+    p > 1."""
     total = "0.0"
     for e, q in poly.terms.items():
-        term = repr(float(q))
+        coeff = float(q)
+        factors = [] if coeff == 1.0 else [repr(coeff)]
         for i, p in enumerate(e):
             if p:
                 if i not in idx:
                     raise FlowError(
                         f"expression uses unbound variable index {i}")
-                term += f" * a{idx[i]} ** {p}"
-        total += f" + {term}"
+                k = idx[i]
+                factors.append(f"a{k}" if p == 1 else
+                               power(k, p) if power else f"a{k} ** {p}")
+        total += " + " + (" * ".join(factors) or "1.0")
     return total
 
 
 def _rf_source(expr: RationalFunction | Polynomial,
-               names: tuple[str, ...]) -> str:
+               names: tuple[str, ...], power=None) -> str:
     expr = RationalFunction.coerce(expr)
     idx = {var_index(n): k for k, n in enumerate(names)}
-    num = _poly_source(expr.num, idx)
+    num = _poly_source(expr.num, idx, power)
     if expr.den.is_constant():
-        return f"({num}) / {float(expr.den.constant_value())!r}"
-    return f"({num}) / ({_poly_source(expr.den, idx)})"
+        d = float(expr.den.constant_value())
+        return f"({num})" if d == 1.0 else f"({num}) / {d!r}"
+    return f"({num}) / ({_poly_source(expr.den, idx, power)})"
 
 
 def _generated_lambda(body: str, names: tuple[str, ...]):
@@ -265,18 +284,36 @@ _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
        187 / 2100, 1 / 40)
 
 
-@lru_cache(maxsize=None)
-def _step_fn(n: int):
-    """Generated Dormand-Prince step for states of n components:
-    ``step(f, u, t, h, k1) -> (u5, err, k7)`` with k1 = f(u, t).
+def _step_fn(exprs, names: tuple[str, ...]):
+    """Generated ``bind(rtol, atol, *params) -> (field, step)`` for the
+    system du/dt = exprs over ``names`` = state variables, then "t", then
+    the parameters, which are bound once per integration.
 
-    Every combination is ``u_m + h * (0.0 + w_1*k1_m + w_2*k2_m + ...)``,
-    all tableau weights kept, zeros included.  The seventh stage's input
-    is therefore u5 bit for bit (``_A[6] == _B5[:6]``, ``_B5[6] == 0``,
-    and its time is t + 1.0*h), so k7 = f(u5, t + h): the first stage of
-    the next step when nothing moved the state in between."""
-    def unpack(name):
-        return "".join(f"{name}_{m}, " for m in range(n)) + f"= {name}"
+    ``field(u, t)`` is the tuple of the exprs at (u, t).  ``step(u, t, h,
+    k1) -> (u5, norm, k7)`` is one Dormand-Prince step with k1 = field(u,
+    t): each stage binds its arguments to the names a0, a1, ... that
+    ``_rf_source`` emits and evaluates the exprs in place.  Every
+    combination is ``u_m + h * (0.0 + w_1*k1_m + w_2*k2_m + ...)``, all
+    tableau weights kept, zeros included.  The seventh stage's input is
+    therefore u5 bit for bit (``_A[6] == _B5[:6]``, ``_B5[6] == 0``, and
+    its time is t + 1.0*h), so k7 = field(u5, t + h): the first stage of
+    the next step when nothing moved the state in between.  ``norm`` is
+    the RMS of err_m / (atol + rtol * max(|u_m|, |u5_m|)), summed left to
+    right from 0.0, with err = u5 - u4."""
+    n = len(exprs)
+    powers = set()
+
+    def power(k, p):
+        powers.add((k, p))
+        return f"a{k}_{p}"
+
+    srcs = [_rf_source(e, names, power) for e in exprs]
+    # each power is taken once where its base is bound: a parameter's
+    # once per call, a state variable's or t's once per stage
+    fixed = [f"        a{k}_{p} = a{k} ** {p}" for k, p in sorted(powers)
+             if k > n]
+    moving = [f"        a{k}_{p} = a{k} ** {p}" for k, p in sorted(powers)
+              if k <= n]
 
     def comb(weights, m):
         return " + ".join(["0.0"] + [f"{w!r} * k{r + 1}_{m}"
@@ -285,89 +322,123 @@ def _step_fn(n: int):
     def vec(parts):
         return "(" + "".join(f"{p}, " for p in parts) + ")"
 
-    lines = ["def step(f, u, t, h, k1):", "    " + unpack("u"),
-             "    " + unpack("k1")]
+    params = ", ".join(f"a{k}" for k in range(n + 1, len(names)))
+    lines = [f"def bind(rtol, atol, {params}):",
+             "    def field(u, t):",
+             f"        {vec(f'a{m}' for m in range(n))} = u",
+             f"        a{n} = t",
+             *fixed, *moving,
+             f"        return {vec(srcs)}",
+             "    def step(u, t, h, k1):",
+             f"        {vec(f'u_{m}' for m in range(n))} = u",
+             f"        {vec(f'k1_{m}' for m in range(n))} = k1",
+             *fixed]
     for s in range(1, 7):
-        stage = vec(f"u_{m} + h * ({comb(_A[s], m)})" for m in range(n))
-        lines += [f"    k{s + 1} = f({stage}, t + {_C[s]!r} * h)",
-                  f"    {unpack(f'k{s + 1}')}"]
+        lines += [f"        a{m} = u_{m} + h * ({comb(_A[s], m)})"
+                  for m in range(n)]
+        lines.append(f"        a{n} = t + {_C[s]!r} * h")
+        lines += moving
+        lines += [f"        k{s + 1}_{m} = {src}"
+                  for m, src in enumerate(srcs)]
     err_w = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
-    u5 = vec(f"u_{m} + h * ({comb(_B5, m)})" for m in range(n))
-    err = vec(f"h * ({comb(err_w, m)})" for m in range(n))
-    lines.append(f"    return {u5}, {err}, k7")
-    namespace = {}
+    terms = []
+    for m in range(n):
+        lines += [f"        v_{m} = u_{m} + h * ({comb(_B5, m)})",
+                  f"        e_{m} = h * ({comb(err_w, m)})",
+                  f"        s_{m} = abs(u_{m})",
+                  f"        x_{m} = abs(v_{m})",
+                  f"        if x_{m} > s_{m}:",
+                  f"            s_{m} = x_{m}"]
+        terms.append(f" + (e_{m} / (atol + rtol * s_{m})) ** 2")
+    norm = f"sqrt((0.0{''.join(terms)}) / {n})"
+    lines += [f"        return {vec(f'v_{m}' for m in range(n))}, {norm}, "
+              f"{vec(f'k7_{m}' for m in range(n))}",
+              "    return field, step"]
+    namespace = {"sqrt": math.sqrt}
     exec("\n".join(lines), namespace)
-    return namespace["step"]
+    return namespace["bind"]
 
 
-def _error_norm(u, u_new, err, rtol, atol):
-    acc = 0.0
-    for m in range(len(u)):
-        sc = atol + rtol * max(abs(u[m]), abs(u_new[m]))
-        acc += (err[m] / sc) ** 2
-    return math.sqrt(acc / len(u))
+@lru_cache(maxsize=None)
+def _chart_step(chart: str):
+    """``bind(rtol, atol, c) -> (field, step)`` for one chart's Hamiltonian
+    field, compiled on the first integration that enters the chart."""
+    return _step_fn(atlas.hamilton_field(chart),
+                    atlas.CHART_VARS[chart] + ("t", "c"))
 
 
-def _adaptive(f, u0, t0, t1, config, on_accept=None, stats=None):
-    """Drive f from t0 to t1 with PI step control; on_accept may replace
-    the state (chart switching hooks in there) and must return a new
-    object when it does; stats, when given, is a two-slot list receiving
-    [accepted, rejected] counts.
+def _adaptive(stepper, u0, t0, t1, config, on_accept=None, stats=None):
+    """Drive a generated system from t0 to t1 with PI step control.
+
+    ``stepper()`` returns a bound ``(field, step)`` pair; it is read at
+    the start and again whenever on_accept replaces the state (chart
+    switching hooks in there), which it must do with a new object.
+    stats, when given, is a three-slot list receiving the [accepted,
+    rejected, forced] counts; a forced step is one accepted at the
+    step-size floor with an error norm above 1.
 
     The first stage is reused (FSAL): after a rejected step u and t are
     unchanged, and after an accepted step that on_accept left alone the
-    step's last stage is f at the new state.  Each step therefore costs
-    six evaluations of f, plus one at the start, after a replaced state
-    and after an OverflowError."""
+    step's last stage is the field at the new state.  Each step therefore
+    costs six field evaluations, plus one at the start, after a replaced
+    state and after an OverflowError."""
     if t1 == t0:
         return u0
-    step = _step_fn(len(u0))
+    isfinite = math.isfinite
+    field, step = stepper()
     direction = 1.0 if t1 > t0 else -1.0
     u, t = u0, t0
     h = direction * min(H_INIT, H_MAX, abs(t1 - t0))
     err_prev = 1.0
-    steps = 0
+    steps = accepted = rejected = forced = 0
     k1 = None
-    while (t1 - t) * direction > 0:
-        steps += 1
-        if steps > MAX_STEPS:
-            raise StepFailure("step budget exhausted")
-        if abs(h) < 1e-14 * max(1.0, abs(t)):
-            raise StepFailure("step size underflow")
-        final_step = (t + h - t1) * direction >= 0
-        if final_step:
-            h = t1 - t
-        if not all(map(math.isfinite, u)):
-            raise StepFailure("state became non-finite")
-        try:
-            if k1 is None:
-                k1 = f(u, t)
-            u_new, err, k7 = step(f, u, t, h, k1)
-            norm = _error_norm(u, u_new, err, config.rtol, config.atol)
-        except OverflowError:
-            k1 = None
-            norm = math.inf
-        if not math.isfinite(norm):
-            if stats is not None:
-                stats[1] += 1
-            h = direction * abs(h) * 0.2
-            continue
-        if norm <= 1.0 or abs(h) <= 1e-13 * max(1.0, abs(t)):
-            t = t1 if final_step else t + h
-            u = u_new
-            if on_accept is not None:
-                u = on_accept(u, t)
-            k1 = k7 if u is u_new and not final_step else None
-            if stats is not None:
-                stats[0] += 1
-            fac = 0.9 * (norm ** -0.14 if norm > 0 else 2.0) \
-                * (err_prev ** 0.08)
-            err_prev = max(norm, 1e-10)
-        else:
-            if stats is not None:
-                stats[1] += 1
-            fac = max(0.2, 0.9 * norm ** -0.2)
-        h = direction * min(abs(h) * min(5.0, max(0.2, fac)), H_MAX)
+    try:
+        while (t1 - t) * direction > 0:
+            steps += 1
+            if steps > MAX_STEPS:
+                raise StepFailure("step budget exhausted")
+            floor = abs(t) if abs(t) > 1.0 else 1.0
+            if abs(h) < 1e-14 * floor:
+                raise StepFailure("step size underflow")
+            final_step = (t + h - t1) * direction >= 0
+            if final_step:
+                h = t1 - t
+            if not all(map(isfinite, u)):
+                raise StepFailure("state became non-finite")
+            try:
+                if k1 is None:
+                    k1 = field(u, t)
+                u_new, norm, k7 = step(u, t, h, k1)
+            except OverflowError:
+                k1 = None
+                norm = math.inf
+            if not isfinite(norm):
+                rejected += 1
+                h = direction * abs(h) * 0.2
+                continue
+            if norm <= 1.0 or abs(h) <= 1e-13 * floor:
+                if norm > 1.0:
+                    forced += 1
+                t = t1 if final_step else t + h
+                u = u_new
+                if on_accept is not None:
+                    u = on_accept(u, t)
+                if u is not u_new:
+                    field, step = stepper()
+                    k1 = None
+                else:
+                    k1 = None if final_step else k7
+                accepted += 1
+                fac = 0.9 * (norm ** -0.14 if norm > 0 else 2.0) \
+                    * (err_prev ** 0.08)
+                err_prev = max(norm, 1e-10)
+            else:
+                rejected += 1
+                fac = max(0.2, 0.9 * norm ** -0.2)
+            h = direction * min(abs(h) * min(5.0, max(0.2, fac)), H_MAX)
+    finally:
+        if stats is not None:
+            stats[:] = accepted, rejected, forced
     return u
 
 
@@ -379,31 +450,36 @@ def integrate(c: float, initial: FlowState, t1: float,
         raise FlowError("integration bounds must be finite")
     traj = Trajectory(c=float(c))
     traj.states.append(initial)
+    record = traj.states.append
     chart_box = [initial.chart]
+    cf = float(c)
+    threshold = config.switch_threshold
 
-    def f(u, t):
-        return chart_field(chart_box[0])(u[0], u[1], t, c)
+    def stepper():
+        return _chart_step(chart_box[0])(config.rtol, config.atol, c)
 
     def on_accept(u, t):
         y, z = u
         cur = chart_box[0]
-        if max(abs(y), abs(z)) > config.switch_threshold:
+        if max(abs(y), abs(z)) > threshold:
             target = best_chart(cur, y, z, t, c)
             if target != cur:
-                y2, z2 = transport(cur, target, y, z, t, c)
-                traj.switches.append(SwitchEvent(t, cur, target, y, z, y2, z2))
-                chart_box[0] = target
-                u = (y2, z2)
-        traj.states.append(FlowState(chart_box[0], u[0], u[1], t, float(c)))
+                y, z = transport(cur, target, y, z, t, c)
+                traj.switches.append(SwitchEvent(t, cur, target, u[0], u[1],
+                                                 y, z))
+                chart_box[0] = cur = target
+                u = (y, z)
+        record(FlowState(cur, y, z, t, cf))
         return u
 
-    stats = [0, 0]
-    _adaptive(f, (initial.y, initial.z), initial.t, t1, config, on_accept, stats)
-    traj.accepted, traj.rejected = stats
+    stats = [0, 0, 0]
+    _adaptive(stepper, (initial.y, initial.z), initial.t, t1, config,
+              on_accept, stats)
+    traj.accepted, traj.rejected, traj._forced = stats
     if traj.final.t != t1:
         # zero-length span: loop body never ran
         traj.states.append(FlowState(chart_box[0], initial.y, initial.z,
-                                     t1, float(c)))
+                                     t1, cf))
     return traj
 
 
@@ -419,10 +495,13 @@ def switch_continuity_ok(traj: Trajectory) -> bool:
 
 
 def to_w1(state: FlowState) -> tuple[float, float]:
-    """(q, p) equivalents of a state; infinities on the pole divisor."""
-    if state.chart == "W1":
-        return state.y, state.z
-    return transport(state.chart, "W1", state.y, state.z, state.t, state.c)
+    """(q, p) equivalents of a state; (nan, nan) where the transition to
+    the base chart is undefined, as on the removed divisor (y = 0 in W3
+    and W12)."""
+    chart, y, z, t, c = state
+    if chart == "W1":
+        return y, z
+    return transport(chart, "W1", y, z, t, c)
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +562,9 @@ def riccati_compare(t0: float, t1: float, q0: float,
     dq/dt = q^2 + t/2.  Returns (max |q difference| over checkpoints,
     max |p| drift)."""
     c = 0.0
-
-    def scalar(u, t):
-        return (u[0] ** 2 + 0.5 * t,)
+    q, t = RationalFunction.variable("q"), RationalFunction.variable("t")
+    scalar = _step_fn((q ** 2 + Fraction(1, 2) * t,),
+                      ("q", "t"))(config.rtol, config.atol)
 
     drift = 0.0
     worst = 0.0
@@ -497,8 +576,8 @@ def riccati_compare(t0: float, t1: float, q0: float,
         state = traj.final
         drift = max(drift, max(abs(s.z) for s in traj.states
                                if s.chart in ("W1", "W3")))
-        u_scalar = _adaptive(scalar, u_scalar, tk - (t1 - t0) / checkpoints, tk,
-                             config)
+        u_scalar = _adaptive(lambda: scalar, u_scalar,
+                             tk - (t1 - t0) / checkpoints, tk, config)
         if state.chart != "W1":
             raise FlowError("trajectory left the base chart; "
                             "pick a pole-free window for this comparison")

@@ -142,6 +142,18 @@ def test_pole_demo_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
+def test_w12_trajectory_digest(capsys):
+    # a trajectory through all three charts with rejected steps (1983
+    # accepted, 9 rejected, 15 switches): the digest is of stdout followed
+    # by stderr, pinned like the pole demo's and checked in CI the same way
+    want = (Path(__file__).parent / "w12_trajectory.sha256").read_text().strip()
+    assert cli.run(["integrate", "--c=-1", "--t0=0.0", "--t1=10.0",
+                    "--q0=-1.5", "--p0=0.0"]) == 0
+    out, err = capsys.readouterr()
+    assert "W12" in out
+    assert hashlib.sha256((out + err).encode()).hexdigest() == want
+
+
 def test_verify_all_computes_each_cocycle_once(capsys):
     # the cocycle checks and cocycle-additivity share three values
     atlas.ks_cocycle.cache_clear()

@@ -25,7 +25,6 @@ from p2lab.flow import (
     NoChart,
     StepFailure,
     _adaptive,
-    _step_fn,
     best_chart,
     compile_rf,
     integrate,
@@ -181,6 +180,13 @@ def test_to_w1_identity_on_base_chart():
     assert to_w1(s) == (0.25, -0.5)
 
 
+@pytest.mark.parametrize("chart", ["W3", "W12"])
+def test_to_w1_is_nan_on_the_removed_divisor(chart):
+    # y = 0 is the divisor a pole chart adds: there is no base-chart point
+    q, p = to_w1(FlowState(chart, 0.0, 1.0, 0.5, 0.5))
+    assert math.isnan(q) and math.isnan(p)
+
+
 def test_overflow_in_transport_means_outside_the_overlap():
     y, z = transport("W1", "W3", 1e200, 1.0, 0.0, 0.5)
     assert math.isnan(y) and math.isnan(z)
@@ -189,13 +195,46 @@ def test_overflow_in_transport_means_outside_the_overlap():
 
 
 def test_overflow_in_a_step_is_a_rejected_step():
-    def overflowing(u, t):
-        return (math.exp(1e3),)
-    stats = [0, 0]
+    # q^100 overflows at q = 1e10, in the first stage and in every step
+    bind = flow._step_fn((rfvar("q") ** 100,), ("q", "t"))
+    config = IntegratorConfig()
+    stats = [0, 0, 0]
     with pytest.raises(StepFailure):
-        _adaptive(overflowing, (0.0,), 0.0, 1.0, IntegratorConfig(), None,
-                  stats)
-    assert stats[0] == 0 and stats[1] > 0
+        _adaptive(lambda: bind(config.rtol, config.atol), (1e10,), 0.0, 1.0,
+                  config, None, stats)
+    assert stats[0] == 0 and stats[1] > 0 and stats[2] == 0
+
+
+def test_forced_accepts_are_counted_at_the_step_size_floor():
+    # a step that never meets the tolerance: h shrinks to the floor, where
+    # the driver accepts (and counts as forced) until h underflows
+    def field(u, t):
+        return (0.0,)
+
+    def step(u, t, h, k1):
+        return (u[0] + h,), 2.0, (0.0,)
+
+    stats = [0, 0, 0]
+    with pytest.raises(StepFailure, match="underflow"):
+        _adaptive(lambda: (field, step), (0.0,), 0.0, 1.0,
+                  IntegratorConfig(), None, stats)
+    accepted, rejected, forced = stats
+    assert forced == accepted > 0 and rejected > 0
+
+
+@pytest.mark.parametrize("c,q0,p0,t1,counts,charts", [
+    # the README pole demo: W1 and W3 only, no step rejected
+    (0.5, 0.0, 0.0, 8.0, (946, 0, 0, 7), {"W1", "W3"}),
+    # visits W12 and rejects steps (tests/w12_trajectory.sha256)
+    (-1.0, -1.5, 0.0, 10.0, (1983, 9, 0, 15), {"W1", "W3", "W12"}),
+])
+def test_step_counts(c, q0, p0, t1, counts, charts):
+    traj = integrate(c, FlowState("W1", q0, p0, 0.0, c), t1)
+    assert (traj.accepted, traj.rejected, traj.forced,
+            len(traj.switches)) == counts
+    assert {s.chart for s in traj.states} == charts
+    with pytest.raises(AttributeError):
+        traj.forced = 1
 
 
 def test_overflowing_start_raises_a_flow_error():
@@ -240,7 +279,7 @@ def interpret_rf(expr, names):
     return lambda *args: ev(num_terms, args) / ev(den_terms, args)
 
 
-def loop_step(f, u, t, h):
+def loop_step(f, u, t, h, k1):
     """The generic stage loop that _step_fn's unrolled code replaced.  It
     summed with sum(), spelled out here as left-to-right addition from 0:
     sum() of floats is compensated from Python 3.12 on, plain before."""
@@ -251,14 +290,44 @@ def loop_step(f, u, t, h):
         return acc
 
     n = len(u)
-    k = [f(u, t)]
+    k = [k1]
     for s in range(1, 7):
         us = tuple(u[m] + h * comb(_A[s], m) for m in range(n))
         k.append(f(us, t + _C[s] * h))
     u5 = tuple(u[m] + h * comb(_B5, m) for m in range(n))
     err_w = [b5 - b4 for b5, b4 in zip(_B5, _B4)]
     err = tuple(h * comb(err_w, m) for m in range(n))
-    return u5, err
+    return u5, err, k[6]
+
+
+def error_norm(u, u_new, err, rtol, atol):
+    """The generic RMS loop that the generated step's inlined norm
+    replaced."""
+    acc = 0.0
+    for m in range(len(u)):
+        sc = atol + rtol * max(abs(u[m]), abs(u_new[m]))
+        acc += (err[m] / sc) ** 2
+    return math.sqrt(acc / len(u))
+
+
+def reference_bind(f):
+    """A ``bind`` of the shape _step_fn generates, built from the loops
+    the generated code replaced; f(u, t, *params) is the field."""
+    def bind(rtol, atol, *params):
+        def field(u, t):
+            return f(u, t, *params)
+
+        def step(u, t, h, k1):
+            u5, err, k7 = loop_step(field, u, t, h, k1)
+            return u5, error_norm(u, u5, err, rtol, atol), k7
+        return field, step
+    return bind
+
+
+def chart_reference_bind(chart):
+    """reference_bind over the compiled chart field."""
+    fn = flow.chart_field(chart)
+    return reference_bind(lambda u, t, c: fn(u[0], u[1], t, c))
 
 
 def bits(values):
@@ -315,39 +384,65 @@ def test_generated_rf_matches_the_interpreter_at_edge_values():
 
 moderate = st.floats(-3.0, 3.0)
 step_sizes = st.one_of(st.floats(1e-8, 0.5), st.floats(-0.5, -1e-8))
+tolerances = st.floats(1e-13, 1e-3)
 
 
-def assert_step_matches_the_loop(f, u, t, h):
-    step = _step_fn(len(u))
-    try:
-        ref_u5, ref_err = loop_step(f, u, t, h)
-    except (ZeroDivisionError, OverflowError) as exc:
-        with pytest.raises(type(exc)):
-            step(f, u, t, h, f(u, t))
+def flat(step):
+    def run(u, t, h, k1):
+        u5, norm, k7 = step(u, t, h, k1)
+        return u5 + (norm,) + k7
+    return run
+
+
+def assert_step_matches_the_loop(bind, ref_bind, u, t, h, params, rtol,
+                                 atol):
+    field, step = bind(rtol, atol, *params)
+    ref_field, ref_step = ref_bind(rtol, atol, *params)
+    k1 = outcome(field, u, t)
+    assert k1 == outcome(ref_field, u, t)
+    if not isinstance(k1, tuple):
         return
-    u5, err, k7 = step(f, u, t, h, f(u, t))
-    assert bits(u5) == bits(ref_u5) and bits(err) == bits(ref_err)
-    # first same as last: the seventh stage is f at the new state.  Every
-    # stage enters err, so a finite err means finite stages, which is
-    # when the driver can accept the step and reuse k7.
-    if all(map(math.isfinite, u5 + err)):
-        assert bits(k7) == bits(f(u5, t + h))
+    k1 = field(u, t)
+    got = outcome(flat(step), u, t, h, k1)
+    assert got == outcome(flat(ref_step), u, t, h, k1)
+    if not isinstance(got, tuple):
+        return
+    # first same as last: the seventh stage is the field at the new state.
+    # Every stage enters err, so a finite norm means finite stages, which
+    # is when the driver can accept the step and reuse k7.
+    u5, norm, k7 = step(u, t, h, k1)
+    if all(map(math.isfinite, u5 + (norm,))):
+        assert bits(k7) == bits(field(u5, t + h))
 
 
 @given(st.sampled_from(flow.atlas.CHARTS), moderate, moderate, moderate,
-       moderate, step_sizes)
+       moderate, step_sizes, tolerances, tolerances)
 def test_generated_step_matches_the_loop_in_two_components(chart, y, z, t, c,
-                                                           h):
-    field = flow.chart_field(chart)
-    assert_step_matches_the_loop(lambda u, t: field(u[0], u[1], t, c),
-                                 (y, z), t, h)
+                                                           h, rtol, atol):
+    assert_step_matches_the_loop(flow._chart_step(chart),
+                                 chart_reference_bind(chart),
+                                 (y, z), t, h, (c,), rtol, atol)
 
 
-@given(moderate, moderate, moderate, moderate, step_sizes)
-def test_generated_step_matches_the_loop_in_one_component(a, b, q, t, h):
-    def f(u, t):
-        return (a * u[0] ** 2 + b * t,)
-    assert_step_matches_the_loop(f, (q,), t, h)
+@given(fracs, fracs, moderate, moderate, step_sizes, tolerances, tolerances)
+def test_generated_step_matches_the_loop_in_one_component(a, b, q, t, h, rtol,
+                                                          atol):
+    expr = a * rfvar("q") ** 2 + b * rfvar("t")
+    fn = compile_rf(expr, ("q", "t"))
+    assert_step_matches_the_loop(flow._step_fn((expr,), ("q", "t")),
+                                 reference_bind(lambda u, t: (fn(u[0], t),)),
+                                 (q,), t, h, (), rtol, atol)
+
+
+def test_generated_step_matches_the_loop_at_edge_values():
+    for chart in flow.atlas.CHARTS:
+        for y, z, h in ((1e100, 1.0, 0.1), (1e30, 1e30, -0.1),
+                        (math.inf, 0.0, 0.1), (math.nan, 1.0, 0.1),
+                        (-0.0, 0.0, 1e-300)):
+            assert_step_matches_the_loop(flow._chart_step(chart),
+                                         chart_reference_bind(chart),
+                                         (y, z), 0.5, h, (0.25,), 1e-10,
+                                         1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -359,18 +454,21 @@ def test_generated_step_matches_the_loop_in_one_component(a, b, q, t, h):
     (0.5, -1.5, 1.5, 10.0, True),     # a dozen switches
 ])
 def test_fsal_evaluations_per_step(monkeypatch, c, q0, p0, t1, rejects):
+    # The generated step evaluates its field inline, where no wrapper can
+    # count it, so the same driver runs a reference step that records
+    # every evaluation; its trajectory must equal the generated one's.
+    fused = integrate(c, FlowState("W1", q0, p0, 0.0, c), t1)
     calls = []
-    chart_field = flow.chart_field
 
-    def recording_chart_field(chart):
-        fn = chart_field(chart)
+    def recording_bind(chart):
+        fn = flow.chart_field(chart)
 
-        def field(y, z, t, c):
-            calls.append((chart, y, z, t))
-            return fn(y, z, t, c)
-        return field
+        def field(u, t, c):
+            calls.append((chart, u[0], u[1], t))
+            return fn(u[0], u[1], t, c)
+        return reference_bind(field)
 
-    monkeypatch.setattr(flow, "chart_field", recording_chart_field)
+    monkeypatch.setattr(flow, "_chart_step", recording_bind)
     traj = integrate(c, FlowState("W1", q0, p0, 0.0, c), t1)
     steps = traj.accepted + traj.rejected
     assert traj.switches and steps > 900 and (traj.rejected > 0) == rejects
@@ -380,3 +478,7 @@ def test_fsal_evaluations_per_step(monkeypatch, c, q0, p0, t1, rejects):
     firsts = [cur for prev, cur in zip(calls, calls[1:]) if cur[0] != prev[0]]
     assert firsts == [(ev.to_chart, ev.y_post, ev.z_post, ev.t)
                       for ev in traj.switches]
+    assert [(s.chart, bits(s[1:])) for s in traj.states] == \
+        [(s.chart, bits(s[1:])) for s in fused.states]
+    assert traj.switches == fused.switches
+    assert (traj.accepted, traj.rejected) == (fused.accepted, fused.rejected)
