@@ -82,10 +82,6 @@ PII = _pii_derivation()
 PHASE = _phase_derivation()
 
 
-def derive(expr, field: Derivation = PII) -> RationalFunction:
-    return field.of(expr)
-
-
 # ---------------------------------------------------------------------------
 # solution-level maps
 

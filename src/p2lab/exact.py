@@ -17,6 +17,11 @@ exactly when its numerator is the zero polynomial.  It becomes canonical
 only when rendered, through the public ``RationalFunction(num, den)``
 constructor; a zero renders as ``0`` with no gcd.
 
+All substitution runs on that pair, in one loop (``_subs_cleared``):
+``RationalFunction.substitute`` expands the pair under the bindings with
+every inner denominator cleared and canonicalizes the result once, and
+``Polynomial.subs_poly`` is the same loop with unit denominators.
+
 A monomial is stored packed into one int (Monagan & Pearce's packed
 monomials): one 8-bit field per variable, ``ALPHABET[0]`` highest, and the
 total degree in a field above them all.  Integer order is then exactly the
@@ -359,23 +364,8 @@ class Polynomial:
 
     def subs_poly(self, bindings: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Substitute polynomials for variables (others untouched)."""
-        idx = {var_index(n): p for n, p in bindings.items()}
-        out: dict = {}
-        pow_cache: dict[tuple[int, int], Polynomial] = {}
-        for e, q in self._terms.items():
-            term = Polynomial.const(q)
-            rest = e
-            for i, p in idx.items():
-                k = (rest >> _SHIFT[i]) & 0xFF
-                if k:
-                    rest -= k * _ONE[i]
-                    key = (i, k)
-                    if key not in pow_cache:
-                        pow_cache[key] = p ** k
-                    term = term * pow_cache[key]
-            term = term * Polynomial._new({rest: Fraction(1)})
-            _add_into(out, term._terms)
-        return Polynomial._new(out)
+        subs = {var_index(n): _Unreduced.of(p) for n, p in bindings.items()}
+        return _subs_cleared(self, subs, dict.fromkeys(subs, 0))
 
     def eval_fractions(self, bindings: Mapping[str, Scalar]) -> Fraction:
         """Fully evaluate; every variable present must be bound."""
@@ -620,12 +610,6 @@ def _is_one(p: Polynomial) -> bool:
     return len(p._terms) == 1 and p._terms.get(0) == 1
 
 
-def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
-    if a.is_zero() or b.is_zero():
-        return Polynomial.zero()
-    return divexact(a * b, poly_gcd(a, b)).primitive()
-
-
 # ---------------------------------------------------------------------------
 # rational functions
 
@@ -798,13 +782,7 @@ class RationalFunction:
         Raises IdenticallyZeroDenominator if the substituted denominator
         collapses to the zero polynomial.
         """
-        rf_bindings = {n: RationalFunction.coerce(v) for n, v in bindings.items()}
-        new_num = _subs_poly_rf(self.num, rf_bindings)
-        new_den = _subs_poly_rf(self.den, rf_bindings)
-        if new_den.is_zero():
-            raise IdenticallyZeroDenominator(
-                "substitution sends the denominator to zero identically")
-        return new_num / new_den
+        return _Unreduced.of(self).substitute(bindings).canonical()
 
     def partial(self, name: str) -> "RationalFunction":
         """Partial derivative (quotient rule, exact)."""
@@ -850,26 +828,6 @@ class RationalFunction:
         return f"{num}/{den}"
 
     __repr__ = __str__
-
-
-def _subs_poly_rf(p: Polynomial, bindings: Mapping[str, RationalFunction]) -> RationalFunction:
-    idx = {var_index(n): v for n, v in bindings.items()}
-    total = RationalFunction.const(0)
-    pow_cache: dict[tuple[int, int], RationalFunction] = {}
-    for e, q in p._terms.items():
-        rest = e
-        factor = RationalFunction.const(q)
-        for i, v in idx.items():
-            k = (rest >> _SHIFT[i]) & 0xFF
-            if k:
-                rest -= k * _ONE[i]
-                key = (i, k)
-                if key not in pow_cache:
-                    pow_cache[key] = v ** k
-                factor = factor * pow_cache[key]
-        factor = factor * Polynomial._new({rest: Fraction(1)})
-        total = total + factor
-    return total
 
 
 def _cross_cancel(n1: Polynomial, d1: Polynomial,

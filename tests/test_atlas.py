@@ -28,9 +28,8 @@ def test_round_trips(i, j, passes):
 
 
 @pytest.mark.parametrize("i,j", PAIRS)
-def test_fiberwise_jacobians_are_one(i, j, passes):
+def test_fiberwise_jacobians_are_one(i, j):
     # the registry checks i -> j; the reverse direction is checked here
-    assert passes(f"jacobian {i}.{j}")
     assert (jacobian_det(j, i) - 1).is_zero()
     assert str(jacobian_det(j, i)) == "1"
 

@@ -38,14 +38,13 @@ def test_curve_multiplicities(name, mults):
     assert multiplicities(curve_specs()[name]) == mults
 
 
-def test_engine_agrees_with_registry(passes):
+def test_engine_agrees_with_registry():
     # the registry compares the classes both sides name; here, that the
     # curves which should be shared are
     for regime in lattice.REGIMES:
         shared = set(engine_classes(regime)) & set(lattice.named_classes(regime))
         split_out = {"c=0": {"C2", "C5"}, "c=-1": {"C6"}}.get(regime, set())
         assert {"S", "f", "C1", "C3", "C4", "C5", "C6"} - split_out <= shared
-        assert passes(*(f"class[{regime}] {name}" for name in shared))
 
 
 @pytest.mark.parametrize("regime", lattice.REGIMES)

@@ -3,13 +3,15 @@
 Everything downstream trusts this layer blindly, so the algebraic laws
 are exercised with random inputs rather than hand-picked examples.
 """
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from p2lab.exact import (
+    ALPHABET,
     MAX_DEGREE,
     NVARS,
     DivisionByZero,
@@ -25,9 +27,9 @@ from p2lab.exact import (
     _unpack,
     divexact,
     poly_gcd,
-    poly_lcm,
     rf,
     rfvar,
+    rfvars,
     var_index,
 )
 
@@ -140,14 +142,6 @@ def test_gcd_absorbs_common_factor(a, b, g):
     assert q * gp == h.primitive()
     w = poly_gcd(h, g)
     assert w.primitive() == gp or w.primitive() == -gp
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_polys, small_polys)
-def test_lcm_times_gcd(a, b):
-    lhs = (poly_gcd(a, b) * poly_lcm(a, b)).primitive()
-    rhs = (a * b).primitive()
-    assert lhs == rhs or lhs == -rhs
 
 
 @settings(max_examples=40, deadline=None)
@@ -506,12 +500,125 @@ def test_canonical_equality_is_a_zero_difference(ab):
     assert (a == -b) == (a + b).is_zero()
 
 
+# -- substitution ------------------------------------------------------------
+#
+# Reference: a polynomial expanded under the bindings term by term with
+# RationalFunction operations, so that every partial sum and product is
+# canonical.  The kernel substitutes on the unreduced pair instead, with
+# the inner denominators cleared, and canonicalizes once.
+
+
+def subs_reference(p, bindings):
+    """The polynomial p with variables replaced by rational functions."""
+    total = rf(0)
+    for e, q in p.terms.items():
+        term = rf(q)
+        for i, k in enumerate(e):
+            if k:
+                name = ALPHABET[i]
+                term = term * rf(bindings.get(name, rfvar(name))) ** k
+        total = total + term
+    return total
+
+
+def substitute_reference(a, bindings):
+    den = subs_reference(a.den, bindings)
+    if den.is_zero():
+        raise IdenticallyZeroDenominator("reference denominator is zero")
+    return subs_reference(a.num, bindings) / den
+
+
+# seeded rational points, for the properties that evaluate
+_rng = random.Random(1729)
+POINTS = tuple({v: Fraction(_rng.randint(-40, 40), _rng.randint(1, 9)) for v in VARS}
+               for _ in range(4))
+
+
+def _value(f, point):
+    """f at point, or None where a denominator vanishes."""
+    try:
+        return f.eval_fractions(point)
+    except DivisionByZero:
+        return None
+
+
+def _evaluation_cases(a, bindings):
+    """(point, value of a at the bound images of point) at every seeded
+    point where no denominator vanishes."""
+    for pt in POINTS:
+        inner = {v: _value(rf(w), pt) for v, w in bindings.items()}
+        if None in inner.values():
+            continue
+        want = _value(a, {**pt, **inner})
+        if want is not None:
+            yield pt, want
+
+
+# canonicalizing a multi-variable substitution is a full gcd, whose runtime
+# has the heavy tail above in three variables; in q and p alone it does not
+qp_exponents = st.tuples(st.integers(0, 2), st.integers(0, 2), st.just(0))
+qp_linear_exponents = st.tuples(st.integers(0, 1), st.integers(0, 1), st.just(0))
+
+
+def qp_rationals(max_terms):
+    return st.builds(RationalFunction, polys(max_terms=max_terms, exps=qp_exponents),
+                     polys(max_terms=max_terms, exps=qp_linear_exponents).filter(bool))
+
+
+@settings(max_examples=60, deadline=None)
+@given(qp_rationals(3), qp_rationals(2), qp_rationals(2))
+@example(RationalFunction(Polynomial.const(1), Polynomial.variable("q") + 1),
+         rf(Polynomial.variable("p")),
+         RationalFunction(Polynomial.variable("q"), Polynomial.variable("p") + 2))
+def test_substitute_then_evaluate_is_evaluate_then_substitute(a, u, v):
+    bindings = {"q": u, "p": v}
+    try:
+        image = a.substitute(bindings)
+    except IdenticallyZeroDenominator:
+        return
+    for pt, want in _evaluation_cases(a, bindings):
+        assert image.eval_fractions(pt) == want
+
+
+def test_substitution_canonicalizes_once(monkeypatch):
+    from p2lab import exact
+    depth, top = [0], [0]
+
+    def counted(a, b):
+        top[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return poly_gcd(a, b)
+        finally:
+            depth[0] -= 1
+
+    q, p, t = rfvars("q", "p", "t")
+    f = (q ** 2 + p) / (q - t)
+    bindings = {"q": p / (t + 1), "p": q * t}
+    monkeypatch.setattr(exact, "poly_gcd", counted)
+    image = f.substitute(bindings)
+    assert top[0] == 1
+    monkeypatch.undo()
+    assert image == substitute_reference(f, bindings)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), st.lists(st.sampled_from(VARS), min_size=2, max_size=3, unique=True),
+       st.lists(polys(max_terms=3, exps=small_exponents), min_size=3, max_size=3))
+def test_subs_poly_then_evaluate_is_evaluate_then_subs_poly(a, names, images):
+    bindings = dict(zip(names, images))
+    image = a.subs_poly(bindings)
+    for pt, want in _evaluation_cases(rf(a), bindings):
+        assert image.eval_fractions(pt) == want
+
+
 # -- unreduced quotients ----------------------------------------------------
 #
 # Reference: the same expression built from RationalFunction operations,
-# which keep every intermediate value canonical.  Substitution is applied
-# to a leaf only: the reference route's gcds have a heavy runtime tail
-# once a substituted quotient is itself a sum or product of quotients.
+# which keep every intermediate value canonical, and from the term-by-term
+# substitution above.  Substitution is applied to a leaf only: the
+# reference route's gcds have a heavy runtime tail once a substituted
+# quotient is itself a sum or product of quotients.
 
 @st.composite
 def expressions(draw, depth):
@@ -525,7 +632,7 @@ def expressions(draw, depth):
         v = draw(st.sampled_from(VARS))
         w = draw(rationals)
         try:
-            ref = a.substitute({v: w})
+            ref = substitute_reference(a, {v: w})
         except IdenticallyZeroDenominator:
             with pytest.raises(IdenticallyZeroDenominator):
                 _Unreduced.of(a).substitute({v: w})

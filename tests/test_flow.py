@@ -137,8 +137,8 @@ def test_reversibility():
 
 
 def test_riccati_reduction_agrees():
-    worst_q, p_drift = flow.riccati_compare(0.0, 1.5, 0.0, IntegratorConfig())
-    assert worst_q < 1e-8
+    # the budget on q is test_acceptance.test_criterion_11_numerics'
+    _, p_drift = flow.riccati_compare(0.0, 1.5, 0.0, IntegratorConfig())
     assert p_drift < 1e-12
 
 

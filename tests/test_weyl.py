@@ -57,10 +57,9 @@ def test_isometries_preserve_pairing(u, v):
         assert lattice.pair(iso.apply(a), iso.apply(b)) == lattice.pair(a, b)
 
 
-def test_reversing_isometry_images(passes):
+def test_reversing_isometry_images():
     # the registry checks the involution, C1 -> C3, D1 -> D7, the fixed
     # anticanonical class and the boundary span; here, each image
-    assert passes("isometry-reversing")
     reg = lattice.named_classes()
     j = weyl.jstar()
     assert j.apply(reg["C3"]) == reg["C1"]
@@ -68,10 +67,9 @@ def test_reversing_isometry_images(passes):
         assert j.apply(reg[f"D{i}"]) == reg[f"D{(8 - i) % 8}"]
 
 
-def test_fixing_isometry_images(passes):
+def test_fixing_isometry_images():
     # the registry checks the involution, C1 -> C2, C3 fixed and the
-    # boundary span
-    assert passes("isometry-fixing")
+    # boundary span; here, the image of C2
     reg = lattice.named_classes()
     assert weyl.istar().apply(reg["C2"]) == reg["C1"]
 
@@ -87,17 +85,8 @@ def test_translation_isometry_is_not_periodic():
 
 def test_orbit_seed_and_growth(passes):
     # seed C2; for n <= 50 squares -1, pairing 1 with the anticanonical
-    # class, all distinct
+    # class, all distinct; matrix reduction, recurrence and closed form agree
     assert passes("orbit-seed", "orbit-invariants")
-
-
-def test_mod_boundary_reduction_routes_agree(passes):
-    # matrix reduction, recurrence and closed form agree for n <= 50
-    assert passes("orbit-invariants")
-
-
-def test_distinctness_helper(passes):
-    assert passes("orbit-invariants")
 
 
 def test_stated_orbit_values():
