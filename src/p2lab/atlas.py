@@ -3,8 +3,11 @@
 Charts are named W1, W3, W12; each carries fiber coordinates (y, z) over
 the (t, c) base.  Transitions, Hamiltonians, relative differential
 forms, the deformation cocycle, the parameter involution, and the
-vanishing-cycle periods are all handled exactly; every check either
-returns a canonical zero or exhibits the nonzero defect.
+vanishing-cycle periods are all handled exactly.  A check that only
+asks whether an identity holds substitutes into unreduced quotients
+(``exact._Unreduced``), which take no gcd, and tests the difference for
+a zero numerator; canonical values are kept for what is printed or
+compiled to float code.
 
 Relative forms are taken over the c-line: t is a coordinate, c a
 constant, matching the convention in which d kills dc but not dt.
@@ -60,19 +63,6 @@ class Transition:
         ty, tz = CHART_VARS[self.target]
         return {ty: self.y_img, tz: self.z_img}
 
-    def compose(self, then: "Transition") -> "Transition":
-        """First self, then ``then`` (whose source must be self.target).
-
-        Domain bookkeeping keeps only the first factor's condition; the
-        composed formulas' own denominators carry the rest.
-        """
-        if then.source != self.target:
-            raise AtlasError("composition chart mismatch")
-        b = self.bindings()
-        return Transition(self.source, then.target,
-                          then.y_img.substitute(b), then.z_img.substitute(b),
-                          self.domain)
-
     def apply(self, y, z, t, c) -> tuple[Fraction, Fraction]:
         vals = {"t": Fraction(t), "c": Fraction(c)}
         sy, sz = CHART_VARS[self.source]
@@ -80,10 +70,10 @@ class Transition:
         return self.y_img.eval_fractions(vals), self.z_img.eval_fractions(vals)
 
 
-def _shear_tail(y: RationalFunction, c: RationalFunction, t: RationalFunction,
-                quartic_coeff) -> RationalFunction:
-    """(2c+1)/y + t/y^2 + k/y^4, the z-offset between W3 and W12."""
-    return (2 * c + 1) / y + t / y ** 2 + rf(quartic_coeff) / y ** 4
+def _shear_tail(y: RationalFunction, c: RationalFunction,
+                t: RationalFunction) -> RationalFunction:
+    """(2c+1)/y + t/y^2 + 2/y^4, the z-offset between W3 and W12."""
+    return (2 * c + 1) / y + t / y ** 2 + 2 / y ** 4
 
 
 @lru_cache(maxsize=None)
@@ -102,10 +92,10 @@ def transition(source: str, target: str) -> Transition:
         return Transition("W3", "W1", 1 / y3, y3 * (c - y3 * z3),
                           Polynomial.variable("y3"))
     if key == ("W3", "W12"):
-        return Transition("W3", "W12", y3, z3 - _shear_tail(y3, c, t, 2),
+        return Transition("W3", "W12", y3, z3 - _shear_tail(y3, c, t),
                           Polynomial.variable("y3"))
     if key == ("W12", "W3"):
-        return Transition("W12", "W3", y12, z12 + _shear_tail(y12, c, t, 2),
+        return Transition("W12", "W3", y12, z12 + _shear_tail(y12, c, t),
                           Polynomial.variable("y12"))
     if key == ("W1", "W12"):
         return Transition("W1", "W12", 1 / y1,
@@ -118,10 +108,17 @@ def transition(source: str, target: str) -> Transition:
     raise AtlasError(f"unknown chart pair {key}")
 
 
+def _pulled(expr, bindings: dict) -> _Unreduced:
+    """expr with the bindings substituted, as an unreduced quotient."""
+    return _Unreduced.of(expr).substitute(bindings)
+
+
 def round_trip_is_identity(i: str, j: str) -> bool:
-    out = transition(i, j).compose(transition(j, i))
-    sy, sz = CHART_VARS[i]
-    return out.y_img == rfvar(sy) and out.z_img == rfvar(sz)
+    b = transition(i, j).bindings()
+    back = transition(j, i)
+    sy, sz = (Polynomial.variable(v) for v in CHART_VARS[i])
+    return ((_pulled(back.y_img, b) - sy).is_zero()
+            and (_pulled(back.z_img, b) - sz).is_zero())
 
 
 def consistency_check(quartic_coeff=2, reflect_c_on_direct: bool = False) -> bool:
@@ -130,18 +127,19 @@ def consistency_check(quartic_coeff=2, reflect_c_on_direct: bool = False) -> boo
     The default arguments reproduce the atlas; changing the quartic tail
     coefficient or reflecting c on one side are negative controls.
     """
-    t, c = rfvars("t", "c")
-    y3 = rfvar("y3")
-    step = Transition("W3", "W12", y3,
-                      rfvar("z3") - _shear_tail(y3, c, t, quartic_coeff),
-                      Polynomial.variable("y3"))
-    composite = transition("W1", "W3").compose(step)
+    step = transition("W3", "W12")
+    # a quartic coefficient k in place of 2 adds (2 - k)/y3^4 to z12
+    step_z = _Unreduced.of(step.z_img) + _Unreduced(
+        Polynomial.const(2 - Fraction(quartic_coeff)),
+        Polynomial.variable("y3") ** 4)
+    b = transition("W1", "W3").bindings()
     direct = transition("W1", "W12")
-    dy, dz = direct.y_img, direct.z_img
+    dy, dz = _Unreduced.of(direct.y_img), _Unreduced.of(direct.z_img)
     if reflect_c_on_direct:
-        dy = dy.substitute({"c": -1 - c})
-        dz = dz.substitute({"c": -1 - c})
-    return composite.y_img == dy and composite.z_img == dz
+        flip = {"c": -1 - Polynomial.variable("c")}
+        dy, dz = _pulled(dy, flip), _pulled(dz, flip)
+    return ((_pulled(step.y_img, b) - dy).is_zero()
+            and (_pulled(step_z, b) - dz).is_zero())
 
 
 def jacobian_det(i: str, j: str) -> RationalFunction:
@@ -200,12 +198,12 @@ def hamilton_field(chart: str) -> tuple[RationalFunction, RationalFunction]:
 @dataclass(frozen=True)
 class RelTwoForm:
     """A*dy^dz + B*dy^dt + C*dz^dt in a fixed chart's coordinates.  The
-    coefficients of a pulled-back form, and of a difference with one, are
-    unreduced quotients."""
+    coefficients are canonical in a chart's own form and unreduced
+    quotients in a pulled-back form or a difference with one."""
 
-    dy_dz: RationalFunction
-    dy_dt: RationalFunction
-    dz_dt: RationalFunction
+    dy_dz: RationalFunction | _Unreduced
+    dy_dt: RationalFunction | _Unreduced
+    dz_dt: RationalFunction | _Unreduced
 
     def is_zero(self) -> bool:
         return (self.dy_dz.is_zero() and self.dy_dt.is_zero()
@@ -219,10 +217,12 @@ class RelTwoForm:
 
 @dataclass(frozen=True)
 class RelOneForm:
-    """A*dy + B*dz at fixed (t, c)."""
+    """A*dy + B*dz at fixed (t, c).  The coefficients are canonical in a
+    cocycle value and unreduced quotients in a pulled-back form or a sum
+    with one."""
 
-    dy: RationalFunction
-    dz: RationalFunction
+    dy: RationalFunction | _Unreduced
+    dz: RationalFunction | _Unreduced
 
     def is_zero(self) -> bool:
         return self.dy.is_zero() and self.dz.is_zero()
@@ -247,9 +247,7 @@ def pullback_two_form(form: RelTwoForm, tr: Transition) -> RelTwoForm:
     tested for zero, which needs no gcd."""
     b = tr.bindings()
     (yy, yz, yt), (zy, zz, zt) = (map(_Unreduced.of, row) for row in tr.jacobian)
-    a = _Unreduced.of(form.dy_dz).substitute(b)
-    bb = _Unreduced.of(form.dy_dt).substitute(b)
-    cc = _Unreduced.of(form.dz_dt).substitute(b)
+    a, bb, cc = (_pulled(f, b) for f in (form.dy_dz, form.dy_dt, form.dz_dt))
     return RelTwoForm(
         a * (yy * zz - yz * zy),
         a * (yy * zt - yt * zy) + bb * yy + cc * zy,
@@ -258,10 +256,11 @@ def pullback_two_form(form: RelTwoForm, tr: Transition) -> RelTwoForm:
 
 
 def pullback_one_form(form: RelOneForm, tr: Transition) -> RelOneForm:
+    """Express a one-form on tr.target in tr.source coordinates, with
+    unreduced coefficients, like ``pullback_two_form``."""
     b = tr.bindings()
-    (yy, yz, _), (zy, zz, _) = tr.jacobian
-    a = form.dy.substitute(b)
-    bb = form.dz.substitute(b)
+    (yy, yz, _), (zy, zz, _) = (map(_Unreduced.of, row) for row in tr.jacobian)
+    a, bb = _pulled(form.dy, b), _pulled(form.dz, b)
     return RelOneForm(a * yy + bb * zy, a * yz + bb * zz)
 
 
@@ -308,51 +307,32 @@ def ks_cocycle_additivity() -> bool:
 # the parameter involution
 
 
-def _involution_w1(c_img: RationalFunction) -> dict:
+def _involution_w1(c_img: RationalFunction | Polynomial) -> dict:
     """Substitution on W1 data: y1 -> -y1, z1 -> -(z1 + 2y1^2 + t)."""
-    t = rfvar("t")
-    y1, z1 = rfvars("y1", "z1")
+    t, y1, z1 = (Polynomial.variable(n) for n in ("t", "y1", "z1"))
     return {"y1": -y1, "z1": -(z1 + 2 * y1 ** 2 + t), "c": c_img}
 
 
-def involution_check(c_img: RationalFunction | None = None) -> bool:
+def involution_check(c_img: RationalFunction | Polynomial | None = None) -> bool:
     """The sign involution intertwines the atlas at parameter c with the
     atlas at parameter -(c+1): the W1-to-W12 rule at the image parameter,
     composed with the substitution, is the plain W1-to-W3 rule followed
     by the sign flip of both W3 coordinates, and symmetrically with W3
     and W12 exchanged.  The default c-image is -(c+1); any other image
     (the negative control) breaks the identities."""
-    c = rfvar("c")
     if c_img is None:
-        c_img = -(c + 1)
+        c_img = -(Polynomial.variable("c") + 1)
     sigma = _involution_w1(c_img)
-
-    checks = []
-    # route A: (W1 --sigma--> W1[c']) then transition to W12 at c'
-    tr112 = transition("W1", "W12")
-    lhs_y = tr112.y_img.substitute(sigma)
-    lhs_z = tr112.z_img.substitute(sigma)
-    # against: transition to W3 at c, then flip both coordinates
-    tr13 = transition("W1", "W3")
-    checks.append(lhs_y == -tr13.y_img)
-    checks.append(lhs_z == -tr13.z_img)
-
-    # route B: same with the two target charts exchanged
-    tr13b = transition("W1", "W3")
-    lhs_y = tr13b.y_img.substitute(sigma)
-    lhs_z = tr13b.z_img.substitute(sigma)
-    tr112b = transition("W1", "W12")
-    checks.append(lhs_y == -tr112b.y_img)
-    checks.append(lhs_z == -tr112b.z_img)
-    return all(checks)
+    tr13, tr112 = transition("W1", "W3"), transition("W1", "W12")
+    return all((_pulled(a, sigma) + b).is_zero() for a, b in (
+        (tr112.y_img, tr13.y_img), (tr112.z_img, tr13.z_img),
+        (tr13.y_img, tr112.y_img), (tr13.z_img, tr112.z_img)))
 
 
 def involution_squared_is_identity() -> bool:
-    c = rfvar("c")
-    sigma = _involution_w1(-(c + 1))
-    twice = {k: v.substitute(sigma) for k, v in sigma.items()}
-    return (twice["y1"] == rfvar("y1") and twice["z1"] == rfvar("z1")
-            and twice["c"] == c)
+    sigma = _involution_w1(-(Polynomial.variable("c") + 1))
+    return all((_pulled(v, sigma) - Polynomial.variable(k)).is_zero()
+               for k, v in sigma.items())
 
 
 # ---------------------------------------------------------------------------

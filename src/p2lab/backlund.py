@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
-    IdenticallyZeroDenominator, Polynomial, RationalFunction, _Unreduced,
-    rf, rfvar, rfvars,
+    ExactError, IdenticallyZeroDenominator, Polynomial, RationalFunction,
+    _Unreduced, divexact, rf, rfvar, rfvars,
 )
 
 
@@ -280,14 +280,12 @@ def invariant_curve_division(f: Polynomial, c0) -> tuple[bool, Polynomial | None
     f0 = f.subs_poly(spec)
     if f0.is_zero() or f0.is_constant():
         raise BacklundError("curve degenerates at this parameter")
-    df = PHASE.of(f0)
-    if not df.is_polynomial():
-        raise BacklundError("derivation image not polynomial")
-    df0 = df.as_polynomial().subs_poly(spec)
-    ratio = rf(df0) / rf(f0)
-    if ratio.is_polynomial():
-        return True, ratio.as_polynomial()
-    return False, None
+    # the phase images are polynomials, so D(f0) comes out over 1
+    df0 = PHASE.of(_Unreduced.of(f0)).num.subs_poly(spec)
+    try:
+        return True, divexact(df0, f0)
+    except ExactError:
+        return False, None
 
 
 # ---------------------------------------------------------------------------

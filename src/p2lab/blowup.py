@@ -38,7 +38,8 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .exact import (
-    Polynomial, RationalFunction, divexact, poly_gcd, rf, rfvar, var_index,
+    Polynomial, RationalFunction, _Unreduced, divexact, poly_gcd, rf, rfvar,
+    var_index,
 )
 from .lattice import DivisorClass
 
@@ -160,7 +161,12 @@ def _check_curve_ok(p: Polynomial, regime: str, chart_vars: tuple[str, str]) -> 
 
 
 def _numerator_after(poly: Polynomial, bindings: dict) -> Polynomial:
-    return rf(poly).substitute(bindings).num
+    """Numerator of poly under the bindings, with no gcd taken.  The
+    bindings' denominators are monomials in the target chart's variables,
+    so this differs from the canonical numerator by a constant and at most
+    such a monomial; the callers strip those variables wherever a monomial
+    can arise, and make the result primitive."""
+    return _Unreduced.of(poly).substitute(bindings).num
 
 
 def to_w1(spec: CurveSpec, regime: str) -> Polynomial | None:

@@ -5,8 +5,6 @@ nothing here is performance-critical (dimensions are at most 10).
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -14,7 +12,8 @@ def identity(n: int) -> list[list[int]]:
 
 def matmul(a, b):
     n, k, m = len(a), len(b), len(b[0])
-    assert len(a[0]) == k
+    if len(a[0]) != k:
+        raise ValueError(f"cannot multiply {n}x{len(a[0])} by {k}x{m}")
     return [[sum(a[i][s] * b[s][j] for s in range(k)) for j in range(m)] for i in range(n)]
 
 
@@ -169,32 +168,10 @@ def det(a):
     return sign * m[n - 1][n - 1]
 
 
-def solve_rational(a, b):
-    """Solve a @ x == b exactly over Q (a square, invertible); Fractions out."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
-
-
 def invert_unimodular(a):
-    """Exact inverse of an integer matrix with det +-1 (integer output)."""
-    n = len(a)
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        x = solve_rational(a, e)
-        if any(f.denominator != 1 for f in x):
-            raise ValueError("matrix is not unimodular")
-        cols.append([int(f) for f in x])
-    return transpose(cols)
+    """Exact inverse of an integer matrix with det +-1 (integer output):
+    u @ a @ v == I gives a^-1 = v @ u."""
+    u, d, v = smith_normal_form(a)
+    if d != identity(len(a)):
+        raise ValueError("matrix is not unimodular")
+    return matmul(v, u)

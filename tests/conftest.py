@@ -8,8 +8,13 @@ once keeps passing.
 
 `p2lab verify all` runs once per session; its checks are parametrized as
 one test id each and read through the ``report`` fixture.
+
+Child processes get this checkout's ``src`` first on their PYTHONPATH
+(``checkout_env``), so they run the code under test, not an installed copy.
 """
 import functools
+import os
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -54,3 +59,14 @@ def report() -> dict:
 def passes(report):
     """passes(*ids): every named check of the session report passed."""
     return lambda *ids: all(report[cid]["status"] == "pass" for cid in ids)
+
+
+@pytest.fixture(scope="session")
+def checkout_env() -> dict:
+    """The environment for a child python, with this checkout's ``src``
+    ahead of anything else on its PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env

@@ -1,7 +1,10 @@
 """The three-chart cover: transitions, Hamiltonians, gluing of the
 fiberwise symplectic structure, the deformation cocycle, the parameter
 involution, and the vanishing-cycle periods.  Identities the `verify`
-registry states are read from the session report (``passes``)."""
+registry states are read from the session report (``passes``); the zero
+checks are also run against the canonical route they replaced, on the
+identity and on a perturbed negative control."""
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,14 +20,96 @@ from p2lab.atlas import (
     period_c4_minus_c3,
     transition,
 )
-from p2lab.exact import Polynomial
+from p2lab.exact import Polynomial, rf, rfvar, rfvars
 
 PAIRS = (("W1", "W3"), ("W3", "W12"), ("W1", "W12"))
 
 
+# -- the canonical route the zero checks replaced, kept as the reference ----
+#
+# Composition by canonical substitution (the former Transition.compose),
+# the canonical pullback and the former involution, each compared with ==.
+
+def ref_compose(first, then):
+    """The images of ``then`` after ``first``, canonical."""
+    b = first.bindings()
+    return then.y_img.substitute(b), then.z_img.substitute(b)
+
+
+def ref_round_trip_is_identity(i, j):
+    y, z = ref_compose(atlas.transition(i, j), atlas.transition(j, i))
+    sy, sz = atlas.CHART_VARS[i]
+    return y == rfvar(sy) and z == rfvar(sz)
+
+
+def ref_consistency_check(quartic_coeff=2, reflect_c_on_direct=False):
+    t, c = rfvars("t", "c")
+    y3, z3 = rfvars("y3", "z3")
+    tail = (2 * c + 1) / y3 + t / y3 ** 2 + rf(quartic_coeff) / y3 ** 4
+    step = atlas.Transition("W3", "W12", y3, z3 - tail,
+                            Polynomial.variable("y3"))
+    y, z = ref_compose(atlas.transition("W1", "W3"), step)
+    direct = atlas.transition("W1", "W12")
+    dy, dz = direct.y_img, direct.z_img
+    if reflect_c_on_direct:
+        dy = dy.substitute({"c": -1 - c})
+        dz = dz.substitute({"c": -1 - c})
+    return y == dy and z == dz
+
+
+def ref_involution_w1(c_img):
+    t, y1, z1 = rfvars("t", "y1", "z1")
+    return {"y1": -y1, "z1": -(z1 + 2 * y1 ** 2 + t), "c": c_img}
+
+
+def ref_involution_check(sigma):
+    tr13, tr112 = atlas.transition("W1", "W3"), atlas.transition("W1", "W12")
+    return (tr112.y_img.substitute(sigma) == -tr13.y_img
+            and tr112.z_img.substitute(sigma) == -tr13.z_img
+            and tr13.y_img.substitute(sigma) == -tr112.y_img
+            and tr13.z_img.substitute(sigma) == -tr112.z_img)
+
+
+def ref_involution_squared_is_identity(sigma):
+    return all(v.substitute(sigma) == rfvar(k) for k, v in sigma.items())
+
+
+def ref_pullback_one_form(form, tr):
+    b = tr.bindings()
+    (yy, yz, _), (zy, zz, _) = tr.jacobian
+    a, bb = form.dy.substitute(b), form.dz.substitute(b)
+    return atlas.RelOneForm(a * yy + bb * zy, a * yz + bb * zz)
+
+
+def ref_ks_cocycle_additivity():
+    v13 = ref_pullback_one_form(atlas.ks_cocycle("W1", "W3"),
+                                atlas.transition("W12", "W3"))
+    return (v13 + atlas.ks_cocycle("W3", "W12")
+            - atlas.ks_cocycle("W1", "W12")).is_zero()
+
+
+def with_perturbed(monkeypatch, name, key, wrap):
+    """Make atlas.<name>(*key) return wrap(its value); other calls are
+    left as they are."""
+    real = getattr(atlas, name)
+    monkeypatch.setattr(atlas, name, lambda *a: wrap(real(*a)) if a == key
+                        else real(*a))
+
+
 @pytest.mark.parametrize("i,j", PAIRS)
-def test_round_trips(i, j, passes):
+def test_round_trips(i, j, passes, monkeypatch):
     assert passes(f"round-trip {i}.{j}")
+    for a, b in ((i, j), (j, i)):
+        assert atlas.round_trip_is_identity(a, b)
+        assert ref_round_trip_is_identity(a, b)
+    # a defect in either image of the return leg breaks the loop
+    bump = rfvar("t") / rfvar(atlas.CHART_VARS[j][0])
+    for field in ("y_img", "z_img"):
+        with monkeypatch.context() as m:
+            with_perturbed(m, "transition", (j, i), lambda tr: replace(
+                tr, **{field: getattr(tr, field) + bump}))
+            assert not atlas.round_trip_is_identity(i, j)
+            assert not ref_round_trip_is_identity(i, j)
 
 
 @pytest.mark.parametrize("i,j", PAIRS)
@@ -65,6 +150,11 @@ def test_pointwise_round_trip(y, z, t, c):
 def test_consistency_and_its_controls(passes):
     assert passes("consistency", "control consistency-quartic",
                   "control consistency-reflected")
+    for kw, want in (({}, True), ({"quartic_coeff": 1}, False),
+                     ({"quartic_coeff": Fraction(5, 2)}, False),
+                     ({"reflect_c_on_direct": True}, False)):
+        assert atlas.consistency_check(**kw) is want, kw
+        assert ref_consistency_check(**kw) is want, kw
 
 
 def test_base_hamiltonian_is_the_phase_hamiltonian():
@@ -102,14 +192,46 @@ def test_gluing_detects_perturbation(passes):
     assert passes("control glue-perturbed")
 
 
-def test_cocycle_values(passes):
+def test_cocycle_values(passes, monkeypatch):
     assert passes("cocycle W1.W3", "cocycle W3.W12", "cocycle W1.W12",
                   "cocycle-additivity")
+    # the unreduced pullback canonicalizes to the canonical one
+    for i, j in PAIRS:
+        form = atlas.ks_cocycle(i, j)
+        for tr in (transition(k, j) for k in CHARTS if k != j):
+            got = atlas.pullback_one_form(form, tr)
+            want = ref_pullback_one_form(form, tr)
+            assert (got.dy.canonical(), got.dz.canonical()) == (want.dy,
+                                                                 want.dz)
+    assert atlas.ks_cocycle_additivity() and ref_ks_cocycle_additivity()
+    # a defect in one value breaks additivity under both routes
+    bump = atlas.RelOneForm(rf(0), 1 / rfvar("y12"))
+    with_perturbed(monkeypatch, "ks_cocycle", ("W3", "W12"),
+                   lambda v: v + bump)
+    assert not atlas.ks_cocycle_additivity()
+    assert not ref_ks_cocycle_additivity()
 
 
-def test_involution_and_controls(passes):
+def test_involution_and_controls(passes, monkeypatch):
     assert passes("involution", "involution-squared",
                   "control involution-unshifted")
+    c = rfvar("c")
+    for c_img, want in ((-(c + 1), True), (-c, False), (-c - 2, False)):
+        sigma = ref_involution_w1(c_img)
+        assert {k: rf(v) for k, v in atlas._involution_w1(c_img).items()} \
+            == sigma
+        assert atlas.involution_check(c_img) is want
+        assert ref_involution_check(sigma) is want
+    sigma = ref_involution_w1(-(c + 1))
+    assert atlas.involution_squared_is_identity()
+    assert ref_involution_squared_is_identity(sigma)
+    # a map that also doubles y1 is not an involution, under either route
+    real = atlas._involution_w1
+    monkeypatch.setattr(atlas, "_involution_w1", lambda c_img: {
+        **real(c_img), "y1": 2 * real(c_img)["y1"]})
+    assert not atlas.involution_squared_is_identity()
+    assert not ref_involution_squared_is_identity({**sigma,
+                                                   "y1": 2 * sigma["y1"]})
 
 
 @given(st.fractions(min_value=-6, max_value=6, max_denominator=8))

@@ -120,6 +120,15 @@ def test_invariant_curves():
     # a failed division carries no cofactor
     ok, cof = invariant_curve_division(Polynomial.variable("p"), 1)
     assert not ok and cof is None
+    # the registry's curves, and scaled copies, under both routes
+    p, q, t = (Polynomial.variable(n) for n in ("p", "q", "t"))
+    for f, c0, want in ((p, 0, -2 * q), (p + 2 * q ** 2 + t, -1, 2 * q),
+                        (p, 1, None), (3 * p, 0, -2 * q),
+                        (Fraction(-1, 2) * (p + 2 * q ** 2 + t), -1, 2 * q),
+                        (p + 2 * q ** 2 + t, 0, None)):
+        got = invariant_curve_division(f, c0)
+        assert got == (want is not None, want)
+        assert got == ref_invariant_curve_division(f, c0)
 
 
 def test_quadric_relation(passes):
@@ -161,6 +170,16 @@ def ref_composition_coherence_residuals():
     return q_res, p_res, c_res
 
 
+def ref_invariant_curve_division(f, c0):
+    spec = {"c": Polynomial.const(Fraction(c0))}
+    f0 = f.subs_poly(spec)
+    df0 = PHASE.of(f0).as_polynomial().subs_poly(spec)
+    ratio = rf(df0) / rf(f0)
+    if ratio.is_polynomial():
+        return True, ratio.as_polynomial()
+    return False, None
+
+
 SOLUTION_MAPS = (shift_up, shift_down, negation, identity_map)
 PHASE_MAPS = (phase_reflection, phase_negation, phase_translation)
 
@@ -193,6 +212,31 @@ def test_routed_residuals_match_the_canonical_route():
             assert r.is_zero() == ref.is_zero(), name
             assert str(r) == str(ref), name
         assert all(r.is_zero() for r in rs) == symmetry, name
+
+
+phase_monomials = st.tuples(st.integers(-3, 3), st.integers(0, 2),
+                            st.integers(0, 2), st.integers(0, 1))
+
+
+@settings(max_examples=80)
+@given(st.lists(phase_monomials, min_size=1, max_size=4),
+       st.sampled_from((-1, 0, 1, Fraction(1, 2))), st.integers(1, 2),
+       st.integers(1, 3))
+def test_invariant_division_matches_the_rf_quotient(terms, c0, n, k):
+    # polynomial division against the canonical quotient it replaced, on
+    # random curves in (q, p, c) and on powers of the two invariant
+    # curves, which divide at their own parameter only.  The random
+    # curves leave t out: with it, the reference's gcds reach the heavy
+    # tail of the three-variable PRS (seconds per example).
+    q, p, t, c = (Polynomial.variable(v) for v in ("q", "p", "t", "c"))
+    f = sum((m * q ** a * p ** b * c ** e for m, a, b, e in terms),
+            Polynomial.zero())
+    for g in (f, k * p ** n, k * (p + 2 * q ** 2 + t) ** n):
+        try:
+            got = invariant_curve_division(g, c0)
+        except backlund.BacklundError:
+            continue
+        assert got == ref_invariant_curve_division(g, c0)
 
 
 def _random_point(rng, variables):

@@ -15,7 +15,7 @@ from p2lab.blowup import (
     engine_classes,
     multiplicities,
 )
-from p2lab.exact import Polynomial
+from p2lab.exact import Polynomial, rf
 
 
 def test_section_multiplicities():
@@ -136,3 +136,23 @@ def test_total_class_matches_engine():
     eng = engine_classes()
     for name in ("C1", "C4", "C5", "C6"):
         assert blowup.total_class(specs[name]) == eng[name], name
+
+
+def test_unreduced_numerators_match_the_canonical_route(monkeypatch):
+    # the charts' traces from the pair's numerator against the ones from
+    # the canonical numerator it replaced
+    def traces():
+        out = {}
+        for regime in lattice.REGIMES:
+            for name, spec in curve_specs(regime).items():
+                out[regime, name] = (blowup.to_w1(spec, regime)
+                                     if spec.chart != "W4" else None,
+                                     blowup.to_w4(spec, regime))
+                if name != "S":
+                    out[regime, name] += blowup.base_class(spec, regime)
+        return out
+
+    got = traces()
+    monkeypatch.setattr(blowup, "_numerator_after", lambda poly, bindings:
+                        rf(poly).substitute(bindings).num)
+    assert got == traces()

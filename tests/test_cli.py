@@ -14,10 +14,12 @@ import pytest
 from p2lab import atlas, blowup, cli, weyl
 
 
-def run_cli(*args):
-    """One run through the ``python -m p2lab.cli`` entry point."""
+def run_cli(env, *args):
+    """One run of this checkout through the ``python -m p2lab.cli`` entry
+    point, in the environment ``env``."""
     return subprocess.run([sys.executable, "-m", "p2lab.cli", *args],
-                          capture_output=True, text=True, timeout=600)
+                          capture_output=True, text=True, timeout=600,
+                          env=env)
 
 
 def run_in_process(capsys, *args):
@@ -87,10 +89,10 @@ def test_verify_all_known_discrepancies(capsys, report):
                      "orbit-stated-high"}
 
 
-def test_usage_error_exit_code():
-    r = run_cli("verify", "bogus")
+def test_usage_error_exit_code(checkout_env):
+    r = run_cli(checkout_env, "verify", "bogus")
     assert r.returncode == 2
-    r = run_cli("gamma")
+    r = run_cli(checkout_env, "gamma")
     assert r.returncode == 2
 
 
@@ -121,14 +123,15 @@ def test_integrate_csv_and_switch_events(capsys):
     assert len(flagged) == len(events)
 
 
-def test_outputs_are_byte_identical_across_runs():
+def test_outputs_are_byte_identical_across_runs(checkout_env):
     # separate processes: nothing may depend on hash seeds or ids
     for args in (("verify", "lattice", "--json"),
                  ("curves", "--regime", "c=0"),
                  ("integrate", "--c", "1/2", "--t0", "0", "--t1", "2",
                   "--q0", "0", "--p0", "0")):
-        a = run_cli(*args)
-        b = run_cli(*args)
+        a = run_cli(checkout_env, *args)
+        b = run_cli(checkout_env, *args)
+        assert a.returncode == b.returncode == 0, (args, a.stderr)
         assert a.stdout == b.stdout and a.stderr == b.stderr, args
 
 

@@ -2,7 +2,6 @@
 import random
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -17,7 +16,6 @@ from p2lab.intlinalg import (
     matvec,
     smith_normal_form,
     solve_integer,
-    solve_rational,
 )
 
 
@@ -97,13 +95,30 @@ def test_det_matches_cofactor_expansion(a):
     assert det(a) == cofactor(a)
 
 
-@given(matrices(3, 3), st.lists(st.integers(-6, 6), min_size=3, max_size=3))
-def test_solve_rational(a, x):
-    if det(a) == 0:
-        return
-    b = matvec(a, x)
-    sol = solve_rational(a, [Fraction(v) for v in b])
-    assert sol == [Fraction(v) for v in x]
+@st.composite
+def unimodular(draw):
+    """A product of random elementary integer operations on the identity:
+    row swaps, sign flips and adding a multiple of one row to another."""
+    n = draw(st.integers(1, 5))
+    m = identity(n)
+    for _ in range(draw(st.integers(0, 12))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        op = draw(st.sampled_from(("swap", "negate", "add")))
+        if op == "swap":
+            m[i], m[j] = m[j], m[i]
+        elif op == "negate":
+            m[i] = [-x for x in m[i]]
+        elif i != j:
+            k = draw(st.integers(-4, 4))
+            m[i] = [x + k * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+@given(unimodular())
+def test_invert_unimodular_is_an_inverse(m):
+    inv = invert_unimodular(m)
+    assert matmul(inv, m) == identity(len(m))
+    assert matmul(m, inv) == identity(len(m))
 
 
 def test_invert_unimodular():
@@ -121,14 +136,28 @@ def test_invert_unimodular_rejects_other_determinants(a):
         invert_unimodular(a)
 
 
-def test_unimodular_guard_survives_optimized_mode():
+def run_optimized(env, code):
+    """Run code in a child ``python -O`` on this checkout."""
+    return subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+
+
+def test_unimodular_guard_survives_optimized_mode(checkout_env):
     # the guard is a raise, not an assert, so python -O keeps it
-    code = ("from p2lab.intlinalg import invert_unimodular\n"
-            "invert_unimodular([[2]])\n")
-    r = subprocess.run([sys.executable, "-O", "-c", code],
-                       capture_output=True, text=True, timeout=120)
+    r = run_optimized(checkout_env,
+                      "from p2lab.intlinalg import invert_unimodular\n"
+                      "invert_unimodular([[2]])\n")
     assert r.returncode == 1
     assert "ValueError: matrix is not unimodular" in r.stderr
+
+
+def test_matmul_shape_guard_survives_optimized_mode(checkout_env):
+    r = run_optimized(checkout_env,
+                      "from p2lab.intlinalg import matmul\n"
+                      "matmul([[1, 2, 3]], [[1], [1]])\n")
+    assert r.returncode == 1
+    assert "ValueError: cannot multiply 1x3 by 2x1" in r.stderr
 
 
 # ---------------------------------------------------------------------------
