@@ -9,6 +9,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import grid_digests
 import pytest
 
 from p2lab import atlas, blowup, cli, weyl
@@ -155,6 +156,14 @@ def test_w12_trajectory_digest(capsys):
     out, err = capsys.readouterr()
     assert "W12" in out
     assert hashlib.sha256((out + err).encode()).hexdigest() == want
+
+
+def test_integrate_grid_sample_matches_the_committed_digests():
+    # every 29th command of the benchmark's integrate grid, and the pole
+    # demo that ends it; CI replays all of them (tests/grid_digests.py)
+    commands = grid_digests.integrate_grid()
+    sample = commands[::29] + commands[-1:]
+    assert grid_digests.mismatches(sample, grid_digests.load()) == []
 
 
 def test_verify_all_computes_each_cocycle_once(capsys):
