@@ -437,6 +437,8 @@ def _cmd_integrate(args) -> int:
         print(json.dumps({"event": "switch", "t": f"{ev.t:.17g}",
                           "from": ev.from_chart, "to": ev.to_chart}),
               file=sys.stderr)
+    if args.stats:
+        print(json.dumps({"stats": traj.stats_record()}), file=sys.stderr)
     return 0
 
 
@@ -521,6 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
     it.add_argument("--rtol", type=_finite_float, default=1e-10)
     it.add_argument("--atol", type=_finite_float, default=1e-12)
     it.add_argument("--R", type=_finite_float, default=5.0)
+    it.add_argument("--stats", action="store_true",
+                    help="write the step statistics as one JSON line to "
+                         "stderr")
     return ap
 
 

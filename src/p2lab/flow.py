@@ -89,23 +89,69 @@ class SwitchEvent:
 
 
 @dataclass
+class StepStats:
+    """What one integration did.  A step is rejected for its error norm
+    (above 1), for an OverflowError in its stages, or for a non-finite
+    norm.  A forced step is one accepted at the step-size floor with an
+    error norm above 1.  Field evaluations count six for every attempted
+    step and one for every first stage evaluated afresh; h_min and h_max
+    range over the accepted |h|, and chart_steps counts the accepted steps
+    taken in each chart."""
+    field_evals: int = 0
+    accepted: int = 0
+    rejected_error: int = 0
+    rejected_overflow: int = 0
+    rejected_non_finite: int = 0
+    forced: int = 0
+    h_min: float = math.inf
+    h_max: float = 0.0
+    chart_steps: dict = field(default_factory=dict)
+
+    @property
+    def rejected(self) -> int:
+        return (self.rejected_error + self.rejected_overflow
+                + self.rejected_non_finite)
+
+
+@dataclass
 class Trajectory:
     c: float
     states: list = field(default_factory=list)
     switches: list = field(default_factory=list)
-    accepted: int = 0
-    rejected: int = 0
-    _forced: int = 0
+    stats: StepStats = field(default_factory=StepStats)
 
     @property
     def final(self) -> FlowState:
         return self.states[-1]
 
     @property
+    def accepted(self) -> int:
+        return self.stats.accepted
+
+    @property
+    def rejected(self) -> int:
+        return self.stats.rejected
+
+    @property
     def forced(self) -> int:
         """Accepted steps whose error norm exceeded 1: taken at the
         step-size floor, where the step cannot shrink further."""
-        return self._forced
+        return self.stats.forced
+
+    def stats_record(self) -> dict:
+        """The stats as ``integrate --stats`` prints them; the h range is
+        null when no step was accepted."""
+        s = self.stats
+        return {"field_evals": s.field_evals, "accepted": s.accepted,
+                "rejected": {"error_norm": s.rejected_error,
+                             "overflow": s.rejected_overflow,
+                             "non_finite": s.rejected_non_finite},
+                "forced": s.forced,
+                "h_min": s.h_min if s.accepted else None,
+                "h_max": s.h_max if s.accepted else None,
+                "steps_per_chart": {chart: s.chart_steps.get(chart, 0)
+                                    for chart in atlas.CHARTS},
+                "switches": len(self.switches)}
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +419,8 @@ def _adaptive(stepper, u0, t0, t1, config, on_accept=None, stats=None):
     ``stepper()`` returns a bound ``(field, step)`` pair; it is read at
     the start and again whenever on_accept replaces the state (chart
     switching hooks in there), which it must do with a new object.
-    stats, when given, is a three-slot list receiving the [accepted,
-    rejected, forced] counts; a forced step is one accepted at the
-    step-size floor with an error norm above 1.
+    stats, when given, is a StepStats that receives the counts, also when
+    the run fails.
 
     The first stage is reused (FSAL): after a rejected step u and t are
     unchanged, and after an accepted step that on_accept left alone the
@@ -390,7 +435,9 @@ def _adaptive(stepper, u0, t0, t1, config, on_accept=None, stats=None):
     u, t = u0, t0
     h = direction * min(H_INIT, H_MAX, abs(t1 - t0))
     err_prev = 1.0
-    steps = accepted = rejected = forced = 0
+    steps = accepted = forced = evals = 0
+    rej_error = rej_overflow = rej_non_finite = 0
+    h_min, h_max = math.inf, 0.0
     k1 = None
     try:
         while (t1 - t) * direction > 0:
@@ -407,13 +454,17 @@ def _adaptive(stepper, u0, t0, t1, config, on_accept=None, stats=None):
                 raise StepFailure("state became non-finite")
             try:
                 if k1 is None:
+                    evals += 1
                     k1 = field(u, t)
+                evals += 6
                 u_new, norm, k7 = step(u, t, h, k1)
             except OverflowError:
                 k1 = None
-                norm = math.inf
+                rej_overflow += 1
+                h = direction * abs(h) * 0.2
+                continue
             if not isfinite(norm):
-                rejected += 1
+                rej_non_finite += 1
                 h = direction * abs(h) * 0.2
                 continue
             if norm <= 1.0 or abs(h) <= 1e-13 * floor:
@@ -421,6 +472,9 @@ def _adaptive(stepper, u0, t0, t1, config, on_accept=None, stats=None):
                     forced += 1
                 t = t1 if final_step else t + h
                 u = u_new
+                accepted += 1
+                h_min = min(h_min, abs(h))
+                h_max = max(h_max, abs(h))
                 if on_accept is not None:
                     u = on_accept(u, t)
                 if u is not u_new:
@@ -428,17 +482,23 @@ def _adaptive(stepper, u0, t0, t1, config, on_accept=None, stats=None):
                     k1 = None
                 else:
                     k1 = None if final_step else k7
-                accepted += 1
                 fac = 0.9 * (norm ** -0.14 if norm > 0 else 2.0) \
                     * (err_prev ** 0.08)
                 err_prev = max(norm, 1e-10)
             else:
-                rejected += 1
+                rej_error += 1
                 fac = max(0.2, 0.9 * norm ** -0.2)
             h = direction * min(abs(h) * min(5.0, max(0.2, fac)), H_MAX)
     finally:
         if stats is not None:
-            stats[:] = accepted, rejected, forced
+            stats.field_evals += evals
+            stats.accepted += accepted
+            stats.rejected_error += rej_error
+            stats.rejected_overflow += rej_overflow
+            stats.rejected_non_finite += rej_non_finite
+            stats.forced += forced
+            stats.h_min = min(stats.h_min, h_min)
+            stats.h_max = max(stats.h_max, h_max)
     return u
 
 
@@ -454,6 +514,7 @@ def integrate(c: float, initial: FlowState, t1: float,
     chart_box = [initial.chart]
     cf = float(c)
     threshold = config.switch_threshold
+    chart_steps = traj.stats.chart_steps
 
     def stepper():
         return _chart_step(chart_box[0])(config.rtol, config.atol, c)
@@ -461,6 +522,7 @@ def integrate(c: float, initial: FlowState, t1: float,
     def on_accept(u, t):
         y, z = u
         cur = chart_box[0]
+        chart_steps[cur] = chart_steps.get(cur, 0) + 1
         if max(abs(y), abs(z)) > threshold:
             target = best_chart(cur, y, z, t, c)
             if target != cur:
@@ -472,10 +534,8 @@ def integrate(c: float, initial: FlowState, t1: float,
         record(FlowState(cur, y, z, t, cf))
         return u
 
-    stats = [0, 0, 0]
     _adaptive(stepper, (initial.y, initial.z), initial.t, t1, config,
-              on_accept, stats)
-    traj.accepted, traj.rejected, traj._forced = stats
+              on_accept, traj.stats)
     if traj.final.t != t1:
         # zero-length span: loop body never ran
         traj.states.append(FlowState(chart_box[0], initial.y, initial.z,

@@ -166,6 +166,40 @@ def test_integrate_grid_sample_matches_the_committed_digests():
     assert grid_digests.mismatches(sample, grid_digests.load()) == []
 
 
+POLE_DEMO_STATS = {
+    "field_evals": 5684, "accepted": 946,
+    "rejected": {"error_norm": 0, "overflow": 0, "non_finite": 0},
+    "forced": 0, "h_min": 0.000772070560381874, "h_max": 0.025749308263414674,
+    "steps_per_chart": {"W1": 433, "W3": 513, "W12": 0}, "switches": 7}
+W12_STATS = {
+    "field_evals": 11968, "accepted": 1983,
+    "rejected": {"error_norm": 9, "overflow": 0, "non_finite": 0},
+    "forced": 0, "h_min": 0.00015261333068394833,
+    "h_max": 0.029327255579897574,
+    "steps_per_chart": {"W1": 305, "W3": 800, "W12": 878}, "switches": 15}
+
+
+@pytest.mark.parametrize("argv,stats", [
+    (["integrate", "--c", "1/2", "--t0", "0", "--t1", "8", "--q0", "0",
+      "--p0", "0"], POLE_DEMO_STATS),
+    (["integrate", "--c=-1", "--t0=0.0", "--t1=10.0", "--q0=-1.5",
+      "--p0=0.0"], W12_STATS),
+])
+def test_integrate_stats(capsys, argv, stats):
+    # --stats appends one JSON line to stderr and changes nothing else;
+    # six field evaluations a step, and one more at the start and after
+    # each switch
+    plain = run_in_process(capsys, *argv)
+    code, out, err = run_in_process(capsys, *argv, "--stats")
+    last = err.splitlines()[-1]
+    assert (code, out, err) == (plain[0], plain[1], plain[2] + last + "\n")
+    assert json.loads(last) == {"stats": stats}
+    assert stats["field_evals"] == 6 * (
+        stats["accepted"] + sum(stats["rejected"].values())
+    ) + 1 + stats["switches"]
+    assert sum(stats["steps_per_chart"].values()) == stats["accepted"]
+
+
 def test_verify_all_computes_each_cocycle_once(capsys):
     # the cocycle checks and cocycle-additivity share three values
     atlas.ks_cocycle.cache_clear()

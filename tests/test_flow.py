@@ -198,11 +198,12 @@ def test_overflow_in_a_step_is_a_rejected_step():
     # q^100 overflows at q = 1e10, in the first stage and in every step
     bind = flow._step_fn((rfvar("q") ** 100,), ("q", "t"))
     config = IntegratorConfig()
-    stats = [0, 0, 0]
+    stats = flow.StepStats()
     with pytest.raises(StepFailure):
         _adaptive(lambda: bind(config.rtol, config.atol), (1e10,), 0.0, 1.0,
                   config, None, stats)
-    assert stats[0] == 0 and stats[1] > 0 and stats[2] == 0
+    assert stats.accepted == stats.forced == 0
+    assert stats.rejected == stats.rejected_overflow > 0
 
 
 def test_forced_accepts_are_counted_at_the_step_size_floor():
@@ -214,12 +215,12 @@ def test_forced_accepts_are_counted_at_the_step_size_floor():
     def step(u, t, h, k1):
         return (u[0] + h,), 2.0, (0.0,)
 
-    stats = [0, 0, 0]
+    stats = flow.StepStats()
     with pytest.raises(StepFailure, match="underflow"):
         _adaptive(lambda: (field, step), (0.0,), 0.0, 1.0,
                   IntegratorConfig(), None, stats)
-    accepted, rejected, forced = stats
-    assert forced == accepted > 0 and rejected > 0
+    assert stats.forced == stats.accepted > 0
+    assert stats.rejected == stats.rejected_error > 0
 
 
 @pytest.mark.parametrize("c,q0,p0,t1,counts,charts", [
