@@ -445,11 +445,12 @@ def _adaptive(stepper, u0, t0, t1, config, on_accept=None, stats=None):
             if steps > MAX_STEPS:
                 raise StepFailure("step budget exhausted")
             floor = abs(t) if abs(t) > 1.0 else 1.0
-            if abs(h) < 1e-14 * floor:
-                raise StepFailure("step size underflow")
             final_step = (t + h - t1) * direction >= 0
             if final_step:
                 h = t1 - t
+            elif abs(h) < 1e-14 * floor:
+                # a final step may be below the floor: the span is that short
+                raise StepFailure("step size underflow")
             if not all(map(isfinite, u)):
                 raise StepFailure("state became non-finite")
             try:

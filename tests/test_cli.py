@@ -200,6 +200,23 @@ def test_integrate_stats(capsys, argv, stats):
     assert sum(stats["steps_per_chart"].values()) == stats["accepted"]
 
 
+@pytest.mark.parametrize("t0,t1", [("5", "5.000000000000001"),
+                                   ("0", "1e-15")])
+def test_a_span_below_the_step_size_floor_is_one_final_step(capsys, t0, t1):
+    # before, both exited 2 with "step size underflow": the floor was
+    # tested before the step was cut to end at t1
+    code, out, err = run_in_process(capsys, "integrate", "--c", "1/2",
+                                    f"--t0={t0}", f"--t1={t1}", "--q0", "0",
+                                    "--p0", "0", "--stats")
+    rows = out.splitlines()[1:]
+    assert code == 0 and len(rows) == 2
+    assert [float(row.split(",")[0]) for row in rows] == [float(t0),
+                                                          float(t1)]
+    stats = json.loads(err)["stats"]
+    assert (stats["accepted"], stats["h_min"]) == (
+        1, float(t1) - float(t0))
+
+
 def test_verify_all_computes_each_cocycle_once(capsys):
     # the cocycle checks and cocycle-additivity share three values
     atlas.ks_cocycle.cache_clear()
@@ -230,6 +247,39 @@ def test_verify_all_walks_the_orbit_once(monkeypatch, capsys):
     capsys.readouterr()
     assert 0 < calls["apply"] <= 125
     assert 0 < calls["chain_trace"] <= 20
+
+
+def run_capturing(capsys, argv):
+    """Exit status, stdout and stderr of one in-process ``cli.run``,
+    usage errors included."""
+    try:
+        code = cli.run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def test_the_cached_parser_answers_like_fresh_ones(monkeypatch, capsys):
+    # the parser is built once per process; a usage error must leave
+    # nothing behind for the next command
+    sequence = [["gamma", "--n", "0"], ["gamma", "--n", "3"],
+                ["integrate", "--c", "1/2"], ["periods", "--c", "1/3"],
+                ["verify"], ["orbit", "--n-max", "2"]]
+    cached = [run_capturing(capsys, argv) for argv in sequence]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [run_capturing(capsys, argv) for argv in sequence]
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [2, 0, 2, 0, 2, 0]
+
+
+def test_a_flow_error_is_a_one_line_usage_error(capsys):
+    # every RK stage overflows, so the step size collapses; the next
+    # command in the process is unaffected
+    code, out, err = run_capturing(capsys, integrate_argv(q0="1e200"))
+    assert (code, out) == (2, "")
+    assert err == "p2lab: error: step size underflow\n"
+    assert run_capturing(capsys, ["gamma", "--n", "3"]) == (0, "(-3, 4)\n",
+                                                           "")
 
 
 def integrate_argv(**opts):
