@@ -428,10 +428,15 @@ def _cmd_integrate(args) -> int:
         yield "t,chart,y,z,q_equiv,p_equiv,switch_flag\n"
         for s in traj.states:
             chart, y, z, t, _ = s
-            q, p = to_w1(s)
             flag = 1 if t in switch_times else 0
-            yield (f"{t:.17g},{chart},{y:.17g},{z:.17g},"
-                   f"{q:.17g},{p:.17g},{flag}\n")
+            if chart == "W1":
+                # the base-chart equivalents are y and z themselves
+                yz = f"{y:.17g},{z:.17g}"
+                yield f"{t:.17g},W1,{yz},{yz},{flag}\n"
+            else:
+                q, p = to_w1(s)
+                yield (f"{t:.17g},{chart},{y:.17g},{z:.17g},"
+                       f"{q:.17g},{p:.17g},{flag}\n")
 
     sys.stdout.writelines(rows())
     for ev in traj.switches:

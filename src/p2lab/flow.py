@@ -331,9 +331,9 @@ _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
 
 
 def _step_fn(exprs, names: tuple[str, ...]):
-    """Generated ``bind(rtol, atol, *params) -> (field, step)`` for the
-    system du/dt = exprs over ``names`` = state variables, then "t", then
-    the parameters, which are bound once per integration.
+    """Generated ``bind(rtol, atol, *params) -> (field, step, loop)`` for
+    the system du/dt = exprs over ``names`` = state variables, then "t",
+    then the parameters, which are bound once per integration.
 
     ``field(u, t)`` is the tuple of the exprs at (u, t).  ``step(u, t, h,
     k1) -> (u5, norm, k7)`` is one Dormand-Prince step with k1 = field(u,
@@ -345,7 +345,11 @@ def _step_fn(exprs, names: tuple[str, ...]):
     its time is t + 1.0*h), so k7 = field(u5, t + h): the first stage of
     the next step when nothing moved the state in between.  ``norm`` is
     the RMS of err_m / (atol + rtol * max(|u_m|, |u5_m|)), summed left to
-    right from 0.0, with err = u5 - u4."""
+    right from 0.0, with err = u5 - u4.
+
+    ``loop`` runs those steps from t towards t1 under PI step control,
+    with the step inlined, the state and k1 in float locals; see
+    ``_loop_source``."""
     n = len(exprs)
     powers = set()
 
@@ -355,192 +359,239 @@ def _step_fn(exprs, names: tuple[str, ...]):
 
     srcs = [_rf_source(e, names, power) for e in exprs]
     # each power is taken once where its base is bound: a parameter's
-    # once per call, a state variable's or t's once per stage
-    fixed = [f"        a{k}_{p} = a{k} ** {p}" for k, p in sorted(powers)
-             if k > n]
-    moving = [f"        a{k}_{p} = a{k} ** {p}" for k, p in sorted(powers)
-              if k <= n]
+    # once per stage set, a state variable's or t's once per stage
+    fixed = [f"a{k}_{p} = a{k} ** {p}" for k, p in sorted(powers) if k > n]
+    moving = [f"a{k}_{p} = a{k} ** {p}" for k, p in sorted(powers) if k <= n]
 
     def comb(weights, m):
         return " + ".join(["0.0"] + [f"{w!r} * k{r + 1}_{m}"
                                      for r, w in enumerate(weights)])
 
-    def vec(parts):
-        return "(" + "".join(f"{p}, " for p in parts) + ")"
+    # k1 = field(u, t) from u_0, u_1, ... and t
+    first = [*fixed, *(f"a{m} = u_{m}" for m in range(n)), f"a{n} = t",
+             *moving, *(f"k1_{m} = {src}" for m, src in enumerate(srcs))]
+    # stages 2 to 7 from u_m, t, h and k1_m; then the new state v_m, the
+    # error norm and k7_m (x_m is |v_m|)
+    rest = list(fixed)
+    for s in range(1, 7):
+        rest += [f"a{m} = u_{m} + h * ({comb(_A[s], m)})" for m in range(n)]
+        rest.append(f"a{n} = t + {_C[s]!r} * h")
+        rest += moving
+        rest += [f"k{s + 1}_{m} = {src}" for m, src in enumerate(srcs)]
+    err_w = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
+    terms = []
+    for m in range(n):
+        rest += [f"v_{m} = u_{m} + h * ({comb(_B5, m)})",
+                 f"e_{m} = h * ({comb(err_w, m)})",
+                 f"s_{m} = abs(u_{m})",
+                 f"x_{m} = abs(v_{m})",
+                 f"if x_{m} > s_{m}:",
+                 f"    s_{m} = x_{m}"]
+        terms.append(f" + (e_{m} / (atol + rtol * s_{m})) ** 2")
+    rest.append(f"norm = sqrt((0.0{''.join(terms)}) / {n})")
+
+    def vec(stem):
+        return "(" + "".join(f"{stem}_{m}, " for m in range(n)) + ")"
 
     params = ", ".join(f"a{k}" for k in range(n + 1, len(names)))
     lines = [f"def bind(rtol, atol, {params}):",
              "    def field(u, t):",
-             f"        {vec(f'a{m}' for m in range(n))} = u",
-             f"        a{n} = t",
-             *fixed, *moving,
-             f"        return {vec(srcs)}",
+             f"        {vec('u')} = u",
+             *_block(2, first),
+             f"        return {vec('k1')}",
              "    def step(u, t, h, k1):",
-             f"        {vec(f'u_{m}' for m in range(n))} = u",
-             f"        {vec(f'k1_{m}' for m in range(n))} = k1",
-             *fixed]
-    for s in range(1, 7):
-        lines += [f"        a{m} = u_{m} + h * ({comb(_A[s], m)})"
-                  for m in range(n)]
-        lines.append(f"        a{n} = t + {_C[s]!r} * h")
-        lines += moving
-        lines += [f"        k{s + 1}_{m} = {src}"
-                  for m, src in enumerate(srcs)]
-    err_w = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
-    terms = []
-    for m in range(n):
-        lines += [f"        v_{m} = u_{m} + h * ({comb(_B5, m)})",
-                  f"        e_{m} = h * ({comb(err_w, m)})",
-                  f"        s_{m} = abs(u_{m})",
-                  f"        x_{m} = abs(v_{m})",
-                  f"        if x_{m} > s_{m}:",
-                  f"            s_{m} = x_{m}"]
-        terms.append(f" + (e_{m} / (atol + rtol * s_{m})) ** 2")
-    norm = f"sqrt((0.0{''.join(terms)}) / {n})"
-    lines += [f"        return {vec(f'v_{m}' for m in range(n))}, {norm}, "
-              f"{vec(f'k7_{m}' for m in range(n))}",
-              "    return field, step"]
-    namespace = {"sqrt": math.sqrt}
+             f"        {vec('u')} = u",
+             f"        {vec('k1')} = k1",
+             *_block(2, rest),
+             f"        return {vec('v')}, norm, {vec('k7')}",
+             *_block(1, _loop_source(n, vec, first, rest)),
+             "    return field, step, loop"]
+    namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite,
+                 "new": tuple.__new__}
     exec("\n".join(lines), namespace)
     return namespace["bind"]
 
 
+def _block(depth: int, lines) -> list:
+    return ["    " * depth + line for line in lines]
+
+
+def _loop_source(n, vec, first, rest):
+    """Source lines of the generated adaptive loop
+
+        loop(u, t, t1, h, err_prev, k1, budget, threshold, stats, record,
+             kind, head, tail)
+            -> (status, u, t, h, err_prev, k7, final_step)
+
+    for a system of n state variables; ``first`` and ``rest`` are the
+    lines of the first stage and of the rest of the step.  It integrates
+    from t towards t1, starting with step h, PI memory err_prev and first
+    stage k1 (None to evaluate it afresh).  Each accepted state is
+    appended as ``record(kind((head, *u, t, tail)))``.  The counts of
+    ``stats`` (a StepStats) are read on entry and written back on exit;
+    the step budget counts the steps already in them.
+
+    It returns when it reaches t1 (status None), after an accepted step
+    whose largest |u_m| exceeds ``threshold`` (status "switch"; that state
+    is not recorded, and k7 and final_step say whether its last stage may
+    be the next first stage), or with the message of a StepFailure.  Every
+    float operation is the one of the step-by-step driver it replaced
+    (kept in tests/test_flow.py), in the same order: a step is cut to end
+    at t1 when it would reach past it, and else refused below the
+    step-size floor 1e-14 * max(|t|, 1); an OverflowError or a non-finite
+    norm cuts h by 5 and evaluates the first stage afresh (after an
+    OverflowError); a norm above 1 is accepted (and counted as forced)
+    only at h <= 1e-13 * max(|t|, 1); ``min`` and ``max`` are spelled out
+    as comparisons that pick the same operand."""
+    us = vec("u")
+
+    def clamp(fac):
+        # h = direction * min(|h| * min(5.0, max(0.2, fac)), H_MAX)
+        return [f"fac = {fac}",
+                "fac = fac if fac > 0.2 else 0.2",
+                "fac = fac if fac < 5.0 else 5.0",
+                "h_new = ah * fac",
+                f"h = direction * (h_new if h_new <= {H_MAX!r} "
+                f"else {H_MAX!r})"]
+
+    size = ["size = x_0", *(f"size = x_{m} if x_{m} > size else size"
+                            for m in range(1, n))]
+    stats = ("field_evals", "accepted", "rejected_error",
+             "rejected_overflow", "rejected_non_finite", "forced", "h_min",
+             "h_max")
+    accept = [
+        "if norm > 1.0:",
+        "    forced += 1",
+        "t = t1 if final_step else t + h",
+        *(f"u_{m} = v_{m}" for m in range(n)),
+        "accepted += 1",
+        "if ah < h_min:",
+        "    h_min = ah",
+        "if ah > h_max:",
+        "    h_max = ah",
+        *clamp("0.9 * (norm ** -0.14 if norm > 0 else 2.0) "
+               "* (err_prev ** 0.08)"),
+        "err_prev = 1e-10 if norm < 1e-10 else norm",
+        *size,
+        "if size > threshold:",
+        "    status = 'switch'",
+        f"    k7 = {vec('k7')}",
+        "    break",
+        f"record(new(kind, (head, {us[1:-1]} t, tail)))",
+        *(f"k1_{m} = k7_{m}" for m in range(n))]
+    return [
+        "def loop(u, t, t1, h, err_prev, k1, budget, threshold, stats, "
+        "record, kind, head, tail):",
+        f"    {us} = u",
+        "    fresh = k1 is None",
+        "    if not fresh:",
+        f"        {vec('k1')} = k1",
+        "    direction = 1.0 if t1 > t else -1.0",
+        *(f"    {name} = stats.{name}" for name in stats),
+        "    steps = (accepted + rejected_error + rejected_overflow"
+        " + rejected_non_finite)",
+        "    status = k7 = None",
+        "    final_step = False",
+        "    while (t1 - t) * direction > 0:",
+        "        steps += 1",
+        "        if steps > budget:",
+        "            status = 'step budget exhausted'",
+        "            break",
+        "        at = abs(t)",
+        "        floor = at if at > 1.0 else 1.0",
+        "        final_step = (t + h - t1) * direction >= 0",
+        "        if final_step:",
+        "            h = t1 - t",
+        "        elif abs(h) < 1e-14 * floor:",
+        "            status = 'step size underflow'",
+        "            break",
+        "        if not (" + " and ".join(f"isfinite(u_{m})"
+                                         for m in range(n)) + "):",
+        "            status = 'state became non-finite'",
+        "            break",
+        "        try:",
+        "            if fresh:",
+        "                field_evals += 1",
+        *_block(4, first),
+        "                fresh = False",
+        "            field_evals += 6",
+        *_block(3, rest),
+        "        except OverflowError:",
+        "            fresh = True",
+        "            rejected_overflow += 1",
+        "            h = direction * abs(h) * 0.2",
+        "            continue",
+        "        if not isfinite(norm):",
+        "            rejected_non_finite += 1",
+        "            h = direction * abs(h) * 0.2",
+        "            continue",
+        "        ah = abs(h)",
+        "        if norm <= 1.0 or ah <= 1e-13 * floor:",
+        *_block(3, accept),
+        "        else:",
+        "            rejected_error += 1",
+        *_block(3, clamp("0.9 * norm ** -0.2")),
+        *(f"    stats.{name} = {name}" for name in stats),
+        f"    return status, {us}, t, h, err_prev, k7, final_step"]
 @lru_cache(maxsize=None)
 def _chart_step(chart: str):
-    """``bind(rtol, atol, c) -> (field, step)`` for one chart's Hamiltonian
-    field, compiled on the first integration that enters the chart."""
+    """``bind(rtol, atol, c) -> (field, step, loop)`` for one chart's
+    Hamiltonian field, compiled on the first integration that enters the
+    chart."""
     return _step_fn(atlas.hamilton_field(chart),
                     atlas.CHART_VARS[chart] + ("t", "c"))
 
 
-def _adaptive(stepper, u0, t0, t1, config, on_accept=None, stats=None):
-    """Drive a generated system from t0 to t1 with PI step control.
-
-    ``stepper()`` returns a bound ``(field, step)`` pair; it is read at
-    the start and again whenever on_accept replaces the state (chart
-    switching hooks in there), which it must do with a new object.
-    stats, when given, is a StepStats that receives the counts, also when
-    the run fails.
-
-    The first stage is reused (FSAL): after a rejected step u and t are
-    unchanged, and after an accepted step that on_accept left alone the
-    step's last stage is the field at the new state.  Each step therefore
-    costs six field evaluations, plus one at the start, after a replaced
-    state and after an OverflowError."""
-    if t1 == t0:
-        return u0
-    isfinite = math.isfinite
-    field, step = stepper()
+def _first_step(t0: float, t1: float) -> float:
     direction = 1.0 if t1 > t0 else -1.0
-    u, t = u0, t0
-    h = direction * min(H_INIT, H_MAX, abs(t1 - t0))
-    err_prev = 1.0
-    steps = accepted = forced = evals = 0
-    rej_error = rej_overflow = rej_non_finite = 0
-    h_min, h_max = math.inf, 0.0
-    k1 = None
-    try:
-        while (t1 - t) * direction > 0:
-            steps += 1
-            if steps > MAX_STEPS:
-                raise StepFailure("step budget exhausted")
-            floor = abs(t) if abs(t) > 1.0 else 1.0
-            final_step = (t + h - t1) * direction >= 0
-            if final_step:
-                h = t1 - t
-            elif abs(h) < 1e-14 * floor:
-                # a final step may be below the floor: the span is that short
-                raise StepFailure("step size underflow")
-            if not all(map(isfinite, u)):
-                raise StepFailure("state became non-finite")
-            try:
-                if k1 is None:
-                    evals += 1
-                    k1 = field(u, t)
-                evals += 6
-                u_new, norm, k7 = step(u, t, h, k1)
-            except OverflowError:
-                k1 = None
-                rej_overflow += 1
-                h = direction * abs(h) * 0.2
-                continue
-            if not isfinite(norm):
-                rej_non_finite += 1
-                h = direction * abs(h) * 0.2
-                continue
-            if norm <= 1.0 or abs(h) <= 1e-13 * floor:
-                if norm > 1.0:
-                    forced += 1
-                t = t1 if final_step else t + h
-                u = u_new
-                accepted += 1
-                h_min = min(h_min, abs(h))
-                h_max = max(h_max, abs(h))
-                if on_accept is not None:
-                    u = on_accept(u, t)
-                if u is not u_new:
-                    field, step = stepper()
-                    k1 = None
-                else:
-                    k1 = None if final_step else k7
-                fac = 0.9 * (norm ** -0.14 if norm > 0 else 2.0) \
-                    * (err_prev ** 0.08)
-                err_prev = max(norm, 1e-10)
-            else:
-                rej_error += 1
-                fac = max(0.2, 0.9 * norm ** -0.2)
-            h = direction * min(abs(h) * min(5.0, max(0.2, fac)), H_MAX)
-    finally:
-        if stats is not None:
-            stats.field_evals += evals
-            stats.accepted += accepted
-            stats.rejected_error += rej_error
-            stats.rejected_overflow += rej_overflow
-            stats.rejected_non_finite += rej_non_finite
-            stats.forced += forced
-            stats.h_min = min(stats.h_min, h_min)
-            stats.h_max = max(stats.h_max, h_max)
-    return u
+    return direction * min(H_INIT, H_MAX, abs(t1 - t0))
 
 
 def integrate(c: float, initial: FlowState, t1: float,
               config: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """Integrate from the initial state's time to t1, hopping charts as
-    needed; every accepted step appends a sample."""
+    needed; every accepted step appends a sample.
+
+    Each chart's generated loop runs until t1 or until an accepted state
+    leaves the threshold.  Then the best chart for that state is chosen:
+    if it is another chart, the state moves there by the exact transition
+    and its loop starts with a fresh first stage; if not, the loop goes
+    on with its last stage as the next first stage (FSAL)."""
     if not (math.isfinite(initial.t) and math.isfinite(t1)):
         raise FlowError("integration bounds must be finite")
-    traj = Trajectory(c=float(c))
-    traj.states.append(initial)
-    record = traj.states.append
-    chart_box = [initial.chart]
     cf = float(c)
+    traj = Trajectory(c=cf)
+    traj.states.append(initial)
+    record, stats = traj.states.append, traj.stats
     threshold = config.switch_threshold
-    chart_steps = traj.stats.chart_steps
-
-    def stepper():
-        return _chart_step(chart_box[0])(config.rtol, config.atol, c)
-
-    def on_accept(u, t):
+    chart, u, t = initial.chart, (initial.y, initial.z), initial.t
+    h, err_prev, k1 = _first_step(t, t1), 1.0, None
+    loops = {}
+    while True:
+        loop = loops.get(chart)
+        if loop is None:
+            loop = loops[chart] = _chart_step(chart)(config.rtol,
+                                                     config.atol, c)[2]
+        before = stats.accepted
+        status, u, t, h, err_prev, k7, final_step = loop(
+            u, t, t1, h, err_prev, k1, MAX_STEPS, threshold, stats, record,
+            FlowState, chart, cf)
+        if stats.accepted > before:
+            stats.chart_steps[chart] = (stats.chart_steps.get(chart, 0)
+                                        + stats.accepted - before)
+        if status != "switch":
+            break
         y, z = u
-        cur = chart_box[0]
-        chart_steps[cur] = chart_steps.get(cur, 0) + 1
-        if max(abs(y), abs(z)) > threshold:
-            target = best_chart(cur, y, z, t, c)
-            if target != cur:
-                y, z = transport(cur, target, y, z, t, c)
-                traj.switches.append(SwitchEvent(t, cur, target, u[0], u[1],
-                                                 y, z))
-                chart_box[0] = cur = target
-                u = (y, z)
-        record(FlowState(cur, y, z, t, cf))
-        return u
-
-    _adaptive(stepper, (initial.y, initial.z), initial.t, t1, config,
-              on_accept, traj.stats)
-    if traj.final.t != t1:
-        # zero-length span: loop body never ran
-        traj.states.append(FlowState(chart_box[0], initial.y, initial.z,
-                                     t1, cf))
+        target = best_chart(chart, y, z, t, c)
+        if target != chart:
+            u = transport(chart, target, y, z, t, c)
+            traj.switches.append(SwitchEvent(t, chart, target, y, z, *u))
+            chart, k1 = target, None
+        else:
+            k1 = None if final_step else k7
+        record(FlowState(chart, *u, t, cf))
+    if status is not None:
+        raise StepFailure(status)
     return traj
 
 
@@ -624,8 +675,8 @@ def riccati_compare(t0: float, t1: float, q0: float,
     max |p| drift)."""
     c = 0.0
     q, t = RationalFunction.variable("q"), RationalFunction.variable("t")
-    scalar = _step_fn((q ** 2 + Fraction(1, 2) * t,),
-                      ("q", "t"))(config.rtol, config.atol)
+    _, _, scalar = _step_fn((q ** 2 + Fraction(1, 2) * t,),
+                            ("q", "t"))(config.rtol, config.atol)
 
     drift = 0.0
     worst = 0.0
@@ -637,8 +688,12 @@ def riccati_compare(t0: float, t1: float, q0: float,
         state = traj.final
         drift = max(drift, max(abs(s.z) for s in traj.states
                                if s.chart in ("W1", "W3")))
-        u_scalar = _adaptive(lambda: scalar, u_scalar,
-                             tk - (t1 - t0) / checkpoints, tk, config)
+        tj = tk - (t1 - t0) / checkpoints
+        status, u_scalar, *_ = scalar(
+            u_scalar, tj, tk, _first_step(tj, tk), 1.0, None, MAX_STEPS,
+            math.inf, StepStats(), [].append, tuple, None, None)
+        if status is not None:
+            raise StepFailure(status)
         if state.chart != "W1":
             raise FlowError("trajectory left the base chart; "
                             "pick a pole-free window for this comparison")

@@ -7,10 +7,11 @@ and agreement with an independently integrated scalar reduction.
 """
 import math
 import struct
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from p2lab import atlas, flow
@@ -24,7 +25,7 @@ from p2lab.flow import (
     IntegratorConfig,
     NoChart,
     StepFailure,
-    _adaptive,
+    StepStats,
     best_chart,
     compile_rf,
     integrate,
@@ -194,33 +195,69 @@ def test_overflow_in_transport_means_outside_the_overlap():
         best_chart("W1", 1e200, 1.0, 0.0, 0.5)
 
 
+def run_loop(loop, u, t0, t1, threshold=math.inf, budget=flow.MAX_STEPS):
+    """A generated loop from t0 towards t1: (status, u, t, records,
+    stats), each record a tuple (None, *u, t, None)."""
+    stats, records = StepStats(), []
+    status, u, t, *_ = loop(u, t0, t1, flow._first_step(t0, t1), 1.0, None,
+                            budget, threshold, stats, records.append, tuple,
+                            None, None)
+    return status, u, t, records, stats
+
+
 def test_overflow_in_a_step_is_a_rejected_step():
     # q^100 overflows at q = 1e10, in the first stage and in every step
     bind = flow._step_fn((rfvar("q") ** 100,), ("q", "t"))
     config = IntegratorConfig()
-    stats = flow.StepStats()
-    with pytest.raises(StepFailure):
-        _adaptive(lambda: bind(config.rtol, config.atol), (1e10,), 0.0, 1.0,
-                  config, None, stats)
+    status, u, t, records, stats = run_loop(
+        bind(config.rtol, config.atol)[2], (1e10,), 0.0, 1.0)
+    assert (status, u, t, records) == ("step size underflow", (1e10,), 0.0,
+                                       [])
     assert stats.accepted == stats.forced == 0
     assert stats.rejected == stats.rejected_overflow > 0
+    # every attempt evaluates the first stage afresh, and overflows there
+    assert stats.field_evals == stats.rejected_overflow
 
 
 def test_forced_accepts_are_counted_at_the_step_size_floor():
-    # a step that never meets the tolerance: h shrinks to the floor, where
-    # the driver accepts (and counts as forced) until h underflows
+    # tolerances no step can meet: h shrinks to the floor, where the loop
+    # accepts (and counts as forced) until h underflows
+    bind = flow._step_fn((rfvar("q") ** 2 + rfvar("t"),), ("q", "t"))
+    status, _, t, records, stats = run_loop(bind(1e-100, 1e-100)[2],
+                                            (0.5,), 0.0, 1.0)
+    assert status == "step size underflow"
+    assert stats.forced == stats.accepted == len(records) > 0
+    assert stats.rejected == stats.rejected_error > 0
+    assert 0.0 < t < 1e-12
+
+
+def test_forced_accepts_are_counted_by_the_reference_driver():
+    # the same with a step that never meets the tolerance, driven by the
+    # step-by-step reference
     def field(u, t):
         return (0.0,)
 
     def step(u, t, h, k1):
         return (u[0] + h,), 2.0, (0.0,)
 
-    stats = flow.StepStats()
+    stats = StepStats()
     with pytest.raises(StepFailure, match="underflow"):
         _adaptive(lambda: (field, step), (0.0,), 0.0, 1.0,
                   IntegratorConfig(), None, stats)
     assert stats.forced == stats.accepted > 0
     assert stats.rejected == stats.rejected_error > 0
+
+
+def test_the_threshold_test_is_strict():
+    # under a zero field the state stays on the threshold, which is not
+    # past it: the loop runs to t1 without stopping for a chart switch
+    bind = flow._step_fn((RationalFunction.coerce(0),), ("q", "t"))
+    loop = bind(1e-10, 1e-12)[2]
+    status, u, t, records, stats = run_loop(loop, (-3.0,), 0.0, 0.0012, 3.0)
+    assert (status, u, t) == (None, (-3.0,), 0.0012)
+    assert len(records) == stats.accepted == 2
+    assert run_loop(loop, (-3.0,), 0.0, 0.0012, 2.999)[:3] == (
+        "switch", (-3.0,), 1e-3)
 
 
 @pytest.mark.parametrize("c,q0,p0,t1,counts,charts", [
@@ -397,7 +434,7 @@ def flat(step):
 
 def assert_step_matches_the_loop(bind, ref_bind, u, t, h, params, rtol,
                                  atol):
-    field, step = bind(rtol, atol, *params)
+    field, step, _ = bind(rtol, atol, *params)
     ref_field, ref_step = ref_bind(rtol, atol, *params)
     k1 = outcome(field, u, t)
     assert k1 == outcome(ref_field, u, t)
@@ -447,17 +484,304 @@ def test_generated_step_matches_the_loop_at_edge_values():
 
 
 # ---------------------------------------------------------------------------
-# FSAL: first-stage reuse in the driver
+# the generated loop against the step-by-step driver it replaced, bit for bit
+
+
+def _adaptive(stepper, u0, t0, t1, config, on_accept=None, stats=None,
+              budget=flow.MAX_STEPS):
+    """The step-by-step driver that the generated loop replaced: drive a
+    system from t0 to t1 with PI step control, calling a generated step.
+
+    ``stepper()`` returns a bound ``(field, step)`` pair; it is read at
+    the start and again whenever on_accept replaces the state (chart
+    switching hooks in there), which it must do with a new object.
+    stats, when given, is a StepStats that receives the counts, also when
+    the run fails.
+
+    The first stage is reused (FSAL): after a rejected step u and t are
+    unchanged, and after an accepted step that on_accept left alone the
+    step's last stage is the field at the new state.  Each step therefore
+    costs six field evaluations, plus one at the start, after a replaced
+    state and after an OverflowError."""
+    if t1 == t0:
+        return u0
+    isfinite = math.isfinite
+    field, step = stepper()
+    direction = 1.0 if t1 > t0 else -1.0
+    u, t = u0, t0
+    h = direction * min(flow.H_INIT, flow.H_MAX, abs(t1 - t0))
+    err_prev = 1.0
+    steps = accepted = forced = evals = 0
+    rej_error = rej_overflow = rej_non_finite = 0
+    h_min, h_max = math.inf, 0.0
+    k1 = None
+    try:
+        while (t1 - t) * direction > 0:
+            steps += 1
+            if steps > budget:
+                raise StepFailure("step budget exhausted")
+            floor = abs(t) if abs(t) > 1.0 else 1.0
+            final_step = (t + h - t1) * direction >= 0
+            if final_step:
+                h = t1 - t
+            elif abs(h) < 1e-14 * floor:
+                # a final step may be below the floor: the span is that short
+                raise StepFailure("step size underflow")
+            if not all(map(isfinite, u)):
+                raise StepFailure("state became non-finite")
+            try:
+                if k1 is None:
+                    evals += 1
+                    k1 = field(u, t)
+                evals += 6
+                u_new, norm, k7 = step(u, t, h, k1)
+            except OverflowError:
+                k1 = None
+                rej_overflow += 1
+                h = direction * abs(h) * 0.2
+                continue
+            if not isfinite(norm):
+                rej_non_finite += 1
+                h = direction * abs(h) * 0.2
+                continue
+            if norm <= 1.0 or abs(h) <= 1e-13 * floor:
+                if norm > 1.0:
+                    forced += 1
+                t = t1 if final_step else t + h
+                u = u_new
+                accepted += 1
+                h_min = min(h_min, abs(h))
+                h_max = max(h_max, abs(h))
+                if on_accept is not None:
+                    u = on_accept(u, t)
+                if u is not u_new:
+                    field, step = stepper()
+                    k1 = None
+                else:
+                    k1 = None if final_step else k7
+                fac = 0.9 * (norm ** -0.14 if norm > 0 else 2.0) \
+                    * (err_prev ** 0.08)
+                err_prev = max(norm, 1e-10)
+            else:
+                rej_error += 1
+                fac = max(0.2, 0.9 * norm ** -0.2)
+            h = direction * min(abs(h) * min(5.0, max(0.2, fac)),
+                                flow.H_MAX)
+    finally:
+        if stats is not None:
+            stats.field_evals += evals
+            stats.accepted += accepted
+            stats.rejected_error += rej_error
+            stats.rejected_overflow += rej_overflow
+            stats.rejected_non_finite += rej_non_finite
+            stats.forced += forced
+            stats.h_min = min(stats.h_min, h_min)
+            stats.h_max = max(stats.h_max, h_max)
+    return u
+
+
+def ref_integrate(c, initial, t1, config=IntegratorConfig(),
+                  bind_for=flow._chart_step):
+    """flow.integrate as it was on the step-by-step driver: the switch
+    test runs in a callback after every accepted step.  ``bind_for(chart)``
+    gives the chart's ``bind``; only its field and step are used."""
+    traj = flow.Trajectory(c=float(c))
+    traj.states.append(initial)
+    record = traj.states.append
+    chart_box = [initial.chart]
+    cf = float(c)
+    threshold = config.switch_threshold
+    chart_steps = traj.stats.chart_steps
+
+    def stepper():
+        return bind_for(chart_box[0])(config.rtol, config.atol, c)[:2]
+
+    def on_accept(u, t):
+        y, z = u
+        cur = chart_box[0]
+        chart_steps[cur] = chart_steps.get(cur, 0) + 1
+        if max(abs(y), abs(z)) > threshold:
+            target = best_chart(cur, y, z, t, c)
+            if target != cur:
+                y, z = transport(cur, target, y, z, t, c)
+                traj.switches.append(flow.SwitchEvent(t, cur, target, u[0],
+                                                      u[1], y, z))
+                chart_box[0] = cur = target
+                u = (y, z)
+        record(FlowState(cur, y, z, t, cf))
+        return u
+
+    _adaptive(stepper, (initial.y, initial.z), initial.t, t1, config,
+              on_accept, traj.stats)
+    return traj
+
+
+class Crossed(Exception):
+    pass
+
+
+def ref_run_loop(stepper, u, t0, t1, config, threshold=math.inf,
+                 budget=flow.MAX_STEPS):
+    """run_loop's answer from the reference driver."""
+    stats, records, last = StepStats(), [], [u, t0]
+
+    def on_accept(u, t):
+        last[:] = u, t
+        if max(map(abs, u)) > threshold:
+            raise Crossed
+        records.append((None, *u, t, None))
+        return u
+
+    try:
+        _adaptive(stepper, u, t0, t1, config, on_accept, stats, budget)
+        status = None
+    except Crossed:
+        status = "switch"
+    except StepFailure as exc:
+        status = str(exc)
+    return status, tuple(last[0]), last[1], records, stats
+
+
+def record_bits(records):
+    return [(r[0], bits(r[1:-1])) for r in records]
+
+
+def assert_runs_agree(got, want):
+    (status, u, t, records, stats), (status_r, u_r, t_r, records_r,
+                                     stats_r) = got, want
+    event(f"status {status}")
+    for cause in ("rejected_error", "rejected_overflow",
+                  "rejected_non_finite", "forced"):
+        if getattr(stats, cause):
+            event(cause)
+    assert (status, bits(u), bits((t,))) == (status_r, bits(u_r), bits((t_r,)))
+    assert record_bits(records) == record_bits(records_r)
+    assert stats == stats_r
+
+
+def outcome_of(fn, *args):
+    """The trajectory, or the type and message of the FlowError."""
+    try:
+        return fn(*args)
+    except flow.FlowError as exc:
+        return type(exc), str(exc)
+
+
+def assert_trajectories_agree(got, want):
+    if not isinstance(want, flow.Trajectory):
+        assert got == want
+        return
+    assert [(s.chart, bits(s[1:])) for s in got.states] == \
+        [(s.chart, bits(s[1:])) for s in want.states]
+    assert [(e.from_chart, e.to_chart, bits(astuple(e)[3:] + (e.t,)))
+            for e in got.switches] == \
+        [(e.from_chart, e.to_chart, bits(astuple(e)[3:] + (e.t,)))
+         for e in want.switches]
+    assert got.stats == want.stats
+
+
+big = st.sampled_from([1e150, -1e200, 1e300, 1.7e308, -0.0, math.inf,
+                       math.nan])
+starts = st.one_of(moderate, big)
+spans = st.one_of(st.floats(-1.5, 1.5), st.sampled_from([1e-15, -1e-300]))
+# at 1e-100 steps are forced at the step-size floor; at 1e-300 the norm
+# overflows
+loose = st.one_of(st.floats(1e-12, 1e-4), st.sampled_from([1e-100, 1e-300]))
+budgets = st.one_of(st.just(flow.MAX_STEPS), st.integers(1, 40))
+one_variable = st.one_of(
+    st.builds(lambda a, b: a * rfvar("q") ** 2 + b * rfvar("t"), fracs,
+              fracs),
+    st.sampled_from([rfvar("q") ** 100,                # overflows
+                     rfvar("q") * rfvar("t"),          # non-finite norm
+                     RationalFunction.coerce(0)]))     # stays put
+
+
+# None stands for |q0|: under the zero field the state stays there
+thresholds = st.one_of(st.just(math.inf), st.none(), st.floats(1.01, 20.0))
+
+
+@given(one_variable, starts, moderate, spans, loose, loose, budgets,
+       thresholds)
+@example(rfvar("q") * rfvar("t"), 1.7e308, 2.0, 1.0, 1e-10, 1e-12,
+         flow.MAX_STEPS, math.inf)                     # non-finite norm
+@example(RationalFunction.coerce(10 ** 308), 1.797e308, 0.0, 1.0, 1e-10,
+         1e-12, flow.MAX_STEPS, math.inf)              # accepted into inf
+@example(RationalFunction.coerce(0), -3.0, 0.0, 1.0, 1e-10, 1e-12,
+         flow.MAX_STEPS, None)                         # on the threshold
+def test_generated_loop_matches_the_driver_in_one_component(
+        expr, q, t0, span, rtol, atol, budget, threshold):
+    if threshold is None:
+        threshold = abs(q)
+    bind = flow._step_fn((expr,), ("q", "t"))
+    config = IntegratorConfig(rtol=rtol, atol=atol)
+    got = run_loop(bind(rtol, atol)[2], (q,), t0, t0 + span, threshold,
+                   budget)
+    want = ref_run_loop(lambda: bind(rtol, atol)[:2], (q,), t0, t0 + span,
+                        config, threshold, budget)
+    assert_runs_agree(got, want)
+
+
+@given(st.sampled_from(flow.atlas.CHARTS), starts, starts, moderate,
+       moderate, spans, loose, loose, budgets)
+def test_generated_loop_matches_the_driver_in_two_components(
+        chart, y, z, t0, c, span, rtol, atol, budget):
+    bind = flow._chart_step(chart)
+    config = IntegratorConfig(rtol=rtol, atol=atol)
+    got = run_loop(bind(rtol, atol, c)[2], (y, z), t0, t0 + span,
+                   budget=budget)
+    want = ref_run_loop(lambda: bind(rtol, atol, c)[:2], (y, z), t0,
+                        t0 + span, config, budget=budget)
+    assert_runs_agree(got, want)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(flow.atlas.CHARTS), moderate, moderate, moderate,
+       moderate, st.floats(-2.5, 2.5), st.floats(1e-10, 1e-5),
+       st.floats(1.5, 10.0))
+def test_integrate_matches_the_driver_across_charts(chart, y, z, t0, c, span,
+                                                    rtol, threshold):
+    config = IntegratorConfig(rtol=rtol, atol=rtol / 100,
+                              switch_threshold=threshold)
+    start = FlowState(chart, y, z, t0, c)
+    got = outcome_of(integrate, c, start, t0 + span, config)
+    event(f"{len(got.switches)} switches" if isinstance(got, flow.Trajectory)
+          else got[1])
+    assert_trajectories_agree(
+        got, outcome_of(ref_integrate, c, start, t0 + span, config))
+
+
+@pytest.mark.parametrize("c,q0,p0,t1", [
+    (0.5, 0.0, 0.0, 8.0),          # the README pole demo
+    (-1.0, -1.5, 0.0, 10.0),       # the W12 trajectory
+    (0.5, 1e200, 0.0, 1.0),        # overflows until h underflows
+    (0.5, 0.0, 0.0, 1e-15),        # shorter than the step-size floor
+])
+def test_integrate_matches_the_driver(c, q0, p0, t1):
+    start = FlowState("W1", q0, p0, 0.0, c)
+    assert_trajectories_agree(outcome_of(integrate, c, start, t1),
+                              outcome_of(ref_integrate, c, start, t1))
+
+
+def test_riccati_comparison_is_unchanged():
+    # the values of the step-by-step driver, to the bit
+    worst, drift = flow.riccati_compare(0.0, 1.5, 0.0)
+    assert (worst.hex(), drift.hex()) == ("0x1.6780000000000p-39",
+                                          "0x0.0p+0")
+
+
+# ---------------------------------------------------------------------------
+# FSAL: first-stage reuse in the loop
 
 
 @pytest.mark.parametrize("c,q0,p0,t1,rejects", [
     (0.5, 0.0, 0.0, 8.0, False),      # the README pole demo
     (0.5, -1.5, 1.5, 10.0, True),     # a dozen switches
 ])
-def test_fsal_evaluations_per_step(monkeypatch, c, q0, p0, t1, rejects):
-    # The generated step evaluates its field inline, where no wrapper can
-    # count it, so the same driver runs a reference step that records
-    # every evaluation; its trajectory must equal the generated one's.
+def test_fsal_evaluations_per_step(c, q0, p0, t1, rejects):
+    # The generated loop evaluates its field inline, where no wrapper can
+    # count it, so the reference driver runs a reference step that records
+    # every evaluation.  Its trajectory must equal the generated one's, and
+    # its count the loop's field_evals.
     fused = integrate(c, FlowState("W1", q0, p0, 0.0, c), t1)
     calls = []
 
@@ -469,17 +793,15 @@ def test_fsal_evaluations_per_step(monkeypatch, c, q0, p0, t1, rejects):
             return fn(u[0], u[1], t, c)
         return reference_bind(field)
 
-    monkeypatch.setattr(flow, "_chart_step", recording_bind)
-    traj = integrate(c, FlowState("W1", q0, p0, 0.0, c), t1)
+    traj = ref_integrate(c, FlowState("W1", q0, p0, 0.0, c), t1,
+                         bind_for=recording_bind)
     steps = traj.accepted + traj.rejected
     assert traj.switches and steps > 900 and (traj.rejected > 0) == rejects
-    assert len(calls) <= 6 * steps + 1 + len(traj.switches)
+    assert len(calls) == fused.stats.field_evals == \
+        6 * steps + 1 + len(traj.switches)
     assert switch_continuity_ok(traj)
     # a step after a switch starts afresh, at the post-switch state
     firsts = [cur for prev, cur in zip(calls, calls[1:]) if cur[0] != prev[0]]
     assert firsts == [(ev.to_chart, ev.y_post, ev.z_post, ev.t)
                       for ev in traj.switches]
-    assert [(s.chart, bits(s[1:])) for s in traj.states] == \
-        [(s.chart, bits(s[1:])) for s in fused.states]
-    assert traj.switches == fused.switches
-    assert (traj.accepted, traj.rejected) == (fused.accepted, fused.rejected)
+    assert_trajectories_agree(fused, traj)
