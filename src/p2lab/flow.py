@@ -158,38 +158,44 @@ class Trajectory:
 # compiling exact expressions to straight-line float code
 
 
-def _poly_source(poly: Polynomial, idx: dict, power=None) -> str:
+def _poly_source(poly: Polynomial, idx: dict, power=None, fold=None) -> str:
     """Float source of a polynomial over the arguments a0, a1, ...: each
     term is ``coeff * a_k ** p * ...`` multiplied left to right, and the
-    terms are summed left to right from 0.0.  A factor 1.0 and an
-    exponent 1 are left out, which changes no bit: x * 1.0 and x ** 1 are
-    x.  ``power(k, p)``, when given, names the source of a_k ** p for
-    p > 1."""
+    terms are summed left to right from 0.0.  Three rewrites change no
+    bit: a factor 1.0 and an exponent 1 are left out (x * 1.0 and x ** 1
+    are x), and a term with a negative coefficient is subtracted with the
+    coefficient's absolute value (negation is exact and rounding is
+    symmetric, so s + (-c) * x is s - c * x).  ``power(k, p)``, when
+    given, names the source of a_k ** p for p > 1; ``fold(factors)``,
+    when given, maps a term's list of (k, source) factors, k None for the
+    coefficient, to the sources to multiply."""
     total = "0.0"
     for e, q in poly.terms.items():
         coeff = float(q)
-        factors = [] if coeff == 1.0 else [repr(coeff)]
+        sign = " - " if coeff < 0 else " + "
+        factors = [] if abs(coeff) == 1.0 else [(None, repr(abs(coeff)))]
         for i, p in enumerate(e):
             if p:
                 if i not in idx:
                     raise FlowError(
                         f"expression uses unbound variable index {i}")
                 k = idx[i]
-                factors.append(f"a{k}" if p == 1 else
-                               power(k, p) if power else f"a{k} ** {p}")
-        total += " + " + (" * ".join(factors) or "1.0")
+                factors.append((k, f"a{k}" if p == 1 else
+                                power(k, p) if power else f"a{k} ** {p}"))
+        srcs = fold(factors) if fold else [src for _, src in factors]
+        total += sign + (" * ".join(srcs) or "1.0")
     return total
 
 
 def _rf_source(expr: RationalFunction | Polynomial,
-               names: tuple[str, ...], power=None) -> str:
+               names: tuple[str, ...], power=None, fold=None) -> str:
     expr = RationalFunction.coerce(expr)
     idx = {var_index(n): k for k, n in enumerate(names)}
-    num = _poly_source(expr.num, idx, power)
+    num = _poly_source(expr.num, idx, power, fold)
     if expr.den.is_constant():
         d = float(expr.den.constant_value())
         return f"({num})" if d == 1.0 else f"({num}) / {d!r}"
-    return f"({num}) / ({_poly_source(expr.den, idx, power)})"
+    return f"({num}) / ({_poly_source(expr.den, idx, power, fold)})"
 
 
 def _generated_lambda(body: str, names: tuple[str, ...]):
@@ -357,10 +363,28 @@ def _step_fn(exprs, names: tuple[str, ...]):
         powers.add((k, p))
         return f"a{k}_{p}"
 
-    srcs = [_rf_source(e, names, power) for e in exprs]
-    # each power is taken once where its base is bound: a parameter's
-    # once per stage set, a state variable's or t's once per stage
+    products = {}
+
+    def fold(factors):
+        # the leading factors that are fixed for an integration (the
+        # coefficient and the parameters before the first state variable
+        # or t) are one product, taken once per step
+        run = 0
+        while run < len(factors) and (factors[run][0] is None
+                                      or factors[run][0] > n):
+            run += 1
+        srcs = [src for _, src in factors]
+        if run < 2:
+            return srcs
+        head = " * ".join(srcs[:run])
+        return [products.setdefault(head, f"b{len(products)}"), *srcs[run:]]
+
+    srcs = [_rf_source(e, names, power, fold) for e in exprs]
+    # each power is taken once where its base is bound: a parameter's and
+    # the fixed products once per step, a state variable's or t's once
+    # per stage
     fixed = [f"a{k}_{p} = a{k} ** {p}" for k, p in sorted(powers) if k > n]
+    fixed += [f"{name} = {head}" for head, name in products.items()]
     moving = [f"a{k}_{p} = a{k} ** {p}" for k, p in sorted(powers) if k <= n]
 
     def comb(weights, m):
@@ -614,6 +638,24 @@ def to_w1(state: FlowState) -> tuple[float, float]:
     if chart == "W1":
         return y, z
     return transport(chart, "W1", y, z, t, c)
+
+
+def to_w1_all(states):
+    """``to_w1`` of each state in turn, with each chart's transition
+    looked up once."""
+    maps = {}
+    for chart, y, z, t, c in states:
+        if chart == "W1":
+            yield y, z
+            continue
+        fn = maps.get(chart)
+        if fn is None:
+            fn = maps[chart] = _transition_fn(chart, "W1")
+        try:
+            q, p = fn(y, z, t, c)
+        except (ZeroDivisionError, OverflowError):
+            q = p = math.nan
+        yield q, p
 
 
 # ---------------------------------------------------------------------------
