@@ -443,9 +443,8 @@ def _block(depth: int, lines) -> list:
 def _loop_source(n, vec, first, rest):
     """Source lines of the generated adaptive loop
 
-        loop(u, t, t1, h, err_prev, k1, budget, threshold, stats, record,
-             kind, head, tail)
-            -> (status, u, t, h, err_prev, k7, final_step)
+        loop(u, t, t1, h, err_prev, k1, budget, threshold, pick, stats,
+             record, kind, head, tail) -> (status, u, t, h, err_prev, target)
 
     for a system of n state variables; ``first`` and ``rest`` are the
     lines of the first stage and of the rest of the step.  It integrates
@@ -455,18 +454,22 @@ def _loop_source(n, vec, first, rest):
     ``stats`` (a StepStats) are read on entry and written back on exit;
     the step budget counts the steps already in them.
 
-    It returns when it reaches t1 (status None), after an accepted step
-    whose largest |u_m| exceeds ``threshold`` (status "switch"; that state
-    is not recorded, and k7 and final_step say whether its last stage may
-    be the next first stage), or with the message of a StepFailure.  Every
-    float operation is the one of the step-by-step driver it replaced
-    (kept in tests/test_flow.py), in the same order: a step is cut to end
-    at t1 when it would reach past it, and else refused below the
-    step-size floor 1e-14 * max(|t|, 1); an OverflowError or a non-finite
-    norm cuts h by 5 and evaluates the first stage afresh (after an
-    OverflowError); a norm above 1 is accepted (and counted as forced)
-    only at h <= 1e-13 * max(|t|, 1); ``min`` and ``max`` are spelled out
-    as comparisons that pick the same operand."""
+    After an accepted step whose largest |u_m| exceeds ``threshold``,
+    ``pick(*u, t)`` names the chart for the new state.  If that is
+    ``head``, the state is recorded and the loop goes on, the step's last
+    stage its next first stage (FSAL).  Otherwise the loop returns with
+    status "switch" and the target, and the state is not recorded.  It
+    also returns when it reaches t1 (status None) and with the message of
+    a StepFailure.
+
+    Every float operation is the one of the step-by-step driver it
+    replaced (kept in tests/test_flow.py), in the same order: a step is
+    cut to end at t1 when it would reach past it, and else refused below
+    the step-size floor 1e-14 * max(|t|, 1); an OverflowError or a
+    non-finite norm cuts h by 5 and evaluates the first stage afresh
+    (after an OverflowError); a norm above 1 is accepted (and counted as
+    forced) only at h <= 1e-13 * max(|t|, 1); ``min`` and ``max`` are
+    spelled out as comparisons that pick the same operand."""
     us = vec("u")
 
     def clamp(fac):
@@ -498,13 +501,54 @@ def _loop_source(n, vec, first, rest):
         "err_prev = 1e-10 if norm < 1e-10 else norm",
         *size,
         "if size > threshold:",
-        "    status = 'switch'",
-        f"    k7 = {vec('k7')}",
-        "    break",
+        f"    target = pick({us[1:-1]} t)",
+        "    if target != head:",
+        "        status = 'switch'",
+        "        break",
         f"record(new(kind, (head, {us[1:-1]} t, tail)))",
         *(f"k1_{m} = k7_{m}" for m in range(n))]
+    body = [
+        "while (t1 - t) * direction > 0:",
+        "    steps += 1",
+        "    if steps > budget:",
+        "        status = 'step budget exhausted'",
+        "        break",
+        "    at = abs(t)",
+        "    floor = at if at > 1.0 else 1.0",
+        "    final_step = (t + h - t1) * direction >= 0",
+        "    if final_step:",
+        "        h = t1 - t",
+        "    elif abs(h) < 1e-14 * floor:",
+        "        status = 'step size underflow'",
+        "        break",
+        "    if not (" + " and ".join(f"isfinite(u_{m})"
+                                     for m in range(n)) + "):",
+        "        status = 'state became non-finite'",
+        "        break",
+        "    try:",
+        "        if fresh:",
+        "            field_evals += 1",
+        *_block(3, first),
+        "            fresh = False",
+        "        field_evals += 6",
+        *_block(2, rest),
+        "    except OverflowError:",
+        "        fresh = True",
+        "        rejected_overflow += 1",
+        "        h = direction * abs(h) * 0.2",
+        "        continue",
+        "    if not isfinite(norm):",
+        "        rejected_non_finite += 1",
+        "        h = direction * abs(h) * 0.2",
+        "        continue",
+        "    ah = abs(h)",
+        "    if norm <= 1.0 or ah <= 1e-13 * floor:",
+        *_block(2, accept),
+        "    else:",
+        "        rejected_error += 1",
+        *_block(2, clamp("0.9 * norm ** -0.2"))]
     return [
-        "def loop(u, t, t1, h, err_prev, k1, budget, threshold, stats, "
+        "def loop(u, t, t1, h, err_prev, k1, budget, threshold, pick, stats, "
         "record, kind, head, tail):",
         f"    {us} = u",
         "    fresh = k1 is None",
@@ -514,49 +558,15 @@ def _loop_source(n, vec, first, rest):
         *(f"    {name} = stats.{name}" for name in stats),
         "    steps = (accepted + rejected_error + rejected_overflow"
         " + rejected_non_finite)",
-        "    status = k7 = None",
-        "    final_step = False",
-        "    while (t1 - t) * direction > 0:",
-        "        steps += 1",
-        "        if steps > budget:",
-        "            status = 'step budget exhausted'",
-        "            break",
-        "        at = abs(t)",
-        "        floor = at if at > 1.0 else 1.0",
-        "        final_step = (t + h - t1) * direction >= 0",
-        "        if final_step:",
-        "            h = t1 - t",
-        "        elif abs(h) < 1e-14 * floor:",
-        "            status = 'step size underflow'",
-        "            break",
-        "        if not (" + " and ".join(f"isfinite(u_{m})"
-                                         for m in range(n)) + "):",
-        "            status = 'state became non-finite'",
-        "            break",
-        "        try:",
-        "            if fresh:",
-        "                field_evals += 1",
-        *_block(4, first),
-        "                fresh = False",
-        "            field_evals += 6",
-        *_block(3, rest),
-        "        except OverflowError:",
-        "            fresh = True",
-        "            rejected_overflow += 1",
-        "            h = direction * abs(h) * 0.2",
-        "            continue",
-        "        if not isfinite(norm):",
-        "            rejected_non_finite += 1",
-        "            h = direction * abs(h) * 0.2",
-        "            continue",
-        "        ah = abs(h)",
-        "        if norm <= 1.0 or ah <= 1e-13 * floor:",
-        *_block(3, accept),
-        "        else:",
-        "            rejected_error += 1",
-        *_block(3, clamp("0.9 * norm ** -0.2")),
-        *(f"    stats.{name} = {name}" for name in stats),
-        f"    return status, {us}, t, h, err_prev, k7, final_step"]
+        "    status = target = None",
+        # the counts are written back also when pick raises
+        "    try:",
+        *_block(2, body),
+        "    finally:",
+        *(f"        stats.{name} = {name}" for name in stats),
+        f"    return status, {us}, t, h, err_prev, target"]
+
+
 @lru_cache(maxsize=None)
 def _chart_step(chart: str):
     """``bind(rtol, atol, c) -> (field, step, loop)`` for one chart's
@@ -576,43 +586,40 @@ def integrate(c: float, initial: FlowState, t1: float,
     """Integrate from the initial state's time to t1, hopping charts as
     needed; every accepted step appends a sample.
 
-    Each chart's generated loop runs until t1 or until an accepted state
-    leaves the threshold.  Then the best chart for that state is chosen:
-    if it is another chart, the state moves there by the exact transition
-    and its loop starts with a fresh first stage; if not, the loop goes
-    on with its last stage as the next first stage (FSAL)."""
+    Each chart's generated loop runs until t1, or until an accepted state
+    past the threshold is best kept in another chart (``best_chart``).
+    Then the state moves there by the exact transition, the switch is
+    recorded, and the other chart's loop goes on from a fresh first
+    stage."""
     if not (math.isfinite(initial.t) and math.isfinite(t1)):
         raise FlowError("integration bounds must be finite")
     cf = float(c)
     traj = Trajectory(c=cf)
     traj.states.append(initial)
     record, stats = traj.states.append, traj.stats
-    threshold = config.switch_threshold
     chart, u, t = initial.chart, (initial.y, initial.z), initial.t
     h, err_prev, k1 = _first_step(t, t1), 1.0, None
-    loops = {}
+
+    def pick(y, z, t):
+        return best_chart(chart, y, z, t, c)
+
     while True:
-        loop = loops.get(chart)
-        if loop is None:
-            loop = loops[chart] = _chart_step(chart)(config.rtol,
-                                                     config.atol, c)[2]
+        loop = _chart_step(chart)(config.rtol, config.atol, c)[2]
         before = stats.accepted
-        status, u, t, h, err_prev, k7, final_step = loop(
-            u, t, t1, h, err_prev, k1, MAX_STEPS, threshold, stats, record,
-            FlowState, chart, cf)
-        if stats.accepted > before:
-            stats.chart_steps[chart] = (stats.chart_steps.get(chart, 0)
-                                        + stats.accepted - before)
+        try:
+            status, u, t, h, err_prev, target = loop(
+                u, t, t1, h, err_prev, k1, MAX_STEPS, config.switch_threshold,
+                pick, stats, record, FlowState, chart, cf)
+        finally:
+            if stats.accepted > before:
+                stats.chart_steps[chart] = (stats.chart_steps.get(chart, 0)
+                                            + stats.accepted - before)
         if status != "switch":
             break
         y, z = u
-        target = best_chart(chart, y, z, t, c)
-        if target != chart:
-            u = transport(chart, target, y, z, t, c)
-            traj.switches.append(SwitchEvent(t, chart, target, y, z, *u))
-            chart, k1 = target, None
-        else:
-            k1 = None if final_step else k7
+        u = transport(chart, target, y, z, t, c)
+        traj.switches.append(SwitchEvent(t, chart, target, y, z, *u))
+        chart, k1 = target, None
         record(FlowState(chart, *u, t, cf))
     if status is not None:
         raise StepFailure(status)
@@ -733,7 +740,7 @@ def riccati_compare(t0: float, t1: float, q0: float,
         tj = tk - (t1 - t0) / checkpoints
         status, u_scalar, *_ = scalar(
             u_scalar, tj, tk, _first_step(tj, tk), 1.0, None, MAX_STEPS,
-            math.inf, StepStats(), [].append, tuple, None, None)
+            math.inf, None, StepStats(), [].append, tuple, None, None)
         if status is not None:
             raise StepFailure(status)
         if state.chart != "W1":

@@ -206,12 +206,13 @@ def test_overflow_in_transport_means_outside_the_overlap():
 
 
 def run_loop(loop, u, t0, t1, threshold=math.inf, budget=flow.MAX_STEPS):
-    """A generated loop from t0 towards t1: (status, u, t, records,
-    stats), each record a tuple (None, *u, t, None)."""
+    """A generated loop from t0 towards t1, stopping at the first state
+    past the threshold: (status, u, t, records, stats), each record a
+    tuple (None, *u, t, None)."""
     stats, records = StepStats(), []
     status, u, t, *_ = loop(u, t0, t1, flow._first_step(t0, t1), 1.0, None,
-                            budget, threshold, stats, records.append, tuple,
-                            None, None)
+                            budget, threshold, lambda *state: "elsewhere",
+                            stats, records.append, tuple, None, None)
     return status, u, t, records, stats
 
 
@@ -239,6 +240,20 @@ def test_forced_accepts_are_counted_at_the_step_size_floor():
     assert stats.forced == stats.accepted == len(records) > 0
     assert stats.rejected == stats.rejected_error > 0
     assert 0.0 < t < 1e-12
+
+
+def test_counts_are_written_back_when_the_chart_choice_fails():
+    bind = flow._step_fn((RationalFunction.coerce(0),), ("q", "t"))
+    stats = StepStats()
+
+    def pick(q, t):
+        raise flow.NoChart("nowhere")
+
+    with pytest.raises(flow.NoChart):
+        bind(1e-10, 1e-12)[2]((3.0,), 0.0, 1.0, 1e-3, 1.0, None,
+                              flow.MAX_STEPS, 2.0, pick, stats, [].append,
+                              tuple, None, None)
+    assert (stats.accepted, stats.field_evals, stats.h_max) == (1, 7, 1e-3)
 
 
 def test_forced_accepts_are_counted_by_the_reference_driver():
@@ -765,6 +780,7 @@ def test_integrate_matches_the_driver_across_charts(chart, y, z, t0, c, span,
     (-1.0, -1.5, 0.0, 10.0),       # the W12 trajectory
     (0.5, 1e200, 0.0, 1.0),        # overflows until h underflows
     (0.5, 0.0, 0.0, 1e-15),        # shorter than the step-size floor
+    (0.5, 2e8, 2e8, 1.0),          # on the removed divisor: NoChart
 ])
 def test_integrate_matches_the_driver(c, q0, p0, t1):
     start = FlowState("W1", q0, p0, 0.0, c)
