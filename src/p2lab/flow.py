@@ -11,17 +11,27 @@ Hamiltonians, and their mutual consistency through the transition chain
 rule is checked both symbolically (once) and at random sample points.
 
 Compiled code is generated Python source: straight-line float fields
-and transitions, built once per expression, and one unrolled
-Dormand-Prince step per chart, built when an integration first enters
-the chart.  The step evaluates the chart's Hamiltonian field in place at
-each of its seven stages and the RMS error norm after them, and its last
-stage is reused as the next step's first (FSAL).  The scalar Riccati
-comparison goes through the same generator and driver.  The generated
-code computes the same values in the same order as a term-by-term
-interpreter, a generic stage loop and a generic norm loop (all kept in
-tests/test_flow.py as references); it only takes each power once per
-stage and leaves out factors 1.0 and exponents 1, so its results agree
-with theirs to the bit.
+and transitions, built once per expression, and for each chart one
+adaptive loop, built when an integration first enters the chart.  The
+loop keeps the state, the first stage and h in float locals and inlines
+the unrolled Dormand-Prince step: the chart's Hamiltonian field is
+evaluated in place at each of the seven stages, the RMS error norm
+after them, and the last stage is the next step's first (FSAL).  Around
+the step it runs the PI step control, the step budget, the step-size
+floor, the cut of the final step to t1, the handling of overflow and of
+non-finite values, the step statistics and the chart-switch test, and it
+appends each accepted state itself.  It returns to Python only at t1, on
+a step failure, or to switch charts: the transition and the switch event
+are Python, and the target chart's loop starts with a fresh first stage.
+The scalar Riccati comparison runs through the same generator.
+
+The generated code computes the same values in the same order as a
+term-by-term interpreter, a generic stage loop, a generic norm loop and
+a step-by-step driver (all kept in tests/test_flow.py as references).
+It only takes each power once per stage and each product of fixed
+factors once per step, leaves out factors 1.0 and exponents 1, writes a
+negative term as a subtraction, and spells min and max as comparisons,
+so its results agree with theirs to the bit.
 """
 from __future__ import annotations
 
@@ -336,26 +346,23 @@ _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
        187 / 2100, 1 / 40)
 
 
-def _step_fn(exprs, names: tuple[str, ...]):
-    """Generated ``bind(rtol, atol, *params) -> (field, step, loop)`` for
-    the system du/dt = exprs over ``names`` = state variables, then "t",
-    then the parameters, which are bound once per integration.
+def _loop_fn(exprs, names: tuple[str, ...]):
+    """Generated ``bind(rtol, atol, *params) -> loop`` for the system
+    du/dt = exprs over ``names`` = state variables, then "t", then the
+    parameters, which are bound once per integration; ``loop`` is
+    described in ``_loop_source``.
 
-    ``field(u, t)`` is the tuple of the exprs at (u, t).  ``step(u, t, h,
-    k1) -> (u5, norm, k7)`` is one Dormand-Prince step with k1 = field(u,
-    t): each stage binds its arguments to the names a0, a1, ... that
-    ``_rf_source`` emits and evaluates the exprs in place.  Every
+    Its Dormand-Prince step from (u, t) with step h and first stage k1 =
+    f(u, t) binds the arguments of each stage to the names a0, a1, ...
+    that ``_rf_source`` emits and evaluates the exprs in place.  Every
     combination is ``u_m + h * (0.0 + w_1*k1_m + w_2*k2_m + ...)``, all
     tableau weights kept, zeros included.  The seventh stage's input is
-    therefore u5 bit for bit (``_A[6] == _B5[:6]``, ``_B5[6] == 0``, and
-    its time is t + 1.0*h), so k7 = field(u5, t + h): the first stage of
-    the next step when nothing moved the state in between.  ``norm`` is
-    the RMS of err_m / (atol + rtol * max(|u_m|, |u5_m|)), summed left to
-    right from 0.0, with err = u5 - u4.
-
-    ``loop`` runs those steps from t towards t1 under PI step control,
-    with the step inlined, the state and k1 in float locals; see
-    ``_loop_source``."""
+    therefore the new state u5 bit for bit (``_A[6] == _B5[:6]``,
+    ``_B5[6] == 0``, and its time is t + 1.0*h), so k7 = f(u5, t + h):
+    the first stage of the next step when nothing moved the state in
+    between.  The error norm is the RMS of err_m / (atol + rtol *
+    max(|u_m|, |u5_m|)), summed left to right from 0.0, with err = u5 -
+    u4."""
     n = len(exprs)
     powers = set()
 
@@ -391,7 +398,7 @@ def _step_fn(exprs, names: tuple[str, ...]):
         return " + ".join(["0.0"] + [f"{w!r} * k{r + 1}_{m}"
                                      for r, w in enumerate(weights)])
 
-    # k1 = field(u, t) from u_0, u_1, ... and t
+    # k1 = f(u, t) from u_0, u_1, ... and t
     first = [*fixed, *(f"a{m} = u_{m}" for m in range(n)), f"a{n} = t",
              *moving, *(f"k1_{m} = {src}" for m, src in enumerate(srcs))]
     # stages 2 to 7 from u_m, t, h and k1_m; then the new state v_m, the
@@ -419,17 +426,8 @@ def _step_fn(exprs, names: tuple[str, ...]):
 
     params = ", ".join(f"a{k}" for k in range(n + 1, len(names)))
     lines = [f"def bind(rtol, atol, {params}):",
-             "    def field(u, t):",
-             f"        {vec('u')} = u",
-             *_block(2, first),
-             f"        return {vec('k1')}",
-             "    def step(u, t, h, k1):",
-             f"        {vec('u')} = u",
-             f"        {vec('k1')} = k1",
-             *_block(2, rest),
-             f"        return {vec('v')}, norm, {vec('k7')}",
              *_block(1, _loop_source(n, vec, first, rest)),
-             "    return field, step, loop"]
+             "    return loop"]
     namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite,
                  "new": tuple.__new__}
     exec("\n".join(lines), namespace)
@@ -568,11 +566,10 @@ def _loop_source(n, vec, first, rest):
 
 
 @lru_cache(maxsize=None)
-def _chart_step(chart: str):
-    """``bind(rtol, atol, c) -> (field, step, loop)`` for one chart's
-    Hamiltonian field, compiled on the first integration that enters the
-    chart."""
-    return _step_fn(atlas.hamilton_field(chart),
+def _chart_loop(chart: str):
+    """``bind(rtol, atol, c) -> loop`` for one chart's Hamiltonian field,
+    compiled on the first integration that enters the chart."""
+    return _loop_fn(atlas.hamilton_field(chart),
                     atlas.CHART_VARS[chart] + ("t", "c"))
 
 
@@ -604,7 +601,7 @@ def integrate(c: float, initial: FlowState, t1: float,
         return best_chart(chart, y, z, t, c)
 
     while True:
-        loop = _chart_step(chart)(config.rtol, config.atol, c)[2]
+        loop = _chart_loop(chart)(config.rtol, config.atol, c)
         before = stats.accepted
         try:
             status, u, t, h, err_prev, target = loop(
@@ -724,8 +721,8 @@ def riccati_compare(t0: float, t1: float, q0: float,
     max |p| drift)."""
     c = 0.0
     q, t = RationalFunction.variable("q"), RationalFunction.variable("t")
-    _, _, scalar = _step_fn((q ** 2 + Fraction(1, 2) * t,),
-                            ("q", "t"))(config.rtol, config.atol)
+    scalar = _loop_fn((q ** 2 + Fraction(1, 2) * t,),
+                      ("q", "t"))(config.rtol, config.atol)
 
     drift = 0.0
     worst = 0.0

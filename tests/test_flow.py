@@ -205,23 +205,25 @@ def test_overflow_in_transport_means_outside_the_overlap():
         best_chart("W1", 1e200, 1.0, 0.0, 0.5)
 
 
-def run_loop(loop, u, t0, t1, threshold=math.inf, budget=flow.MAX_STEPS):
-    """A generated loop from t0 towards t1, stopping at the first state
-    past the threshold: (status, u, t, records, stats), each record a
-    tuple (None, *u, t, None)."""
+def run_loop(loop, u, t0, t1, threshold=math.inf, budget=flow.MAX_STEPS,
+             h=None):
+    """A generated loop from t0 towards t1, with first step h (by default
+    integrate's), stopping at the first state past the threshold: (status,
+    u, t, records, stats), each record a tuple (None, *u, t, None)."""
     stats, records = StepStats(), []
-    status, u, t, *_ = loop(u, t0, t1, flow._first_step(t0, t1), 1.0, None,
-                            budget, threshold, lambda *state: "elsewhere",
-                            stats, records.append, tuple, None, None)
+    h = flow._first_step(t0, t1) if h is None else h
+    status, u, t, *_ = loop(u, t0, t1, h, 1.0, None, budget, threshold,
+                            lambda *state: "elsewhere", stats,
+                            records.append, tuple, None, None)
     return status, u, t, records, stats
 
 
 def test_overflow_in_a_step_is_a_rejected_step():
     # q^100 overflows at q = 1e10, in the first stage and in every step
-    bind = flow._step_fn((rfvar("q") ** 100,), ("q", "t"))
+    bind = flow._loop_fn((rfvar("q") ** 100,), ("q", "t"))
     config = IntegratorConfig()
     status, u, t, records, stats = run_loop(
-        bind(config.rtol, config.atol)[2], (1e10,), 0.0, 1.0)
+        bind(config.rtol, config.atol), (1e10,), 0.0, 1.0)
     assert (status, u, t, records) == ("step size underflow", (1e10,), 0.0,
                                        [])
     assert stats.accepted == stats.forced == 0
@@ -233,8 +235,8 @@ def test_overflow_in_a_step_is_a_rejected_step():
 def test_forced_accepts_are_counted_at_the_step_size_floor():
     # tolerances no step can meet: h shrinks to the floor, where the loop
     # accepts (and counts as forced) until h underflows
-    bind = flow._step_fn((rfvar("q") ** 2 + rfvar("t"),), ("q", "t"))
-    status, _, t, records, stats = run_loop(bind(1e-100, 1e-100)[2],
+    bind = flow._loop_fn((rfvar("q") ** 2 + rfvar("t"),), ("q", "t"))
+    status, _, t, records, stats = run_loop(bind(1e-100, 1e-100),
                                             (0.5,), 0.0, 1.0)
     assert status == "step size underflow"
     assert stats.forced == stats.accepted == len(records) > 0
@@ -243,16 +245,15 @@ def test_forced_accepts_are_counted_at_the_step_size_floor():
 
 
 def test_counts_are_written_back_when_the_chart_choice_fails():
-    bind = flow._step_fn((RationalFunction.coerce(0),), ("q", "t"))
+    bind = flow._loop_fn((RationalFunction.coerce(0),), ("q", "t"))
     stats = StepStats()
 
     def pick(q, t):
         raise flow.NoChart("nowhere")
 
     with pytest.raises(flow.NoChart):
-        bind(1e-10, 1e-12)[2]((3.0,), 0.0, 1.0, 1e-3, 1.0, None,
-                              flow.MAX_STEPS, 2.0, pick, stats, [].append,
-                              tuple, None, None)
+        bind(1e-10, 1e-12)((3.0,), 0.0, 1.0, 1e-3, 1.0, None, flow.MAX_STEPS,
+                           2.0, pick, stats, [].append, tuple, None, None)
     assert (stats.accepted, stats.field_evals, stats.h_max) == (1, 7, 1e-3)
 
 
@@ -276,8 +277,8 @@ def test_forced_accepts_are_counted_by_the_reference_driver():
 def test_the_threshold_test_is_strict():
     # under a zero field the state stays on the threshold, which is not
     # past it: the loop runs to t1 without stopping for a chart switch
-    bind = flow._step_fn((RationalFunction.coerce(0),), ("q", "t"))
-    loop = bind(1e-10, 1e-12)[2]
+    loop = flow._loop_fn((RationalFunction.coerce(0),), ("q", "t"))(1e-10,
+                                                                   1e-12)
     status, u, t, records, stats = run_loop(loop, (-3.0,), 0.0, 0.0012, 3.0)
     assert (status, u, t) == (None, (-3.0,), 0.0012)
     assert len(records) == stats.accepted == 2
@@ -343,7 +344,7 @@ def interpret_rf(expr, names):
 
 
 def loop_step(f, u, t, h, k1):
-    """The generic stage loop that _step_fn's unrolled code replaced.  It
+    """The generic stage loop that _loop_fn's unrolled step replaced.  It
     summed with sum(), spelled out here as left-to-right addition from 0:
     sum() of floats is compensated from Python 3.12 on, plain before."""
     def comb(weights, m):
@@ -364,7 +365,7 @@ def loop_step(f, u, t, h, k1):
 
 
 def error_norm(u, u_new, err, rtol, atol):
-    """The generic RMS loop that the generated step's inlined norm
+    """The generic RMS loop that the generated loop's inlined norm
     replaced."""
     acc = 0.0
     for m in range(len(u)):
@@ -374,8 +375,9 @@ def error_norm(u, u_new, err, rtol, atol):
 
 
 def reference_bind(f):
-    """A ``bind`` of the shape _step_fn generates, built from the loops
-    the generated code replaced; f(u, t, *params) is the field."""
+    """``bind(rtol, atol, *params) -> (field, step)`` for the reference
+    driver, built from the loops the generated code replaced; f(u, t,
+    *params) is the field."""
     def bind(rtol, atol, *params):
         def field(u, t):
             return f(u, t, *params)
@@ -391,6 +393,12 @@ def chart_reference_bind(chart):
     """reference_bind over the compiled chart field."""
     fn = flow.chart_field(chart)
     return reference_bind(lambda u, t, c: fn(u[0], u[1], t, c))
+
+
+def scalar_reference_bind(expr):
+    """reference_bind over the compiled scalar field dq/dt = expr(q, t)."""
+    fn = compile_rf(expr, ("q", "t"))
+    return reference_bind(lambda u, t: (fn(u[0], t),))
 
 
 def bits(values):
@@ -450,30 +458,27 @@ step_sizes = st.one_of(st.floats(1e-8, 0.5), st.floats(-0.5, -1e-8))
 tolerances = st.floats(1e-13, 1e-3)
 
 
-def flat(step):
-    def run(u, t, h, k1):
-        u5, norm, k7 = step(u, t, h, k1)
-        return u5 + (norm,) + k7
-    return run
-
-
 def assert_step_matches_the_loop(bind, ref_bind, u, t, h, params, rtol,
                                  atol):
-    field, step, _ = bind(rtol, atol, *params)
-    ref_field, ref_step = ref_bind(rtol, atol, *params)
-    k1 = outcome(field, u, t)
-    assert k1 == outcome(ref_field, u, t)
-    if not isinstance(k1, tuple):
+    """One step of the generated loop, from (u, t) with step h, against
+    one step of the reference driver over loop_step and error_norm."""
+    config = IntegratorConfig(rtol=rtol, atol=atol)
+    # t1 = t + 2h: h is not cut to end at t1, and a budget of one step
+    # ends both runs after it
+    got = run_loop(bind(rtol, atol, *params), u, t, t + 2 * h, budget=1, h=h)
+    want = ref_run_loop(lambda: ref_bind(rtol, atol, *params), u, t,
+                        t + 2 * h, config, budget=1, h=h)
+    assert_runs_agree(got, want)
+    # first same as last, which the loop relies on: the seventh stage is
+    # the field at the new state.  Every stage enters err, so a finite
+    # norm means finite stages, which is when a step can be accepted and
+    # its k7 reused.
+    field, step = ref_bind(rtol, atol, *params)
+    try:
+        k1 = field(u, t)
+        u5, norm, k7 = step(u, t, h, k1)
+    except (ZeroDivisionError, OverflowError):
         return
-    k1 = field(u, t)
-    got = outcome(flat(step), u, t, h, k1)
-    assert got == outcome(flat(ref_step), u, t, h, k1)
-    if not isinstance(got, tuple):
-        return
-    # first same as last: the seventh stage is the field at the new state.
-    # Every stage enters err, so a finite norm means finite stages, which
-    # is when the driver can accept the step and reuse k7.
-    u5, norm, k7 = step(u, t, h, k1)
     if all(map(math.isfinite, u5 + (norm,))):
         assert bits(k7) == bits(field(u5, t + h))
 
@@ -482,7 +487,7 @@ def assert_step_matches_the_loop(bind, ref_bind, u, t, h, params, rtol,
        moderate, step_sizes, tolerances, tolerances)
 def test_generated_step_matches_the_loop_in_two_components(chart, y, z, t, c,
                                                            h, rtol, atol):
-    assert_step_matches_the_loop(flow._chart_step(chart),
+    assert_step_matches_the_loop(flow._chart_loop(chart),
                                  chart_reference_bind(chart),
                                  (y, z), t, h, (c,), rtol, atol)
 
@@ -491,9 +496,8 @@ def test_generated_step_matches_the_loop_in_two_components(chart, y, z, t, c,
 def test_generated_step_matches_the_loop_in_one_component(a, b, q, t, h, rtol,
                                                           atol):
     expr = a * rfvar("q") ** 2 + b * rfvar("t")
-    fn = compile_rf(expr, ("q", "t"))
-    assert_step_matches_the_loop(flow._step_fn((expr,), ("q", "t")),
-                                 reference_bind(lambda u, t: (fn(u[0], t),)),
+    assert_step_matches_the_loop(flow._loop_fn((expr,), ("q", "t")),
+                                 scalar_reference_bind(expr),
                                  (q,), t, h, (), rtol, atol)
 
 
@@ -501,10 +505,10 @@ def test_generated_step_matches_the_loop_at_edge_values():
     for chart in flow.atlas.CHARTS:
         for y, z, h in ((1e100, 1.0, 0.1), (1e30, 1e30, -0.1),
                         (math.inf, 0.0, 0.1), (math.nan, 1.0, 0.1),
-                        (-0.0, 0.0, 1e-300)):
-            assert_step_matches_the_loop(flow._chart_step(chart),
+                        (-0.0, 0.0, 1e-300), (1e-300, -0.0, 1e-300)):
+            assert_step_matches_the_loop(flow._chart_loop(chart),
                                          chart_reference_bind(chart),
-                                         (y, z), 0.5, h, (0.25,), 1e-10,
+                                         (y, z), 0.0, h, (0.25,), 1e-10,
                                          1e-12)
 
 
@@ -513,7 +517,7 @@ def test_generated_step_matches_the_loop_at_edge_values():
 
 
 def _adaptive(stepper, u0, t0, t1, config, on_accept=None, stats=None,
-              budget=flow.MAX_STEPS):
+              budget=flow.MAX_STEPS, h0=None):
     """The step-by-step driver that the generated loop replaced: drive a
     system from t0 to t1 with PI step control, calling a generated step.
 
@@ -534,7 +538,8 @@ def _adaptive(stepper, u0, t0, t1, config, on_accept=None, stats=None,
     field, step = stepper()
     direction = 1.0 if t1 > t0 else -1.0
     u, t = u0, t0
-    h = direction * min(flow.H_INIT, flow.H_MAX, abs(t1 - t0))
+    h = direction * min(flow.H_INIT, flow.H_MAX, abs(t1 - t0)) \
+        if h0 is None else h0
     err_prev = 1.0
     steps = accepted = forced = evals = 0
     rej_error = rej_overflow = rej_non_finite = 0
@@ -606,10 +611,10 @@ def _adaptive(stepper, u0, t0, t1, config, on_accept=None, stats=None,
 
 
 def ref_integrate(c, initial, t1, config=IntegratorConfig(),
-                  bind_for=flow._chart_step):
+                  bind_for=chart_reference_bind):
     """flow.integrate as it was on the step-by-step driver: the switch
     test runs in a callback after every accepted step.  ``bind_for(chart)``
-    gives the chart's ``bind``; only its field and step are used."""
+    gives the chart's reference ``bind``."""
     traj = flow.Trajectory(c=float(c))
     traj.states.append(initial)
     record = traj.states.append
@@ -619,7 +624,7 @@ def ref_integrate(c, initial, t1, config=IntegratorConfig(),
     chart_steps = traj.stats.chart_steps
 
     def stepper():
-        return bind_for(chart_box[0])(config.rtol, config.atol, c)[:2]
+        return bind_for(chart_box[0])(config.rtol, config.atol, c)
 
     def on_accept(u, t):
         y, z = u
@@ -646,7 +651,7 @@ class Crossed(Exception):
 
 
 def ref_run_loop(stepper, u, t0, t1, config, threshold=math.inf,
-                 budget=flow.MAX_STEPS):
+                 budget=flow.MAX_STEPS, h=None):
     """run_loop's answer from the reference driver."""
     stats, records, last = StepStats(), [], [u, t0]
 
@@ -658,7 +663,7 @@ def ref_run_loop(stepper, u, t0, t1, config, threshold=math.inf,
         return u
 
     try:
-        _adaptive(stepper, u, t0, t1, config, on_accept, stats, budget)
+        _adaptive(stepper, u, t0, t1, config, on_accept, stats, budget, h)
         status = None
     except Crossed:
         status = "switch"
@@ -671,14 +676,19 @@ def record_bits(records):
     return [(r[0], bits(r[1:-1])) for r in records]
 
 
-def assert_runs_agree(got, want):
-    (status, u, t, records, stats), (status_r, u_r, t_r, records_r,
-                                     stats_r) = got, want
+def note(run):
+    """Hypothesis events: how a run ended and what it rejected."""
+    status, _, _, _, stats = run
     event(f"status {status}")
     for cause in ("rejected_error", "rejected_overflow",
                   "rejected_non_finite", "forced"):
         if getattr(stats, cause):
             event(cause)
+
+
+def assert_runs_agree(got, want):
+    (status, u, t, records, stats), (status_r, u_r, t_r, records_r,
+                                     stats_r) = got, want
     assert (status, bits(u), bits((t,))) == (status_r, bits(u_r), bits((t_r,)))
     assert record_bits(records) == record_bits(records_r)
     assert stats == stats_r
@@ -737,12 +747,12 @@ def test_generated_loop_matches_the_driver_in_one_component(
         expr, q, t0, span, rtol, atol, budget, threshold):
     if threshold is None:
         threshold = abs(q)
-    bind = flow._step_fn((expr,), ("q", "t"))
+    bind = flow._loop_fn((expr,), ("q", "t"))
     config = IntegratorConfig(rtol=rtol, atol=atol)
-    got = run_loop(bind(rtol, atol)[2], (q,), t0, t0 + span, threshold,
-                   budget)
-    want = ref_run_loop(lambda: bind(rtol, atol)[:2], (q,), t0, t0 + span,
-                        config, threshold, budget)
+    got = run_loop(bind(rtol, atol), (q,), t0, t0 + span, threshold, budget)
+    note(got)
+    want = ref_run_loop(lambda: scalar_reference_bind(expr)(rtol, atol),
+                        (q,), t0, t0 + span, config, threshold, budget)
     assert_runs_agree(got, want)
 
 
@@ -750,12 +760,12 @@ def test_generated_loop_matches_the_driver_in_one_component(
        moderate, spans, loose, loose, budgets)
 def test_generated_loop_matches_the_driver_in_two_components(
         chart, y, z, t0, c, span, rtol, atol, budget):
-    bind = flow._chart_step(chart)
     config = IntegratorConfig(rtol=rtol, atol=atol)
-    got = run_loop(bind(rtol, atol, c)[2], (y, z), t0, t0 + span,
-                   budget=budget)
-    want = ref_run_loop(lambda: bind(rtol, atol, c)[:2], (y, z), t0,
-                        t0 + span, config, budget=budget)
+    got = run_loop(flow._chart_loop(chart)(rtol, atol, c), (y, z), t0,
+                   t0 + span, budget=budget)
+    note(got)
+    want = ref_run_loop(lambda: chart_reference_bind(chart)(rtol, atol, c),
+                        (y, z), t0, t0 + span, config, budget=budget)
     assert_runs_agree(got, want)
 
 
