@@ -441,14 +441,15 @@ def _block(depth: int, lines) -> list:
 def _loop_source(n, vec, first, rest):
     """Source lines of the generated adaptive loop
 
-        loop(u, t, t1, h, err_prev, k1, budget, threshold, pick, stats,
-             record, kind, head, tail) -> (status, u, t, h, err_prev, target)
+        loop(u, t, t1, h, err_prev, budget, threshold, pick, stats, record,
+             kind, head, tail) -> (status, u, t, h, err_prev, target)
 
     for a system of n state variables; ``first`` and ``rest`` are the
     lines of the first stage and of the rest of the step.  It integrates
-    from t towards t1, starting with step h, PI memory err_prev and first
-    stage k1 (None to evaluate it afresh).  Each accepted state is
-    appended as ``record(kind((head, *u, t, tail)))``.  The counts of
+    from t towards t1, starting with step h and PI memory err_prev, and
+    evaluates its first stage afresh.  Each accepted state is
+    appended as ``tuple.__new__(kind, (head, *u, t, tail))`` through
+    ``record``.  The counts of
     ``stats`` (a StepStats) are read on entry and written back on exit;
     the step budget counts the steps already in them.
 
@@ -546,12 +547,10 @@ def _loop_source(n, vec, first, rest):
         "        rejected_error += 1",
         *_block(2, clamp("0.9 * norm ** -0.2"))]
     return [
-        "def loop(u, t, t1, h, err_prev, k1, budget, threshold, pick, stats, "
+        "def loop(u, t, t1, h, err_prev, budget, threshold, pick, stats, "
         "record, kind, head, tail):",
         f"    {us} = u",
-        "    fresh = k1 is None",
-        "    if not fresh:",
-        f"        {vec('k1')} = k1",
+        "    fresh = True",
         "    direction = 1.0 if t1 > t else -1.0",
         *(f"    {name} = stats.{name}" for name in stats),
         "    steps = (accepted + rejected_error + rejected_overflow"
@@ -595,7 +594,7 @@ def integrate(c: float, initial: FlowState, t1: float,
     traj.states.append(initial)
     record, stats = traj.states.append, traj.stats
     chart, u, t = initial.chart, (initial.y, initial.z), initial.t
-    h, err_prev, k1 = _first_step(t, t1), 1.0, None
+    h, err_prev = _first_step(t, t1), 1.0
 
     def pick(y, z, t):
         return best_chart(chart, y, z, t, c)
@@ -605,7 +604,7 @@ def integrate(c: float, initial: FlowState, t1: float,
         before = stats.accepted
         try:
             status, u, t, h, err_prev, target = loop(
-                u, t, t1, h, err_prev, k1, MAX_STEPS, config.switch_threshold,
+                u, t, t1, h, err_prev, MAX_STEPS, config.switch_threshold,
                 pick, stats, record, FlowState, chart, cf)
         finally:
             if stats.accepted > before:
@@ -616,7 +615,7 @@ def integrate(c: float, initial: FlowState, t1: float,
         y, z = u
         u = transport(chart, target, y, z, t, c)
         traj.switches.append(SwitchEvent(t, chart, target, y, z, *u))
-        chart, k1 = target, None
+        chart = target
         record(FlowState(chart, *u, t, cf))
     if status is not None:
         raise StepFailure(status)
@@ -736,8 +735,8 @@ def riccati_compare(t0: float, t1: float, q0: float,
                                if s.chart in ("W1", "W3")))
         tj = tk - (t1 - t0) / checkpoints
         status, u_scalar, *_ = scalar(
-            u_scalar, tj, tk, _first_step(tj, tk), 1.0, None, MAX_STEPS,
-            math.inf, None, StepStats(), [].append, tuple, None, None)
+            u_scalar, tj, tk, _first_step(tj, tk), 1.0, MAX_STEPS, math.inf,
+            None, StepStats(), [].append, tuple, None, None)
         if status is not None:
             raise StepFailure(status)
         if state.chart != "W1":

@@ -212,7 +212,7 @@ def run_loop(loop, u, t0, t1, threshold=math.inf, budget=flow.MAX_STEPS,
     u, t, records, stats), each record a tuple (None, *u, t, None)."""
     stats, records = StepStats(), []
     h = flow._first_step(t0, t1) if h is None else h
-    status, u, t, *_ = loop(u, t0, t1, h, 1.0, None, budget, threshold,
+    status, u, t, *_ = loop(u, t0, t1, h, 1.0, budget, threshold,
                             lambda *state: "elsewhere", stats,
                             records.append, tuple, None, None)
     return status, u, t, records, stats
@@ -252,8 +252,8 @@ def test_counts_are_written_back_when_the_chart_choice_fails():
         raise flow.NoChart("nowhere")
 
     with pytest.raises(flow.NoChart):
-        bind(1e-10, 1e-12)((3.0,), 0.0, 1.0, 1e-3, 1.0, None, flow.MAX_STEPS,
-                           2.0, pick, stats, [].append, tuple, None, None)
+        bind(1e-10, 1e-12)((3.0,), 0.0, 1.0, 1e-3, 1.0, flow.MAX_STEPS, 2.0,
+                           pick, stats, [].append, tuple, None, None)
     assert (stats.accepted, stats.field_evals, stats.h_max) == (1, 7, 1e-3)
 
 
