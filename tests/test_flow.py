@@ -242,6 +242,10 @@ def test_forced_accepts_are_counted_at_the_step_size_floor():
     assert stats.forced == stats.accepted == len(records) > 0
     assert stats.rejected == stats.rejected_error > 0
     assert 0.0 < t < 1e-12
+    # integrate raises it
+    with pytest.raises(StepFailure, match="underflow"):
+        integrate(0.5, FlowState("W1", 0.5, 0.0, 0.0, 0.5), 1.0,
+                  IntegratorConfig(rtol=1e-100, atol=1e-100))
 
 
 def test_counts_are_written_back_when_the_chart_choice_fails():
