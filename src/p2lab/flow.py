@@ -182,7 +182,7 @@ def _poly_source(poly: Polynomial, idx: dict, power=None, fold=None) -> str:
     total = "0.0"
     for e, q in poly.terms.items():
         coeff = float(q)
-        sign = " - " if coeff < 0 else " + "
+        sign = " - " if math.copysign(1.0, coeff) < 0 else " + "
         factors = [] if abs(coeff) == 1.0 else [(None, repr(abs(coeff)))]
         for i, p in enumerate(e):
             if p:
