@@ -525,13 +525,14 @@ def test_generated_step_matches_the_loop_at_edge_values():
 def _adaptive(stepper, u0, t0, t1, config, on_accept=None, stats=None,
               budget=flow.MAX_STEPS, h0=None):
     """The step-by-step driver that the generated loop replaced: drive a
-    system from t0 to t1 with PI step control, calling a generated step.
+    system from t0 to t1 with PI step control, one step call at a time.
 
     ``stepper()`` returns a bound ``(field, step)`` pair; it is read at
     the start and again whenever on_accept replaces the state (chart
     switching hooks in there), which it must do with a new object.
     stats, when given, is a StepStats that receives the counts, also when
-    the run fails.
+    the run fails.  ``budget`` is the step budget and ``h0``, when given,
+    the first step.
 
     The first stage is reused (FSAL): after a rejected step u and t are
     unchanged, and after an accepted step that on_accept left alone the
