@@ -24,8 +24,12 @@ def run_cli(env, *args):
 
 
 def run_in_process(capsys, *args):
-    """Exit status, stdout and stderr of one in-process ``cli.run``."""
-    code = cli.run(list(args))
+    """Exit status, stdout and stderr of one in-process ``cli.run``,
+    usage errors included."""
+    try:
+        code = cli.run(list(args))
+    except SystemExit as exc:
+        code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -249,25 +253,15 @@ def test_verify_all_walks_the_orbit_once(monkeypatch, capsys):
     assert 0 < calls["chain_trace"] <= 20
 
 
-def run_capturing(capsys, argv):
-    """Exit status, stdout and stderr of one in-process ``cli.run``,
-    usage errors included."""
-    try:
-        code = cli.run(argv)
-    except SystemExit as exc:
-        code = exc.code
-    return (code, *capsys.readouterr())
-
-
 def test_the_cached_parser_answers_like_fresh_ones(monkeypatch, capsys):
     # the parser is built once per process; a usage error must leave
     # nothing behind for the next command
     sequence = [["gamma", "--n", "0"], ["gamma", "--n", "3"],
                 ["integrate", "--c", "1/2"], ["periods", "--c", "1/3"],
                 ["verify"], ["orbit", "--n-max", "2"]]
-    cached = [run_capturing(capsys, argv) for argv in sequence]
+    cached = [run_in_process(capsys, *argv) for argv in sequence]
     monkeypatch.setattr(cli, "_parser", cli.build_parser)
-    fresh = [run_capturing(capsys, argv) for argv in sequence]
+    fresh = [run_in_process(capsys, *argv) for argv in sequence]
     assert cached == fresh
     assert [code for code, _, _ in cached] == [2, 0, 2, 0, 2, 0]
 
@@ -275,11 +269,11 @@ def test_the_cached_parser_answers_like_fresh_ones(monkeypatch, capsys):
 def test_a_flow_error_is_a_one_line_usage_error(capsys):
     # every RK stage overflows, so the step size collapses; the next
     # command in the process is unaffected
-    code, out, err = run_capturing(capsys, integrate_argv(q0="1e200"))
+    code, out, err = run_in_process(capsys, *integrate_argv(q0="1e200"))
     assert (code, out) == (2, "")
     assert err == "p2lab: error: step size underflow\n"
-    assert run_capturing(capsys, ["gamma", "--n", "3"]) == (0, "(-3, 4)\n",
-                                                           "")
+    assert run_in_process(capsys, "gamma", "--n", "3") == (0, "(-3, 4)\n",
+                                                          "")
 
 
 def integrate_argv(**opts):
