@@ -422,21 +422,18 @@ def _cmd_integrate(args) -> int:
     initial = flow.FlowState("W1", args.q0, args.p0, args.t0, c)
     traj = flow.integrate(c, initial, args.t1, config)
     switch_times = {ev.t for ev in traj.switches}
+    to_w1 = flow.to_w1
 
     def rows():
         yield "t,chart,y,z,q_equiv,p_equiv,switch_flag\n"
-        for (chart, y, z, t, _), (q, p) in zip(traj.states,
-                                               flow.to_w1_all(traj.states)):
+        for s in traj.states:
+            chart, y, z, t, _ = s
+            q, p = to_w1(s)
             flag = 1 if t in switch_times else 0
             # one %-format per row makes the same digits as format(x,
-            # ".17g"), at less cost; in the base chart the base-chart
-            # equivalents are y and z themselves
-            if chart == "W1":
-                yz = "%.17g,%.17g" % (y, z)
-                yield "%.17g,W1,%s,%s,%d\n" % (t, yz, yz, flag)
-            else:
-                yield "%.17g,%s,%.17g,%.17g,%.17g,%.17g,%d\n" % (
-                    t, chart, y, z, q, p, flag)
+            # ".17g"), at less cost
+            yield "%.17g,%s,%.17g,%.17g,%.17g,%.17g,%d\n" % (
+                t, chart, y, z, q, p, flag)
 
     sys.stdout.writelines(rows())
     for ev in traj.switches:

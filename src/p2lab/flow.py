@@ -637,25 +637,10 @@ def to_w1(state: FlowState) -> tuple[float, float]:
     """(q, p) equivalents of a state; (nan, nan) where the transition to
     the base chart is undefined, as on the removed divisor (y = 0 in W3
     and W12)."""
-    return next(to_w1_all((state,)))
-
-
-def to_w1_all(states):
-    """``to_w1`` of each state in turn, as ``transport`` to W1 gives it,
-    with each chart's transition looked up once."""
-    maps = {}
-    for chart, y, z, t, c in states:
-        if chart == "W1":
-            yield y, z
-            continue
-        fn = maps.get(chart)
-        if fn is None:
-            fn = maps[chart] = _transition_fn(chart, "W1")
-        try:
-            q, p = fn(y, z, t, c)
-        except (ZeroDivisionError, OverflowError):
-            q = p = math.nan
-        yield q, p
+    chart, y, z, t, c = state
+    if chart == "W1":
+        return y, z
+    return transport(chart, "W1", y, z, t, c)
 
 
 # ---------------------------------------------------------------------------

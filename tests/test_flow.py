@@ -188,18 +188,6 @@ def test_to_w1_is_nan_on_the_removed_divisor(chart):
     assert math.isnan(q) and math.isnan(p)
 
 
-def test_to_w1_all_is_the_transport_of_each_state():
-    traj = integrate(-1.0, FlowState("W1", -1.5, 0.0, 0.0, -1.0), 10.0)
-    states = traj.states + [FlowState("W3", 0.0, 1.0, 0.5, 0.5),
-                            FlowState("W12", 1e-200, 1.0, 0.5, 0.5)]
-    assert {s.chart for s in states} == {"W1", "W3", "W12"}
-    got = list(flow.to_w1_all(states))
-    assert [bits(qp) for qp in got] == \
-        [bits(transport(s.chart, "W1", s.y, s.z, s.t, s.c)) for s in states]
-    assert [bits(qp) for qp in got] == [bits(to_w1(s)) for s in states]
-    assert math.isnan(got[-1][0]) and math.isnan(got[-2][0])
-
-
 def test_overflow_in_transport_means_outside_the_overlap():
     y, z = transport("W1", "W3", 1e200, 1.0, 0.0, 0.5)
     assert math.isnan(y) and math.isnan(z)
