@@ -29,9 +29,9 @@ The generated code computes the same values in the same order as a
 term-by-term interpreter, a generic stage loop, a generic norm loop and
 a step-by-step driver (all kept in tests/test_flow.py as references).
 It only takes each power once per stage and each product of fixed
-factors once per step, leaves out factors 1.0 and exponents 1, writes a
-negative term as a subtraction, and spells min and max as comparisons,
-so its results agree with theirs to the bit.
+factors with a fresh first stage, leaves out factors 1.0 and exponents
+1, writes a negative term as a subtraction, and spells min and max as
+comparisons, so its results agree with theirs to the bit.
 """
 from __future__ import annotations
 
@@ -375,7 +375,7 @@ def _loop_fn(exprs, names: tuple[str, ...]):
     def fold(factors):
         # the leading factors that are fixed for an integration (the
         # coefficient and the parameters before the first state variable
-        # or t) are one product, taken once per step
+        # or t) are one product, taken with the first stage
         run = 0
         while run < len(factors) and (factors[run][0] is None
                                       or factors[run][0] > n):
@@ -387,9 +387,10 @@ def _loop_fn(exprs, names: tuple[str, ...]):
         return [products.setdefault(head, f"b{len(products)}"), *srcs[run:]]
 
     srcs = [_rf_source(e, names, power, fold) for e in exprs]
-    # each power is taken once where its base is bound: a parameter's and
-    # the fixed products once per step, a state variable's or t's once
-    # per stage
+    # each power is taken once where its base is bound: a state
+    # variable's or t's once per stage, and a parameter's and the fixed
+    # products with the first stage, which the loop evaluates on entry
+    # and after an OverflowError (one of them may be what overflowed)
     fixed = [f"a{k}_{p} = a{k} ** {p}" for k, p in sorted(powers) if k > n]
     fixed += [f"{name} = {head}" for head, name in products.items()]
     moving = [f"a{k}_{p} = a{k} ** {p}" for k, p in sorted(powers) if k <= n]
@@ -403,7 +404,7 @@ def _loop_fn(exprs, names: tuple[str, ...]):
              *moving, *(f"k1_{m} = {src}" for m, src in enumerate(srcs))]
     # stages 2 to 7 from u_m, t, h and k1_m; then the new state v_m, the
     # error norm and k7_m (x_m is |v_m|)
-    rest = list(fixed)
+    rest = []
     for s in range(1, 7):
         rest += [f"a{m} = u_{m} + h * ({comb(_A[s], m)})" for m in range(n)]
         rest.append(f"a{n} = t + {_C[s]!r} * h")
@@ -718,7 +719,7 @@ def riccati_compare(t0: float, t1: float, q0: float,
         tj = tk - (t1 - t0) / checkpoints
         status, u_scalar, *_ = scalar(
             u_scalar, tj, tk, _first_step(tj, tk), 1.0, MAX_STEPS, math.inf,
-            None, StepStats(), [].append, tuple, None, None)
+            None, StepStats(), lambda state: None, tuple, None, None)
         if status is not None:
             raise StepFailure(status)
         if state.chart != "W1":
