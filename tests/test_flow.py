@@ -199,20 +199,22 @@ def run_loop(loop, u, t0, t1, threshold=math.inf, budget=flow.MAX_STEPS,
              h=None):
     """A generated loop from t0 towards t1, with first step h (by default
     integrate's), stopping at the first state past the threshold: (status,
-    u, t, records, stats), each record a tuple (None, *u, t, None)."""
+    u, t, h, err_prev, records, stats), with the next step h and the PI
+    memory err_prev as the loop returns them, each record a tuple (None,
+    *u, t, None)."""
     stats, records = StepStats(), []
     h = flow._first_step(t0, t1) if h is None else h
-    status, u, t, *_ = loop(u, t0, t1, h, 1.0, budget, threshold,
-                            lambda *state: "elsewhere", stats,
-                            records.append, tuple, None, None)
-    return status, u, t, records, stats
+    status, u, t, h, err_prev, _ = loop(u, t0, t1, h, 1.0, budget, threshold,
+                                        lambda *state: "elsewhere", stats,
+                                        records.append, tuple, None, None)
+    return status, u, t, h, err_prev, records, stats
 
 
 def test_overflow_in_a_step_is_a_rejected_step():
     # q^100 overflows at q = 1e10, in the first stage and in every step
     bind = flow._loop_fn((rfvar("q") ** 100,), ("q", "t"))
     config = IntegratorConfig()
-    status, u, t, records, stats = run_loop(
+    status, u, t, _, _, records, stats = run_loop(
         bind(config.rtol, config.atol), (1e10,), 0.0, 1.0)
     assert (status, u, t, records) == ("step size underflow", (1e10,), 0.0,
                                        [])
@@ -226,8 +228,8 @@ def test_forced_accepts_are_counted_at_the_step_size_floor():
     # tolerances no step can meet: h shrinks to the floor, where the loop
     # accepts (and counts as forced) until h underflows
     bind = flow._loop_fn((rfvar("q") ** 2 + rfvar("t"),), ("q", "t"))
-    status, _, t, records, stats = run_loop(bind(1e-100, 1e-100),
-                                            (0.5,), 0.0, 1.0)
+    status, _, t, _, _, records, stats = run_loop(bind(1e-100, 1e-100),
+                                                  (0.5,), 0.0, 1.0)
     assert status == "step size underflow"
     assert stats.forced == stats.accepted == len(records) > 0
     assert stats.rejected == stats.rejected_error > 0
@@ -273,7 +275,8 @@ def test_the_threshold_test_is_strict():
     # past it: the loop runs to t1 without stopping for a chart switch
     loop = flow._loop_fn((RationalFunction.coerce(0),), ("q", "t"))(1e-10,
                                                                    1e-12)
-    status, u, t, records, stats = run_loop(loop, (-3.0,), 0.0, 0.0012, 3.0)
+    status, u, t, _, _, records, stats = run_loop(loop, (-3.0,), 0.0,
+                                                  0.0012, 3.0)
     assert (status, u, t) == (None, (-3.0,), 0.0012)
     assert len(records) == stats.accepted == 2
     assert run_loop(loop, (-3.0,), 0.0, 0.0012, 2.999)[:3] == (
@@ -453,16 +456,22 @@ tolerances = st.floats(1e-13, 1e-3)
 
 
 def assert_step_matches_the_loop(bind, ref_bind, u, t, h, params, rtol,
-                                 atol):
+                                 atol, final=False):
     """One step of the generated loop, from (u, t) with step h, against
-    one step of the reference driver over loop_step and error_norm."""
+    one step of the reference driver over loop_step and error_norm.  The
+    step ends at t1 = t + 2h, or at t1 = t + h when final (at t = 0.0
+    that is h exactly, and a final step is not refused below the floor);
+    either way h is not cut, and a budget of one step ends both runs
+    after it."""
     config = IntegratorConfig(rtol=rtol, atol=atol)
-    # t1 = t + 2h: h is not cut to end at t1, and a budget of one step
-    # ends both runs after it
-    got = run_loop(bind(rtol, atol, *params), u, t, t + 2 * h, budget=1, h=h)
-    want = ref_run_loop(lambda: ref_bind(rtol, atol, *params), u, t,
-                        t + 2 * h, config, budget=1, h=h)
+    t1 = t + (h if final else 2 * h)
+    got = run_loop(bind(rtol, atol, *params), u, t, t1, budget=1, h=h)
+    want = ref_run_loop(lambda: ref_bind(rtol, atol, *params), u, t, t1,
+                        config, budget=1, h=h)
     assert_runs_agree(got, want)
+    # the step ran: the loop refuses only a non-finite state beforehand
+    status, *_, stats = got
+    assert stats.field_evals > 0 or status == "state became non-finite"
     # first same as last, which the loop relies on: the seventh stage is
     # the field at the new state.  Every stage enters err, so a finite
     # norm means finite stages, which is when a step can be accepted and
@@ -503,7 +512,7 @@ def test_generated_step_matches_the_loop_at_edge_values():
             assert_step_matches_the_loop(flow._chart_loop(chart),
                                          chart_reference_bind(chart),
                                          (y, z), 0.0, h, (0.25,), 1e-10,
-                                         1e-12)
+                                         1e-12, final=True)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +520,7 @@ def test_generated_step_matches_the_loop_at_edge_values():
 
 
 def _adaptive(stepper, u0, t0, t1, config, on_accept=None, stats=None,
-              budget=flow.MAX_STEPS, h0=None):
+              budget=flow.MAX_STEPS, h0=None, end=None):
     """The step-by-step driver that the generated loop replaced: drive a
     system from t0 to t1 with PI step control, one step call at a time.
 
@@ -520,15 +529,15 @@ def _adaptive(stepper, u0, t0, t1, config, on_accept=None, stats=None,
     switching hooks in there), which it must do with a new object.
     stats, when given, is a StepStats that receives the counts, also when
     the run fails.  ``budget`` is the step budget and ``h0``, when given,
-    the first step.
+    the first step.  ``end``, when given, is a list that receives the
+    next step h and the PI memory err_prev, also when the run fails; the
+    controller updates them before on_accept is called.
 
     The first stage is reused (FSAL): after a rejected step u and t are
     unchanged, and after an accepted step that on_accept left alone the
     step's last stage is the field at the new state.  Each step therefore
     costs six field evaluations, plus one at the start, after a replaced
     state and after an OverflowError."""
-    if t1 == t0:
-        return u0
     isfinite = math.isfinite
     field, step = stepper()
     direction = 1.0 if t1 > t0 else -1.0
@@ -577,6 +586,11 @@ def _adaptive(stepper, u0, t0, t1, config, on_accept=None, stats=None,
                 accepted += 1
                 h_min = min(h_min, abs(h))
                 h_max = max(h_max, abs(h))
+                fac = 0.9 * (norm ** -0.14 if norm > 0 else 2.0) \
+                    * (err_prev ** 0.08)
+                err_prev = max(norm, 1e-10)
+                h = direction * min(abs(h) * min(5.0, max(0.2, fac)),
+                                    flow.H_MAX)
                 if on_accept is not None:
                     u = on_accept(u, t)
                 if u is not u_new:
@@ -584,15 +598,14 @@ def _adaptive(stepper, u0, t0, t1, config, on_accept=None, stats=None,
                     k1 = None
                 else:
                     k1 = None if final_step else k7
-                fac = 0.9 * (norm ** -0.14 if norm > 0 else 2.0) \
-                    * (err_prev ** 0.08)
-                err_prev = max(norm, 1e-10)
             else:
                 rej_error += 1
                 fac = max(0.2, 0.9 * norm ** -0.2)
-            h = direction * min(abs(h) * min(5.0, max(0.2, fac)),
-                                flow.H_MAX)
+                h = direction * min(abs(h) * min(5.0, max(0.2, fac)),
+                                    flow.H_MAX)
     finally:
+        if end is not None:
+            end[:] = h, err_prev
         if stats is not None:
             stats.field_evals += evals
             stats.accepted += accepted
@@ -648,7 +661,7 @@ class Crossed(Exception):
 def ref_run_loop(stepper, u, t0, t1, config, threshold=math.inf,
                  budget=flow.MAX_STEPS, h=None):
     """run_loop's answer from the reference driver."""
-    stats, records, last = StepStats(), [], [u, t0]
+    stats, records, last, end = StepStats(), [], [u, t0], []
 
     def on_accept(u, t):
         last[:] = u, t
@@ -658,13 +671,14 @@ def ref_run_loop(stepper, u, t0, t1, config, threshold=math.inf,
         return u
 
     try:
-        _adaptive(stepper, u, t0, t1, config, on_accept, stats, budget, h)
+        _adaptive(stepper, u, t0, t1, config, on_accept, stats, budget, h,
+                  end)
         status = None
     except Crossed:
         status = "switch"
     except StepFailure as exc:
         status = str(exc)
-    return status, tuple(last[0]), last[1], records, stats
+    return (status, tuple(last[0]), last[1], *end, records, stats)
 
 
 def record_bits(records):
@@ -673,7 +687,7 @@ def record_bits(records):
 
 def note(run):
     """Hypothesis events: how a run ended and what it rejected."""
-    status, _, _, _, stats = run
+    status, *_, stats = run
     event(f"status {status}")
     for cause in ("rejected_error", "rejected_overflow",
                   "rejected_non_finite", "forced"):
@@ -682,9 +696,12 @@ def note(run):
 
 
 def assert_runs_agree(got, want):
-    (status, u, t, records, stats), (status_r, u_r, t_r, records_r,
-                                     stats_r) = got, want
-    assert (status, bits(u), bits((t,))) == (status_r, bits(u_r), bits((t_r,)))
+    """Status, final state, next step h, err_prev (both carry the last
+    error norm's bits), records and stats, to the bit."""
+    (status, u, *ends, records, stats), (status_r, u_r, *ends_r, records_r,
+                                         stats_r) = got, want
+    assert (status, bits(u), bits(ends)) == (status_r, bits(u_r),
+                                             bits(ends_r))
     assert record_bits(records) == record_bits(records_r)
     assert stats == stats_r
 
