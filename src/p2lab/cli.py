@@ -428,12 +428,17 @@ def _cmd_integrate(args) -> int:
         yield "t,chart,y,z,q_equiv,p_equiv,switch_flag\n"
         for s in traj.states:
             chart, y, z, t, _ = s
-            q, p = to_w1(s)
             flag = 1 if t in switch_times else 0
             # one %-format per row makes the same digits as format(x,
-            # ".17g"), at less cost
-            yield "%.17g,%s,%.17g,%.17g,%.17g,%.17g,%d\n" % (
-                t, chart, y, z, q, p, flag)
+            # ".17g"), at less cost; in the base chart the base-chart
+            # equivalents are y and z themselves, formatted once
+            if chart == "W1":
+                yz = "%.17g,%.17g" % (y, z)
+                yield "%.17g,W1,%s,%s,%d\n" % (t, yz, yz, flag)
+            else:
+                q, p = to_w1(s)
+                yield "%.17g,%s,%.17g,%.17g,%.17g,%.17g,%d\n" % (
+                    t, chart, y, z, q, p, flag)
 
     sys.stdout.writelines(rows())
     for ev in traj.switches:
