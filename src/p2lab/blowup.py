@@ -459,18 +459,3 @@ def verify_intersection_table(regime: str = "generic") -> list[TableCheck]:
             status = "fail"
         out.append(TableCheck(a, b, computed, stated, status))
     return out
-
-
-def dual_graph(regime: str = "generic", names: tuple[str, ...] | None = None):
-    """Adjacency (pair == 1) among boundary and named curves."""
-    classes = engine_classes(regime)
-    from .lattice import pair
-
-    if names is None:
-        names = tuple(f"D{i}" for i in range(8))
-    edges = set()
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            if pair(classes[a], classes[b]) == 1:
-                edges.add(frozenset((a, b)))
-    return edges

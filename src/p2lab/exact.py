@@ -285,6 +285,9 @@ class Polynomial:
         return self._terms == p._terms
 
     def __hash__(self):
+        # a constant equals its Fraction, so it hashes as one
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "Polynomial":
@@ -681,9 +684,6 @@ class RationalFunction:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant()
-
     def __eq__(self, other) -> bool:
         try:
             o = RationalFunction.coerce(other)
@@ -692,6 +692,10 @@ class RationalFunction:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
+        # a canonical quotient with a constant denominator has den 1 and
+        # equals its numerator, so it hashes as that
+        if self.den.is_constant():
+            return hash(self.num)
         return hash((self.num, self.den))
 
     # -- field operations ---------------------------------------------

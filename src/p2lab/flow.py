@@ -208,23 +208,13 @@ def _rf_source(expr: RationalFunction | Polynomial,
     return f"({num}) / ({_poly_source(expr.den, idx, power, fold)})"
 
 
-def _generated_lambda(body: str, names: tuple[str, ...]):
-    params = ", ".join(f"a{k}" for k in range(len(names)))
-    return eval(f"lambda {params}: {body}", {})
-
-
-def compile_rf(expr: RationalFunction | Polynomial, names: tuple[str, ...]):
-    """Close an exact expression over an argument order; returns a plain
-    float function of len(names) arguments, generated as one expression."""
-    return _generated_lambda(_rf_source(expr, names), names)
-
-
 def compile_map(exprs, names: tuple[str, ...]):
-    """Like ``compile_rf`` for several expressions at once: one generated
-    function returning the tuple of their values, computed in order."""
-    return _generated_lambda(
-        "(" + "".join(f"{_rf_source(e, names)}, " for e in exprs) + ")",
-        names)
+    """Close exact expressions over an argument order: a plain float
+    function of len(names) arguments, generated as one expression, that
+    returns the tuple of their values, computed in order."""
+    params = ", ".join(f"a{k}" for k in range(len(names)))
+    body = "".join(f"{_rf_source(e, names)}, " for e in exprs)
+    return eval(f"lambda {params}: ({body})", {})
 
 
 @lru_cache(maxsize=None)
@@ -496,8 +486,9 @@ def _loop_source(n, vec, first, rest):
         "    h_min = ah",
         "if ah > h_max:",
         "    h_max = ah",
-        *clamp("0.9 * (norm ** -0.14 if norm > 0 else 2.0) "
-               "* (err_prev ** 0.08)"),
+        # a zero norm takes the clamp's top factor, the limit as norm -> 0+
+        *clamp("0.9 * norm ** -0.14 * err_prev ** 0.08 if norm > 0 "
+               "else 5.0"),
         "err_prev = 1e-10 if norm < 1e-10 else norm",
         *size,
         "if size > threshold:",
@@ -588,6 +579,13 @@ def integrate(c: float, initial: FlowState, t1: float,
     Then the state moves there by the exact transition, the switch is
     recorded, and the other chart's loop goes on from a fresh first
     stage."""
+    # an int or Fraction past the float range would raise OverflowError
+    # in the loop; the values themselves are kept, so no bit changes
+    try:
+        for value in (c, initial.y, initial.z, initial.t, t1):
+            float(value)
+    except OverflowError:
+        raise FlowError("integration input exceeds the float range") from None
     if not (math.isfinite(initial.t) and math.isfinite(t1)):
         raise FlowError("integration bounds must be finite")
     cf = float(c)

@@ -56,12 +56,6 @@ def report() -> dict:
 
 
 @pytest.fixture(scope="session")
-def passes(report):
-    """passes(*ids): every named check of the session report passed."""
-    return lambda *ids: all(report[cid]["status"] == "pass" for cid in ids)
-
-
-@pytest.fixture(scope="session")
 def checkout_env() -> dict:
     """The environment for a child python, with this checkout's ``src``
     ahead of anything else on its PYTHONPATH."""

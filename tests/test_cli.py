@@ -181,6 +181,13 @@ W12_STATS = {
     "forced": 0, "h_min": 0.00015261333068394833,
     "h_max": 0.029327255579897574,
     "steps_per_chart": {"W1": 305, "W3": 800, "W12": 878}, "switches": 15}
+# every error norm is 0, so h grows fivefold up to its cap; before, h
+# shrank after each step until it underflowed (exit 2)
+LOOSE_STATS = {
+    "field_evals": 49, "accepted": 8,
+    "rejected": {"error_norm": 0, "overflow": 0, "non_finite": 0},
+    "forced": 0, "h_min": 0.001, "h_max": 0.25,
+    "steps_per_chart": {"W1": 8, "W3": 0, "W12": 0}, "switches": 0}
 
 
 @pytest.mark.parametrize("argv,stats", [
@@ -188,6 +195,8 @@ W12_STATS = {
       "--p0", "0"], POLE_DEMO_STATS),
     (["integrate", "--c=-1", "--t0=0.0", "--t1=10.0", "--q0=-1.5",
       "--p0=0.0"], W12_STATS),
+    (["integrate", "--c", "1/2", "--t0", "0", "--t1", "1", "--q0", "0",
+      "--p0", "0", "--rtol", "1e300"], LOOSE_STATS),
 ])
 def test_integrate_stats(capsys, argv, stats):
     # --stats appends one JSON line to stderr and changes nothing else;

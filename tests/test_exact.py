@@ -500,6 +500,45 @@ def test_canonical_equality_is_a_zero_difference(ab):
     assert (a == -b) == (a + b).is_zero()
 
 
+@st.composite
+def mixed_values(draw):
+    """Two of an int, a Fraction, a Polynomial and a RationalFunction,
+    the second usually the first's value in another type or built
+    another way."""
+    few_monomials = st.sampled_from([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+    q = Polynomial.variable("q")
+
+    def base():
+        return (draw(polys(max_terms=2, exps=few_monomials))
+                * Fraction(1, draw(st.integers(1, 3))))
+
+    def value(p):
+        if p.is_constant() and draw(st.booleans()):
+            v = p.constant_value()
+            return v.numerator if v.denominator == 1 else v
+        kind = draw(st.sampled_from(["poly", "rf", "multiple", "quotient"]))
+        if kind == "poly":
+            return p
+        if kind == "rf":
+            return rf(p)
+        d = draw(tiny_polys)
+        if kind == "multiple":
+            return RationalFunction(p * d, d)
+        return RationalFunction(p * d, (q + 1) * d)
+
+    first = base()
+    second = first if draw(st.booleans()) else base()
+    return value(first), value(second)
+
+
+@given(mixed_values())
+@example((3, Polynomial.const(3)))
+@example((rfvar("q"), Polynomial.variable("q")))
+def test_equal_values_hash_equal(ab):
+    a, b = ab
+    assert a != b or hash(a) == hash(b)
+
+
 # -- substitution ------------------------------------------------------------
 #
 # Reference: a polynomial expanded under the bindings term by term with
