@@ -20,8 +20,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .exact import (
-    NotPolynomial, Polynomial, RationalFunction, _Unreduced, rf, rfvar, rfvars,
-    var_index,
+    Polynomial, RationalFunction, _Unreduced, rf, rfvar, rfvars, var_index,
 )
 
 CHARTS = ("W1", "W3", "W12")

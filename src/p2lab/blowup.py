@@ -38,8 +38,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .exact import (
-    Polynomial, RationalFunction, _Unreduced, divexact, poly_gcd, rf, rfvar,
-    var_index,
+    Polynomial, RationalFunction, _Unreduced, poly_gcd, rf, rfvar, var_index,
 )
 from .lattice import DivisorClass
 

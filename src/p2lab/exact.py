@@ -2,7 +2,7 @@
 
 Everything symbolic in this package runs on two types defined here:
 
-* ``Polynomial``: a sparse multivariate polynomial with ``fractions.Fraction``
+* ``Polynomial``: a sparse multivariate polynomial with rational
   coefficients over a closed, build-time variable alphabet (``ALPHABET``);
   there is no dynamic variable creation, so monomials from different
   expressions always line up.
@@ -44,8 +44,17 @@ rule): a product cancels each numerator against the other denominator, a
 sum takes the gcd of the two denominators and then cancels the new
 numerator against that gcd alone.
 
-Rational numbers themselves are plain ``fractions.Fraction``; nothing here
-wraps them.
+A coefficient is stored as a plain ``int`` when it is integral and as a
+``fractions.Fraction`` otherwise, so the products and sums of integral
+coefficients run on CPython's int arithmetic.  Only the constructors,
+``_scaled`` and ``divexact`` need care, since ``int / int`` is a float:
+they store an integral value as an int and divide exactly.  The other
+operations take any mix of the two types, and compare, hash and print by
+value, so a ``Fraction`` with denominator 1 works the same as the int.
+The public views (``terms``, ``leading``, ``constant_value``,
+``signed_content``, ``eval_fractions``) return ``Fraction``.  Rational
+numbers themselves are plain ``fractions.Fraction``; nothing here wraps
+them.
 """
 from __future__ import annotations
 
@@ -137,6 +146,14 @@ def _unpack(key: int) -> tuple:
     return tuple(key.to_bytes(_NBYTES, "big")[1:])
 
 
+def _coef(value: Scalar) -> Scalar:
+    """A coefficient as stored: an int when integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    q = Fraction(value)
+    return q.numerator if q.denominator == 1 else q
+
+
 class _Terms(Mapping):
     """Read-only view of a polynomial's terms with exponent-tuple keys, in
     the polynomial's own term order."""
@@ -151,7 +168,7 @@ class _Terms(Mapping):
             key = _pack(exp)
         except (ExactError, TypeError):
             raise KeyError(exp) from None
-        return self._terms[key]
+        return Fraction(self._terms[key])
 
     def __iter__(self):
         return map(_unpack, self._terms)
@@ -162,9 +179,6 @@ class _Terms(Mapping):
     def items(self):
         return _TermItems(self)
 
-    def values(self):
-        return self._terms.values()
-
     def __repr__(self):
         return repr(dict(self.items()))
 
@@ -172,7 +186,7 @@ class _Terms(Mapping):
 class _TermItems(ItemsView):
     def __iter__(self):
         for key, q in self._mapping._terms.items():
-            yield _unpack(key), q
+            yield _unpack(key), Fraction(q)
 
 
 def _add_into(out: dict, terms: dict) -> None:
@@ -189,7 +203,9 @@ def _add_into(out: dict, terms: dict) -> None:
 
 
 class Polynomial:
-    """Sparse polynomial: ``{packed monomial: nonzero Fraction}``."""
+    """Sparse polynomial: ``{packed monomial: nonzero coefficient}``, each
+    coefficient an int when integral and a Fraction otherwise.  The public
+    views return the coefficients as Fractions."""
 
     __slots__ = ("_terms",)
 
@@ -197,19 +213,22 @@ class Polynomial:
         """From a mapping of exponent tuples (over the whole alphabet) to
         rational coefficients; zero coefficients are dropped."""
         if terms:
-            self._terms = {_pack(e): Fraction(q) for e, q in terms.items() if q}
+            self._terms = {_pack(e): _coef(q) for e, q in terms.items() if q}
         else:
             self._terms = {}
 
     @classmethod
     def _new(cls, terms: dict) -> "Polynomial":
-        """Wrap a packed dict whose coefficients are nonzero Fractions."""
+        """Wrap a packed dict of nonzero int or Fraction coefficients (an
+        int where integral, as the kernel stores them; an integral Fraction
+        gives the same values, only slower)."""
         p = object.__new__(cls)
         p._terms = terms
         return p
 
     @property
     def terms(self) -> Mapping[tuple, Fraction]:
+        """Exponent tuple -> Fraction coefficient, read-only."""
         return _Terms(self._terms)
 
     # -- constructors -------------------------------------------------
@@ -220,12 +239,12 @@ class Polynomial:
 
     @classmethod
     def const(cls, value: Scalar) -> "Polynomial":
-        q = Fraction(value)
+        q = _coef(value)
         return cls._new({0: q} if q else {})
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
-        return cls._new({_ONE[var_index(name)]: Fraction(1)})
+        return cls._new({_ONE[var_index(name)]: 1})
 
     # -- predicates and views -----------------------------------------
 
@@ -243,7 +262,7 @@ class Polynomial:
             return Fraction(0)
         if not self.is_constant():
             raise ExactError("polynomial is not constant")
-        return self._terms[0]
+        return Fraction(self._terms[0])
 
     def variables(self) -> tuple[str, ...]:
         present = 0
@@ -259,7 +278,7 @@ class Polynomial:
         if not self._terms:
             raise ExactError("zero polynomial has no leading term")
         e = max(self._terms)
-        return _unpack(e), self._terms[e]
+        return _unpack(e), Fraction(self._terms[e])
 
     def coeff_in(self, name: str, power: int) -> "Polynomial":
         """Coefficient of ``name**power``, a polynomial in the other variables."""
@@ -443,8 +462,13 @@ class Polynomial:
 
 
 def _scaled(p: Polynomial, r: Fraction) -> Polynomial:
-    """p / r for a nonzero rational r."""
-    return Polynomial._new({e: q / r for e, q in p._terms.items()})
+    """p / r for a nonzero Fraction r; an integral quotient is stored as an
+    int, so a primitive polynomial has only int coefficients."""
+    out = {}
+    for e, q in p._terms.items():
+        q = q / r
+        out[e] = q.numerator if q.denominator == 1 else q
+    return Polynomial._new(out)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +493,11 @@ def divexact(a: Polynomial, b: Polynomial) -> Polynomial:
         if d & _GUARDS != _GUARDS:
             raise ExactError("inexact polynomial division")
         d ^= _GUARDS
-        q = rem.pop(er) / cb
+        q = rem.pop(er)
+        if type(q) is int and type(cb) is int:
+            q = q // cb if q % cb == 0 else Fraction(q, cb)
+        else:
+            q = q / cb
         quotient[d] = q
         for e, c in rest:
             e += d
@@ -606,7 +634,7 @@ def _monomial_gcd(m: Polynomial, b: Polynomial) -> Polynomial:
         fields = [(s, min(k, (e >> s) & 0xFF)) for s, k in fields]
         fields = [(s, k) for s, k in fields if k]
     key = sum(k << s for s, k in fields) + (sum(k for _, k in fields) << _DEG_SHIFT)
-    return Polynomial._new({key: Fraction(1)})
+    return Polynomial._new({key: 1})
 
 
 def _is_one(p: Polynomial) -> bool:
@@ -653,6 +681,8 @@ class RationalFunction:
         if r != 1:
             den = _scaled(den, r)
             num = _scaled(num, r)
+        elif any(type(q) is not int for q in den._terms.values()):
+            den = _scaled(den, r)    # an integral Fraction left by a product
         self.num = num
         self.den = den
 

@@ -12,7 +12,6 @@ same classes from defining equations, and tests compare the two routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import intlinalg
 

@@ -771,3 +771,137 @@ def test_unreduced_substitution_guards():
         _Unreduced.of("q")
     with pytest.raises(ExactError):
         u ** -1
+
+
+# -- int coefficients -------------------------------------------------------
+#
+# The kernel stores an integral coefficient as an int and any other as a
+# Fraction.  Reference: the same polynomial with every coefficient a
+# Fraction, the layout the kernel stored before; both must compute the same
+# values and print the same strings, alone and mixed.
+
+rational_coeffs = st.one_of(coeffs, st.fractions(-9, 9, max_denominator=4))
+
+
+@st.composite
+def rational_polys(draw, max_terms=4, exps=exponents):
+    """Polynomials from the public constructor with int and Fraction
+    coefficients."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        e = [0] * NVARS
+        for name, k in zip(VARS, draw(exps)):
+            e[var_index(name)] = k
+        terms[tuple(e)] = draw(rational_coeffs)
+    return Polynomial(terms)
+
+
+small_rational_polys = rational_polys(max_terms=3, exps=small_exponents).filter(bool)
+
+
+def as_fractions(p):
+    """p with every coefficient stored as a Fraction."""
+    return Polynomial._new({k: Fraction(v) for k, v in p._terms.items()})
+
+
+def layouts(a, b):
+    """(a, b) in the int layout, the Fraction layout and both mixed."""
+    fa, fb = as_fractions(a), as_fractions(b)
+    return (a, b), (fa, fb), (a, fb), (fa, b)
+
+
+def assert_same(got, want):
+    assert got == want and str(got) == str(want)
+
+
+def substituted(x, y):
+    """x/y with q -> y/x and p -> x, or None where the denominator
+    vanishes identically."""
+    try:
+        return _Unreduced(x, y).substitute({"q": _Unreduced(y, x), "p": x})
+    except IdenticallyZeroDenominator:
+        return None
+
+
+@settings(deadline=None)
+@given(rational_polys(), rational_polys())
+def test_int_coefficients_match_the_fraction_layout(a, b):
+    fa, fb = as_fractions(a), as_fractions(b)
+    for x, y in layouts(a, b):
+        assert_same(x + y, fa + fb)
+        assert_same(x - y, fa - fb)
+        assert_same(x * y, fa * fb)
+        if b:
+            assert_same(divexact(x * y, y), fa)
+    for x in (a, fa):
+        assert_same(x ** 3, fa ** 3)
+        assert_same(x.primitive(), fa.primitive())
+        assert x.signed_content() == fa.signed_content()
+        for v in VARS:
+            assert_same(x.diff(v), fa.diff(v))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rational_polys, small_rational_polys, small_rational_polys)
+def test_int_coefficient_gcds_and_quotients_match_the_fraction_layout(a, b, g):
+    fa, fb, fg = as_fractions(a), as_fractions(b), as_fractions(g)
+    want_gcd = poly_gcd(fa * fg, fb * fg)
+    want_rf = RationalFunction(fa * fg, fb * fg)
+    want_u = substituted(fa, fb)
+    for x, y in layouts(a, b):
+        assert_same(poly_gcd(x * g, y * g), want_gcd)
+        assert_same(RationalFunction(x * g, y * fg), want_rf)
+        u = substituted(x, y)
+        if want_u is None:
+            assert u is None
+            continue
+        assert_same(u.num, want_u.num)
+        assert_same(u.den, want_u.den)
+        assert u.is_zero() == want_u.is_zero()
+
+
+def _stored(*values):
+    """Every coefficient the polynomials and quotients store."""
+    for v in values:
+        for p in ((v.num, v.den) if hasattr(v, "den") else (v,)):
+            yield from p._terms.values()
+
+
+def test_exact_division_by_an_int_keeps_a_fraction():
+    q = Polynomial.variable("q")
+    half = divexact(3 * q, Polynomial.const(2))
+    assert half == Fraction(3, 2) * q
+    (c,) = _stored(half)
+    assert type(c) is Fraction and c == Fraction(3, 2)
+    (c,) = _stored(divexact(4 * q, Polynomial.const(2)))
+    assert type(c) is int and c == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_rational_polys, small_rational_polys)
+# a product leaves the Fraction 1/2 * 2 in a denominator with content 1
+@example(Polynomial.const(1), Fraction(1, 2) * (2 * Polynomial.variable("q")))
+def test_stored_coefficients_are_ints_where_integral(a, b):
+    canonical = [RationalFunction(a, b), rf(a) / rf(b) + rf(b).partial("p")]
+    ops = [a + b, a - b, a * b, a ** 2, a.diff("q"), divexact(a * b, b),
+           a.subs_poly({"q": b}), *canonical]
+    u = substituted(a, b)
+    if u is not None:
+        ops.append(u)
+    # no float, whatever the operation
+    for c in _stored(*ops):
+        assert type(c) in (int, Fraction)
+    # primitive parts and canonical denominators are all-int
+    for c in _stored(a.primitive(), poly_gcd(a, b), *(r.den for r in canonical)):
+        assert type(c) is int
+    # the public views are Fractions
+    for p in (a, b, a * b):
+        assert all(type(v) is Fraction for v in p.terms.values())
+        assert all(type(v) is Fraction for _, v in p.terms.items())
+        assert all(type(p.terms[e]) is Fraction for e in p.terms)
+        assert type(p.leading()[1]) is Fraction
+        assert type(p.signed_content()) is Fraction
+    for k, kind in ((3, int), (Fraction(6, 2), int), (Fraction(1, 2), Fraction)):
+        p = Polynomial.const(k)
+        (c,) = _stored(p)
+        assert type(c) is kind and type(p.constant_value()) is Fraction

@@ -15,7 +15,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from p2lab import atlas, flow
-from p2lab.exact import Polynomial, RationalFunction, rf, rfvar, var_index
+from p2lab.exact import Polynomial, RationalFunction, rfvar, var_index
 from p2lab.flow import (
     _A,
     _B4,

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from p2lab import lattice, weyl
 from p2lab.lattice import DivisorClass
 
-from fractions import Fraction
-
 
 words = st.lists(st.sampled_from(["i", "j"]), max_size=8)
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
