@@ -415,36 +415,21 @@ def _cmd_orbit(args) -> int:
     return 0
 
 
+# what json.dumps({"event": "switch", "t": f"{t:.17g}", "from": ...,
+# "to": ...}) prints: neither the digits nor a chart name needs escaping
+_SWITCH_EVENT = '{"event": "switch", "t": "%.17g", "from": "%s", "to": "%s"}\n'
+
+
 def _cmd_integrate(args) -> int:
     c = float(args.c)
     config = flow.IntegratorConfig(rtol=args.rtol, atol=args.atol,
                                    switch_threshold=args.R)
     initial = flow.FlowState("W1", args.q0, args.p0, args.t0, c)
     traj = flow.integrate(c, initial, args.t1, config)
-    switch_times = {ev.t for ev in traj.switches}
-    to_w1 = flow.to_w1
-
-    def rows():
-        yield "t,chart,y,z,q_equiv,p_equiv,switch_flag\n"
-        for s in traj.states:
-            chart, y, z, t, _ = s
-            flag = 1 if t in switch_times else 0
-            # one %-format per row makes the same digits as format(x,
-            # ".17g"), at less cost; in the base chart the base-chart
-            # equivalents are y and z themselves, formatted once
-            if chart == "W1":
-                yz = "%.17g,%.17g" % (y, z)
-                yield "%.17g,W1,%s,%s,%d\n" % (t, yz, yz, flag)
-            else:
-                q, p = to_w1(s)
-                yield "%.17g,%s,%.17g,%.17g,%.17g,%.17g,%d\n" % (
-                    t, chart, y, z, q, p, flag)
-
-    sys.stdout.writelines(rows())
+    flow.write_csv(traj, sys.stdout.write)
+    write = sys.stderr.write
     for ev in traj.switches:
-        print(json.dumps({"event": "switch", "t": f"{ev.t:.17g}",
-                          "from": ev.from_chart, "to": ev.to_chart}),
-              file=sys.stderr)
+        write(_SWITCH_EVENT % (ev.t, ev.from_chart, ev.to_chart))
     if args.stats:
         print(json.dumps({"stats": traj.stats_record()}), file=sys.stderr)
     return 0

@@ -25,13 +25,26 @@ a step failure, or to switch charts: the transition and the switch event
 are Python, and the target chart's loop starts with a fresh first stage.
 The scalar Riccati comparison runs through the same generator.
 
+The chart choice and the CSV output are generated from the same
+transition sources.  ``best_chart`` calls one generated function per
+source chart that inlines the changes to all three candidates, and
+``write_csv`` calls one generated row writer, built once per process,
+with a branch per chart that inlines the chart's change to W1.  Both
+evaluate a change as ``transport`` does, with (nan, nan) where it
+divides by zero or overflows, so their charts and rows are those of
+``transport`` (the transport-based routes are kept in tests/test_flow.py
+and tests/test_cli.py as references).
+
 The generated code computes the same values in the same order as a
 term-by-term interpreter, a generic stage loop, a generic norm loop and
 a step-by-step driver (all kept in tests/test_flow.py as references).
 It only takes each power once per stage and each product of fixed
 factors with a fresh first stage, leaves out factors 1.0 and exponents
-1, writes a negative term as a subtraction, and spells min and max as
-comparisons, so its results agree with theirs to the bit.
+1, writes a negative term as a subtraction, and spells min, max and abs
+as comparisons, so its results agree with theirs to the bit.  (Spelled
+so, |x| keeps the sign of a zero x and may flip that of a nan; those
+values are only compared, or scaled by rtol and added to atol, which
+cannot show either sign.)
 """
 from __future__ import annotations
 
@@ -224,10 +237,15 @@ def chart_field(chart: str):
                        atlas.CHART_VARS[chart] + ("t", "c"))
 
 
+def _transition_exprs(i: str, j: str):
+    """The exact chart change from i to j and its argument order."""
+    tr = atlas.transition(i, j)
+    return (tr.y_img, tr.z_img), atlas.CHART_VARS[i] + ("t", "c")
+
+
 @lru_cache(maxsize=None)
 def _transition_fn(i: str, j: str):
-    tr = atlas.transition(i, j)
-    return compile_map((tr.y_img, tr.z_img), atlas.CHART_VARS[i] + ("t", "c"))
+    return compile_map(*_transition_exprs(i, j))
 
 
 def transport(i: str, j: str, y: float, z: float, t: float, c: float):
@@ -302,19 +320,55 @@ def best_chart(chart: str, y: float, z: float, t: float, c: float) -> str:
     """Chart in which the point has the smallest max(|y|, |z|), ties
     broken in the fixed order of the atlas; NoChart when every chart
     blows up past ``NO_CHART_BOUND`` (the point is numerically on the
-    removed divisor)."""
-    best = None
-    best_size = math.inf
-    for cand in atlas.CHARTS:
-        yy, zz = transport(chart, cand, y, z, t, c)
-        if math.isnan(yy) or math.isnan(zz) or math.isinf(yy) or math.isinf(zz):
-            continue
-        size = max(abs(yy), abs(zz))
-        if size < best_size:
-            best, best_size = cand, size
+    removed divisor).  A chart is a candidate where ``transport`` to it
+    is finite."""
+    best, best_size = _chooser(chart)(y, z, t, c)
     if best is None or best_size > NO_CHART_BOUND:
         raise NoChart(f"no finite chart at t={t} (smallest size {best_size})")
     return best
+
+
+def _transport_source(i: str, j: str, y: str, z: str) -> list:
+    """Source lines that set the names y and z to ``transport(i, j, a0,
+    a1, a2, a3)``, evaluated as ``transport`` evaluates it: the same
+    expressions in the same order, and (nan, nan) on a ZeroDivisionError
+    or an OverflowError."""
+    if i == j:
+        return [f"{y}, {z} = a0, a1"]
+    exprs, names = _transition_exprs(i, j)
+    y_src, z_src = (_rf_source(e, names) for e in exprs)
+    return ["try:", f"    {y} = {y_src}", f"    {z} = {z_src}",
+            "except (ZeroDivisionError, OverflowError):",
+            f"    {y} = {z} = nan"]
+
+
+def _generated(lines, name: str):
+    namespace = {"inf": math.inf, "nan": math.nan, "FlowError": FlowError}
+    exec("\n".join(lines), namespace)
+    return namespace[name]
+
+
+@lru_cache(maxsize=None)
+def _chooser(chart: str):
+    """Generated ``choose(y, z, t, c) -> (best, best_size)`` for a point
+    in ``chart``: ``best_chart``'s candidates in the order of the atlas,
+    each chart change inlined.  max(|y|, |z|) and the finiteness test are
+    spelled as comparisons: a candidate is taken when its size is below
+    the best so far (at most inf) and its |z| is not nan, which skips
+    exactly the candidates with a nan or an infinite coordinate.  The sign
+    of a zero size cannot show."""
+    lines = ["def choose(a0, a1, a2, a3):",
+             "    best, best_size = None, inf"]
+    for cand in atlas.CHARTS:
+        lines += _block(1, [
+            *_transport_source(chart, cand, "y_", "z_"),
+            "ay = y_ if y_ > 0.0 else -y_",
+            "az = z_ if z_ > 0.0 else -z_",
+            "size = az if az > ay else ay",
+            "if size < best_size and az == az:",
+            f"    best, best_size = {cand!r}, size"])
+    lines.append("    return best, best_size")
+    return _generated(lines, "choose")
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +459,8 @@ def _loop_fn(exprs, names: tuple[str, ...]):
     for m in range(n):
         rest += [f"v_{m} = u_{m} + h * ({comb(_B5, m)})",
                  f"e_{m} = h * ({comb(err_w, m)})",
-                 f"s_{m} = abs(u_{m})",
-                 f"x_{m} = abs(v_{m})",
+                 f"s_{m} = u_{m} if u_{m} > 0.0 else -u_{m}",
+                 f"x_{m} = v_{m} if v_{m} > 0.0 else -v_{m}",
                  f"if x_{m} > s_{m}:",
                  f"    s_{m} = x_{m}"]
         terms.append(f" + (e_{m} / (atol + rtol * s_{m})) ** 2")
@@ -459,7 +513,8 @@ def _loop_source(n, vec, first, rest):
     non-finite norm cuts h by 5 and evaluates the first stage afresh
     (after an OverflowError); a norm above 1 is accepted (and counted as
     forced) only at h <= 1e-13 * max(|t|, 1); ``min`` and ``max`` are
-    spelled out as comparisons that pick the same operand."""
+    spelled out as comparisons that pick the same operand, and so is
+    ``abs`` (x if x > 0.0 else -x)."""
     us = vec("u")
 
     def clamp(fac):
@@ -504,12 +559,12 @@ def _loop_source(n, vec, first, rest):
         "    if steps > budget:",
         "        status = 'step budget exhausted'",
         "        break",
-        "    at = abs(t)",
-        "    floor = at if at > 1.0 else 1.0",
+        "    floor = t if t > 1.0 else -t if t < -1.0 else 1.0",
         "    final_step = (t + h - t1) * direction >= 0",
         "    if final_step:",
         "        h = t1 - t",
-        "    elif abs(h) < 1e-14 * floor:",
+        "    ah = h if h > 0.0 else -h",
+        "    if not final_step and ah < 1e-14 * floor:",
         "        status = 'step size underflow'",
         "        break",
         "    if not (" + " and ".join(f"isfinite(u_{m})"
@@ -532,7 +587,6 @@ def _loop_source(n, vec, first, rest):
         "        rejected_non_finite += 1",
         "        h = direction * abs(h) * 0.2",
         "        continue",
-        "    ah = abs(h)",
         "    if norm <= 1.0 or ah <= 1e-13 * floor:",
         *_block(2, accept),
         "    else:",
@@ -640,6 +694,41 @@ def to_w1(state: FlowState) -> tuple[float, float]:
     if chart == "W1":
         return y, z
     return transport(chart, "W1", y, z, t, c)
+
+
+def write_csv(traj: Trajectory, write) -> None:
+    """``integrate``'s CSV of a trajectory through ``write``: the header,
+    then one call per state with its row (t, chart, y, z, the base-chart
+    equivalents q and p, and 1 at a switch time, else 0).  Floats are
+    printed with 17 significant digits, and q and p are ``to_w1``'s."""
+    write("t,chart,y,z,q_equiv,p_equiv,switch_flag\n")
+    _row_writer()(traj.states, {ev.t for ev in traj.switches}, write)
+
+
+@lru_cache(maxsize=None)
+def _row_writer():
+    """Generated ``rows(states, switch_times, write)``, one branch per
+    chart.  A base-chart row formats y and z once and writes them twice;
+    a pole-chart row inlines the chart's change to W1, evaluated as
+    ``transport`` evaluates it.  Each row is one %-format, which prints
+    the digits of format(x, ".17g"), and the flag is the bool of the
+    switch-time test printed by %d."""
+    lines = ["def rows(states, switch_times, write):",
+             "    for chart, a0, a1, a2, a3 in states:",
+             "        if chart == 'W1':",
+             "            yz = '%.17g,%.17g' % (a0, a1)",
+             "            write('%.17g,W1,%s,%s,%d\\n'"
+             " % (a2, yz, yz, a2 in switch_times))"]
+    for chart in atlas.CHARTS:
+        if chart == "W1":
+            continue
+        lines += [f"        elif chart == {chart!r}:",
+                  *_block(3, _transport_source(chart, "W1", "q", "p")),
+                  f"            write('%.17g,{chart},%.17g,%.17g,%.17g,%.17g,"
+                  "%d\\n' % (a2, a0, a1, q, p, a2 in switch_times))"]
+    lines += ["        else:",
+              "            raise FlowError('unknown chart ' + repr(chart))"]
+    return _generated(lines, "rows")
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,23 @@
 exit codes, and byte-for-byte determinism across runs.  Output contracts
 run in-process through ``cli.run``; the entry point, its exit codes and
 determinism across processes run as subprocesses."""
+import contextlib
 import hashlib
+import io
 import json
+import math
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import grid_digests
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
-from p2lab import atlas, blowup, cli, weyl
+from p2lab import atlas, blowup, cli, flow, weyl
 
 
 def run_cli(env, *args):
@@ -170,6 +176,100 @@ def test_integrate_grid_sample_matches_the_committed_digests():
     assert grid_digests.mismatches(sample, grid_digests.load()) == []
 
 
+def reference_output(traj):
+    """``integrate``'s stdout and stderr for a trajectory as the command
+    wrote them before its rows were generated: a generator of rows with
+    one ``to_w1`` call per row outside the base chart, and one
+    ``json.dumps`` per switch event."""
+    switch_times = {ev.t for ev in traj.switches}
+    to_w1 = flow.to_w1
+
+    def rows():
+        yield "t,chart,y,z,q_equiv,p_equiv,switch_flag\n"
+        for s in traj.states:
+            chart, y, z, t, _ = s
+            flag = 1 if t in switch_times else 0
+            if chart == "W1":
+                yz = "%.17g,%.17g" % (y, z)
+                yield "%.17g,W1,%s,%s,%d\n" % (t, yz, yz, flag)
+            else:
+                q, p = to_w1(s)
+                yield "%.17g,%s,%.17g,%.17g,%.17g,%.17g,%d\n" % (
+                    t, chart, y, z, q, p, flag)
+
+    out, err = io.StringIO(), io.StringIO()
+    out.writelines(rows())
+    for ev in traj.switches:
+        print(json.dumps({"event": "switch", "t": f"{ev.t:.17g}",
+                          "from": ev.from_chart, "to": ev.to_chart}),
+              file=err)
+    return out.getvalue(), err.getvalue()
+
+
+def integrate_output(argv, traj=None):
+    """(stdout, stderr, trajectory) of one in-process ``integrate``
+    command that must succeed; given ``traj``, ``flow.integrate`` returns
+    it instead of integrating."""
+    seen = []
+    integrate = flow.integrate
+
+    def recorded(*args):
+        seen.append(traj if traj is not None else integrate(*args))
+        return seen[-1]
+
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        mp.setattr(flow, "integrate", recorded)
+        assert cli.run(argv) == 0
+    return out.getvalue(), err.getvalue(), seen[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.fractions(-2, 2, max_denominator=6), st.floats(-1.5, 1.5),
+       st.floats(-1.5, 1.5), st.floats(-6.0, 6.0))
+@example(Fraction(-1), -1.5, 0.0, 10.0)        # the W12 trajectory
+def test_generated_rows_match_the_reference_on_integrations(c, q0, p0, t1):
+    out, err, traj = integrate_output(integrate_argv(
+        c=c, q0=repr(q0), p0=repr(p0), t1=repr(t1)))
+    event(f"{len(traj.switches)} switches")
+    assert (out, err) == reference_output(traj)
+
+
+# a pole-chart state on the removed divisor (y = 0 or -0.0) and one whose
+# change to W1 overflows (y = +-1e200) prints nan for q_equiv and p_equiv
+edge_coords = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.sampled_from([0.0, -0.0, 1e200, -1e200, math.inf, -math.inf,
+                     math.nan]))
+times = st.one_of(st.floats(-10.0, 10.0),
+                  st.sampled_from([0.0, -0.0, math.inf, math.nan]))
+charts = st.sampled_from(atlas.CHARTS)
+
+
+@st.composite
+def trajectories(draw):
+    """Hand-built trajectories: any states, and switch events at some of
+    the states' times and at other times."""
+    states = draw(st.lists(st.builds(flow.FlowState, charts, edge_coords,
+                                     edge_coords, times, st.floats(-2, 2)),
+                           min_size=1, max_size=12))
+    at = draw(st.lists(st.one_of(st.sampled_from([s.t for s in states]),
+                                 times), max_size=4))
+    switches = [flow.SwitchEvent(t, draw(charts), draw(charts), 0.0, 0.0,
+                                 0.0, 0.0) for t in at]
+    return flow.Trajectory(c=0.5, states=states, switches=switches)
+
+
+@given(trajectories())
+@example(flow.Trajectory(c=0.5, states=[
+    flow.FlowState(chart, y, 1.0, 0.5, 0.5) for chart in ("W3", "W12")
+    for y in (0.0, -0.0, 1e200, -1e200)]))
+def test_generated_rows_match_the_reference_on_built_trajectories(traj):
+    out, err, _ = integrate_output(integrate_argv(), traj)
+    assert (out, err) == reference_output(traj)
+
+
 POLE_DEMO_STATS = {
     "field_evals": 5684, "accepted": 946,
     "rejected": {"error_norm": 0, "overflow": 0, "non_finite": 0},
@@ -288,6 +388,18 @@ def test_a_flow_error_is_a_one_line_usage_error(capsys):
 def integrate_argv(**opts):
     argv = {"c": "1/2", "t0": "0", "t1": "1", "q0": "0", "p0": "0", **opts}
     return ["integrate"] + [f"--{k}={v}" for k, v in argv.items()]
+
+
+def test_a_negative_rational_value_takes_an_equals_sign(capsys):
+    # argparse reads "-1/2" after "--c" as an option, not as its value
+    for argv in (["integrate", "--c", "-1/2", "--t0", "0", "--t1", "1",
+                  "--q0", "0", "--p0", "0"], ["periods", "--c", "-1/3"]):
+        assert run_in_process(capsys, *argv) == (
+            2, "", "p2lab: error: argument --c: expected one argument\n")
+    code, out, _ = run_in_process(capsys, *integrate_argv(c="-1/2"))
+    assert code == 0 and out.splitlines()[-1].startswith("1,W1,")
+    assert run_in_process(capsys, "periods", "--c=-1/3") == (
+        0, "period(C2-C1) = -1/3\nperiod(C4-C3) = -2/3\n", "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -79,6 +79,47 @@ def test_vector_field_at_a_point():
     assert fz == -4.0 + 0.5
 
 
+def ref_best_chart(chart, y, z, t, c):
+    """best_chart as it was before its candidates were generated: each
+    candidate through ``transport``, tested with isnan and isinf, sized
+    with abs and max."""
+    best = None
+    best_size = math.inf
+    for cand in atlas.CHARTS:
+        yy, zz = transport(chart, cand, y, z, t, c)
+        if math.isnan(yy) or math.isnan(zz) or math.isinf(yy) or math.isinf(zz):
+            continue
+        size = max(abs(yy), abs(zz))
+        if size < best_size:
+            best, best_size = cand, size
+    if best is None or best_size > flow.NO_CHART_BOUND:
+        raise NoChart(f"no finite chart at t={t} (smallest size {best_size})")
+    return best
+
+
+chart_coords = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.sampled_from([0.0, -0.0, 1e200, -1e200, math.nan, math.inf, -math.inf,
+                     5e7, -2e8, 1e-200]))
+parameters = st.one_of(st.floats(-3.0, 3.0), st.integers(-3, 3), fracs)
+
+
+@given(st.sampled_from(atlas.CHARTS), chart_coords, chart_coords,
+       st.floats(-3.0, 3.0), parameters)
+# (1, 0) at t = -3, c = 0 is (1, 0) in all three charts: the tie goes to
+# the first chart of the atlas from every source chart
+@example("W1", 1.0, 0.0, -3.0, 0)
+@example("W3", 1.0, 0.0, -3.0, Fraction(0))
+@example("W12", 1.0, 0.0, -3.0, 0.0)
+@example("W3", 1.0, -0.0, 0.0, 0)        # W1 and W3 tie at size 1
+@example("W12", -0.0, 1.0, 0.5, 0.5)     # finite only in W12 itself
+@example("W1", 2e8, 2e8, 0.0, 0.5)       # every finite size past the bound
+@example("W3", math.nan, 1.0, 0.0, 0.5)  # no finite chart
+def test_best_chart_matches_the_transport_route(chart, y, z, t, c):
+    assert outcome_of(best_chart, chart, y, z, t, c) == \
+        outcome_of(ref_best_chart, chart, y, z, t, c)
+
+
 def test_chart_selection():
     # big fiber coordinate, small momentum: the reciprocal chart wins
     assert best_chart("W1", 1e3, 0.0, 0.0, 0.5) == "W3"
@@ -631,7 +672,7 @@ def ref_integrate(c, initial, t1, config=IntegratorConfig(),
         cur = chart_box[0]
         chart_steps[cur] = chart_steps.get(cur, 0) + 1
         if max(abs(y), abs(z)) > threshold:
-            target = best_chart(cur, y, z, t, c)
+            target = ref_best_chart(cur, y, z, t, c)
             if target != cur:
                 y, z = transport(cur, target, y, z, t, c)
                 traj.switches.append(flow.SwitchEvent(t, cur, target, u[0],
@@ -747,6 +788,12 @@ thresholds = st.one_of(st.just(math.inf), st.none(), st.floats(1.01, 20.0))
          1e-12, flow.MAX_STEPS, math.inf)              # accepted into inf
 @example(RationalFunction.coerce(0), -3.0, 0.0, 1.0, 1e-10, 1e-12,
          flow.MAX_STEPS, None)                         # on the threshold
+@example(RationalFunction.coerce(0), -0.0, -0.0, -1.0, 1e-10, 1e-12,
+         flow.MAX_STEPS, math.inf)                     # -0.0 state and time
+# every step overflows, so h falls by 5 until it is below the floor
+# 1e-14 * |t0|: at 3.3e-14, a step before it falls below 1e-14
+@example(rfvar("q") ** 100, 1e150, -5.0, 1.0, 1e-10, 1e-12, flow.MAX_STEPS,
+         math.inf)
 def test_generated_loop_matches_the_driver_in_one_component(
         expr, q, t0, span, rtol, atol, budget, threshold):
     if threshold is None:
