@@ -226,12 +226,26 @@ class ChainTrace:
         return tuple(s.multiplicity for s in self.steps)
 
 
-def _vanishing_order(p: Polynomial, yname: str, zname: str, center_z: Polynomial) -> int:
-    """Multiplicity of the curve p = 0 at the point (yname, zname) = (0, center)."""
-    if not center_z.is_zero():
-        p = p.subs_poly({zname: Polynomial.variable(zname) + center_z})
+def _vanishing_order(p: Polynomial, yname: str, zname: str) -> int:
+    """Multiplicity of the curve p = 0 at the origin of (yname, zname)."""
     iy, iz = var_index(yname), var_index(zname)
     return min(e[iy] + e[iz] for e in p.terms)
+
+
+def _blow_up(p: Polynomial, yname: str, zname: str, ny: str, nz: str) -> Polynomial:
+    """Total transform of p under the blow-up of the origin of (yname,
+    zname), in the chart of the monomial map yname = ny, zname = ny * nz:
+    each term y^a z^b becomes ny^(a+b) nz^b.  Distinct terms stay
+    distinct, so the map only moves exponents."""
+    iy, iz, jy, jz = (var_index(v) for v in (yname, zname, ny, nz))
+    out = {}
+    for e, q in p.terms.items():
+        e2 = list(e)
+        e2[iy] = e2[iz] = 0
+        e2[jy] = e[iy] + e[iz]
+        e2[jz] = e[iz]
+        out[tuple(e2)] = q
+    return Polynomial(out)
 
 
 def _invert_z8(p: Polynomial) -> tuple[Polynomial, int]:
@@ -281,12 +295,13 @@ def chain_trace(spec: CurveSpec, regime: str = "generic") -> ChainTrace:
                 trace.steps.extend(
                     ChainStep(j + 1, ("", ""), 0, cur) for j in range(k, 8))
                 return trace
+        # move the center to the origin once; the local order and the
+        # blow-up are then both read off the translated curve
         center = center_fn(c_poly)
-        expected = _vanishing_order(cur, y_cur, z_cur, center)
-        nyp = Polynomial.variable(ny)
-        nzp = Polynomial.variable(nz)
-        cur = cur.subs_poly({y_cur: nyp, z_cur: center + nyp * nzp})
-        cur, m = _strip_var(cur, ny)
+        if not center.is_zero():
+            cur = cur.subs_poly({z_cur: Polynomial.variable(z_cur) + center})
+        expected = _vanishing_order(cur, y_cur, z_cur)
+        cur, m = _strip_var(_blow_up(cur, y_cur, z_cur, ny, nz), ny)
         if m != expected:
             raise BlowupError(
                 f"step {k + 1}: factored power {m} != local order {expected}")
@@ -314,6 +329,12 @@ def base_class(spec: CurveSpec, regime: str = "generic") -> tuple[int, int]:
     of the local contributions on W2 (all of S at finite base points) and
     at the single W4 point of S over the base point at infinity.
     """
+    return _base_class(spec, regime, to_w4(spec, regime))
+
+
+def _base_class(spec: CurveSpec, regime: str, w4: Polynomial | None) -> tuple[int, int]:
+    """``base_class`` from the curve's W4 equation ``w4``, derived once by
+    the caller."""
     if spec.name == "S":
         raise BlowupError("the section's class is the basis element S")
     fiber_coord = {"W1": "z1", "W3": "z3", "W4": "z4"}[spec.chart]
@@ -335,7 +356,6 @@ def base_class(spec: CurveSpec, regime: str = "generic") -> tuple[int, int]:
 
     # W4 contribution: vanishing order at y4 = 0 of the z4 = 0 slice.
     w4_part = 0
-    w4 = to_w4(spec, regime)
     if w4 is not None:
         slice_ = w4.subs_poly({"z4": Polynomial.zero()})
         if slice_.is_zero():
@@ -348,9 +368,11 @@ def base_class(spec: CurveSpec, regime: str = "generic") -> tuple[int, int]:
 
 def total_class(spec: CurveSpec, regime: str = "generic") -> DivisorClass:
     """Divisor class of the transform upstairs (proper through
-    ``spec.proper_steps`` centers, total beyond)."""
-    a, b = base_class(spec, regime)
-    m = multiplicities(spec, regime)
+    ``spec.proper_steps`` centers, total beyond).  The base class reads
+    the chain trace's W4 equation, so the curve is moved to W4 once."""
+    trace = chain_trace(spec, regime)
+    a, b = _base_class(spec, regime, trace.w4_equation)
+    m = trace.multiplicities
     coeffs = [a, b] + [-m[i] if i < spec.proper_steps else 0 for i in range(8)]
     return DivisorClass(tuple(coeffs))
 

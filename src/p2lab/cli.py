@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import atlas, backlund, blowup, flow, lattice, weyl
+from . import atlas, backlund, blowup, flow, intlinalg, lattice, weyl
 from .exact import Polynomial, rfvar
 
 
@@ -106,9 +106,8 @@ def lattice_checks() -> list:
                          got_inv, [0, 12, -10, 10, 2, 1]))
 
     u = lattice.diagonalize_unimodular()
-    diag = [[sum(u[k][i] * lattice.GRAM[k][m] * u[m][j]
-                 for k in range(10) for m in range(10))
-             for j in range(10)] for i in range(10)]
+    diag = intlinalg.matmul(intlinalg.matmul(intlinalg.transpose(u),
+                                             lattice.GRAM), u)
     want_diag = [[(1 if i == 0 else -1) if i == j else 0
                   for j in range(10)] for i in range(10)]
     checks.append(_check("unimodular-diagonalization", diag == want_diag,

@@ -341,8 +341,22 @@ class Polynomial:
         t1, t2 = self._terms, p._terms
         if not t1 or not t2:
             return Polynomial._new({})
+        # no terms dict is written after _new, so a unit factor can hand
+        # back the other operand itself
+        if _is_one(p):
+            return self
+        if _is_one(self):
+            return p
         # the top monomial has the top degree; below the bound no field carries
         _check_degree(_degree(max(t1)) + _degree(max(t2)))
+        # a one-term factor shifts every key of the other one, in its order;
+        # distinct keys stay distinct and no product of nonzeros is zero
+        if len(t2) == 1:
+            ((e2, q2),) = t2.items()
+            return Polynomial._new({e1 + e2: q1 * q2 for e1, q1 in t1.items()})
+        if len(t1) == 1:
+            ((e1, q1),) = t1.items()
+            return Polynomial._new({e1 + e2: q1 * q2 for e2, q2 in t2.items()})
         out: dict = {}
         for e1, q1 in t1.items():
             for e2, q2 in t2.items():
@@ -947,7 +961,7 @@ class _Unreduced:
             return self
         if d1 == d2:
             return _Unreduced(n1 + n2, d1)
-        return _Unreduced(n1 * d2 + n2 * d1, _times(d1, d2))
+        return _Unreduced(n1 * d2 + n2 * d1, d1 * d2)
 
     __radd__ = __add__
 
@@ -972,7 +986,7 @@ class _Unreduced:
             return NotImplemented
         if not self.num or not o.num:
             return _Unreduced(Polynomial.zero(), _POLY_ONE)
-        return _Unreduced(self.num * o.num, _times(self.den, o.den))
+        return _Unreduced(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -1005,15 +1019,6 @@ class _Unreduced:
             raise IdenticallyZeroDenominator(
                 "substitution sends the denominator to zero identically")
         return _Unreduced(_subs_cleared(self.num, subs, top), den)
-
-
-def _times(a: Polynomial, b: Polynomial) -> Polynomial:
-    """a * b, skipping a factor 1 (most denominators here are 1)."""
-    if _is_one(a):
-        return b
-    if _is_one(b):
-        return a
-    return a * b
 
 
 def _subs_cleared(p: Polynomial, subs: Mapping[int, _Unreduced],

@@ -1,7 +1,9 @@
 """Exact integer matrix utilities: Smith normal form, kernels, solving.
 
-Matrices are lists of lists of Python ints (rows).  Everything is exact;
-nothing here is performance-critical (dimensions are at most 10).
+Matrices are lists of lists of Python ints (rows).  Everything is exact,
+and dimensions are at most 10, but the lattice suite that calls these is
+the largest part of ``verify``: a matrix solved against several
+right-hand sides is factored once (``integer_solver``).
 """
 from __future__ import annotations
 
@@ -125,29 +127,43 @@ def kernel_basis(a):
     return [cols[j] for j in range(rank, m)]
 
 
-def solve_integer(a, b):
-    """One integer solution x of a @ x == b, or None if none exists."""
+def integer_solver(a):
+    """Factor a once (Smith normal form) and return ``solve(b)``: one
+    integer solution x of a @ x == b, or None if none exists."""
     n = len(a)
     m = len(a[0]) if n else 0
     u, d, v = smith_normal_form(a)
-    ub = matvec(u, b)
-    y = [0] * m
-    for i in range(min(n, m)):
-        if d[i][i]:
-            if ub[i] % d[i][i]:
+    r = min(n, m)
+    diag = [d[i][i] for i in range(r)]
+
+    def solve(b):
+        ub = matvec(u, b)
+        y = [0] * m
+        for i in range(r):
+            if diag[i]:
+                if ub[i] % diag[i]:
+                    return None
+                y[i] = ub[i] // diag[i]
+            elif ub[i]:
                 return None
-            y[i] = ub[i] // d[i][i]
-        elif ub[i]:
-            return None
-    for i in range(min(n, m), n):
-        if ub[i]:
-            return None
-    return matvec(v, y)
+        for i in range(r, n):
+            if ub[i]:
+                return None
+        return matvec(v, y)
+
+    return solve
+
+
+def solve_integer(a, b):
+    """One integer solution x of a @ x == b, or None if none exists."""
+    return integer_solver(a)(b)
 
 
 def det(a):
     """Determinant by fraction-free Gaussian elimination (Bareiss)."""
     n = len(a)
+    if n == 0:
+        return 1
     m = [list(row) for row in a]
     sign = 1
     prev = 1

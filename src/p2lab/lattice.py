@@ -123,10 +123,10 @@ def sublattice_equal(gens_a: list[DivisorClass], gens_b: list[DivisorClass]) -> 
     def contained(gens, in_gens):
         if not in_gens:
             return all(all(x == 0 for x in g.coeffs) for g in gens)
-        cols = [[g.coeffs[i] for g in in_gens] for i in range(RANK)]
-        return all(
-            intlinalg.solve_integer(cols, list(g.coeffs)) is not None for g in gens
-        )
+        # one Smith form per containment test, not one per vector
+        solve = intlinalg.integer_solver(
+            [[g.coeffs[i] for g in in_gens] for i in range(RANK)])
+        return all(solve(list(g.coeffs)) is not None for g in gens)
 
     return contained(gens_a, gens_b) and contained(gens_b, gens_a)
 

@@ -3,6 +3,8 @@ derived divisor classes, and reproduction of the stated intersection
 numbers from nothing but defining equations.  Verdicts the `verify`
 registry states are asserted once, by `test_acceptance.test_check`."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p2lab import blowup, lattice
 from p2lab.blowup import (
@@ -127,3 +129,82 @@ def test_unreduced_numerators_match_the_canonical_route(monkeypatch):
     monkeypatch.setattr(blowup, "_numerator_after", lambda poly, bindings:
                         rf(poly).substitute(bindings).num)
     assert got == traces()
+
+
+# -- the chain against the substitution it replaced --------------------------
+
+
+def substitution_chain_trace(spec, regime="generic"):
+    """chain_trace as it ran before the monomial map: each step took the
+    local order from a translated copy of the curve, then substituted
+    z = center + y' * z' into the untranslated one."""
+    p0 = blowup._specialize(spec.poly, regime)
+    chart_vars = {"W1": ("y1", "z1"), "W3": ("y3", "z3"),
+                  "W4": ("y4", "z4")}[spec.chart]
+    blowup._check_curve_ok(p0, regime, chart_vars)
+    w4 = blowup.to_w4(spec, regime)
+    trace = blowup.ChainTrace(w4_equation=w4)
+    if w4 is None:
+        return trace
+    cval = blowup.REGIME_C[regime]
+    c_poly = Polynomial.variable("c") if cval is None else Polynomial.const(cval)
+    cur = w4
+    for k, (ny, nz, center_fn) in enumerate(blowup._CHAIN):
+        y_cur, z_cur = blowup._CHAIN_Y[k], blowup._CHAIN_Z[k]
+        if k == 4:
+            cur, trace.dropped_section_power = blowup._invert_z8(cur)
+            if cur.is_constant():
+                trace.steps.extend(blowup.ChainStep(j + 1, ("", ""), 0, cur)
+                                   for j in range(k, 8))
+                return trace
+        center = center_fn(c_poly)
+        local = cur.subs_poly({z_cur: Polynomial.variable(z_cur) + center})
+        expected = blowup._vanishing_order(local, y_cur, z_cur)
+        nyp, nzp = Polynomial.variable(ny), Polynomial.variable(nz)
+        cur = cur.subs_poly({y_cur: nyp, z_cur: center + nyp * nzp})
+        cur, m = blowup._strip_var(cur, ny)
+        assert m == expected
+        trace.steps.append(blowup.ChainStep(k + 1, (ny, nz), m, cur))
+        if cur.is_constant():
+            trace.steps.extend(blowup.ChainStep(j + 1, ("", ""), 0, cur)
+                               for j in range(k + 1, 8))
+            break
+    return trace
+
+
+def trace_or_error(fn, spec, regime):
+    """The trace (W4 equation, steps with their multiplicities and strict
+    transforms, dropped section power), or the error's type and message."""
+    try:
+        return fn(spec, regime)
+    except blowup.BlowupError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("regime", lattice.REGIMES)
+def test_chain_matches_the_substitution_route(regime):
+    for name, spec in curve_specs(regime).items():
+        assert trace_or_error(chain_trace, spec, regime) == \
+            trace_or_error(substitution_chain_trace, spec, regime), name
+
+
+def random_curve(chart, terms):
+    """z + the sum of q * y^a * z^b * t^d * c^e in the chart's (y, z)."""
+    y, z = (Polynomial.variable(chart.replace("W", v)) for v in "yz")
+    t, c = Polynomial.variable("t"), Polynomial.variable("c")
+    return CurveSpec("random", chart, sum(
+        (q * y ** a * z ** b * t ** d * c ** e for q, a, b, d, e in terms), z))
+
+
+small_curves = st.builds(
+    random_curve, st.sampled_from(["W1", "W3"]),
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 3),
+                       st.integers(0, 1), st.integers(0, 1),
+                       st.integers(0, 1)), max_size=4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_curves, st.sampled_from(lattice.REGIMES))
+def test_random_curves_match_the_substitution_route(spec, regime):
+    assert trace_or_error(chain_trace, spec, regime) == \
+        trace_or_error(substitution_chain_trace, spec, regime)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from p2lab import atlas, blowup, cli, flow, weyl
+from p2lab import atlas, blowup, cli, flow, intlinalg, lattice, weyl
 
 
 def run_cli(env, *args):
@@ -340,9 +340,12 @@ def test_verify_all_computes_each_cocycle_once(capsys):
 
 
 def test_verify_all_walks_the_orbit_once(monkeypatch, capsys):
-    # From cold caches, one verify all walks the -1-class orbit once and
+    # From cold caches, one verify all walks the -1-class orbit once,
     # derives each regime's engine classes once (2,573 class applications
-    # and 54 chain traces before both were shared).
+    # and 54 chain traces before both were shared), moves each curve to W4
+    # once per regime (34 derivations before the chain trace shared its
+    # equation), and takes one Smith form per sublattice containment test
+    # (one per vector before).
     monkeypatch.setattr(weyl, "_WALK", [])
     blowup.engine_classes.cache_clear()
     calls = Counter()
@@ -356,10 +359,25 @@ def test_verify_all_walks_the_orbit_once(monkeypatch, capsys):
                         counted("apply", weyl.LatticeIsometry.apply))
     monkeypatch.setattr(blowup, "chain_trace",
                         counted("chain_trace", blowup.chain_trace))
+    monkeypatch.setattr(blowup, "to_w4", counted("to_w4", blowup.to_w4))
+    monkeypatch.setattr(intlinalg, "smith_normal_form",
+                        counted("snf", intlinalg.smith_normal_form))
+    containment = []
+    sublattice_equal = lattice.sublattice_equal
+
+    def counted_sublattice_equal(gens_a, gens_b):
+        before = calls["snf"]
+        equal = sublattice_equal(gens_a, gens_b)
+        containment.append((equal, calls["snf"] - before))
+        return equal
+    monkeypatch.setattr(lattice, "sublattice_equal", counted_sublattice_equal)
     assert cli.run(["verify", "all"]) == 0
     capsys.readouterr()
     assert 0 < calls["apply"] <= 125
     assert 0 < calls["chain_trace"] <= 20
+    assert 0 < calls["to_w4"] <= 20
+    # each equal pair is two containment tests, one Smith form each
+    assert containment and all(c == (True, 2) for c in containment)
 
 
 def test_the_cached_parser_answers_like_fresh_ones(monkeypatch, capsys):

@@ -20,6 +20,8 @@ from p2lab.exact import (
     NotPolynomial,
     Polynomial,
     RationalFunction,
+    _check_degree,
+    _degree,
     _mul_power,
     _Unreduced,
     _pack,
@@ -905,3 +907,65 @@ def test_stored_coefficients_are_ints_where_integral(a, b):
         p = Polynomial.const(k)
         (c,) = _stored(p)
         assert type(c) is kind and type(p.constant_value()) is Fraction
+
+
+# -- unit and one-term factors ----------------------------------------------
+#
+# A product with a factor equal to 1 returns the other operand, and one with
+# a one-term factor shifts the other operand's keys.  Reference: the double
+# loop every product ran before.
+
+
+def double_loop_product(a, b):
+    """a * b by the general double loop over both operands' terms."""
+    t1, t2 = a._terms, b._terms
+    if not t1 or not t2:
+        return Polynomial.zero()
+    _check_degree(_degree(max(t1)) + _degree(max(t2)))
+    out = {}
+    for e1, q1 in t1.items():
+        for e2, q2 in t2.items():
+            e = e1 + e2
+            if e in out:
+                s = out[e] + q1 * q2
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+            else:
+                out[e] = q1 * q2
+    return Polynomial._new(out)
+
+
+units = st.sampled_from([Polynomial.const(1), as_fractions(Polynomial.const(1))])
+one_term_polys = rational_polys(max_terms=1).filter(bool)
+
+
+@given(rational_polys(), st.one_of(units, one_term_polys))
+@example(Polynomial.const(1), Polynomial.const(1))
+@example(Polynomial.zero(), Polynomial.const(1))
+def test_unit_and_one_term_products_match_the_double_loop(a, m):
+    for x, y in layouts(a, m):
+        for left, right in ((x, y), (y, x)):
+            got, want = left * right, double_loop_product(left, right)
+            assert_same(got, want)
+            # the same terms in the same order, which compiled float code
+            # sums in
+            assert list(got.terms.items()) == list(want.terms.items())
+    one = Polynomial.const(1)
+    if a and a != one:
+        assert a * one is a and one * a is a
+
+
+def test_one_term_products_check_the_degree():
+    q, x3 = Polynomial.variable("q"), Polynomial.variable("x3")
+    big = q ** 100 + Fraction(1, 2)
+    for m in (x3 ** 27, Fraction(-3, 2) * x3 ** 27):
+        for left, right in ((big, m), (m, big)):
+            top = left * right    # total degree 127, the bound
+            assert_same(top, double_loop_product(left, right))
+            for product in (lambda: top * x3, lambda: x3 * top,
+                            lambda: double_loop_product(top, x3),
+                            lambda: double_loop_product(x3, top)):
+                with pytest.raises(ExactError):
+                    product()

@@ -794,6 +794,10 @@ thresholds = st.one_of(st.just(math.inf), st.none(), st.floats(1.01, 20.0))
 # 1e-14 * |t0|: at 3.3e-14, a step before it falls below 1e-14
 @example(rfvar("q") ** 100, 1e150, -5.0, 1.0, 1e-10, 1e-12, flow.MAX_STEPS,
          math.inf)
+# a negative state shrinking in magnitude (q' = q^2 from -1 to -1/2): the
+# only case where the error scale max(|u|, |v|) is |u| and not |v|
+@example(rfvar("q") ** 2, -1.0, 0.0, 1.0, 1e-6, 1e-12, flow.MAX_STEPS,
+         math.inf)
 def test_generated_loop_matches_the_driver_in_one_component(
         expr, q, t0, span, rtol, atol, budget, threshold):
     if threshold is None:

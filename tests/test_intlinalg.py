@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from p2lab.intlinalg import (
     det,
     identity,
+    integer_solver,
     invert_unimodular,
     kernel_basis,
     matmul,
@@ -93,6 +94,58 @@ def test_det_matches_cofactor_expansion(a):
                    for j in range(len(m)))
 
     assert det(a) == cofactor(a)
+
+
+def test_det_of_the_empty_matrix_is_one():
+    assert det([]) == 1
+
+
+def one_shot_solve_integer(a, b):
+    """solve_integer as it was before the factoring was shared: a Smith
+    form of a for every right-hand side."""
+    n = len(a)
+    m = len(a[0]) if n else 0
+    u, d, v = smith_normal_form(a)
+    ub = matvec(u, b)
+    y = [0] * m
+    for i in range(min(n, m)):
+        if d[i][i]:
+            if ub[i] % d[i][i]:
+                return None
+            y[i] = ub[i] // d[i][i]
+        elif ub[i]:
+            return None
+    for i in range(min(n, m), n):
+        if ub[i]:
+            return None
+    return matvec(v, y)
+
+
+def test_integer_solver_matches_the_one_shot_route():
+    # one factoring serves every right-hand side of its matrix
+    rng = random.Random(20261019)
+    systems = [([], [[]]), ([[]] * 3, [[0, 0, 0], [0, 2, 0]])]
+    for _ in range(400):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        a = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.4:
+            # singular: one row a multiple of another
+            i, j = rng.sample(range(rows), 2)
+            a[i] = [rng.randint(-2, 2) * x for x in a[j]]
+        bs = []
+        for _ in range(3):
+            x = [rng.randint(-5, 5) for _ in range(cols)]
+            noise = [rng.choice((0, 0, 1)) for _ in range(rows)]
+            bs.append([p + q for p, q in zip(matvec(a, x), noise)])
+        systems.append((a, bs))
+    outcomes = set()
+    for a, bs in systems:
+        solve = integer_solver(a)
+        for b in bs:
+            want = one_shot_solve_integer(a, b)
+            assert solve(b) == want == solve_integer(a, b), (a, b)
+            outcomes.add(want is None)
+    assert outcomes == {True, False}
 
 
 @st.composite

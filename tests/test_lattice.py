@@ -106,6 +106,14 @@ def test_express_in_basis_rejects_outsiders():
         lattice.express_in_basis(reg["C1"], lattice.d_chain())
 
 
+def test_express_in_basis_over_the_empty_basis():
+    # the empty Gram matrix has determinant 1; only the zero class is in
+    # the span of nothing
+    assert lattice.express_in_basis(DivisorClass.zero(), []) == []
+    with pytest.raises(lattice.NotInLattice):
+        lattice.express_in_basis(lattice.named_classes()["C1"], [])
+
+
 def test_diagonalization_realizes_signature():
     # the registry checks U^T G U = diag(1, -1, ..., -1); U is unimodular
     from p2lab.intlinalg import det
