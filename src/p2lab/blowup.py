@@ -24,11 +24,12 @@ that center (cross-checked against the vanishing order of the shifted
 local expansion).  Together with the class of the image in the ruled
 surface this yields the divisor class upstairs.
 
-Transporting equations between charts clears monomial denominators only;
-monomial factors picked up by the numerator lie over the source chart's
-boundary and are stripped.  The one coordinate change with a non-monomial
-denominator (into W2 from W3/W4) is never needed: W2 data only enters
-through curves defined on W1.
+Each chart change is declared once as a substitution (``_GLUING``) and
+built once per regime.  Transporting equations between charts clears
+monomial denominators only; monomial factors picked up by the numerator
+lie over the source chart's boundary and are stripped.  The one
+coordinate change with a non-monomial denominator (into W2 from W3/W4) is
+never needed: W2 data only enters through curves defined on W1.
 """
 from __future__ import annotations
 
@@ -159,7 +160,26 @@ def _check_curve_ok(p: Polynomial, regime: str, chart_vars: tuple[str, str]) -> 
         raise NotSquarefree(f"repeated factor {g}")
 
 
-def _numerator_after(poly: Polynomial, bindings: dict) -> Polynomial:
+# chart changes as bindings of the source chart's variables, from the c of
+# the regime and the target chart's (y, z)
+_GLUING = {
+    ("W1", "W2"): lambda c, y, z: {"y1": y, "z1": 1 / z},
+    ("W3", "W1"): lambda c, y, z: {"y3": 1 / y, "z3": c * y - y ** 2 * z},
+    ("W3", "W4"): lambda c, y, z: {"y3": y, "z3": 1 / z},
+    ("W1", "W4"): lambda c, y, z: {"y1": 1 / y, "z1": y * (c * z - y) / z},
+}
+
+
+@lru_cache(maxsize=None)
+def _bindings(source: str, target: str, regime: str) -> MappingProxyType:
+    """The source -> target chart change in the regime, built once: the
+    canonical rational arithmetic that builds it takes gcds."""
+    y, z = rfvar("y" + target[1:]), rfvar("z" + target[1:])
+    return MappingProxyType(
+        _GLUING[source, target](_regime_c_rf(regime), y, z))
+
+
+def _numerator_after(poly: Polynomial, bindings: MappingProxyType) -> Polynomial:
     """Numerator of poly under the bindings, with no gcd taken.  The
     bindings' denominators are monomials in the target chart's variables,
     so this differs from the canonical numerator by a constant and at most
@@ -174,9 +194,7 @@ def to_w1(spec: CurveSpec, regime: str) -> Polynomial | None:
     if spec.chart == "W1":
         return p.primitive()
     if spec.chart == "W3":
-        y1, z1 = rfvar("y1"), rfvar("z1")
-        c = _regime_c_rf(regime)
-        num = _numerator_after(p, {"y3": 1 / y1, "z3": c * y1 - y1 ** 2 * z1})
+        num = _numerator_after(p, _bindings("W3", "W1", regime))
         num, _ = _strip_var(num, "y1")
         return None if num.is_constant() else num.primitive()
     raise BlowupError(f"no W1 transport from chart {spec.chart}")
@@ -187,14 +205,11 @@ def to_w4(spec: CurveSpec, regime: str) -> Polynomial | None:
     p = _specialize(spec.poly, regime)
     if spec.chart == "W4":
         return p.primitive()
-    y4, z4 = rfvar("y4"), rfvar("z4")
-    c = _regime_c_rf(regime)
     if spec.chart == "W3":
-        num = _numerator_after(p, {"y3": y4, "z3": 1 / z4})
+        num = _numerator_after(p, _bindings("W3", "W4", regime))
         return None if num.is_constant() else num.primitive()
     if spec.chart == "W1":
-        num = _numerator_after(
-            p, {"y1": 1 / y4, "z1": y4 * (c * z4 - y4) / z4})
+        num = _numerator_after(p, _bindings("W1", "W4", regime))
         num, _ = _strip_var(num, "y4")
         num, _ = _strip_var(num, "z4")
         return None if num.is_constant() else num.primitive()
@@ -346,8 +361,7 @@ def _base_class(spec: CurveSpec, regime: str, w4: Polynomial | None) -> tuple[in
     w2_part = 0
     w1 = to_w1(spec, regime)
     if w1 is not None:
-        y2, z2 = rfvar("y2"), rfvar("z2")
-        num = _numerator_after(w1, {"y1": y2, "z1": 1 / z2})
+        num = _numerator_after(w1, _bindings("W1", "W2", regime))
         num, _ = _strip_var(num, "z2")
         slice_ = num.subs_poly({"z2": Polynomial.zero()})
         if slice_.is_zero():

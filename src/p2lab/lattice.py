@@ -3,15 +3,20 @@
 Basis order is fixed as (S, f, E1, ..., E8): S the chosen section with
 S.S = 2, f the fiber class, E1..E8 the exceptional classes of the eight
 point blow-ups.  The pairing is diag-block [[2,1],[1,0]] on (S, f) and
--identity on the E's; it is unimodular of signature (1, 9).
+-identity on the E's; it is unimodular of signature (1, 9).  ``GRAM`` is
+the one place the form is written; its 11 nonzero entries are read off it
+once, at import, and ``pair`` and ``ortho_complement`` loop over those.
 
 The named curve classes live here as a registry keyed by parameter regime
-("generic", "c=0", "c=-1"); the blow-up engine in ``blowup`` recomputes the
-same classes from defining equations, and tests compare the two routes.
+("generic", "c=0", "c=-1"), built once per regime as a read-only mapping;
+the blow-up engine in ``blowup`` recomputes the same classes from defining
+equations, and tests compare the two routes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 from . import intlinalg
 
@@ -30,6 +35,8 @@ GRAM = [
     [0, 0, 0, 0, 0, 0, 0, 0, -1, 0],
     [0, 0, 0, 0, 0, 0, 0, 0, 0, -1],
 ]
+# (i, j, GRAM[i][j]) for the nonzero entries
+_FORM = tuple((i, j, g) for i, row in enumerate(GRAM) for j, g in enumerate(row) if g)
 
 REGIMES = ("generic", "c=0", "c=-1")
 
@@ -98,11 +105,10 @@ class DivisorClass:
 
 
 def pair(a: DivisorClass, b: DivisorClass) -> int:
+    x, y = a.coeffs, b.coeffs
     total = 0
-    for i, ai in enumerate(a.coeffs):
-        if ai:
-            row = GRAM[i]
-            total += ai * sum(row[j] * bj for j, bj in enumerate(b.coeffs) if bj)
+    for i, j, g in _FORM:
+        total += g * x[i] * y[j]
     return total
 
 
@@ -112,8 +118,12 @@ def gram(classes: list[DivisorClass]) -> list[list[int]]:
 
 def ortho_complement(generators: list[DivisorClass]) -> list[DivisorClass]:
     """Saturated basis of everything orthogonal to the given classes."""
-    a = [[sum(GRAM[i][j] * g.coeffs[i] for i in range(RANK)) for j in range(RANK)]
-         for g in generators]
+    a = []
+    for gen in generators:
+        row = [0] * RANK                # G·gen, read off the nonzero entries
+        for i, j, g in _FORM:
+            row[j] += g * gen.coeffs[i]
+        a.append(row)
     return [DivisorClass(tuple(v)) for v in intlinalg.kernel_basis(a)]
 
 
@@ -210,8 +220,10 @@ def _e_range(lo: int, hi: int) -> dict:
     return {f"E{i}": -1 for i in range(lo, hi + 1)}
 
 
-def named_classes(regime: str = "generic") -> dict[str, DivisorClass]:
-    """Classes of the boundary components and the named affine curves.
+@lru_cache(maxsize=None)
+def named_classes(regime: str = "generic") -> MappingProxyType:
+    """Classes of the boundary components and the named affine curves, as
+    a read-only name -> DivisorClass mapping built once per regime.
 
     The same vectors are valid in every regime; the regimes differ only in
     which primed (split-off) components exist as curves.
@@ -237,7 +249,7 @@ def named_classes(regime: str = "generic") -> dict[str, DivisorClass]:
         reg["C2prime"] = DivisorClass.of(S=1, f=-2)
     if regime == "c=-1":
         reg["C4prime"] = DivisorClass.of(S=1, f=2, **_e_range(1, 8))
-    return reg
+    return MappingProxyType(reg)
 
 
 def registry_order(regime: str = "generic") -> tuple[str, ...]:
@@ -253,15 +265,15 @@ def registry_order(regime: str = "generic") -> tuple[str, ...]:
 
 
 def canonical_class() -> DivisorClass:
-    return named_classes()["K"]
+    return named_classes("generic")["K"]
 
 
 def anticanonical_class() -> DivisorClass:
-    return named_classes()["F"]
+    return named_classes("generic")["F"]
 
 
 def d_chain() -> list[DivisorClass]:
-    reg = named_classes()
+    reg = named_classes("generic")
     return [reg[f"D{i}"] for i in range(8)]
 
 

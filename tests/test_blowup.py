@@ -59,6 +59,18 @@ def test_engine_classes_are_derived_once_and_read_only(regime):
     assert engine_classes(regime)["S"] == lattice.DivisorClass.of(S=1)
 
 
+@pytest.mark.parametrize("regime", lattice.REGIMES)
+def test_chart_changes_are_built_once_and_compose(regime):
+    # W3 -> W1 followed by W1 -> W4 is the chart change W3 -> W4
+    to_w4 = blowup._bindings("W1", "W4", regime)
+    assert blowup._bindings("W1", "W4", regime) is to_w4
+    with pytest.raises(TypeError):
+        to_w4["y1"] = rf(1)
+    composed = {v: e.substitute(to_w4)
+                for v, e in blowup._bindings("W3", "W1", regime).items()}
+    assert composed == dict(blowup._bindings("W3", "W4", regime))
+
+
 def test_section_class_is_boundary_anchor():
     assert blowup.section_class() == lattice.named_classes()["D0"]
 

@@ -348,6 +348,8 @@ def test_verify_all_walks_the_orbit_once(monkeypatch, capsys):
     # (one per vector before).
     monkeypatch.setattr(weyl, "_WALK", [])
     blowup.engine_classes.cache_clear()
+    blowup._bindings.cache_clear()
+    lattice.named_classes.cache_clear()
     calls = Counter()
 
     def counted(name, fn):

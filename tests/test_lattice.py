@@ -12,10 +12,38 @@ from p2lab.lattice import DivisorClass, GRAM, RANK
 
 
 vectors = st.lists(st.integers(-8, 8), min_size=RANK, max_size=RANK)
+# orbit classes grow like n^2, so the pairing meets large coefficients
+big_vectors = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=RANK,
+                       max_size=RANK)
 
 
 def cls(v):
     return DivisorClass(tuple(v))
+
+
+def row_walk_pair(a, b):
+    """The pairing as it ran before it read the form's nonzero entries:
+    every Gram row of a nonzero coefficient of a, walked in full."""
+    total = 0
+    for i, ai in enumerate(a.coeffs):
+        if ai:
+            row = GRAM[i]
+            total += ai * sum(row[j] * bj for j, bj in enumerate(b.coeffs) if bj)
+    return total
+
+
+@given(big_vectors, big_vectors)
+def test_pairing_matches_the_row_walk(u, v):
+    a, b = cls(u), cls(v)
+    assert lattice.pair(a, b) == row_walk_pair(a, b)
+    assert lattice.pair(a, a) == row_walk_pair(a, a)
+
+
+def test_gram_matches_the_row_walk():
+    from p2lab import weyl
+    for classes in (lattice.d_chain(), weyl.action_basis_classes()):
+        assert lattice.gram(classes) == [[row_walk_pair(a, b) for b in classes]
+                                         for a in classes]
 
 
 @given(vectors, vectors, vectors, st.integers(-5, 5))
@@ -133,6 +161,22 @@ def test_regime_registries():
     assert lattice.pair(extram, extram) == -2
     assert lattice.pair(extra0, f) == 0
     assert lattice.pair(extram, f) == 0
+
+
+@pytest.mark.parametrize("regime", lattice.REGIMES)
+def test_registry_is_built_once_and_read_only(regime):
+    reg = lattice.named_classes(regime)
+    assert lattice.named_classes(regime) == reg
+    with pytest.raises(TypeError):
+        reg["C1"] = reg["C3"]
+    with pytest.raises(TypeError):
+        del reg["S"]
+    assert lattice.named_classes(regime)["C1"] == DivisorClass.of(f=1, E1=-1)
+
+
+def test_unknown_regime_is_rejected():
+    with pytest.raises(lattice.LatticeError):
+        lattice.named_classes("x")
 
 
 def test_table_csv_deterministic_and_symmetric():

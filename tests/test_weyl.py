@@ -73,6 +73,44 @@ def test_fixing_isometry_images():
     assert weyl.istar().apply(reg["C2"]) == reg["C1"]
 
 
+# -- the isometries as reflections in the (-2)-curves of the special regimes --
+
+
+def basis_vector(k):
+    return DivisorClass(tuple(int(i == k) for i in range(lattice.RANK)))
+
+
+def reflection(alpha):
+    """s_alpha(x) = x + (x.alpha) alpha, for a root alpha with alpha^2 = -2."""
+    cols = [basis_vector(k) + lattice.pair(basis_vector(k), alpha) * alpha
+            for k in range(lattice.RANK)]
+    return weyl.LatticeIsometry(tuple(
+        tuple(col.coeffs[i] for col in cols) for i in range(lattice.RANK)))
+
+
+C2PRIME = lattice.named_classes("c=0")["C2prime"]
+C4PRIME = lattice.named_classes("c=-1")["C4prime"]
+
+
+def test_fixing_isometry_is_the_reflection_in_the_c0_root():
+    # c -> -c fixes c = 0, where C2 splits off the (-2)-curve C2prime
+    s = reflection(C2PRIME)
+    for k in range(lattice.RANK):
+        assert weyl.istar().apply(basis_vector(k)) == s.apply(basis_vector(k)), k
+
+
+def test_reversing_isometry_swaps_the_special_roots():
+    j = weyl.jstar()
+    assert j.apply(C2PRIME) == C4PRIME
+    assert j.compose(weyl.istar()).compose(j) == reflection(C4PRIME)
+
+
+def test_translation_squared_is_two_reflections():
+    # C4prime's reflection acts first
+    t = weyl.tplus_star()
+    assert t.compose(t) == reflection(C2PRIME).compose(reflection(C4PRIME))
+
+
 def test_translation_isometry_is_not_periodic():
     t = weyl.tplus_star()
     assert not t.is_involution()
