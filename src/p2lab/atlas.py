@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .exact import (
-    Polynomial, RationalFunction, _Unreduced, rf, rfvar, rfvars, var_index,
+    Polynomial, RationalFunction, _Unreduced, rf, rfvar, rfvars,
 )
 
 CHARTS = ("W1", "W3", "W12")
@@ -341,15 +341,24 @@ def involution_squared_is_identity() -> bool:
 def period_c2_minus_c1(c0) -> Fraction:
     """Coefficient of 2*pi*i in the period of the fiber symplectic form
     over the cycle joining the two -1-sections across the first
-    exceptional curve.
+    exceptional curve: the distance between the segment's end points
+    (``_period_ends``) at c = c0."""
+    at = {"c": Fraction(c0)}
+    c1_end, c2_end = _period_ends()
+    return c2_end.eval_fractions(at) - c1_end.eval_fractions(at)
 
-    The computation is the residue argument run exactly: the form equals
+
+@lru_cache(maxsize=None)
+def _period_ends() -> tuple[RationalFunction, RationalFunction]:
+    """The marked points Y(c) of C1 and C2 on the first exceptional line,
+    derived once per process.
+
+    The derivation is the residue argument run exactly: the form equals
     -(1/z4^2) dy4^dz4 beyond the section, the first-blow-up substitution
     y4 = Y*z, z4 = z turns it into (1/z) dz^dY, and the tube integral
     around z = 0 leaves the residue dY integrated along the segment of
     the exceptional line between the two marked points, Y = 0 and Y = c.
     """
-    c0 = Fraction(c0)
     t, c = rfvars("t", "c")
     y3, z3 = rfvars("y3", "z3")
     y4, z4 = rfvars("y4", "z4")
@@ -376,19 +385,15 @@ def period_c2_minus_c1(c0) -> Fraction:
     c2_eq = (Polynomial.variable("y4") - Polynomial.variable("c")
              * Polynomial.variable("z4"))
     c2_eq = rf(c2_eq).substitute(sub)                              # second section
-    zi = var_index("z")
     ends = []
     for eq in (c1_eq, c2_eq):
-        num = eq.num
-        k = min(e[zi] for e in num.terms)  # exceptional factor off the strict transform
-        stripped = Polynomial({e[:zi] + (e[zi] - k,) + e[zi + 1:]: q
-                               for e, q in num.terms.items()})
+        # exceptional factor off the strict transform
+        stripped, _ = eq.num.strip_var("z")
         # linear in Y: root = -constant/lead
         lead = stripped.coeff_in("Y", 1)
         const = stripped - Polynomial.variable("Y") * lead
-        root = rf(-const) / rf(lead)
-        ends.append(root.eval_fractions({"c": c0}))
-    return ends[1] - ends[0]
+        ends.append(rf(-const) / rf(lead))
+    return tuple(ends)
 
 
 def period_c4_minus_c3(c0) -> Fraction:

@@ -39,7 +39,8 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .exact import (
-    Polynomial, RationalFunction, _Unreduced, poly_gcd, rf, rfvar, var_index,
+    Polynomial, _ONE, _SHIFT, _Unreduced, _check_degree, _degree, poly_gcd,
+    var_index,
 )
 from .lattice import DivisorClass
 
@@ -125,20 +126,9 @@ def _specialize(poly: Polynomial, regime: str) -> Polynomial:
     return poly.subs_poly({"c": Polynomial.const(cval)})
 
 
-def _regime_c_rf(regime: str) -> RationalFunction:
+def _regime_c(regime: str) -> Polynomial:
     cval = REGIME_C[regime]
-    return rfvar("c") if cval is None else rf(Fraction(cval))
-
-
-def _strip_var(p: Polynomial, name: str) -> tuple[Polynomial, int]:
-    i = var_index(name)
-    if p.is_zero():
-        return p, 0
-    k = min(e[i] for e in p.terms)
-    if k == 0:
-        return p, 0
-    stripped = Polynomial({e[:i] + (e[i] - k,) + e[i + 1:]: q for e, q in p.terms.items()})
-    return stripped, k
+    return Polynomial.variable("c") if cval is None else Polynomial.const(cval)
 
 
 def _check_curve_ok(p: Polynomial, regime: str, chart_vars: tuple[str, str]) -> None:
@@ -146,7 +136,7 @@ def _check_curve_ok(p: Polynomial, regime: str, chart_vars: tuple[str, str]) -> 
         raise BlowupError("zero defining polynomial")
     # visible split: a chart variable factors off and a curve remains
     for v in chart_vars:
-        stripped, k = _strip_var(p, v)
+        stripped, k = p.strip_var(v)
         if k and not stripped.is_constant():
             raise RegimeSplit(
                 f"in regime {regime!r} the curve factors as {v}^{k} * ({stripped})")
@@ -160,23 +150,25 @@ def _check_curve_ok(p: Polynomial, regime: str, chart_vars: tuple[str, str]) -> 
         raise NotSquarefree(f"repeated factor {g}")
 
 
-# chart changes as bindings of the source chart's variables, from the c of
-# the regime and the target chart's (y, z)
+# chart changes as bindings of the source chart's variables, each a
+# (numerator, monomial denominator) pair of polynomials in the c of the
+# regime and the target chart's (y, z)
 _GLUING = {
-    ("W1", "W2"): lambda c, y, z: {"y1": y, "z1": 1 / z},
-    ("W3", "W1"): lambda c, y, z: {"y3": 1 / y, "z3": c * y - y ** 2 * z},
-    ("W3", "W4"): lambda c, y, z: {"y3": y, "z3": 1 / z},
-    ("W1", "W4"): lambda c, y, z: {"y1": 1 / y, "z1": y * (c * z - y) / z},
+    ("W1", "W2"): lambda c, y, z: {"y1": (y, 1), "z1": (1, z)},
+    ("W3", "W1"): lambda c, y, z: {"y3": (1, y), "z3": (c * y - y ** 2 * z, 1)},
+    ("W3", "W4"): lambda c, y, z: {"y3": (y, 1), "z3": (1, z)},
+    ("W1", "W4"): lambda c, y, z: {"y1": (1, y), "z1": (y * (c * z - y), z)},
 }
 
 
 @lru_cache(maxsize=None)
 def _bindings(source: str, target: str, regime: str) -> MappingProxyType:
-    """The source -> target chart change in the regime, built once: the
-    canonical rational arithmetic that builds it takes gcds."""
-    y, z = rfvar("y" + target[1:]), rfvar("z" + target[1:])
-    return MappingProxyType(
-        _GLUING[source, target](_regime_c_rf(regime), y, z))
+    """The source -> target chart change in the regime, built once as
+    unreduced quotients, with no gcd taken."""
+    y, z = (Polynomial.variable(v + target[1:]) for v in "yz")
+    pairs = _GLUING[source, target](_regime_c(regime), y, z)
+    return MappingProxyType({v: _Unreduced(*map(Polynomial._coerce, pair))
+                             for v, pair in pairs.items()})
 
 
 def _numerator_after(poly: Polynomial, bindings: MappingProxyType) -> Polynomial:
@@ -195,7 +187,7 @@ def to_w1(spec: CurveSpec, regime: str) -> Polynomial | None:
         return p.primitive()
     if spec.chart == "W3":
         num = _numerator_after(p, _bindings("W3", "W1", regime))
-        num, _ = _strip_var(num, "y1")
+        num, _ = num.strip_var("y1")
         return None if num.is_constant() else num.primitive()
     raise BlowupError(f"no W1 transport from chart {spec.chart}")
 
@@ -210,8 +202,8 @@ def to_w4(spec: CurveSpec, regime: str) -> Polynomial | None:
         return None if num.is_constant() else num.primitive()
     if spec.chart == "W1":
         num = _numerator_after(p, _bindings("W1", "W4", regime))
-        num, _ = _strip_var(num, "y4")
-        num, _ = _strip_var(num, "z4")
+        num, _ = num.strip_var("y4")
+        num, _ = num.strip_var("z4")
         return None if num.is_constant() else num.primitive()
     raise BlowupError(f"no W4 transport from chart {spec.chart}")
 
@@ -243,24 +235,23 @@ class ChainTrace:
 
 def _vanishing_order(p: Polynomial, yname: str, zname: str) -> int:
     """Multiplicity of the curve p = 0 at the origin of (yname, zname)."""
-    iy, iz = var_index(yname), var_index(zname)
-    return min(e[iy] + e[iz] for e in p.terms)
+    sy, sz = _SHIFT[var_index(yname)], _SHIFT[var_index(zname)]
+    return min(((e >> sy) & 0xFF) + ((e >> sz) & 0xFF) for e in p._terms)
 
 
 def _blow_up(p: Polynomial, yname: str, zname: str, ny: str, nz: str) -> Polynomial:
     """Total transform of p under the blow-up of the origin of (yname,
     zname), in the chart of the monomial map yname = ny, zname = ny * nz:
     each term y^a z^b becomes ny^(a+b) nz^b.  Distinct terms stay
-    distinct, so the map only moves exponents."""
+    distinct, so the map only moves exponents, on the packed keys of a p
+    free of ny and nz."""
     iy, iz, jy, jz = (var_index(v) for v in (yname, zname, ny, nz))
-    out = {}
-    for e, q in p.terms.items():
-        e2 = list(e)
-        e2[iy] = e2[iz] = 0
-        e2[jy] = e[iy] + e[iz]
-        e2[jz] = e[iz]
-        out[tuple(e2)] = q
-    return Polynomial(out)
+    sy, sz = _SHIFT[iy], _SHIFT[iz]
+    dy, dz = _ONE[jy] - _ONE[iy], _ONE[jy] + _ONE[jz] - _ONE[iz]
+    out = {e + ((e >> sy) & 0xFF) * dy + ((e >> sz) & 0xFF) * dz: q
+           for e, q in p._terms.items()}
+    _check_degree(_degree(max(out)))
+    return Polynomial._new(out)
 
 
 def _invert_z8(p: Polynomial) -> tuple[Polynomial, int]:
@@ -269,20 +260,15 @@ def _invert_z8(p: Polynomial) -> tuple[Polynomial, int]:
     Returns the new polynomial in (y8, v8) and the z8-adic valuation of the
     input, i.e. the order of the section component that leaves the chart.
     """
-    iz = var_index("z8")
-    iv = var_index("v8")
-    if any(e[iv] for e in p.terms):
+    iz, iv = var_index("z8"), var_index("v8")
+    if any((e >> _SHIFT[iv]) & 0xFF for e in p._terms):
         raise BlowupError("v8 already present before inversion")
-    d = max(e[iz] for e in p.terms)
-    r = min(e[iz] for e in p.terms)
-    out = {}
-    for e, q in p.terms.items():
-        e2 = list(e)
-        e2[iz] = 0
-        e2[iv] = d - e[iz]
-        out[tuple(e2)] = q
-    new = Polynomial(out)
-    new, extra = _strip_var(new, "v8")
+    ks = [(e >> _SHIFT[iz]) & 0xFF for e in p._terms]
+    d, r = max(ks), min(ks)
+    out = {e + (d - k) * _ONE[iv] - k * _ONE[iz]: q
+           for (e, q), k in zip(p._terms.items(), ks)}
+    _check_degree(_degree(max(out)))
+    new, extra = Polynomial._new(out).strip_var("v8")
     if extra:
         raise BlowupError("inversion must not leave a spurious v8 factor")
     return new, r
@@ -297,8 +283,7 @@ def chain_trace(spec: CurveSpec, regime: str = "generic") -> ChainTrace:
     trace = ChainTrace(w4_equation=w4)
     if w4 is None:
         return trace
-    cval = REGIME_C[regime]
-    c_poly = Polynomial.variable("c") if cval is None else Polynomial.const(cval)
+    c_poly = _regime_c(regime)
     cur = w4
     for k, (ny, nz, center_fn) in enumerate(_CHAIN):
         y_cur, z_cur = _CHAIN_Y[k], _CHAIN_Z[k]
@@ -316,7 +301,7 @@ def chain_trace(spec: CurveSpec, regime: str = "generic") -> ChainTrace:
         if not center.is_zero():
             cur = cur.subs_poly({z_cur: Polynomial.variable(z_cur) + center})
         expected = _vanishing_order(cur, y_cur, z_cur)
-        cur, m = _strip_var(_blow_up(cur, y_cur, z_cur, ny, nz), ny)
+        cur, m = _blow_up(cur, y_cur, z_cur, ny, nz).strip_var(ny)
         if m != expected:
             raise BlowupError(
                 f"step {k + 1}: factored power {m} != local order {expected}")
@@ -362,7 +347,7 @@ def _base_class(spec: CurveSpec, regime: str, w4: Polynomial | None) -> tuple[in
     w1 = to_w1(spec, regime)
     if w1 is not None:
         num = _numerator_after(w1, _bindings("W1", "W2", regime))
-        num, _ = _strip_var(num, "z2")
+        num, _ = num.strip_var("z2")
         slice_ = num.subs_poly({"z2": Polynomial.zero()})
         if slice_.is_zero():
             raise BlowupError("curve contains the section; self-pairing undefined")
@@ -374,7 +359,7 @@ def _base_class(spec: CurveSpec, regime: str, w4: Polynomial | None) -> tuple[in
         slice_ = w4.subs_poly({"z4": Polynomial.zero()})
         if slice_.is_zero():
             raise BlowupError("curve contains the section; self-pairing undefined")
-        _, w4_part = _strip_var(slice_, "y4")
+        _, w4_part = slice_.strip_var("y4")
 
     b = w2_part + w4_part - 2 * a
     return a, b

@@ -29,8 +29,10 @@ graded-lexicographic order, and multiplying monomials is adding ints.  The
 top bit of every field is a guard bit that stays 0, so one subtraction
 tests divisibility in every field at once.  A total degree above
 ``MAX_DEGREE`` raises ``ExactError``: products check it before they add, so
-a carry never passes from one field into the next.  The packing is private;
-``Polynomial`` takes and ``Polynomial.terms`` shows exponent tuples.
+a carry never passes from one field into the next.  The packing is private
+to this module and to ``blowup``'s monomial maps, which move exponents on
+the keys; ``Polynomial`` takes and ``Polynomial.terms`` shows exponent
+tuples.
 
 Canonical form of a quotient: numerator and denominator are coprime, and
 scaled so the denominator has integer coprime coefficients ("content 1") and
@@ -286,6 +288,17 @@ class Polynomial:
         s, drop = _SHIFT[i], power * _ONE[i]
         return Polynomial._new({e - drop: q for e, q in self._terms.items()
                                 if (e >> s) & 0xFF == power})
+
+    def strip_var(self, name: str) -> tuple["Polynomial", int]:
+        """(self / name**k, k) for the largest power name**k dividing self;
+        zero gives (0, 0)."""
+        i = var_index(name)
+        s = _SHIFT[i]
+        k = min(((e >> s) & 0xFF for e in self._terms), default=0)
+        if not k:
+            return self, 0
+        drop = k * _ONE[i]
+        return Polynomial._new({e - drop: q for e, q in self._terms.items()}), k
 
     # -- ring operations ----------------------------------------------
 

@@ -7,20 +7,34 @@ right-hand sides is factored once (``integer_solver``).
 """
 from __future__ import annotations
 
+from operator import mul
+
 
 def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _dims(a) -> str:
+    """'rows x cols' for an error message; a ragged matrix shows every
+    row length it has."""
+    widths = sorted({len(row) for row in a}) or [0]
+    return f"{len(a)}x{'/'.join(map(str, widths))}"
+
+
 def matmul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    if len(a[0]) != k:
-        raise ValueError(f"cannot multiply {n}x{len(a[0])} by {k}x{m}")
-    return [[sum(a[i][s] * b[s][j] for s in range(k)) for j in range(m)] for i in range(n)]
+    """a @ b, each entry one row of a against one column of b (rows may be
+    tuples); ValueError on ragged rows or mismatched shapes."""
+    m = len(b[0]) if b else 0
+    if any(len(row) != len(b) for row in a) or any(len(row) != m for row in b):
+        raise ValueError(f"cannot multiply {_dims(a)} by {_dims(b)}")
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def matvec(a, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
+    if any(len(row) != len(v) for row in a):
+        raise ValueError(f"cannot multiply {_dims(a)} by a vector of length {len(v)}")
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def transpose(a):

@@ -92,25 +92,23 @@ class LatticeIsometry:
     matrix: tuple
 
     def __post_init__(self):
-        m = [list(row) for row in self.matrix]
+        m = tuple(tuple(row) for row in self.matrix)
         g = lattice.GRAM
         if intlinalg.matmul(intlinalg.matmul(intlinalg.transpose(m), g), m) != g:
             raise NotIsometry("matrix does not preserve the intersection form")
-        object.__setattr__(self, "matrix", tuple(tuple(row) for row in m))
+        object.__setattr__(self, "matrix", m)
 
     def apply(self, cls: DivisorClass) -> DivisorClass:
-        v = intlinalg.matvec([list(r) for r in self.matrix], list(cls.coeffs))
-        return DivisorClass(tuple(v))
+        return DivisorClass(tuple(intlinalg.matvec(self.matrix, cls.coeffs)))
 
     def compose(self, other: "LatticeIsometry") -> "LatticeIsometry":
         """self after other."""
-        m = intlinalg.matmul([list(r) for r in self.matrix],
-                             [list(r) for r in other.matrix])
-        return LatticeIsometry(tuple(tuple(r) for r in m))
+        return LatticeIsometry(intlinalg.matmul(self.matrix, other.matrix))
 
     def is_involution(self) -> bool:
-        return self.compose(self).matrix == tuple(
-            tuple(r) for r in intlinalg.identity(lattice.RANK))
+        # M*M is an isometry already, so no new LatticeIsometry is checked
+        return intlinalg.matmul(self.matrix, self.matrix) == \
+            intlinalg.identity(lattice.RANK)
 
 
 _ACTION_BASIS = ("C1", "C3", "D0", "D1", "D2", "D3", "D4", "D5", "D6", "D7")

@@ -4,8 +4,10 @@ involution, and the vanishing-cycle periods.  Verdicts the `verify`
 registry states are asserted once, by `test_acceptance.test_check`; the
 zero checks are also run here against the canonical route they replaced,
 on the identity and on a perturbed negative control."""
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +22,7 @@ from p2lab.atlas import (
     period_c4_minus_c3,
     transition,
 )
-from p2lab.exact import Polynomial, rf, rfvar, rfvars
+from p2lab.exact import Polynomial, rf, rfvar, rfvars, var_index
 
 PAIRS = (("W1", "W3"), ("W3", "W12"), ("W1", "W12"))
 
@@ -224,6 +226,63 @@ def test_periods_at_degeneration_points():
     # the cycles that collapse have vanishing period at their special value
     assert period_c2_minus_c1(Fraction(0)) == 0
     assert period_c4_minus_c3(Fraction(-1)) == 0
+
+
+def per_call_period_c2_minus_c1(c0):
+    """period_c2_minus_c1 as it was before the end points were derived
+    once per process: the whole residue derivation, self-checks included,
+    run again for every c0."""
+    c0 = Fraction(c0)
+    t, c = rfvars("t", "c")
+    y3, z3 = rfvars("y3", "z3")
+    y4, z4 = rfvars("y4", "z4")
+    Y, z = rfvars("Y", "z")
+
+    # dy3^dz3 in W4 coordinates: y3 = y4, z3 = 1/z4
+    j34 = ((y4).partial("y4") * (1 / z4).partial("z4")
+           - (y4).partial("z4") * (1 / z4).partial("y4"))
+    if j34 != -1 / z4 ** 2:
+        raise atlas.AtlasError("dy3^dz3 must be -(1/z4^2) dy4^dz4")
+
+    # substitute y4 = Y z, z4 = z; the Jacobian multiplies the coefficient
+    sub = {"y4": Y * z, "z4": z}
+    jblow = ((Y * z).partial("Y") * z.partial("z")
+             - (Y * z).partial("z") * z.partial("Y"))
+    coeff = j34.substitute(sub) * jblow
+    if coeff * z != -1:
+        raise atlas.AtlasError("form must be -(1/z) dY^dz")
+
+    c1_eq = rf(Polynomial.variable("y4")).substitute(sub)          # first section
+    c2_eq = (Polynomial.variable("y4") - Polynomial.variable("c")
+             * Polynomial.variable("z4"))
+    c2_eq = rf(c2_eq).substitute(sub)                              # second section
+    zi = var_index("z")
+    ends = []
+    for eq in (c1_eq, c2_eq):
+        num = eq.num
+        k = min(e[zi] for e in num.terms)  # exceptional factor off the strict transform
+        stripped = Polynomial({e[:zi] + (e[zi] - k,) + e[zi + 1:]: q
+                               for e, q in num.terms.items()})
+        # linear in Y: root = -constant/lead
+        lead = stripped.coeff_in("Y", 1)
+        const = stripped - Polynomial.variable("Y") * lead
+        root = rf(-const) / rf(lead)
+        ends.append(root.eval_fractions({"c": c0}))
+    return ends[1] - ends[0]
+
+
+def test_period_ends_match_the_per_call_derivation():
+    # on every c of the benchmark's periods commands, from a cold cache
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    atlas._period_ends.cache_clear()
+    for c in workloads.PERIOD_C:
+        assert period_c2_minus_c1(c) == per_call_period_c2_minus_c1(c), c
+        assert period_c4_minus_c3(c) == per_call_period_c2_minus_c1(-1 - c), c
+    assert atlas._period_ends.cache_info().misses == 1
 
 
 def test_transition_domain_guard():

@@ -2,11 +2,13 @@
 derived divisor classes, and reproduction of the stated intersection
 numbers from nothing but defining equations.  Verdicts the `verify`
 registry states are asserted once, by `test_acceptance.test_check`."""
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p2lab import blowup, lattice
+from p2lab import blowup, exact, lattice
 from p2lab.blowup import (
     CurveSpec,
     NotSquarefree,
@@ -16,7 +18,7 @@ from p2lab.blowup import (
     engine_classes,
     multiplicities,
 )
-from p2lab.exact import Polynomial, rf
+from p2lab.exact import NVARS, Polynomial, rf, var_index
 
 
 def test_section_multiplicities():
@@ -61,14 +63,29 @@ def test_engine_classes_are_derived_once_and_read_only(regime):
 
 @pytest.mark.parametrize("regime", lattice.REGIMES)
 def test_chart_changes_are_built_once_and_compose(regime):
-    # W3 -> W1 followed by W1 -> W4 is the chart change W3 -> W4
+    # W3 -> W1 followed by W1 -> W4 is the chart change W3 -> W4; the
+    # bindings are unreduced quotients, compared by their canonical forms
     to_w4 = blowup._bindings("W1", "W4", regime)
     assert blowup._bindings("W1", "W4", regime) is to_w4
     with pytest.raises(TypeError):
         to_w4["y1"] = rf(1)
-    composed = {v: e.substitute(to_w4)
+    composed = {v: e.substitute(to_w4).canonical()
                 for v, e in blowup._bindings("W3", "W1", regime).items()}
-    assert composed == dict(blowup._bindings("W3", "W4", regime))
+    assert composed == {v: e.canonical() for v, e in
+                        blowup._bindings("W3", "W4", regime).items()}
+
+
+def test_chart_changes_take_no_gcd(monkeypatch):
+    # each binding is a numerator over a monomial, built with no canonical
+    # arithmetic
+    def refuse(a, b):
+        raise AssertionError("a chart change took a gcd")
+    monkeypatch.setattr(exact, "poly_gcd", refuse)
+    blowup._bindings.cache_clear()
+    for regime in lattice.REGIMES:
+        for source, target in blowup._GLUING:
+            for v, e in blowup._bindings(source, target, regime).items():
+                assert len(e.den.terms) == 1, (source, target, v)
 
 
 def test_section_class_is_boundary_anchor():
@@ -143,13 +160,128 @@ def test_unreduced_numerators_match_the_canonical_route(monkeypatch):
     assert got == traces()
 
 
+# -- the monomial maps against the tuple route they replaced -----------------
+#
+# Each unpacked the public ``terms`` view (exponent tuples and Fraction
+# coefficients) and repacked its result through ``Polynomial(...)``.
+
+
+def tuple_strip_var(p, name):
+    i = var_index(name)
+    if p.is_zero():
+        return p, 0
+    k = min(e[i] for e in p.terms)
+    if k == 0:
+        return p, 0
+    stripped = Polynomial({e[:i] + (e[i] - k,) + e[i + 1:]: q for e, q in p.terms.items()})
+    return stripped, k
+
+
+def tuple_vanishing_order(p, yname, zname):
+    iy, iz = var_index(yname), var_index(zname)
+    return min(e[iy] + e[iz] for e in p.terms)
+
+
+def tuple_blow_up(p, yname, zname, ny, nz):
+    iy, iz, jy, jz = (var_index(v) for v in (yname, zname, ny, nz))
+    out = {}
+    for e, q in p.terms.items():
+        e2 = list(e)
+        e2[iy] = e2[iz] = 0
+        e2[jy] = e[iy] + e[iz]
+        e2[jz] = e[iz]
+        out[tuple(e2)] = q
+    return Polynomial(out)
+
+
+def tuple_invert_z8(p):
+    iz = var_index("z8")
+    iv = var_index("v8")
+    if any(e[iv] for e in p.terms):
+        raise blowup.BlowupError("v8 already present before inversion")
+    d = max(e[iz] for e in p.terms)
+    r = min(e[iz] for e in p.terms)
+    out = {}
+    for e, q in p.terms.items():
+        e2 = list(e)
+        e2[iz] = 0
+        e2[iv] = d - e[iz]
+        out[tuple(e2)] = q
+    new = Polynomial(out)
+    new, extra = tuple_strip_var(new, "v8")
+    if extra:
+        raise blowup.BlowupError("inversion must not leave a spurious v8 factor")
+    return new, r
+
+
+def polynomials(names, min_size=0):
+    """Random polynomials in the named variables, with int coefficients up
+    to 10**6 in size and small Fractions."""
+    idx = [var_index(n) for n in names]
+
+    def build(terms):
+        out = {}
+        for exps, q in terms.items():
+            e = [0] * NVARS
+            for i, k in zip(idx, exps):
+                e[i] = k
+            out[tuple(e)] = q
+        return Polynomial(out)
+    coeff = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                      st.fractions(max_denominator=12)).filter(bool)
+    return st.dictionaries(st.tuples(*[st.integers(0, 5)] * len(names)), coeff,
+                           min_size=min_size, max_size=7).map(build)
+
+
+def as_listed(p):
+    """p's terms in its own order, so a result must match term by term."""
+    return list(p.terms.items())
+
+
+@given(polynomials(("y4", "z4", "t", "c")), st.sampled_from(("y4", "z4", "c")),
+       st.integers(0, 3))
+def test_strip_var_matches_the_tuple_route(p, name, j):
+    p = p * Polynomial.variable(name) ** j
+    q, k = p.strip_var(name)
+    q_ref, k_ref = tuple_strip_var(p, name)
+    assert (as_listed(q), k) == (as_listed(q_ref), k_ref)
+    assert q == q_ref
+
+
+@given(st.integers(0, 7).flatmap(lambda k: st.tuples(
+    st.just(k), polynomials((blowup._CHAIN_Y[k], blowup._CHAIN_Z[k], "t", "c"),
+                            min_size=1))))
+def test_blow_up_matches_the_tuple_route(args):
+    k, p = args
+    y, z = blowup._CHAIN_Y[k], blowup._CHAIN_Z[k]
+    ny, nz = blowup._CHAIN[k][:2]
+    assert blowup._vanishing_order(p, y, z) == tuple_vanishing_order(p, y, z)
+    got = blowup._blow_up(p, y, z, ny, nz)
+    want = tuple_blow_up(p, y, z, ny, nz)
+    assert as_listed(got) == as_listed(want) and got == want
+
+
+@given(polynomials(("y8", "z8", "t", "c"), min_size=1))
+def test_invert_z8_matches_the_tuple_route(p):
+    q, r = blowup._invert_z8(p)
+    q_ref, r_ref = tuple_invert_z8(p)
+    assert (as_listed(q), r) == (as_listed(q_ref), r_ref)
+    # a curve that already has v8 is refused
+    with pytest.raises(blowup.BlowupError, match="v8 already present"):
+        blowup._invert_z8(p * Polynomial.variable("v8"))
+
+
 # -- the chain against the substitution it replaced --------------------------
 
 
+@mock.patch.object(Polynomial, "strip_var", tuple_strip_var)
 def substitution_chain_trace(spec, regime="generic"):
     """chain_trace as it ran before the monomial map: each step took the
     local order from a translated copy of the curve, then substituted
-    z = center + y' * z' into the untranslated one."""
+    z = center + y' * z' into the untranslated one.  It strips, inverts
+    and reads orders by the tuple route, also inside the engine's curve
+    check and transport to W4, so it shares no monomial map with the
+    engine."""
     p0 = blowup._specialize(spec.poly, regime)
     chart_vars = {"W1": ("y1", "z1"), "W3": ("y3", "z3"),
                   "W4": ("y4", "z4")}[spec.chart]
@@ -164,17 +296,17 @@ def substitution_chain_trace(spec, regime="generic"):
     for k, (ny, nz, center_fn) in enumerate(blowup._CHAIN):
         y_cur, z_cur = blowup._CHAIN_Y[k], blowup._CHAIN_Z[k]
         if k == 4:
-            cur, trace.dropped_section_power = blowup._invert_z8(cur)
+            cur, trace.dropped_section_power = tuple_invert_z8(cur)
             if cur.is_constant():
                 trace.steps.extend(blowup.ChainStep(j + 1, ("", ""), 0, cur)
                                    for j in range(k, 8))
                 return trace
         center = center_fn(c_poly)
         local = cur.subs_poly({z_cur: Polynomial.variable(z_cur) + center})
-        expected = blowup._vanishing_order(local, y_cur, z_cur)
+        expected = tuple_vanishing_order(local, y_cur, z_cur)
         nyp, nzp = Polynomial.variable(ny), Polynomial.variable(nz)
         cur = cur.subs_poly({y_cur: nyp, z_cur: center + nyp * nzp})
-        cur, m = blowup._strip_var(cur, ny)
+        cur, m = tuple_strip_var(cur, ny)
         assert m == expected
         trace.steps.append(blowup.ChainStep(k + 1, (ny, nz), m, cur))
         if cur.is_constant():

@@ -350,6 +350,7 @@ def test_verify_all_walks_the_orbit_once(monkeypatch, capsys):
     blowup.engine_classes.cache_clear()
     blowup._bindings.cache_clear()
     lattice.named_classes.cache_clear()
+    atlas._period_ends.cache_clear()
     calls = Counter()
 
     def counted(name, fn):

@@ -381,3 +381,75 @@ def test_smith_normal_form_matches_reference_on_random(monkeypatch):
     # the random matrices exercise the divisibility fix-up, not only the
     # elimination loop
     assert len(fixups) > 100
+
+
+# ---------------------------------------------------------------------------
+# matmul and matvec against the indexing generators they replaced, kept as
+# references
+
+
+def indexing_matmul(a, b):
+    n, k, m = len(a), len(b), len(b[0])
+    if len(a[0]) != k:
+        raise ValueError(f"cannot multiply {n}x{len(a[0])} by {k}x{m}")
+    return [[sum(a[i][s] * b[s][j] for s in range(k)) for j in range(m)] for i in range(n)]
+
+
+def indexing_matvec(a, v):
+    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
+
+
+big = st.integers(-10 ** 6, 10 ** 6)
+
+
+@given(st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda nkm: st.tuples(matrices(nkm[0], nkm[1], -10 ** 6, 10 ** 6),
+                          matrices(nkm[1], nkm[2], -10 ** 6, 10 ** 6))))
+def test_matmul_matches_the_indexing_route(ab):
+    a, b = ab
+    assert matmul(a, b) == indexing_matmul(a, b)
+    # rows may be tuples, as LatticeIsometry stores them
+    assert matmul(tuple(map(tuple, a)), tuple(map(tuple, b))) == matmul(a, b)
+
+
+@given(st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(
+    lambda nk: st.tuples(matrices(nk[0], nk[1], -10 ** 6, 10 ** 6),
+                         st.lists(big, min_size=nk[1], max_size=nk[1]))))
+def test_matvec_matches_the_indexing_route(av):
+    a, v = av
+    assert matvec(a, v) == indexing_matvec(a, v)
+
+
+@pytest.mark.parametrize("a,v", [
+    ([[1, 2, 3]], [1, 1]),           # the indexing route returned [3]
+    ([[1, 2]], [1, 1, 1]),           # ... and raised IndexError here
+    ([[1, 2], [1]], [1, 1]),         # ragged
+])
+def test_matvec_rejects_mismatched_shapes(a, v):
+    with pytest.raises(ValueError, match="cannot multiply"):
+        matvec(a, v)
+
+
+@pytest.mark.parametrize("a,b", [
+    ([[1, 2, 3]], [[1], [1]]),
+    ([[1, 2], [3]], [[1], [1]]),     # ragged left operand
+    ([[1, 2]], [[1], [2, 3]]),       # ragged right operand
+    ([[1]], []),                     # empty right operand
+])
+def test_matmul_rejects_mismatched_shapes(a, b):
+    with pytest.raises(ValueError, match="cannot multiply"):
+        matmul(a, b)
+
+
+def test_empty_products_keep_their_shape():
+    assert matmul([], [[1, 2]]) == []
+    assert matmul([[]], []) == [[]]
+    assert matvec([], [1, 2]) == []
+
+
+def test_matvec_shape_guard_survives_optimized_mode(checkout_env):
+    r = run_optimized(checkout_env,
+                      "from p2lab.intlinalg import matvec\n"
+                      "matvec([[1, 2, 3]], [1, 1])\n")
+    assert r.returncode == 1
+    assert "ValueError: cannot multiply 1x3 by a vector of length 2" in r.stderr
