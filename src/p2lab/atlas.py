@@ -183,8 +183,10 @@ def hamiltonian(chart: str) -> ChartHamiltonian:
     raise AtlasError(f"unknown chart {chart!r}")
 
 
+@lru_cache(maxsize=None)
 def hamilton_field(chart: str) -> tuple[RationalFunction, RationalFunction]:
-    """(dy/dt, dz/dt) = (dH/dz, -dH/dy): polynomial in every chart."""
+    """(dy/dt, dz/dt) = (dH/dz, -dH/dy): polynomial in every chart, derived
+    once per chart (cached)."""
     h = rf(hamiltonian(chart).poly)
     y, z = CHART_VARS[chart]
     return h.partial(z), -h.partial(y)
@@ -234,8 +236,13 @@ class RelOneForm:
 
 
 def symplectic_form(chart: str, h_poly: Polynomial | None = None) -> RelTwoForm:
-    """dy^dz + dH^dt in the chart's own coordinates."""
-    h = rf(h_poly if h_poly is not None else hamiltonian(chart).poly)
+    """dy^dz + dH^dt in the chart's own coordinates.  The chart's own H
+    reads its partials off ``hamilton_field``; an ``h_poly`` override is
+    differentiated here."""
+    if h_poly is None:
+        fy, fz = hamilton_field(chart)
+        return RelTwoForm(rf(1), -fz, fy)
+    h = rf(h_poly)
     y, z = CHART_VARS[chart]
     return RelTwoForm(rf(1), h.partial(y), h.partial(z))
 

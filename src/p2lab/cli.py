@@ -471,6 +471,19 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+# The largest n that `gamma --n` and `orbit --n-max` take: `orbit` walks
+# and reduces every class up to n, which takes about a second at this size.
+ORBIT_N_MAX = 3000
+
+
+def _orbit_n(text: str) -> int:
+    n = _positive_int(text)
+    if n > ORBIT_N_MAX:
+        raise argparse.ArgumentTypeError(
+            f"orbit index {text!r} exceeds the ceiling {ORBIT_N_MAX}")
+    return n
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors are one line on stderr and exit status 2."""
 
@@ -495,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="emit the known-discrepancy records as JSON lines")
 
     g = sub.add_parser("gamma", help="orbit class coefficients")
-    g.add_argument("--n", type=_positive_int, required=True)
+    g.add_argument("--n", type=_orbit_n, required=True)
     g.add_argument("--full", action="store_true")
 
     pe = sub.add_parser("periods", help="vanishing-cycle period coefficients")
@@ -503,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="rational, e.g. 1/3")
 
     ob = sub.add_parser("orbit", help="orbit verification table")
-    ob.add_argument("--n-max", type=_positive_int, default=50)
+    ob.add_argument("--n-max", type=_orbit_n, default=50)
 
     it = sub.add_parser("integrate", help="integrate one trajectory to CSV")
     it.add_argument("--c", type=_float_rational, required=True,

@@ -20,7 +20,10 @@ constructor; a zero renders as ``0`` with no gcd.
 All substitution runs on that pair, in one loop (``_subs_cleared``):
 ``RationalFunction.substitute`` expands the pair under the bindings with
 every inner denominator cleared and canonicalizes the result once, and
-``Polynomial.subs_poly`` is the same loop with unit denominators.
+``Polynomial.subs_poly`` is the same loop with unit denominators.  When
+every binding is a monomial or zero over a monomial, the loop sends each
+term to one term by moving its packed key (``_subs_monomial``), with no
+polynomial product.
 
 A monomial is stored packed into one int (Monagan & Pearce's packed
 monomials): one 8-bit field per variable, ``ALPHABET[0]`` highest, and the
@@ -191,9 +194,10 @@ class _TermItems(ItemsView):
             yield _unpack(key), Fraction(q)
 
 
-def _add_into(out: dict, terms: dict) -> None:
-    """out += terms, dropping terms that cancel; a new monomial goes last."""
-    for e, q in terms.items():
+def _add_into(out: dict, terms) -> None:
+    """out += terms, given as (key, coefficient) pairs, dropping terms that
+    cancel; a new monomial goes last."""
+    for e, q in terms:
         if e in out:
             s = out[e] + q
             if s:
@@ -330,7 +334,7 @@ class Polynomial:
         if p is None:
             return NotImplemented
         out = dict(self._terms)
-        _add_into(out, p._terms)
+        _add_into(out, p._terms.items())
         return Polynomial._new(out)
 
     __radd__ = __add__
@@ -654,6 +658,8 @@ def _monomial_gcd(m: Polynomial, b: Polynomial) -> Polynomial:
     """gcd of a one-term polynomial with a nonzero b: every divisor of a
     monomial is a monomial, so it is the least exponent per variable."""
     (low,) = m._terms
+    if not low or 0 in b._terms:
+        return Polynomial._new({0: 1})     # a constant term on either side
     fields = [(_SHIFT[i], k) for i, k in enumerate(_unpack(low)) if k]
     for e in b._terms:
         if not fields:
@@ -1039,6 +1045,11 @@ def _subs_cleared(p: Polynomial, subs: Mapping[int, _Unreduced],
     """p with each x_i replaced by subs[i] = n_i/d_i, multiplied by the
     product of d_i ** top[i]; top[i] is at least p's degree in x_i, so
     the result is a polynomial."""
+    if all(len(v.num._terms) < 2 and len(v.den._terms) == 1
+           for v in subs.values()):
+        out = _subs_monomial(p, subs, top)
+        if out is not None:
+            return out
     out: dict = {}
     pow_cache: dict[tuple[int, int], Polynomial] = {}   # (id(base), k)
 
@@ -1058,7 +1069,44 @@ def _subs_cleared(p: Polynomial, subs: Mapping[int, _Unreduced],
                 term = term * power(v.num, k)
             if top[i] > k and not _is_one(v.den):
                 term = term * power(v.den, top[i] - k)
-        _add_into(out, (term * Polynomial._new({rest: q}))._terms)
+        _add_into(out, (term * Polynomial._new({rest: q}))._terms.items())
+    return Polynomial._new(out)
+
+
+def _subs_monomial(p: Polynomial, subs: Mapping[int, _Unreduced],
+                   top: Mapping[int, int]) -> Polynomial | None:
+    """``_subs_cleared`` when every binding is a monomial or zero over a
+    monomial: each term of p goes to one term, whose key is the sum of the
+    keys and whose coefficient is the product of the coefficients' powers,
+    so no product of polynomials is taken.  Terms come out in p's order
+    and are summed as the general loop sums them.  None when a term's
+    degree, counting every power the general loop takes, passes
+    MAX_DEGREE; that loop then decides whether the substitution raises."""
+    maps = []
+    for i, v in subs.items():
+        ((dk, dc),) = v.den._terms.items()
+        ((nk, nc),) = v.num._terms.items() or ((0, 0),)
+        maps.append((_SHIFT[i], nk - _ONE[i], nc, dk, dc, top[i]))
+    terms = []
+    for e, q in p._terms.items():
+        key = e
+        for s, step, nc, dk, dc, m in maps:
+            k = (e >> s) & 0xFF
+            if k:
+                key += k * step
+                if nc != 1:
+                    q = q * nc ** k
+            if m > k:
+                key += (m - k) * dk
+                if dc != 1:
+                    q = q * dc ** (m - k)
+        # every field is at most the total degree, so no field has carried
+        if key >> _DEG_SHIFT > MAX_DEGREE:
+            return None
+        if q:               # else the term met a variable bound to zero
+            terms.append((key, q))
+    out: dict = {}
+    _add_into(out, terms)
     return Polynomial._new(out)
 
 

@@ -2,13 +2,14 @@
 and the infinite orbit of numerical -1-classes.
 
 The two generators act on the parameter line as c -> -c and c -> -1-c.
-Their induced actions on the rank-10 class lattice are defined on the
-basis (C1, C3, D0..D7) and conjugated to integer matrices over the
-standard basis (S, f, E1..E8), where the intersection form certifies
-each as an isometry.  The composite (first the D-reversing map, then the
-D-fixing one) is the translation; iterating it on C3 sweeps out the
-orbit whose members all square to -1 and meet the anticanonical class
-once.
+Their induced actions on the rank-10 class lattice are integer matrices
+over the standard basis (S, f, E1..E8), where the intersection form
+certifies each as an isometry.  The D-fixing one is the reflection in the
+(-2)-curve of the c = 0 regime; the D-reversing one is declared on the
+basis (C1, C3, D0..D7) and conjugated.  The composite (first the
+D-reversing map, then the D-fixing one) is the translation; iterating it
+on C3 sweeps out the orbit whose members all square to -1 and meet the
+anticanonical class once.
 
 The orbit is walked once per process: ``orbit(n_max)`` extends a single
 walk from C3 only past the longest prefix asked for so far, and
@@ -159,13 +160,15 @@ def jstar() -> LatticeIsometry:
 
 @lru_cache(maxsize=None)
 def istar() -> LatticeIsometry:
-    """Class action of c -> -c: fixes C3 and every D, sends C1 to the
-    class of C2 (expanded over the action basis, so the map is total even
-    though the point map is only birational)."""
-    reg = lattice.named_classes("generic")
-    c2 = lattice.express_in_basis(reg["C2"], action_basis_classes())
-    cols = [list(c2), _unit(1)] + [_unit(2 + i) for i in range(8)]
-    return _conjugate(cols)
+    """Class action of c -> -c: the reflection x -> x + (x.a) a in the
+    (-2)-curve a = C2prime that splits off C2 at c = 0, the fixed point of
+    c -> -c.  It fixes C3 and every D and swaps C1 and C2 (so the map is
+    total even though the point map is only birational)."""
+    a = lattice.named_classes("c=0")["C2prime"].coeffs
+    ga = intlinalg.matvec(lattice.GRAM, a)        # x.a = (G a) . x
+    return LatticeIsometry(tuple(
+        tuple(int(i == j) + a_i * ga_j for j, ga_j in enumerate(ga))
+        for i, a_i in enumerate(a)))
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,7 @@ from p2lab.atlas import (
     period_c4_minus_c3,
     transition,
 )
-from p2lab.exact import Polynomial, rf, rfvar, rfvars, var_index
+from p2lab.exact import Polynomial, RationalFunction, rf, rfvar, rfvars, var_index
 
 PAIRS = (("W1", "W3"), ("W3", "W12"), ("W1", "W12"))
 
@@ -176,6 +176,36 @@ def test_other_hamiltonians_are_polynomial():
     # whole point of the chart choice
     for h, (vy, vz) in ((h3, ("y3", "z3")), (h12, ("y12", "z12"))):
         assert all(all(e >= 0 for e in exp) for exp in h.terms)
+
+
+def test_fields_are_derived_once_and_read_by_the_forms(monkeypatch):
+    # a chart's own symplectic form reads dH/dy and dH/dz off the cached
+    # field; an h_poly override differentiates, as every form did before
+    atlas.hamilton_field.cache_clear()
+    fields = {chart: atlas.hamilton_field(chart) for chart in CHARTS}
+    assert atlas.hamilton_field.cache_info().misses == 3
+    for i, j in PAIRS:
+        transition(i, j).jacobian        # cached per transition
+
+    def refused(self, name):
+        raise AssertionError(f"partial in {name} taken again")
+    monkeypatch.setattr(RationalFunction, "partial", refused)
+    forms = {chart: atlas.symplectic_form(chart) for chart in CHARTS}
+    for i, j in PAIRS:
+        atlas.glue_residual(i, j)
+    monkeypatch.undo()
+    for chart in CHARTS:
+        assert atlas.hamilton_field(chart) is fields[chart]
+        h = rf(hamiltonian(chart).poly)
+        y, z = atlas.CHART_VARS[chart]
+        got = forms[chart]
+        want = atlas.symplectic_form(chart, hamiltonian(chart).poly)
+        for a, b in ((got.dy_dz, want.dy_dz), (got.dy_dt, h.partial(y)),
+                     (got.dz_dt, h.partial(z)), (got.dy_dt, want.dy_dt),
+                     (got.dz_dt, want.dz_dt)):
+            # the same terms in the same order, which compiled code sums in
+            assert (list(a.num.terms.items()), list(a.den.terms.items())) == \
+                (list(b.num.terms.items()), list(b.den.terms.items()))
 
 
 def test_cocycle_values(monkeypatch):

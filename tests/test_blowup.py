@@ -271,6 +271,28 @@ def test_invert_z8_matches_the_tuple_route(p):
         blowup._invert_z8(p * Polynomial.variable("v8"))
 
 
+@pytest.mark.parametrize("regime", lattice.REGIMES)
+def test_inversion_leaves_no_v8_factor_on_the_engine_curves(monkeypatch, regime):
+    # z8^k goes to v8^(d - k), so the terms of top z8 power keep v8^0
+    inverted = []
+
+    def recorded(p):
+        q, r = invert(p)
+        inverted.append((p, q, r))
+        return q, r
+    invert = blowup._invert_z8
+    monkeypatch.setattr(blowup, "_invert_z8", recorded)
+    for spec in curve_specs(regime).values():
+        try:
+            chain_trace(spec, regime)
+        except RegimeSplit:
+            continue
+    assert inverted
+    for p, q, r in inverted:
+        assert q.strip_var("v8") == (q, 0)
+        assert q.degree_in("v8") == p.degree_in("z8") - r
+
+
 # -- the chain against the substitution it replaced --------------------------
 
 

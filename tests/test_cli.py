@@ -424,6 +424,29 @@ def test_a_negative_rational_value_takes_an_equals_sign(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["gamma", "--n=99999999999999999999"],
+    ["gamma", "--n=99999999999999999999", "--full"],
+    ["orbit", "--n-max=99999999999999999999"],
+    ["gamma", f"--n={cli.ORBIT_N_MAX + 1}"],
+    ["orbit", f"--n-max={cli.ORBIT_N_MAX + 1}"],
+])
+def test_orbit_indices_past_the_ceiling_are_usage_errors(argv, capsys):
+    # before, each of the first three ran until it was killed
+    option, value = argv[1].split("=")
+    assert run_in_process(capsys, *argv) == (
+        2, "", f"p2lab: error: argument {option}: orbit index {value!r} "
+               f"exceeds the ceiling {cli.ORBIT_N_MAX}\n")
+
+
+def test_the_orbit_ceiling_is_allowed_and_stated(capsys):
+    n = cli.ORBIT_N_MAX
+    assert run_in_process(capsys, "gamma", f"--n={n}") == (
+        0, f"{(-n, n + 1)}\n", "")
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    assert f"above {n}" in " ".join(readme.split())
+
+
+@pytest.mark.parametrize("argv", [
     ["gamma", "--n", "0"],
     ["gamma", "--n", "x"],
     ["periods", "--c", "abc"],

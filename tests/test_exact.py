@@ -10,7 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from p2lab import exact
 from p2lab.exact import (
+    _DEG_SHIFT,
+    _ONE,
+    _SHIFT,
     ALPHABET,
     MAX_DEGREE,
     NVARS,
@@ -21,7 +25,9 @@ from p2lab.exact import (
     Polynomial,
     RationalFunction,
     _check_degree,
+    _deg_idx,
     _degree,
+    _is_one,
     _mul_power,
     _Unreduced,
     _pack,
@@ -276,12 +282,32 @@ def test_gcd_of_equal_arguments_matches_prs(a, k):
     assert poly_gcd(a, k * a) == _prs_gcd(a.primitive(), a.primitive())
 
 
-@settings(max_examples=40, deadline=None)
-@given(polys(max_terms=1).filter(bool), multi_term_polys)
-def test_gcd_with_monomial_matches_prs(m, b):
+def scanning_monomial_gcd(m, b):
+    """_monomial_gcd before its constant-term exit: the least exponent per
+    variable, scanning b's terms until no variable is left."""
+    (low,) = m._terms
+    fields = [(_SHIFT[i], k) for i, k in enumerate(_unpack(low)) if k]
+    for e in b._terms:
+        if not fields:
+            break
+        fields = [(s, min(k, (e >> s) & 0xFF)) for s, k in fields]
+        fields = [(s, k) for s, k in fields if k]
+    key = sum(k << s for s, k in fields) + (sum(k for _, k in fields) << _DEG_SHIFT)
+    return Polynomial._new({key: 1})
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(max_terms=1).filter(bool), multi_term_polys, st.integers(-3, 3))
+@example(Polynomial.const(5), Polynomial.variable("q") + 2, 0)
+@example(Polynomial.variable("q") ** 2, 3 * Polynomial.variable("q"), 1)
+def test_gcd_with_monomial_matches_prs(m, b, k):
+    b = b + k                         # k != 0 often adds a constant term
     ref = _prs_gcd(m.primitive(), b.primitive())
     assert poly_gcd(m, b) == ref
     assert poly_gcd(b, m) == ref
+    # the exit on a constant term against the scanning route it skips
+    got = exact._monomial_gcd(m, b)
+    assert list(got._terms.items()) == list(scanning_monomial_gcd(m, b)._terms.items())
 
 
 # -- packed monomials -------------------------------------------------------
@@ -622,7 +648,6 @@ def test_substitute_then_evaluate_is_evaluate_then_substitute(a, u, v):
 
 
 def test_substitution_canonicalizes_once(monkeypatch):
-    from p2lab import exact
     depth, top = [0], [0]
 
     def counted(a, b):
@@ -747,7 +772,6 @@ def test_unreduced_partial_is_the_plain_quotient_rule():
 
 
 def test_unreduced_zero_test_takes_no_gcd(monkeypatch):
-    from p2lab import exact
     q, p = rfvar("q"), rfvar("p")
     f = (q ** 2 + p) / (q - p)
     g = Polynomial.variable("q") - Polynomial.variable("p")
@@ -969,3 +993,164 @@ def test_one_term_products_check_the_degree():
                             lambda: double_loop_product(x3, top)):
                 with pytest.raises(ExactError):
                     product()
+
+
+# -- monomial substitutions ------------------------------------------------
+#
+# Bindings that are each a monomial (or zero) over a monomial send every
+# term to one term.  Reference: the general loop of ``_subs_cleared``, which
+# raises each binding's numerator and denominator to powers and multiplies
+# them in as polynomials; it is kept here verbatim.  The terms must come out
+# in the same order, since compiled float code sums them in that order.
+
+
+def expanded_subs_cleared(p, subs, top):
+    out = {}
+    pow_cache = {}
+
+    def power(base, k):
+        key = (id(base), k)
+        if key not in pow_cache:
+            pow_cache[key] = base ** k
+        return pow_cache[key]
+
+    for e, q in p._terms.items():
+        term = Polynomial.const(1)
+        rest = e
+        for i, v in subs.items():
+            k = (rest >> _SHIFT[i]) & 0xFF
+            if k:
+                rest -= k * _ONE[i]
+                term = term * power(v.num, k)
+            if top[i] > k and not _is_one(v.den):
+                term = term * power(v.den, top[i] - k)
+        for e2, q2 in (term * Polynomial._new({rest: q}))._terms.items():
+            if e2 in out:
+                s = out[e2] + q2
+                if s:
+                    out[e2] = s
+                else:
+                    del out[e2]
+            else:
+                out[e2] = q2
+    return Polynomial._new(out)
+
+
+MVARS = ("c", "y", "z")
+
+
+def monomial(coeff, **exps):
+    e = [0] * NVARS
+    for name, k in exps.items():
+        e[var_index(name)] = k
+    return Polynomial({tuple(e): coeff})
+
+
+@st.composite
+def cyz_polys(draw, max_exps=(4, 4, 4)):
+    """Polynomials in c, y and z with int and Fraction coefficients."""
+    out = Polynomial.zero()
+    for _ in range(draw(st.integers(0, 6))):
+        out = out + monomial(draw(rational_coeffs), **{
+            v: draw(st.integers(0, k)) for v, k in zip(MVARS, max_exps)})
+    return out
+
+
+@st.composite
+def monomial_bindings(draw):
+    """A constant (0 and -1 among them), a variable, 1/variable, or
+    coeff * c^e * y^a * z^b over k * z^m."""
+    kind = draw(st.sampled_from(("constant", "variable", "inverse", "quotient")))
+    if kind == "constant":
+        return _Unreduced.of(draw(st.sampled_from(
+            (0, -1, 1, 2, Fraction(1, 2), Fraction(-3, 4)))))
+    v = Polynomial.variable(draw(st.sampled_from(MVARS)))
+    if kind == "variable":
+        return _Unreduced.of(v)
+    if kind == "inverse":
+        return _Unreduced(Polynomial.const(1), v)
+    num = monomial(draw(rational_coeffs.filter(bool)), c=draw(st.integers(0, 1)),
+                   y=draw(st.integers(0, 3)), z=draw(st.integers(0, 3)))
+    den = monomial(draw(st.sampled_from((1, -1, 2, 3, Fraction(2, 3)))),
+                   z=draw(st.integers(0, 2)))
+    return _Unreduced(num, den)
+
+
+def bound(bindings):
+    return {var_index(n): v for n, v in bindings.items()}
+
+
+def listed(p):
+    return list(p._terms.items())
+
+
+def outcome(route, *args):
+    """The result's terms in order, or the error raised."""
+    try:
+        return listed(route(*args))
+    except ExactError:
+        return ExactError
+
+
+@settings(deadline=None)
+@given(cyz_polys(), st.dictionaries(st.sampled_from(MVARS), monomial_bindings(),
+                                    min_size=1, max_size=3),
+       st.integers(0, 2))
+@example(monomial(3, c=2, y=1) + monomial(Fraction(1, 2), y=1, z=1),
+         {"c": _Unreduced.of(0)}, 0)
+@example(monomial(1, y=2) - monomial(1, z=2),
+         {"y": _Unreduced.of(Polynomial.variable("z"))}, 1)
+def test_monomial_substitution_matches_the_general_loop(p, bindings, extra):
+    subs = bound(bindings)
+    top = {i: max(_deg_idx(p, i), 0) + extra for i in subs}
+    got = exact._subs_cleared(p, subs, top)
+    assert listed(got) == listed(expanded_subs_cleared(p, subs, top))
+    assert exact._subs_monomial(p, subs, top) is not None
+    # the public routes: substitution into a quotient, and subs_poly
+    d = monomial(2, z=1)
+    top = {i: max(_deg_idx(p, i), _deg_idx(d, i)) for i in subs}
+    num, den = (expanded_subs_cleared(x, subs, top) for x in (p, d))
+    if not den:
+        with pytest.raises(IdenticallyZeroDenominator):
+            _Unreduced(p, d).substitute(bindings)
+    else:
+        u = _Unreduced(p, d).substitute(bindings)
+        assert (listed(u.num), listed(u.den)) == (listed(num), listed(den))
+    if all(v.den == 1 for v in subs.values()):
+        want = expanded_subs_cleared(p, subs, dict.fromkeys(subs, 0))
+        assert listed(p.subs_poly({n: v.num for n, v in bindings.items()})) \
+            == listed(want)
+
+
+@settings(deadline=None)
+@given(cyz_polys(max_exps=(5, 70, 52)), st.dictionaries(
+    st.sampled_from(MVARS), monomial_bindings(), min_size=1, max_size=3))
+def test_monomial_substitution_near_the_degree_ceiling(p, bindings):
+    subs = bound(bindings)
+    top = {i: max(_deg_idx(p, i), 0) for i in subs}
+    assert (outcome(exact._subs_cleared, p, subs, top)
+            == outcome(expanded_subs_cleared, p, subs, top))
+
+
+def test_monomial_substitution_past_the_degree_ceiling_raises():
+    y, z = Polynomial.variable("y"), Polynomial.variable("z")
+    yz = {var_index("y"): _Unreduced.of(y * z)}
+    at = y ** 63 * z                  # y -> y*z gives degree 127, the bound
+    got = exact._subs_cleared(at, yz, {var_index("y"): 63})
+    assert listed(got) == listed(y ** 63 * z ** 64)
+    past = y ** 64 * z                # degree 129
+    top = {var_index("y"): 64}
+    assert exact._subs_monomial(past, yz, top) is None
+    for route in (exact._subs_cleared, expanded_subs_cleared):
+        with pytest.raises(ExactError, match="exceeds 127"):
+            route(past, yz, top)
+    with pytest.raises(ExactError, match="exceeds 127"):
+        past.subs_poly({"y": y * z})
+    # a term sent to zero by c -> 0 still raises, as the general loop takes
+    # the power of z^64 before it multiplies by the zero
+    subs = bound({"c": _Unreduced.of(0), "y": _Unreduced.of(z ** 64)})
+    p = Polynomial.variable("c") * y ** 2
+    for route in (exact._subs_cleared, expanded_subs_cleared):
+        with pytest.raises(ExactError, match="exceeds 127"):
+            route(p, subs, {i: 2 for i in subs})
+

@@ -92,6 +92,20 @@ C2PRIME = lattice.named_classes("c=0")["C2prime"]
 C4PRIME = lattice.named_classes("c=-1")["C4prime"]
 
 
+def column_istar():
+    """istar as it was declared before it was the reflection: columns on
+    the action basis (C1, C3, D0..D7), C1 going to C2 expanded over that
+    basis and everything else fixed, conjugated to the standard basis."""
+    reg = lattice.named_classes("generic")
+    c2 = lattice.express_in_basis(reg["C2"], weyl.action_basis_classes())
+    cols = [list(c2), weyl._unit(1)] + [weyl._unit(2 + i) for i in range(8)]
+    return weyl._conjugate(cols)
+
+
+def test_fixing_isometry_matches_its_column_definition():
+    assert weyl.istar().matrix == column_istar().matrix
+
+
 def test_fixing_isometry_is_the_reflection_in_the_c0_root():
     # c -> -c fixes c = 0, where C2 splits off the (-2)-curve C2prime
     s = reflection(C2PRIME)
