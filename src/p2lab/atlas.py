@@ -58,6 +58,14 @@ class Transition:
         return tuple(tuple(img.partial(v) for v in (sy, sz, "t"))
                      for img in (self.y_img, self.z_img))
 
+    @cached_property
+    def pulled_field(self) -> tuple:
+        """The target chart's Hamilton field (dy/dt, dz/dt) in source
+        coordinates, as unreduced quotients; the gluing and chain-rule
+        checks both read it."""
+        b = self.bindings()
+        return tuple(_pulled(f, b) for f in hamilton_field(self.target))
+
     def bindings(self) -> dict:
         ty, tz = CHART_VARS[self.target]
         return {ty: self.y_img, tz: self.z_img}
@@ -252,8 +260,14 @@ def pullback_two_form(form: RelTwoForm, tr: Transition) -> RelTwoForm:
     coefficients come out as unreduced quotients: they are only ever
     tested for zero, which needs no gcd."""
     b = tr.bindings()
+    return _pullback_coefficients(
+        tr, *(_pulled(f, b) for f in (form.dy_dz, form.dy_dt, form.dz_dt)))
+
+
+def _pullback_coefficients(tr: Transition, a, bb, cc) -> RelTwoForm:
+    """The pulled-back form, given its coefficients a, bb, cc already
+    substituted into tr.source coordinates."""
     (yy, yz, yt), (zy, zz, zt) = (map(_Unreduced.of, row) for row in tr.jacobian)
-    a, bb, cc = (_pulled(f, b) for f in (form.dy_dz, form.dy_dt, form.dz_dt))
     return RelTwoForm(
         a * (yy * zz - yz * zy),
         a * (yy * zt - yt * zy) + bb * yy + cc * zy,
@@ -277,12 +291,18 @@ def glue_residual(i: str, j: str,
 
     ``h_override`` replaces named charts' Hamiltonians, for probing the
     uniqueness direction (any non-constant fiber perturbation breaks at
-    least one pair).
+    least one pair).  Without an override the target chart's form is
+    pulled back through ``Transition.pulled_field``.
     """
     h_override = h_override or {}
+    tr = transition(i, j)
     form_i = symplectic_form(i, h_override.get(i))
-    form_j = symplectic_form(j, h_override.get(j))
-    return pullback_two_form(form_j, transition(i, j)) - form_i
+    if j in h_override:
+        pulled = pullback_two_form(symplectic_form(j, h_override[j]), tr)
+    else:
+        fy, fz = tr.pulled_field
+        pulled = _pullback_coefficients(tr, _Unreduced.of(rf(1)), -fz, fy)
+    return pulled - form_i
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ a derivation is applied formally, the defining second-order rule replaces
 second derivatives, and a map is a symmetry exactly when its residual
 has a zero numerator.  No epsilon appears anywhere in this module.
 
-The maps themselves are canonical ``RationalFunction`` values.  The
+The maps themselves are canonical ``RationalFunction`` values, and the
+four the checks share are built once per process.  The
 residuals are worked on unreduced quotients (``exact._Unreduced``), which
 take no gcd: a residual is zero exactly when its numerator is the zero
 polynomial, and a nonzero one is reduced to canonical form only when it
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import (
     ExactError, IdenticallyZeroDenominator, Polynomial, RationalFunction,
@@ -101,6 +103,7 @@ class PIIMap:
             raise DenominatorVanishes(self.name)
 
 
+@lru_cache(maxsize=None)
 def shift_up() -> PIIMap:
     """Parameter raised by one."""
     t, y, yp, alpha = rfvars("t", "y", "yp", "alpha")
@@ -175,20 +178,24 @@ class PhaseMap:
             raise DenominatorVanishes(self.name) from e
 
 
+@lru_cache(maxsize=None)
 def phase_reflection() -> PhaseMap:
     """Involution over c |-> -1-c."""
     t, q, p, c = rfvars("t", "q", "p", "c")
     return PhaseMap("phase-reflection", -q, -2 * q ** 2 - p - t, -1 - c)
 
 
+@lru_cache(maxsize=None)
 def phase_negation() -> PhaseMap:
     """Involution over c |-> -c, regular off p = 0."""
     q, p, c = rfvars("q", "p", "c")
     return PhaseMap("phase-negation", q - c / p, p, -c)
 
 
+@lru_cache(maxsize=None)
 def phase_translation() -> PhaseMap:
-    """c |-> c+1: the negation applied after the reflection."""
+    """c |-> c+1: the negation applied after the reflection, composed once
+    per process."""
     return phase_negation().compose(phase_reflection())
 
 

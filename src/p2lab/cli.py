@@ -558,6 +558,9 @@ def run(argv=None) -> int:
         try:
             return _cmd_integrate(args)
         except flow.FlowError as exc:
+            stats = getattr(exc, "stats", None)
+            if args.stats and stats is not None:
+                print(json.dumps({"stats": stats}), file=sys.stderr)
             parser.error(str(exc))
     raise AssertionError("unreachable")
 

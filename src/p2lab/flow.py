@@ -68,7 +68,13 @@ class NoChart(FlowError):
 
 
 class StepFailure(FlowError):
-    """Step size underflow or step budget exhausted."""
+    """Step size underflow or step budget exhausted.  ``stats`` is the
+    failed trajectory's ``stats_record()``, or None where no trajectory
+    was kept."""
+
+    def __init__(self, message: str, stats: dict | None = None):
+        super().__init__(message)
+        self.stats = stats
 
 
 # first and largest step, step budget, and best_chart's size bound
@@ -275,12 +281,10 @@ def field_consistency_symbolic(i: str, j: str) -> bool:
     tr = atlas.transition(i, j)
     (yy, yz, yt), (zy, zz, zt) = (map(_Unreduced.of, row) for row in tr.jacobian)
     fy_i, fz_i = atlas.hamilton_field(i)
-    fy_j, fz_j = map(_Unreduced.of, atlas.hamilton_field(j))
-    b = tr.bindings()
+    fy_j, fz_j = tr.pulled_field
     push_y = yy * fy_i + yz * fz_i + yt
     push_z = zy * fy_i + zz * fz_i + zt
-    return ((push_y - fy_j.substitute(b)).is_zero()
-            and (push_z - fz_j.substitute(b)).is_zero())
+    return (push_y - fy_j).is_zero() and (push_z - fz_j).is_zero()
 
 
 @lru_cache(maxsize=None)
@@ -671,7 +675,7 @@ def integrate(c: float, initial: FlowState, t1: float,
         chart = target
         record(FlowState(chart, *u, t, cf))
     if status is not None:
-        raise StepFailure(status)
+        raise StepFailure(status, traj.stats_record())
     return traj
 
 

@@ -113,7 +113,14 @@ def pair(a: DivisorClass, b: DivisorClass) -> int:
 
 
 def gram(classes: list[DivisorClass]) -> list[list[int]]:
-    return [[pair(a, b) for b in classes] for a in classes]
+    """Pairwise intersection matrix; the form is symmetric, so each pair
+    is taken once."""
+    n = len(classes)
+    g = [[0] * n for _ in range(n)]
+    for i, a in enumerate(classes):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = pair(a, classes[j])
+    return g
 
 
 def ortho_complement(generators: list[DivisorClass]) -> list[DivisorClass]:
@@ -128,7 +135,10 @@ def ortho_complement(generators: list[DivisorClass]) -> list[DivisorClass]:
 
 
 def sublattice_equal(gens_a: list[DivisorClass], gens_b: list[DivisorClass]) -> bool:
-    """Do the two generating sets span the same sublattice over Z?"""
+    """Do the two generating sets span the same sublattice over Z?  Two
+    lists of the same classes do, with no Smith form taken."""
+    if set(gens_a) == set(gens_b):
+        return True
 
     def contained(gens, in_gens):
         if not in_gens:

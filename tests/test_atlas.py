@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from p2lab import atlas
+from p2lab import atlas, blowup, flow
 from p2lab.atlas import (
     CHARTS,
     hamiltonian,
@@ -22,9 +22,12 @@ from p2lab.atlas import (
     period_c4_minus_c3,
     transition,
 )
-from p2lab.exact import Polynomial, RationalFunction, rf, rfvar, rfvars, var_index
+from p2lab.exact import (
+    Polynomial, RationalFunction, _Unreduced, rf, rfvar, rfvars, var_index,
+)
 
 PAIRS = (("W1", "W3"), ("W3", "W12"), ("W1", "W12"))
+ORDERED_PAIRS = PAIRS + tuple((j, i) for i, j in PAIRS)
 
 
 # -- the canonical route the zero checks replaced, kept as the reference ----
@@ -206,6 +209,101 @@ def test_fields_are_derived_once_and_read_by_the_forms(monkeypatch):
             # the same terms in the same order, which compiled code sums in
             assert (list(a.num.terms.items()), list(a.den.terms.items())) == \
                 (list(b.num.terms.items()), list(b.den.terms.items()))
+
+
+def terms(u):
+    """A quotient's numerator and denominator terms, in order."""
+    return list(u.num.terms.items()), list(u.den.terms.items())
+
+
+def fresh_pulled_field(tr):
+    """The target chart's field substituted afresh, as the gluing and the
+    chain rule each did before the transition kept it."""
+    b = tr.bindings()
+    return [terms(_Unreduced.of(f).substitute(b))
+            for f in atlas.hamilton_field(tr.target)]
+
+
+@pytest.mark.parametrize("i,j", ORDERED_PAIRS)
+def test_pulled_field_is_derived_once_per_transition(i, j):
+    tr = transition(i, j)
+    assert tr.pulled_field is tr.pulled_field
+    assert [terms(u) for u in tr.pulled_field] == fresh_pulled_field(tr)
+    # a replaced transition derives its own from its own images
+    bump = rfvar("t") / rfvar(atlas.CHART_VARS[i][0])
+    other = replace(tr, y_img=tr.y_img + bump)
+    assert [terms(u) for u in other.pulled_field] == fresh_pulled_field(other)
+    assert fresh_pulled_field(other) != fresh_pulled_field(tr)
+
+
+def test_gluing_and_chain_rule_read_the_pulled_field(monkeypatch):
+    for i, j in ORDERED_PAIRS:
+        transition(i, j).pulled_field
+
+    def refused(self, bindings):
+        raise AssertionError("substituted again")
+    monkeypatch.setattr(_Unreduced, "substitute", refused)
+    for i, j in PAIRS:
+        assert atlas.glue_residual(i, j).is_zero()
+    for i, j in ORDERED_PAIRS:
+        assert flow.field_consistency_symbolic(i, j)
+    # an override on the target chart takes the generic pullback
+    with pytest.raises(AssertionError, match="substituted again"):
+        atlas.glue_residual("W1", "W3",
+                            h_override={"W3": hamiltonian("W3").poly})
+    monkeypatch.undo()
+    for i, j in PAIRS:
+        h = hamiltonian(j).poly
+        assert atlas.glue_residual(i, j, h_override={j: h}).is_zero()
+        bumped = h + Polynomial.variable(atlas.CHART_VARS[j][0])
+        assert not atlas.glue_residual(i, j, h_override={j: bumped}).is_zero()
+
+
+# -- the W12 chart read off the blow-up chain --------------------------------
+
+def chain_images():
+    """W12's coordinates as functions of W3's, and W3's as functions of
+    W12's, composed from the W3-W4 gluing of ``blowup._GLUING`` and the
+    blow-ups of ``blowup._CHAIN``, with the inversion v8 = 1/z8 before the
+    fifth."""
+    c = Polynomial.variable("c")
+
+    def glue(y, z):
+        # y3 = y4, z3 = 1/z4, as (numerator, denominator) pairs
+        b = blowup._GLUING["W3", "W4"](c, y, z)
+        return tuple(rf(n) / rf(d) for n, d in (b["y3"], b["z3"]))
+
+    y3, z3 = rfvars("y3", "z3")
+    assert glue(*glue(y3, z3)) == (y3, z3)   # so it is W3 -> W4 as well
+    # W3 -> W12: each blow-up takes z_next = (z_prev - center) / y
+    y, z = glue(y3, z3)
+    for k, (_, _, center) in enumerate(blowup._CHAIN):
+        if k == 4:
+            z = 1 / z
+        z = (z - rf(center(c))) / y
+    forward = (y, z)
+    # W12 -> W3: z_prev = center + y * z_next, back down the chain
+    y, z = rfvars("y12", "z12")
+    for k in reversed(range(len(blowup._CHAIN))):
+        z = rf(blowup._CHAIN[k][2](c)) + y * z
+        if k == 4:
+            z = 1 / z
+    return forward, glue(y, z)
+
+
+def test_w12_chart_is_the_blow_up_chain():
+    forward, backward = chain_images()
+    for tr, images in ((transition("W3", "W12"), forward),
+                       (transition("W12", "W3"), backward)):
+        assert images == (tr.y_img, tr.z_img), (tr.source, tr.target)
+    # W1 -> W12 through W1 -> W3, and W12 -> W1 through W3 -> W1
+    b13 = transition("W1", "W3").bindings()
+    tr = transition("W1", "W12")
+    assert tuple(f.substitute(b13) for f in forward) == (tr.y_img, tr.z_img)
+    b123 = {"y3": backward[0], "z3": backward[1]}
+    back, tr = transition("W3", "W1"), transition("W12", "W1")
+    assert (back.y_img.substitute(b123), back.z_img.substitute(b123)) == \
+        (tr.y_img, tr.z_img)
 
 
 def test_cocycle_values(monkeypatch):

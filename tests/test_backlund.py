@@ -83,6 +83,36 @@ def test_phase_system_matches_scalar_form():
     assert (qddot - rhs - (PHASE.of(p) - (-2 * q * p + c)) ).is_zero()
 
 
+CACHED_MAPS = (shift_up, phase_reflection, phase_negation, phase_translation)
+
+
+@pytest.mark.parametrize("mk", CACHED_MAPS, ids=lambda mk: mk.__name__)
+def test_cached_maps_equal_a_fresh_build(mk):
+    # one object per process, equal to the map built afresh, term for term
+    fresh = mk.__wrapped__()
+    assert mk() is mk()
+    assert mk() == fresh
+    for name in ("r", "g") if mk is shift_up else ("q_img", "p_img", "c_img"):
+        got, want = getattr(mk(), name), getattr(fresh, name)
+        assert (list(got.num.terms.items()), list(got.den.terms.items())) == \
+            (list(want.num.terms.items()), list(want.den.terms.items()))
+
+
+def test_a_cold_backlund_suite_composes_the_translation_once(monkeypatch):
+    from p2lab import cli
+    for mk in CACHED_MAPS:
+        mk.cache_clear()
+    composed = []
+    compose = backlund.PhaseMap.compose
+    monkeypatch.setattr(backlund.PhaseMap, "compose",
+                        lambda self, other: composed.append(1)
+                        or compose(self, other))
+    checks = cli.backlund_checks()
+    assert all(c.status == "pass" for c in checks)
+    assert composed == [1]
+    assert [mk.cache_info().misses for mk in CACHED_MAPS] == [1, 1, 1, 1]
+
+
 def test_translation_denominator_is_the_expected_quadric():
     m = phase_translation()
     den = m.q_img.den
@@ -252,12 +282,11 @@ def test_schwartz_zippel_backstop():
 
 def test_routed_zero_checks_take_no_gcd(monkeypatch):
     from p2lab import exact
+    # building the maps takes gcds; each is built once per process, so
+    # the coherence check below reads the ones built here
     solution = [mk() for mk in (shift_up, shift_down, negation, identity_map)]
     phase = [mk() for mk in (phase_reflection, phase_negation,
                              phase_translation)]
-    up, tr = shift_up(), phase_translation()
-    monkeypatch.setattr(backlund, "shift_up", lambda: up)
-    monkeypatch.setattr(backlund, "phase_translation", lambda: tr)
     calls = []
     real = exact.poly_gcd
     monkeypatch.setattr(exact, "poly_gcd",

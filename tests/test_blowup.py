@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p2lab import blowup, exact, lattice
+from p2lab import backlund, blowup, exact, lattice
 from p2lab.blowup import (
     CurveSpec,
     NotSquarefree,
@@ -374,3 +374,21 @@ small_curves = st.builds(
 def test_random_curves_match_the_substitution_route(spec, regime):
     assert trace_or_error(chain_trace, spec, regime) == \
         trace_or_error(substitution_chain_trace, spec, regime)
+
+
+@pytest.mark.xfail(raises=exact.ExactError, strict=True,
+                   reason="_prs_gcd's pseudo-remainders pass the degree "
+                          "ceiling (total degree 144 exceeds 127)")
+def test_class_of_the_negation_image_of_c6():
+    # C6 pulled through the phase negation (q, p, c) -> (q - c/p, p, -c),
+    # as a W1 curve; the squarefree test's gcd raises in _prs_gcd
+    m = backlund.phase_negation()
+    y1, z1, c = (rf(Polynomial.variable(v)) for v in ("y1", "z1", "c"))
+    at_w1 = {"q": y1, "p": z1, "c": c}
+    image = rf(curve_specs()["C6"].poly).substitute(
+        {"y1": m.q_img.substitute(at_w1), "z1": m.p_img.substitute(at_w1),
+         "c": m.c_img.substitute(at_w1)})
+    assert str(image.num) == (
+        "2*y1^3*z1^3 + t*y1*z1^3 - 6*c*y1^2*z1^2 + y1*z1^4 - t*c*z1^2 "
+        "+ 6*c^2*y1*z1 - 2*c*z1^3 - 2*c^3 + z1^3")
+    blowup.total_class(CurveSpec("img", "W1", image.num), "generic")

@@ -345,7 +345,7 @@ def test_verify_all_walks_the_orbit_once(monkeypatch, capsys):
     # and 54 chain traces before both were shared), moves each curve to W4
     # once per regime (34 derivations before the chain trace shared its
     # equation), and takes one Smith form per sublattice containment test
-    # (one per vector before).
+    # (one per vector before), none when both lists hold the same classes.
     monkeypatch.setattr(weyl, "_WALK", [])
     blowup.engine_classes.cache_clear()
     blowup._bindings.cache_clear()
@@ -379,8 +379,9 @@ def test_verify_all_walks_the_orbit_once(monkeypatch, capsys):
     assert 0 < calls["apply"] <= 125
     assert 0 < calls["chain_trace"] <= 20
     assert 0 < calls["to_w4"] <= 20
-    # each equal pair is two containment tests, one Smith form each
-    assert containment and all(c == (True, 2) for c in containment)
+    # the two complements are two containment tests, one Smith form each;
+    # jstar and istar only permute the D's, which takes none
+    assert containment == [(True, 2), (True, 2), (True, 0), (True, 0)]
 
 
 def test_the_cached_parser_answers_like_fresh_ones(monkeypatch, capsys):
@@ -404,6 +405,35 @@ def test_a_flow_error_is_a_one_line_usage_error(capsys):
     assert err == "p2lab: error: step size underflow\n"
     assert run_in_process(capsys, "gamma", "--n", "3") == (0, "(-3, 4)\n",
                                                           "")
+
+
+def underflow_stats(field_evals):
+    # 16 steps, each rejected for an OverflowError, take h from 1e-3 under
+    # the floor 1e-14
+    return {"field_evals": field_evals, "accepted": 0,
+            "rejected": {"error_norm": 0, "overflow": 16, "non_finite": 0},
+            "forced": 0, "h_min": None, "h_max": None,
+            "steps_per_chart": {"W1": 0, "W3": 0, "W12": 0}, "switches": 0}
+
+
+@pytest.mark.parametrize("opts,stats", [
+    # the error norm overflows after all seven stages of every step
+    ({"rtol": "1e-300", "atol": "1e-300"}, underflow_stats(7 * 16)),
+    # the first stage overflows every time
+    ({"q0": "1e200"}, underflow_stats(16)),
+], ids=["norm-overflow", "first-stage-overflow"])
+def test_a_failed_integration_writes_its_stats_before_the_error(capsys, opts,
+                                                                stats):
+    # stdout stays empty and the exit status 2; with --stats, stderr is
+    # the stats line and then the one-line error
+    argv = integrate_argv(**opts)
+    error = "p2lab: error: step size underflow\n"
+    assert run_in_process(capsys, *argv) == (2, "", error)
+    code, out, err = run_in_process(capsys, *argv, "--stats")
+    assert (code, out) == (2, "")
+    first, last = err.splitlines(keepends=True)
+    assert json.loads(first) == {"stats": stats}
+    assert last == error
 
 
 def integrate_argv(**opts):

@@ -647,6 +647,19 @@ def test_substitute_then_evaluate_is_evaluate_then_substitute(a, u, v):
         assert image.eval_fractions(pt) == want
 
 
+@pytest.mark.xfail(raises=ExactError, strict=True,
+                   reason="_prs_gcd's pseudo-remainders pass the degree "
+                          "ceiling (total degree 140 exceeds 127)")
+def test_a_three_variable_substitution_canonicalizes():
+    # small inputs of the kind the property above leaves out: the
+    # canonical gcd of the substituted pair raises in _prs_gcd
+    t, q, p = rfvars("t", "q", "p")
+    f = 3 * t * q ** 2 + Fraction(7, 2) * t * p ** 2 - Fraction(5, 2) * q * p ** 2
+    f.substitute({"q": -2 * t * q ** 2 * p ** 2 / (7 * t * q - 8),
+                  "t": -2 * q / (7 * q + 6 * p),
+                  "p": -9 * t * q / (t + 6 * p)})
+
+
 def test_substitution_canonicalizes_once(monkeypatch):
     depth, top = [0], [0]
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from p2lab import lattice
+from p2lab import intlinalg, lattice
 from p2lab.lattice import DivisorClass, GRAM, RANK
 
 
@@ -44,6 +44,70 @@ def test_gram_matches_the_row_walk():
     for classes in (lattice.d_chain(), weyl.action_basis_classes()):
         assert lattice.gram(classes) == [[row_walk_pair(a, b) for b in classes]
                                          for a in classes]
+
+
+def full_gram(classes):
+    """gram as it was before it took each symmetric pair once."""
+    return [[lattice.pair(a, b) for b in classes] for a in classes]
+
+
+@given(st.lists(big_vectors, max_size=12))
+def test_symmetric_gram_matches_the_full_double_loop(vs):
+    classes = [cls(v) for v in vs]
+    assert lattice.gram(classes) == full_gram(classes)
+
+
+def containment_sublattice_equal(gens_a, gens_b):
+    """sublattice_equal as it was before the same-classes shortcut: two
+    containment tests, one Smith form each."""
+
+    def contained(gens, in_gens):
+        if not in_gens:
+            return all(all(x == 0 for x in g.coeffs) for g in gens)
+        solve = intlinalg.integer_solver(
+            [[g.coeffs[i] for g in in_gens] for i in range(RANK)])
+        return all(solve(list(g.coeffs)) is not None for g in gens)
+
+    return contained(gens_a, gens_b) and contained(gens_b, gens_a)
+
+
+small_vectors = st.lists(st.integers(-3, 3), min_size=RANK, max_size=RANK)
+
+
+@given(st.lists(small_vectors, max_size=5), st.randoms(use_true_random=False),
+       st.integers(0, 3), st.lists(small_vectors, max_size=2),
+       st.integers(0, 5))
+def test_same_classes_shortcut_matches_the_containment_tests(
+        vs, rnd, dups, extra, drop):
+    a = [cls(v) for v in vs]
+    # b: a permuted, with duplicates, then maybe with classes added or one
+    # dropped, so that the lists hold the same classes or differ
+    b = a + [rnd.choice(a) for _ in range(dups if a else 0)]
+    rnd.shuffle(b)
+    b += [cls(v) for v in extra]
+    if drop < len(b) and drop % 2:
+        del b[drop]
+    for x, y in ((a, b), (b, a)):
+        assert lattice.sublattice_equal(x, y) == \
+            containment_sublattice_equal(x, y)
+
+
+def test_same_classes_take_no_smith_form(monkeypatch):
+    from p2lab import weyl
+    calls = []
+    real = intlinalg.integer_solver
+    monkeypatch.setattr(intlinalg, "integer_solver",
+                        lambda a: calls.append(1) or real(a))
+    d = lattice.d_chain()
+    for m in (weyl.jstar(), weyl.istar()):
+        image = [m.apply(x) for x in d]
+        assert set(image) == set(d)
+        assert lattice.sublattice_equal(image, d)
+    assert lattice.sublattice_equal(d + d[:3], list(reversed(d)))
+    assert calls == []
+    # a different list of the same span still takes the containment tests
+    assert lattice.sublattice_equal(d[1:] + [d[0] + d[1]], d)
+    assert calls == [1, 1]
 
 
 @given(vectors, vectors, vectors, st.integers(-5, 5))
