@@ -164,15 +164,21 @@ def lattice_checks() -> list:
                          note="involution; exchanges the two -1-sections "
                               "over the same fiber"))
 
-    rows = weyl.orbit_report(50)
-    orbit_ok = weyl.distinctness(50) and all(
-        sq == -1 and fp == 1
-        and weyl.gamma_mod(n) == weyl.gamma_mod_closed_form(n) == mod
-        for n, _, sq, fp, mod in rows)
+    # C1 and C3 pair with the vanishing cycles as the unit matrix, and every
+    # D is orthogonal to both (complement-forward), so the (C1, C3)
+    # coordinates of a class modulo span(D) are its pairings with them
+    walk = weyl.orbit(50)
+    unit = [[lattice.pair(b, v) for b in (reg["C1"], reg["C3"])]
+            for v in vanish]
+    orbit_ok = unit == [[1, 0], [0, 1]] and weyl.distinctness(50) and all(
+        lattice.pair(cls, cls) == -1 and lattice.pair(cls, f_cls) == 1
+        and weyl.gamma_mod(n) == weyl.gamma_mod_closed_form(n)
+        == (lattice.pair(cls, vanish[0]), lattice.pair(cls, vanish[1]))
+        for n, cls in enumerate(walk, 1))
     checks.append(_check("orbit-invariants", orbit_ok,
                          note="n <= 50: squares -1, meets the anticanonical "
                               "class once, all distinct, closed form holds"))
-    seed = rows[0][1]
+    seed = walk[0]
     checks.append(_check("orbit-seed", seed == reg["C2"], list(seed.coeffs),
                          list(reg["C2"].coeffs)))
 

@@ -122,9 +122,10 @@ class StepStats:
     """What one integration did.  A step is rejected for its error norm
     (above 1), for an OverflowError in its stages or its norm, or for a
     non-finite norm.  A forced step is one accepted at the step-size
-    floor with an error norm above 1.  Field evaluations count six for
-    every attempted step and one for every first stage evaluated afresh;
-    h_min and h_max range over the accepted |h|, and chart_steps counts
+    floor with an error norm above 1.  Field evaluations count one for
+    every first stage started afresh and six for every attempt whose
+    first stage returned, so an attempt whose first stage overflows counts
+    one; h_min and h_max range over the accepted |h|, and chart_steps counts
     the accepted steps taken in each chart."""
     field_evals: int = 0
     accepted: int = 0

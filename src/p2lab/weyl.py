@@ -14,6 +14,11 @@ anticanonical class once.
 The orbit is walked once per process: ``orbit(n_max)`` extends a single
 walk from C3 only past the longest prefix asked for so far, and
 ``gamma_full``, ``distinctness`` and ``orbit_report`` all read it.
+Only the ``orbit`` command and ``scripts/orbit_growth.py`` read
+``orbit_report``, whose mod-boundary pairs take a Smith-form solve each
+(``reduce_mod_boundary``); verify's orbit check reads them as pairings
+with the vanishing cycles C2 - C1 and C4 - C3, against which C1 and C3
+pair as the unit matrix.
 """
 from __future__ import annotations
 

@@ -346,7 +346,13 @@ def test_verify_all_walks_the_orbit_once(monkeypatch, capsys):
     # once per regime (34 derivations before the chain trace shared its
     # equation), and takes one Smith form per sublattice containment test
     # (one per vector before), none when both lists hold the same classes.
+    # The orbit check reads each class's mod-boundary pair as its pairings
+    # with the vanishing cycles, so it takes no Smith form (58 in all
+    # before, 50 of them one reduce_mod_boundary per orbit class).
     monkeypatch.setattr(weyl, "_WALK", [])
+    for cached in (weyl._basis_change, weyl.jstar, weyl.istar,
+                   weyl.tplus_star):
+        cached.cache_clear()
     blowup.engine_classes.cache_clear()
     blowup._bindings.cache_clear()
     lattice.named_classes.cache_clear()
@@ -365,6 +371,8 @@ def test_verify_all_walks_the_orbit_once(monkeypatch, capsys):
     monkeypatch.setattr(blowup, "to_w4", counted("to_w4", blowup.to_w4))
     monkeypatch.setattr(intlinalg, "smith_normal_form",
                         counted("snf", intlinalg.smith_normal_form))
+    monkeypatch.setattr(weyl, "reduce_mod_boundary",
+                        counted("reduce", weyl.reduce_mod_boundary))
     containment = []
     sublattice_equal = lattice.sublattice_equal
 
@@ -382,6 +390,25 @@ def test_verify_all_walks_the_orbit_once(monkeypatch, capsys):
     # the two complements are two containment tests, one Smith form each;
     # jstar and istar only permute the D's, which takes none
     assert containment == [(True, 2), (True, 2), (True, 0), (True, 0)]
+    # the two complements' kernels, the four containment solves, the
+    # section expansion and the inverse of the action basis
+    assert calls["snf"] == 8
+    assert calls["reduce"] == 0
+
+
+@pytest.mark.parametrize("wrong", ["closed-form", "recurrence-and-closed-form"])
+def test_a_wrong_orbit_pair_fails_the_orbit_check(monkeypatch, wrong):
+    # one wrong pair at n = 37 fails orbit-invariants; with the recurrence
+    # and the closed form wrong alike, the vanishing-cycle pairings see it
+    def bent(fn):
+        return lambda n: (-n, n + 2) if n == 37 else fn(n)
+    monkeypatch.setattr(weyl, "gamma_mod_closed_form",
+                        bent(weyl.gamma_mod_closed_form))
+    if wrong == "recurrence-and-closed-form":
+        monkeypatch.setattr(weyl, "gamma_mod", bent(weyl.gamma_mod))
+    status = {c.id: c.status for c in cli.lattice_checks()}
+    assert status["orbit-invariants"] == "fail"
+    assert status["orbit-seed"] == "pass"
 
 
 def test_the_cached_parser_answers_like_fresh_ones(monkeypatch, capsys):

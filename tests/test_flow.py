@@ -896,3 +896,42 @@ def test_fsal_evaluations_per_step(c, q0, p0, t1, rejects):
     assert firsts == [(ev.to_chart, ev.y_post, ev.z_post, ev.t)
                       for ev in traj.switches]
     assert_trajectories_agree(fused, traj)
+
+
+@pytest.mark.parametrize("q0,tol,field_evals", [
+    (1e200, 1e-6, 16),        # the first stage overflows every time
+    (0.0, 1e-300, 7 * 16),    # the error norm overflows after all stages
+], ids=["first-stage-overflow", "norm-overflow"])
+def test_field_evals_of_a_failed_run(q0, tol, field_evals):
+    # StepStats counts one for every first stage started afresh and six
+    # for every attempt whose first stage returned.  Both runs reject 16
+    # steps for an OverflowError and fail; the reference driver's first
+    # stages and step calls are counted from outside.
+    config = IntegratorConfig(rtol=tol, atol=tol)
+    initial = FlowState("W1", q0, 0.0, 0.0, 0.5)
+    with pytest.raises(StepFailure, match="underflow") as fused:
+        integrate(0.5, initial, 1.0, config)
+    started, returned = [], []
+
+    def counting_bind(chart):
+        bind = chart_reference_bind(chart)
+
+        def counted(rtol, atol, c):
+            field, step = bind(rtol, atol, c)
+
+            def first(u, t):
+                started.append(t)
+                return field(u, t)
+
+            def attempt(u, t, h, k1):
+                returned.append(h)
+                return step(u, t, h, k1)
+            return first, attempt
+        return counted
+
+    with pytest.raises(StepFailure, match="underflow"):
+        ref_integrate(0.5, initial, 1.0, config, bind_for=counting_bind)
+    stats = fused.value.stats
+    assert stats["rejected"]["overflow"] == 16
+    assert stats["field_evals"] == len(started) + 6 * len(returned) == \
+        field_evals

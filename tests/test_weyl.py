@@ -153,6 +153,34 @@ def test_orbit_report_shape():
         assert cls == weyl.gamma_full(n)
 
 
+def _vanishing_cycles():
+    reg = lattice.named_classes()
+    return reg["C2"] - reg["C1"], reg["C4"] - reg["C3"]
+
+
+def test_sections_pair_with_the_vanishing_cycles_as_the_unit_matrix():
+    # (C1, C3) and (v1, v2) are dual modulo span(D): verify's orbit check
+    # reads the mod-boundary pair as pairings with v1 and v2 on this
+    reg = lattice.named_classes()
+    vanish = _vanishing_cycles()
+    assert [[lattice.pair(b, v) for b in (reg["C1"], reg["C3"])]
+            for v in vanish] == [[1, 0], [0, 1]]
+    assert [lattice.pair(d, v) for d in lattice.d_chain()
+            for v in vanish] == [0] * 16
+
+
+@pytest.mark.parametrize("source", ["orbit", *lattice.REGIMES])
+def test_vanishing_cycle_pairings_match_the_reduction(source):
+    # the pairing route of `verify`'s orbit check against the Smith-form
+    # solve of reduce_mod_boundary, which `orbit` keeps
+    classes = (weyl.orbit(300) if source == "orbit"
+               else lattice.named_classes(source).values())
+    v1, v2 = _vanishing_cycles()
+    for cls in classes:
+        assert (lattice.pair(cls, v1), lattice.pair(cls, v2)) == \
+            weyl.reduce_mod_boundary(cls)
+
+
 def _reference_walk(n):
     cls = lattice.named_classes()["C3"]
     out = []
