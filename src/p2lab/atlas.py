@@ -1,9 +1,11 @@
 """Three-chart symplectic atlas of the regular locus.
 
 Charts are named W1, W3, W12; each carries fiber coordinates (y, z) over
-the (t, c) base.  Transitions, Hamiltonians, relative differential
-forms, the deformation cocycle, the parameter involution, and the
-vanishing-cycle periods are all handled exactly.  A check that only
+the (t, c) base.  The ruled surface's charts W2 and W4 and its fibre
+inversions W2 -> W1 and W4 -> W3 are declared here too, for the blow-up
+engine and the period residue.  Transitions, Hamiltonians, relative
+differential forms, the deformation cocycle, the parameter involution,
+and the vanishing-cycle periods are all handled exactly.  A check that only
 asks whether an identity holds substitutes into unreduced quotients
 (``exact._Unreduced``), which take no gcd, and tests the difference for
 a zero numerator; canonical values are kept for what is printed or
@@ -24,7 +26,8 @@ from .exact import (
 )
 
 CHARTS = ("W1", "W3", "W12")
-CHART_VARS = {"W1": ("y1", "z1"), "W3": ("y3", "z3"), "W12": ("y12", "z12")}
+CHART_VARS = {"W1": ("y1", "z1"), "W2": ("y2", "z2"), "W3": ("y3", "z3"),
+              "W4": ("y4", "z4"), "W12": ("y12", "z12")}
 
 _HALF = Fraction(1, 2)
 
@@ -87,11 +90,15 @@ def _shear_tail(y: RationalFunction, c: RationalFunction,
 def transition(source: str, target: str) -> Transition:
     if source == target:
         raise AtlasError("transition requires distinct charts")
+    key = (source, target)
+    if key in (("W2", "W1"), ("W4", "W3")):    # the fibre inversion z -> 1/z
+        sy, sz = CHART_VARS[source]
+        return Transition(source, target, rfvar(sy), 1 / rfvar(sz),
+                          Polynomial.variable(sz))
     t, c = rfvars("t", "c")
     y1, z1 = rfvars("y1", "z1")
     y3, z3 = rfvars("y3", "z3")
     y12, z12 = rfvars("y12", "z12")
-    key = (source, target)
     if key == ("W1", "W3"):
         return Transition("W1", "W3", 1 / y1, c * y1 - y1 ** 2 * z1,
                           Polynomial.variable("y1"))
@@ -386,14 +393,10 @@ def _period_ends() -> tuple[RationalFunction, RationalFunction]:
     around z = 0 leaves the residue dY integrated along the segment of
     the exceptional line between the two marked points, Y = 0 and Y = c.
     """
-    t, c = rfvars("t", "c")
-    y3, z3 = rfvars("y3", "z3")
-    y4, z4 = rfvars("y4", "z4")
-    Y, z = rfvars("Y", "z")
+    Y, z, z4 = rfvars("Y", "z", "z4")
 
-    # dy3^dz3 in W4 coordinates: y3 = y4, z3 = 1/z4
-    j34 = ((y4).partial("y4") * (1 / z4).partial("z4")
-           - (y4).partial("z4") * (1 / z4).partial("y4"))
+    # dy3^dz3 in W4 coordinates, through the fibre inversion W4 -> W3
+    j34 = jacobian_det("W4", "W3")
     if j34 != -1 / z4 ** 2:
         raise AtlasError("dy3^dz3 must be -(1/z4^2) dy4^dz4")
 

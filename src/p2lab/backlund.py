@@ -99,8 +99,6 @@ class PIIMap:
     def __post_init__(self):
         object.__setattr__(self, "r", RationalFunction.coerce(self.r))
         object.__setattr__(self, "g", RationalFunction.coerce(self.g))
-        if self.r.den.is_zero():
-            raise DenominatorVanishes(self.name)
 
 
 @lru_cache(maxsize=None)

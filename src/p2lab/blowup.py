@@ -24,12 +24,13 @@ that center (cross-checked against the vanishing order of the shifted
 local expansion).  Together with the class of the image in the ruled
 surface this yields the divisor class upstairs.
 
-Each chart change is declared once as a substitution (``_GLUING``) and
-built once per regime.  Transporting equations between charts clears
-monomial denominators only; monomial factors picked up by the numerator
-lie over the source chart's boundary and are stripped.  The one
-coordinate change with a non-monomial denominator (into W2 from W3/W4) is
-never needed: W2 data only enters through curves defined on W1.
+Each chart change is an ``atlas.transition`` read backwards, built once
+per regime; W1 -> W4 is W1 -> W3 pulled through W3 -> W4.  Transporting
+equations between charts clears monomial denominators only; monomial
+factors picked up by the numerator lie over the source chart's boundary
+and are stripped.  The one coordinate change with a non-monomial
+denominator (into W2 from W3/W4) is never needed: W2 data only enters
+through curves defined on W1.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
+from . import atlas
 from .exact import (
     Polynomial, _ONE, _SHIFT, _Unreduced, _check_degree, _degree, poly_gcd,
     var_index,
@@ -46,21 +48,21 @@ from .lattice import DivisorClass
 
 REGIME_C = {"generic": None, "c=0": Fraction(0), "c=-1": Fraction(-1)}
 
+# The chain's charts, from W4 to W12: blow-up k + 1 is centred in chart k
+# and lands in chart k + 1; the fifth is centred in (y8, v8), v8 = 1/z8.
+_CHAIN_CHARTS = (atlas.CHART_VARS["W4"],
+                 *((f"y{k}", f"z{k}") for k in range(5, 12)),
+                 atlas.CHART_VARS["W12"])
+_CHAIN_Y = tuple(y for y, _ in _CHAIN_CHARTS[:-1])
+_CHAIN_Z = tuple("v8" if z == "z8" else z for _, z in _CHAIN_CHARTS[:-1])
 # (new_y, new_z, center_z) per chain step; center_z is a polynomial builder
 # evaluated with the regime's c so symbolic regimes stay symbolic.
-_CHAIN = (
-    ("y5", "z5", lambda c: Polynomial.zero()),
-    ("y6", "z6", lambda c: Polynomial.zero()),
-    ("y7", "z7", lambda c: Polynomial.zero()),
-    ("y8", "z8", lambda c: Polynomial.zero()),
-    # inversion happens here
-    ("y9", "z9", lambda c: Polynomial.const(2)),
-    ("y10", "z10", lambda c: Polynomial.zero()),
-    ("y11", "z11", lambda c: Polynomial.variable("t")),
-    ("y12", "z12", lambda c: 2 * c + Polynomial.const(1)),
-)
-_CHAIN_Y = ("y4", "y5", "y6", "y7", "y8", "y9", "y10", "y11")
-_CHAIN_Z = ("z4", "z5", "z6", "z7", "v8", "z9", "z10", "z11")
+_CHAIN = tuple(chart + (center,) for chart, center in zip(_CHAIN_CHARTS[1:], (
+    *(lambda c: Polynomial.zero(),) * 4,
+    lambda c: Polynomial.const(2),          # after the inversion
+    lambda c: Polynomial.zero(),
+    lambda c: Polynomial.variable("t"),
+    lambda c: 2 * c + Polynomial.const(1))))
 
 
 class BlowupError(Exception):
@@ -150,25 +152,24 @@ def _check_curve_ok(p: Polynomial, regime: str, chart_vars: tuple[str, str]) -> 
         raise NotSquarefree(f"repeated factor {g}")
 
 
-# chart changes as bindings of the source chart's variables, each a
-# (numerator, monomial denominator) pair of polynomials in the c of the
-# regime and the target chart's (y, z)
-_GLUING = {
-    ("W1", "W2"): lambda c, y, z: {"y1": (y, 1), "z1": (1, z)},
-    ("W3", "W1"): lambda c, y, z: {"y3": (1, y), "z3": (c * y - y ** 2 * z, 1)},
-    ("W3", "W4"): lambda c, y, z: {"y3": (y, 1), "z3": (1, z)},
-    ("W1", "W4"): lambda c, y, z: {"y1": (1, y), "z1": (y * (c * z - y), z)},
-}
-
-
 @lru_cache(maxsize=None)
 def _bindings(source: str, target: str, regime: str) -> MappingProxyType:
-    """The source -> target chart change in the regime, built once as
-    unreduced quotients, with no gcd taken."""
-    y, z = (Polynomial.variable(v + target[1:]) for v in "yz")
-    pairs = _GLUING[source, target](_regime_c(regime), y, z)
-    return MappingProxyType({v: _Unreduced(*map(Polynomial._coerce, pair))
-                             for v, pair in pairs.items()})
+    """The source -> target chart change in the regime: the source chart's
+    variables bound to ``atlas.transition(target, source)``'s images with
+    c set, built once as unreduced quotients over monomials, with no gcd
+    taken."""
+    cval = REGIME_C[regime]
+    if cval is not None:
+        pairs = {v: e.substitute({"c": cval}) if e.num.degree_in("c") > 0 else e
+                 for v, e in _bindings(source, target, "generic").items()}
+    elif (source, target) == ("W1", "W4"):
+        inner = _bindings("W3", "W4", regime)
+        pairs = {v: e.substitute(inner)
+                 for v, e in _bindings("W1", "W3", regime).items()}
+    else:
+        pairs = {v: _Unreduced.of(e) for v, e in
+                 atlas.transition(target, source).bindings().items()}
+    return MappingProxyType(pairs)
 
 
 def _numerator_after(poly: Polynomial, bindings: MappingProxyType) -> Polynomial:
@@ -276,8 +277,7 @@ def _invert_z8(p: Polynomial) -> tuple[Polynomial, int]:
 def chain_trace(spec: CurveSpec, regime: str = "generic") -> ChainTrace:
     """Run the curve through all eight blow-ups, recording multiplicities."""
     p0 = _specialize(spec.poly, regime)
-    chart_vars = {"W1": ("y1", "z1"), "W3": ("y3", "z3"), "W4": ("y4", "z4")}[spec.chart]
-    _check_curve_ok(p0, regime, chart_vars)
+    _check_curve_ok(p0, regime, atlas.CHART_VARS[spec.chart])
     w4 = to_w4(spec, regime)
     trace = ChainTrace(w4_equation=w4)
     if w4 is None:
@@ -336,7 +336,7 @@ def _base_class(spec: CurveSpec, regime: str, w4: Polynomial | None) -> tuple[in
     the caller."""
     if spec.name == "S":
         raise BlowupError("the section's class is the basis element S")
-    fiber_coord = {"W1": "z1", "W3": "z3", "W4": "z4"}[spec.chart]
+    fiber_coord = atlas.CHART_VARS[spec.chart][1]
     p = _specialize(spec.poly, regime)
     a = max(p.degree_in(fiber_coord), 0)
 

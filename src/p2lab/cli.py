@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -441,11 +442,21 @@ def _cmd_integrate(args) -> int:
 
 
 def _rational(text: str) -> Fraction:
+    """A rational number c such that c and -1 - c print, as ``periods``
+    prints them.  An exponent past the interpreter's limit on the digits
+    of a printed int (``sys.get_int_max_str_digits``) is refused before
+    ``Fraction`` expands it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    exp = re.search(r"[eE][-+]?([\d_]+)", text)
     try:
-        return Fraction(text)
+        if limit and exp and int(exp[1].replace("_", "")) >= limit:
+            raise ValueError("exponent past the digit limit")
+        c = Fraction(text)
+        str(c), str(-1 - c)     # ValueError past the digit limit
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
-            f"not a rational number: {text!r}") from None
+            f"not a rational number that prints: {text!r}") from None
+    return c
 
 
 def _float_rational(text: str) -> Fraction:

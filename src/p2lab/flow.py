@@ -244,28 +244,6 @@ def chart_field(chart: str):
                        atlas.CHART_VARS[chart] + ("t", "c"))
 
 
-def _transition_exprs(i: str, j: str):
-    """The exact chart change from i to j and its argument order."""
-    tr = atlas.transition(i, j)
-    return (tr.y_img, tr.z_img), atlas.CHART_VARS[i] + ("t", "c")
-
-
-@lru_cache(maxsize=None)
-def _transition_fn(i: str, j: str):
-    return compile_map(*_transition_exprs(i, j))
-
-
-def transport(i: str, j: str, y: float, z: float, t: float, c: float):
-    """Float evaluation of the exact chart change; (nan, nan) when the
-    point sits outside the overlap."""
-    if i == j:
-        return y, z
-    try:
-        return _transition_fn(i, j)(y, z, t, c)
-    except (ZeroDivisionError, OverflowError):
-        return math.nan, math.nan
-
-
 def vector_field(chart: str, y: float, z: float, t: float, c: float):
     return chart_field(chart)(y, z, t, c)
 
@@ -334,14 +312,16 @@ def best_chart(chart: str, y: float, z: float, t: float, c: float) -> str:
 
 
 def _transport_source(i: str, j: str, y: str, z: str) -> list:
-    """Source lines that set the names y and z to ``transport(i, j, a0,
-    a1, a2, a3)``, evaluated as ``transport`` evaluates it: the same
-    expressions in the same order, and (nan, nan) on a ZeroDivisionError
-    or an OverflowError."""
+    """Source lines that set the names y and z to the chart change from i
+    to j of the point (a0, a1) at (t, c) = (a2, a3): the identity when
+    i == j, and (nan, nan) on a ZeroDivisionError or an OverflowError.
+    ``transport``, the chart chooser and the row writer all evaluate a
+    chart change through these lines."""
     if i == j:
         return [f"{y}, {z} = a0, a1"]
-    exprs, names = _transition_exprs(i, j)
-    y_src, z_src = (_rf_source(e, names) for e in exprs)
+    tr = atlas.transition(i, j)
+    names = atlas.CHART_VARS[i] + ("t", "c")
+    y_src, z_src = (_rf_source(e, names) for e in (tr.y_img, tr.z_img))
     return ["try:", f"    {y} = {y_src}", f"    {z} = {z_src}",
             "except (ZeroDivisionError, OverflowError):",
             f"    {y} = {z} = nan"]
@@ -351,6 +331,19 @@ def _generated(lines, name: str):
     namespace = {"inf": math.inf, "nan": math.nan, "FlowError": FlowError}
     exec("\n".join(lines), namespace)
     return namespace[name]
+
+
+@lru_cache(maxsize=None)
+def _transport_fn(i: str, j: str):
+    return _generated(["def transport(a0, a1, a2, a3):",
+                       *_block(1, _transport_source(i, j, "y", "z")),
+                       "    return y, z"], "transport")
+
+
+def transport(i: str, j: str, y: float, z: float, t: float, c: float):
+    """Float evaluation of the exact chart change; (nan, nan) when the
+    point sits outside the overlap."""
+    return _transport_fn(i, j)(y, z, t, c)
 
 
 @lru_cache(maxsize=None)

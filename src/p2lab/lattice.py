@@ -233,7 +233,8 @@ def _e_range(lo: int, hi: int) -> dict:
 @lru_cache(maxsize=None)
 def named_classes(regime: str = "generic") -> MappingProxyType:
     """Classes of the boundary components and the named affine curves, as
-    a read-only name -> DivisorClass mapping built once per regime.
+    a read-only name -> DivisorClass mapping built once per regime, in the
+    order of the curves table.
 
     The same vectors are valid in every regime; the regimes differ only in
     which primed (split-off) components exist as curves.
@@ -244,34 +245,27 @@ def named_classes(regime: str = "generic") -> MappingProxyType:
         "S": DivisorClass.of(S=1),
         "f": DivisorClass.of(f=1),
         "D0": DivisorClass.of(S=1, E1=-1, E2=-1, E3=-1, E4=-1),
-        "C1": DivisorClass.of(f=1, E1=-1),
-        "C2": DivisorClass.of(S=1, f=-1, E1=-1),
-        "C3": DivisorClass.of(E8=1),
-        "C4": DivisorClass.of(S=1, f=2, **_e_range(1, 7)),
-        "C5": DivisorClass.of(S=1, f=-1),
-        "C6": DivisorClass.of(S=1, f=3, **_e_range(1, 8)),
-        "F": DivisorClass.of(S=2, **_e_range(1, 8)),
-        "K": DivisorClass.of(S=-2, **{f"E{i}": 1 for i in range(1, 9)}),
     }
     for i in range(1, 8):
         reg[f"D{i}"] = DivisorClass.of(**{f"E{i}": 1, f"E{i+1}": -1})
+    reg["C1"] = DivisorClass.of(f=1, E1=-1)
+    reg["C2"] = DivisorClass.of(S=1, f=-1, E1=-1)
     if regime == "c=0":
         reg["C2prime"] = DivisorClass.of(S=1, f=-2)
+    reg["C3"] = DivisorClass.of(E8=1)
+    reg["C4"] = DivisorClass.of(S=1, f=2, **_e_range(1, 7))
     if regime == "c=-1":
         reg["C4prime"] = DivisorClass.of(S=1, f=2, **_e_range(1, 8))
+    reg["C5"] = DivisorClass.of(S=1, f=-1)
+    reg["C6"] = DivisorClass.of(S=1, f=3, **_e_range(1, 8))
+    reg["F"] = DivisorClass.of(S=2, **_e_range(1, 8))
+    reg["K"] = DivisorClass.of(S=-2, **{f"E{i}": 1 for i in range(1, 9)})
     return MappingProxyType(reg)
 
 
 def registry_order(regime: str = "generic") -> tuple[str, ...]:
-    names = ["S", "f"] + [f"D{i}" for i in range(8)]
-    names += ["C1", "C2"]
-    if regime == "c=0":
-        names.append("C2prime")
-    names += ["C3", "C4"]
-    if regime == "c=-1":
-        names.append("C4prime")
-    names += ["C5", "C6", "F", "K"]
-    return tuple(names)
+    """``named_classes(regime)``'s names, in the order of the table."""
+    return tuple(named_classes(regime))
 
 
 def canonical_class() -> DivisorClass:

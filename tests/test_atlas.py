@@ -263,15 +263,17 @@ def test_gluing_and_chain_rule_read_the_pulled_field(monkeypatch):
 
 def chain_images():
     """W12's coordinates as functions of W3's, and W3's as functions of
-    W12's, composed from the W3-W4 gluing of ``blowup._GLUING`` and the
-    blow-ups of ``blowup._CHAIN``, with the inversion v8 = 1/z8 before the
-    fifth."""
+    W12's, composed from the fibre inversion W4 -> W3 of
+    ``atlas.transition`` and the blow-ups of ``blowup._CHAIN``, with the
+    inversion v8 = 1/z8 before the fifth."""
     c = Polynomial.variable("c")
+    inversion = transition("W4", "W3")
 
     def glue(y, z):
-        # y3 = y4, z3 = 1/z4, as (numerator, denominator) pairs
-        b = blowup._GLUING["W3", "W4"](c, y, z)
-        return tuple(rf(n) / rf(d) for n, d in (b["y3"], b["z3"]))
+        # y3 = y4, z3 = 1/z4
+        b = dict(zip(atlas.CHART_VARS["W4"], (y, z)))
+        return tuple(f.substitute(b) for f in (inversion.y_img,
+                                                inversion.z_img))
 
     y3, z3 = rfvars("y3", "z3")
     assert glue(*glue(y3, z3)) == (y3, z3)   # so it is W3 -> W4 as well
@@ -289,6 +291,15 @@ def chain_images():
         if k == 4:
             z = 1 / z
     return forward, glue(y, z)
+
+
+@pytest.mark.parametrize("i,j", [("W2", "W1"), ("W4", "W3")])
+def test_fibre_inversions_are_involutions(i, j):
+    # pulling the images through themselves gives the identity
+    tr = transition(i, j)
+    b = dict(zip(atlas.CHART_VARS[i], (tr.y_img, tr.z_img)))
+    assert tuple(f.substitute(b) for f in (tr.y_img, tr.z_img)) == \
+        tuple(rfvar(v) for v in atlas.CHART_VARS[i])
 
 
 def test_w12_chart_is_the_blow_up_chain():

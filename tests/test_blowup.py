@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p2lab import backlund, blowup, exact, lattice
+from p2lab import atlas, backlund, blowup, exact, lattice
 from p2lab.blowup import (
     CurveSpec,
     NotSquarefree,
@@ -18,7 +18,7 @@ from p2lab.blowup import (
     engine_classes,
     multiplicities,
 )
-from p2lab.exact import NVARS, Polynomial, rf, var_index
+from p2lab.exact import NVARS, Polynomial, rf, rfvar, var_index
 
 
 def test_section_multiplicities():
@@ -61,29 +61,52 @@ def test_engine_classes_are_derived_once_and_read_only(regime):
     assert engine_classes(regime)["S"] == lattice.DivisorClass.of(S=1)
 
 
+# the chart changes the engine reads, as (source, target): each binds the
+# source chart's variables to functions of the target chart's
+CHART_CHANGES = (("W1", "W2"), ("W3", "W1"), ("W3", "W4"), ("W1", "W4"))
+
+
+def canonical(bindings):
+    return {v: e.canonical() for v, e in bindings.items()}
+
+
 @pytest.mark.parametrize("regime", lattice.REGIMES)
 def test_chart_changes_are_built_once_and_compose(regime):
-    # W3 -> W1 followed by W1 -> W4 is the chart change W3 -> W4; the
-    # bindings are unreduced quotients, compared by their canonical forms
+    # each change the atlas declares is its transition back, with c set to
+    # the regime's value; W1 -> W4 is the binding it replaced, and W3 -> W1
+    # followed by W1 -> W4 is W3 -> W4.  The bindings are unreduced
+    # quotients, compared by their canonical forms
+    cval = blowup.REGIME_C[regime]
+    at = {} if cval is None else {"c": rf(cval)}
+    for source, target in CHART_CHANGES[:3]:
+        tr = atlas.transition(target, source)
+        assert canonical(blowup._bindings(source, target, regime)) == {
+            v: e.substitute(at) for v, e in tr.bindings().items()}
     to_w4 = blowup._bindings("W1", "W4", regime)
     assert blowup._bindings("W1", "W4", regime) is to_w4
     with pytest.raises(TypeError):
         to_w4["y1"] = rf(1)
+    c = rf(blowup._regime_c(regime))
+    y4, z4 = rfvar("y4"), rfvar("z4")
+    assert canonical(to_w4) == {"y1": 1 / y4, "z1": y4 * (c * z4 - y4) / z4}
     composed = {v: e.substitute(to_w4).canonical()
                 for v, e in blowup._bindings("W3", "W1", regime).items()}
-    assert composed == {v: e.canonical() for v, e in
-                        blowup._bindings("W3", "W4", regime).items()}
+    assert composed == canonical(blowup._bindings("W3", "W4", regime))
 
 
 def test_chart_changes_take_no_gcd(monkeypatch):
     # each binding is a numerator over a monomial, built with no canonical
-    # arithmetic
+    # arithmetic; the atlas's transitions it reads are canonical, so they
+    # are built before gcds are refused
+    for i, j in (("W2", "W1"), ("W1", "W3"), ("W4", "W3"), ("W3", "W1")):
+        atlas.transition(i, j)
+
     def refuse(a, b):
         raise AssertionError("a chart change took a gcd")
     monkeypatch.setattr(exact, "poly_gcd", refuse)
     blowup._bindings.cache_clear()
     for regime in lattice.REGIMES:
-        for source, target in blowup._GLUING:
+        for source, target in CHART_CHANGES:
             for v, e in blowup._bindings(source, target, regime).items():
                 assert len(e.den.terms) == 1, (source, target, v)
 

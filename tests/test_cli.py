@@ -2,6 +2,7 @@
 exit codes, and byte-for-byte determinism across runs.  Output contracts
 run in-process through ``cli.run``; the entry point, its exit codes and
 determinism across processes run as subprocesses."""
+import argparse
 import contextlib
 import hashlib
 import io
@@ -58,6 +59,31 @@ def test_periods_output(capsys):
     code, out, _ = run_in_process(capsys, "periods", "--c", "1e400")
     assert code == 0
     assert out.splitlines()[0] == f"period(C2-C1) = {10 ** 400}"
+
+
+def test_periods_prints_every_value_it_accepts(capsys):
+    # at the interpreter's digit limit c and -1 - c both print; one more
+    # digit in either is a usage error, not a traceback
+    limit = sys.get_int_max_str_digits()
+    for c, minus_one_minus_c in ((f"1e{limit - 1}", f"-{10 ** (limit - 1) + 1}"),
+                                 ("9" * (limit - 1), f"-{10 ** (limit - 1)}")):
+        code, out, err = run_in_process(capsys, "periods", "--c", c)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == f"period(C4-C3) = {minus_one_minus_c}"
+    for c in ("9" * limit, f"1e{limit}", f"1e-{limit}"):
+        code, out, err = run_in_process(capsys, "periods", "--c", c)
+        assert (code, out) == (2, "")
+        assert err.startswith("p2lab: error: ") and len(err.splitlines()) == 1
+
+
+def test_a_huge_exponent_is_refused_before_it_is_expanded(monkeypatch):
+    # Fraction("1e999999999") would build a 10**999999999 before any check
+    def refuse(text):
+        raise AssertionError(f"Fraction({text!r}) was built")
+    monkeypatch.setattr(cli, "Fraction", refuse)
+    for text in ("1e999999999", "-1E+99_999_999_9", "0.5e-999999999"):
+        with pytest.raises(argparse.ArgumentTypeError, match="that prints"):
+            cli._rational(text)
 
 
 def test_curves_csv(capsys):
@@ -174,6 +200,15 @@ def test_integrate_grid_sample_matches_the_committed_digests():
     commands = grid_digests.integrate_grid()
     sample = commands[::29] + commands[-1:]
     assert grid_digests.mismatches(sample, grid_digests.load()) == []
+
+
+def test_lattice_grid_sample_matches_the_committed_digests():
+    # every curves table of the benchmark's lattice grid, whose columns are
+    # in the registry's order, and every 23rd command; CI replays all of
+    # them, cold and warm (tests/grid_digests.py)
+    commands = grid_digests.load_workloads().lattice_grid()
+    sample = [a for a in commands if a[0] == "curves"] + commands[::23]
+    assert grid_digests.lattice_mismatches(sample) == []
 
 
 def reference_output(traj):
@@ -524,6 +559,10 @@ def test_the_orbit_ceiling_is_allowed_and_stated(capsys):
     # exact, but its float overflows: before, a traceback and exit 1
     integrate_argv(c="1e400"),
     integrate_argv(c="-1e400"),
+    # exact, but past the digits an int prints: before, a traceback and
+    # exit 1
+    ["periods", "--c", "1e5000"],
+    ["periods", "--c", "1e-5000"],
 ])
 def test_bad_input_is_a_one_line_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
