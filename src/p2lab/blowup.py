@@ -160,7 +160,7 @@ def _bindings(source: str, target: str, regime: str) -> MappingProxyType:
     taken."""
     cval = REGIME_C[regime]
     if cval is not None:
-        pairs = {v: e.substitute({"c": cval}) if e.num.degree_in("c") > 0 else e
+        pairs = {v: e.substitute({"c": cval})
                  for v, e in _bindings(source, target, "generic").items()}
     elif (source, target) == ("W1", "W4"):
         inner = _bindings("W3", "W4", regime)

@@ -355,13 +355,18 @@ _SUITES = {
 
 
 def run_suite(name: str) -> dict:
-    if name == "all":
-        checks = []
-        for n in ("lattice", "backlund", "atlas"):
-            checks.extend(_SUITES[n]())
-    else:
-        checks = _SUITES[name]()
-    return {"suite": name, "checks": [c.as_json() for c in checks]}
+    """The report of one suite, or of all three in order.  A suite that
+    raises adds one fail check, ``suite-error[<name>]``, with the error
+    as computed, after the checks of the suites that ran."""
+    checks, errors = [], []
+    for n in ("lattice", "backlund", "atlas") if name == "all" else (name,):
+        suite = _SUITES[n]
+        try:
+            checks.extend(suite())
+        except Exception as exc:
+            errors.append(_check(f"suite-error[{n}]", False,
+                                 f"{type(exc).__name__}: {exc}"))
+    return {"suite": name, "checks": [c.as_json() for c in checks + errors]}
 
 
 def _print_report(rep: dict, as_json: bool) -> int:

@@ -1029,10 +1029,18 @@ class _Unreduced:
         """Simultaneously replace variables by quotients.  Numerator and
         denominator are both multiplied through by den_v ** k_v for each
         bound v, with k_v the larger of their degrees in v, which clears
-        every inner denominator and leaves the quotient unchanged."""
-        subs = {var_index(n): _Unreduced.of(v) for n, v in bindings.items()}
-        top = {i: max(_deg_idx(self.num, i), _deg_idx(self.den, i))
-               for i in subs}
+        every inner denominator and leaves the quotient unchanged.  A
+        binding of a variable that occurs in neither changes no term, so
+        it is dropped (every binding is still checked), and with none left
+        the quotient itself is returned."""
+        subs, top = {}, {}
+        for n, v in bindings.items():
+            i, v = var_index(n), _Unreduced.of(v)
+            k = max(_deg_idx(self.num, i), _deg_idx(self.den, i))
+            if k > 0:
+                subs[i], top[i] = v, k
+        if not subs:
+            return self
         den = _subs_cleared(self.den, subs, top)
         if den.is_zero():
             raise IdenticallyZeroDenominator(

@@ -10,20 +10,21 @@ The per-chart vector fields are compiled from the symbolically derived
 Hamiltonians, and their mutual consistency through the transition chain
 rule is checked both symbolically (once) and at random sample points.
 
-Compiled code is generated Python source: straight-line float fields
-and transitions, built once per expression, and for each chart one
-adaptive loop, built when an integration first enters the chart.  The
-loop keeps the state, the first stage and h in float locals and inlines
-the unrolled Dormand-Prince step: the chart's Hamiltonian field is
-evaluated in place at each of the seven stages, the RMS error norm
-after them, and the last stage is the next step's first (FSAL).  Around
-the step it runs the PI step control, the step budget, the step-size
-floor, the cut of the final step to t1, the handling of overflow and of
-non-finite values, the step statistics and the chart-switch test, and it
-appends each accepted state itself.  It returns to Python only at t1, on
-a step failure, or to switch charts: the transition and the switch event
-are Python, and the target chart's loop starts with a fresh first stage.
-The scalar Riccati comparison runs through the same generator.
+Compiled code is generated Python source: straight-line float fields and
+transitions, built once per expression, and for each chart one adaptive
+loop, built when an integration first enters the chart.  The loop keeps
+the state, the first stage and h in float locals and inlines the
+unrolled Dormand-Prince step: the chart's Hamiltonian field is evaluated
+in place at each of the seven stages, the seventh at the new state
+itself (bit for bit: see ``_loop_fn``) and the next step's first (FSAL),
+then the RMS error norm.  Around the step it runs the PI step control,
+the step budget, the step-size floor, the cut of the final step to t1,
+the handling of overflow and of non-finite values, the step statistics
+and the chart-switch test, and it appends each accepted state itself.
+It returns to Python only at t1, on a step failure, or to switch charts:
+the transition and the switch event are Python, and the target chart's
+loop starts with a fresh first stage.  The scalar Riccati comparison
+runs through the same generator.
 
 The chart choice and the CSV output are generated from the same
 transition sources.  ``best_chart`` calls one generated function per
@@ -328,7 +329,9 @@ def _transport_source(i: str, j: str, y: str, z: str) -> list:
 
 
 def _generated(lines, name: str):
-    namespace = {"inf": math.inf, "nan": math.nan, "FlowError": FlowError}
+    namespace = {"inf": math.inf, "nan": math.nan, "FlowError": FlowError,
+                 "sqrt": math.sqrt, "isfinite": math.isfinite,
+                 "new": tuple.__new__}
     exec("\n".join(lines), namespace)
     return namespace[name]
 
@@ -398,13 +401,14 @@ def _loop_fn(exprs, names: tuple[str, ...]):
     f(u, t) binds the arguments of each stage to the names a0, a1, ...
     that ``_rf_source`` emits and evaluates the exprs in place.  Every
     combination is ``u_m + h * (0.0 + w_1*k1_m + w_2*k2_m + ...)``, all
-    tableau weights kept, zeros included.  The seventh stage's input is
-    therefore the new state u5 bit for bit (``_A[6] == _B5[:6]``,
-    ``_B5[6] == 0``, and its time is t + 1.0*h), so k7 = f(u5, t + h):
-    the first stage of the next step when nothing moved the state in
-    between.  The error norm is the RMS of err_m / (atol + rtol *
-    max(|u_m|, |u5_m|)), summed left to right from 0.0, with err = u5 -
-    u4."""
+    tableau weights kept, zeros included.  The seventh stage's input, at
+    stage 6's time t + 1.0*h, is the new state v: u5 weighs k1..k6 as
+    ``_A[6]`` does and k7 by 0.0, and 0.0*k7 added to a sum started at
+    +0.0 (never -0.0) changes no bit if k7 is finite; if not, err (which
+    weighs k7 by -1/40) and the norm are non-finite whatever v is, and
+    the step is rejected.  So k7 = f(v, t + h), the next step's first
+    stage.  The error norm is the RMS of err_m / (atol + rtol *
+    max(|u_m|, |v_m|)), summed left to right from 0.0, with err = u5 - u4."""
     n = len(exprs)
     powers = set()
 
@@ -444,19 +448,20 @@ def _loop_fn(exprs, names: tuple[str, ...]):
     # k1 = f(u, t) from u_0, u_1, ... and t
     first = [*fixed, *(f"a{m} = u_{m}" for m in range(n)), f"a{n} = t",
              *moving, *(f"k1_{m} = {src}" for m, src in enumerate(srcs))]
-    # stages 2 to 7 from u_m, t, h and k1_m; then the new state v_m, the
-    # error norm and k7_m (x_m is |v_m|)
+    # stages 2 to 7 from u_m, t, h and k1_m, the seventh at the new state
+    # v_m and stage 6's time; then the error norm (x_m is |v_m|)
     rest = []
     for s in range(1, 7):
-        rest += [f"a{m} = u_{m} + h * ({comb(_A[s], m)})" for m in range(n)]
-        rest.append(f"a{n} = t + {_C[s]!r} * h")
+        rest += [f"a{m} = {f'v_{m} = ' if s == 6 else ''}u_{m} + h * "
+                 f"({comb(_A[s], m)})" for m in range(n)]
+        if _C[s] != _C[s - 1]:
+            rest.append(f"a{n} = t + {_C[s]!r} * h")
         rest += moving
         rest += [f"k{s + 1}_{m} = {src}" for m, src in enumerate(srcs)]
     err_w = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
     terms = []
     for m in range(n):
-        rest += [f"v_{m} = u_{m} + h * ({comb(_B5, m)})",
-                 f"e_{m} = h * ({comb(err_w, m)})",
+        rest += [f"e_{m} = h * ({comb(err_w, m)})",
                  f"s_{m} = u_{m} if u_{m} > 0.0 else -u_{m}",
                  f"x_{m} = v_{m} if v_{m} > 0.0 else -v_{m}",
                  f"if x_{m} > s_{m}:",
@@ -468,13 +473,9 @@ def _loop_fn(exprs, names: tuple[str, ...]):
         return "(" + "".join(f"{stem}_{m}, " for m in range(n)) + ")"
 
     params = ", ".join(f"a{k}" for k in range(n + 1, len(names)))
-    lines = [f"def bind(rtol, atol, {params}):",
-             *_block(1, _loop_source(n, vec, first, rest)),
-             "    return loop"]
-    namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite,
-                 "new": tuple.__new__}
-    exec("\n".join(lines), namespace)
-    return namespace["bind"]
+    return _generated([f"def bind(rtol, atol, {params}):",
+                       *_block(1, _loop_source(n, vec, first, rest)),
+                       "    return loop"], "bind")
 
 
 def _block(depth: int, lines) -> list:
@@ -490,11 +491,10 @@ def _loop_source(n, vec, first, rest):
     for a system of n state variables; ``first`` and ``rest`` are the
     lines of the first stage and of the rest of the step.  It integrates
     from t towards t1, starting with step h and PI memory err_prev, and
-    evaluates its first stage afresh.  Each accepted state is
-    appended as ``tuple.__new__(kind, (head, *u, t, tail))`` through
-    ``record``.  The counts of
-    ``stats`` (a StepStats) are read on entry and written back on exit;
-    the step budget counts the steps already in them.
+    evaluates its first stage afresh.  Each accepted state is appended as
+    ``tuple.__new__(kind, (head, *u, t, tail))`` through ``record``.  The
+    counts of ``stats`` (a StepStats) are read on entry and written back
+    on exit; the step budget counts the steps already in them.
 
     After an accepted step whose largest |u_m| exceeds ``threshold``,
     ``pick(*u, t)`` names the chart for the new state.  If that is

@@ -29,6 +29,10 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.filter_too_much,
                            HealthCheck.too_slow],
 )
+# the same, ten times deeper: CI runs the generated-code properties of
+# tests/test_flow.py under it once (--hypothesis-profile=p2lab-deep)
+settings.register_profile("p2lab-deep", settings.get_profile("p2lab"),
+                          max_examples=600)
 settings.load_profile("p2lab")
 
 

@@ -126,6 +126,28 @@ def test_verify_all_known_discrepancies(capsys, report):
                      "orbit-stated-high"}
 
 
+def test_a_suite_that_raises_is_one_failed_check(monkeypatch, capsys, report):
+    # the report still prints, with the checks of the suites that ran and
+    # then one fail check for the suite that raised, and verify exits 1
+    def broken():
+        raise atlas.AtlasError("no chart change W4 -> W3")
+    monkeypatch.setitem(cli._SUITES, "atlas", broken)
+    code, out, err = run_in_process(capsys, "verify", "all", "--json")
+    assert (code, err) == (1, "")
+    *ran, last = json.loads(out)["checks"]
+    assert ran == json.loads(json.dumps(list(report.values())[:len(ran)]))
+    assert len(ran) + len(cli.atlas_checks()) == len(report)
+    assert last == {"id": "suite-error[atlas]", "status": "fail",
+                    "computed": "AtlasError: no chart change W4 -> W3",
+                    "expected": None, "note": ""}
+    code, out, err = run_in_process(capsys, "verify", "atlas")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "[fail] suite-error[atlas]  computed=AtlasError: no chart change "
+        "W4 -> W3 expected=None",
+        "1 checks: 0 pass, 1 fail, 0 known-discrepancy"]
+
+
 def test_usage_error_exit_code(checkout_env):
     r = run_cli(checkout_env, "verify", "bogus")
     assert r.returncode == 2

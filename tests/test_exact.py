@@ -3,6 +3,7 @@
 Everything downstream trusts this layer blindly, so the algebraic laws
 are exercised with random inputs rather than hand-picked examples.
 """
+import operator
 import random
 from fractions import Fraction
 
@@ -1133,6 +1134,39 @@ def test_monomial_substitution_matches_the_general_loop(p, bindings, extra):
         want = expanded_subs_cleared(p, subs, dict.fromkeys(subs, 0))
         assert listed(p.subs_poly({n: v.num for n, v in bindings.items()})) \
             == listed(want)
+
+
+# bindings of every variable, p, q and t among them (which cyz_polys never
+# uses), and sums of two monomial quotients (which are not monomial)
+any_bindings = st.dictionaries(
+    st.sampled_from(MVARS + ("q", "p", "t")),
+    st.one_of(monomial_bindings(),
+              st.builds(operator.add, monomial_bindings(), monomial_bindings())),
+    min_size=1, max_size=4)
+
+
+@settings(deadline=None)
+@given(cyz_polys(), cyz_polys().filter(bool), any_bindings)
+@example(Polynomial.const(1), monomial(1, y=1), {"c": _Unreduced.of(0)})
+@example(monomial(1, y=2) + monomial(2, c=1), monomial(1, z=1),
+         {"t": _Unreduced.of(Polynomial.variable("q")) + 1,
+          "c": _Unreduced(Polynomial.const(1), Polynomial.variable("z"))})
+def test_substitution_matches_the_full_loop_over_every_binding(p, d, bindings):
+    """Bindings of variables in neither p nor d are dropped before the
+    clearing loop; what is left gives the same terms, in the same order,
+    as the general loop over every binding, and with nothing left the
+    quotient itself comes back."""
+    u, subs = _Unreduced(p, d), bound(bindings)
+    top = {i: max(_deg_idx(p, i), _deg_idx(d, i)) for i in subs}
+    num, den = (expanded_subs_cleared(x, subs, top) for x in (p, d))
+    if not den:
+        with pytest.raises(IdenticallyZeroDenominator):
+            u.substitute(bindings)
+        return
+    got = u.substitute(bindings)
+    assert (listed(got.num), listed(got.den)) == (listed(num), listed(den))
+    if all(k <= 0 for k in top.values()):
+        assert got is u
 
 
 @settings(deadline=None)

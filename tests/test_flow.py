@@ -529,6 +529,11 @@ def test_generated_step_matches_the_loop_in_two_components(chart, y, z, t, c,
 
 
 @given(fracs, fracs, moderate, moderate, step_sizes, tolerances, tolerances)
+# k1..k6 finite and k7 = inf: the reference's u5 (which adds 0.0 * k7) is
+# nan, the generated loop's new state (the seventh stage's input) is
+# finite, and both reject the step as non-finite after 7 field evaluations
+@example(Fraction(3525313), Fraction(1), -0.12698774824222347, 0.0,
+         0.001939454341782496, 1e-10, 1e-12)
 def test_generated_step_matches_the_loop_in_one_component(a, b, q, t, h, rtol,
                                                           atol):
     expr = a * rfvar("q") ** 2 + b * rfvar("t")
