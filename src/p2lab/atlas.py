@@ -4,12 +4,14 @@ Charts are named W1, W3, W12; each carries fiber coordinates (y, z) over
 the (t, c) base.  The ruled surface's charts W2 and W4 and its fibre
 inversions W2 -> W1 and W4 -> W3 are declared here too, for the blow-up
 engine and the period residue.  Transitions, Hamiltonians, relative
-differential forms, the deformation cocycle, the parameter involution,
-and the vanishing-cycle periods are all handled exactly.  A check that only
-asks whether an identity holds substitutes into unreduced quotients
-(``exact._Unreduced``), which take no gcd, and tests the difference for
-a zero numerator; canonical values are kept for what is printed or
-compiled to float code.
+differential forms, the deformation cocycle and the vanishing-cycle
+periods are all handled exactly.  The W1 Hamiltonian is the phase-space
+one: ``backlund`` reads its field as the phase derivation, and checks
+the parameter involution against these transitions with its reflection.
+A check that only asks whether an identity holds substitutes into
+unreduced quotients (``exact._Unreduced``), which take no gcd, and tests
+the difference for a zero numerator; canonical values are kept for what
+is printed or compiled to float code.
 
 Relative forms are taken over the c-line: t is a coordinate, c a
 constant, matching the convention in which d kills dc but not dt.
@@ -167,14 +169,8 @@ def jacobian_det(i: str, j: str) -> RationalFunction:
 # Hamiltonians
 
 
-@dataclass(frozen=True)
-class ChartHamiltonian:
-    chart: str
-    poly: Polynomial
-
-
 @lru_cache(maxsize=None)
-def hamiltonian(chart: str) -> ChartHamiltonian:
+def hamiltonian(chart: str) -> Polynomial:
     """Polynomial Hamiltonian generating the flow in the given chart.
 
     The W1 one is the phase-space Hamiltonian; the others are obtained by
@@ -186,15 +182,14 @@ def hamiltonian(chart: str) -> ChartHamiltonian:
     if chart == "W1":
         y, z = rfvars("y1", "z1")
         h = y ** 2 * z + _HALF * z ** 2 + _HALF * t * z - c * y
-        return ChartHamiltonian("W1", h.as_polynomial())
+        return h.as_polynomial()
     if chart == "W3":
-        h1 = rf(hamiltonian("W1").poly)
-        h3 = h1.substitute(transition("W3", "W1").bindings())
-        return ChartHamiltonian("W3", h3.as_polynomial())
+        h1 = rf(hamiltonian("W1"))
+        return h1.substitute(transition("W3", "W1").bindings()).as_polynomial()
     if chart == "W12":
-        h3 = rf(hamiltonian("W3").poly)
+        h3 = rf(hamiltonian("W3"))
         h12 = h3.substitute(transition("W12", "W3").bindings()) - 1 / rfvar("y12")
-        return ChartHamiltonian("W12", h12.as_polynomial())
+        return h12.as_polynomial()
     raise AtlasError(f"unknown chart {chart!r}")
 
 
@@ -202,7 +197,7 @@ def hamiltonian(chart: str) -> ChartHamiltonian:
 def hamilton_field(chart: str) -> tuple[RationalFunction, RationalFunction]:
     """(dy/dt, dz/dt) = (dH/dz, -dH/dy): polynomial in every chart, derived
     once per chart (cached)."""
-    h = rf(hamiltonian(chart).poly)
+    h = rf(hamiltonian(chart))
     y, z = CHART_VARS[chart]
     return h.partial(z), -h.partial(y)
 
@@ -322,8 +317,8 @@ def ks_cocycle(i: str, j: str) -> RelOneForm:
     tau carries chart-j coordinates to chart-i ones.  Measures how the
     two Hamiltonians disagree as functions on the overlap (cached)."""
     tau = transition(j, i)
-    hi = rf(hamiltonian(i).poly).substitute(tau.bindings())
-    diff = hi - rf(hamiltonian(j).poly)
+    hi = rf(hamiltonian(i)).substitute(tau.bindings())
+    diff = hi - rf(hamiltonian(j))
     y, z = CHART_VARS[j]
     return RelOneForm(diff.partial(y), diff.partial(z))
 
@@ -334,38 +329,6 @@ def ks_cocycle_additivity() -> bool:
     v312 = ks_cocycle("W3", "W12")
     v112 = ks_cocycle("W1", "W12")
     return (v13 + v312 - v112).is_zero()
-
-
-# ---------------------------------------------------------------------------
-# the parameter involution
-
-
-def _involution_w1(c_img: RationalFunction | Polynomial) -> dict:
-    """Substitution on W1 data: y1 -> -y1, z1 -> -(z1 + 2y1^2 + t)."""
-    t, y1, z1 = (Polynomial.variable(n) for n in ("t", "y1", "z1"))
-    return {"y1": -y1, "z1": -(z1 + 2 * y1 ** 2 + t), "c": c_img}
-
-
-def involution_check(c_img: RationalFunction | Polynomial | None = None) -> bool:
-    """The sign involution intertwines the atlas at parameter c with the
-    atlas at parameter -(c+1): the W1-to-W12 rule at the image parameter,
-    composed with the substitution, is the plain W1-to-W3 rule followed
-    by the sign flip of both W3 coordinates, and symmetrically with W3
-    and W12 exchanged.  The default c-image is -(c+1); any other image
-    (the negative control) breaks the identities."""
-    if c_img is None:
-        c_img = -(Polynomial.variable("c") + 1)
-    sigma = _involution_w1(c_img)
-    tr13, tr112 = transition("W1", "W3"), transition("W1", "W12")
-    return all((_pulled(a, sigma) + b).is_zero() for a, b in (
-        (tr112.y_img, tr13.y_img), (tr112.z_img, tr13.z_img),
-        (tr13.y_img, tr112.y_img), (tr13.z_img, tr112.z_img)))
-
-
-def involution_squared_is_identity() -> bool:
-    sigma = _involution_w1(-(Polynomial.variable("c") + 1))
-    return all((_pulled(v, sigma) - Polynomial.variable(k)).is_zero()
-               for k, v in sigma.items())
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,13 @@ is printed.
 
 Two fields are in play.  At the solution level the alphabet is
 (t, y, yp, alpha) with D(y) = yp and D(yp) = 2y^3 + t*y + alpha.  At the
-Hamiltonian phase level it is (t, q, p, c) with D(q) = q^2 + p + t/2 and
+Hamiltonian phase level it is (t, q, p, c), and D is the atlas's W1
+Hamilton field read with (y1, z1) = (q, p): D(q) = q^2 + p + t/2 and
 D(p) = -2qp + c.  The parameter change c = alpha - 1/2 together with
 q = y, p = yp - y^2 - t/2 intertwines the two derivations, which is
-itself one of the verified identities.
+itself one of the verified identities.  The phase maps are the one
+declaration of the phase-side symmetries: the atlas involution reads
+``phase_reflection`` on W1, and ``weyl``'s parameter maps are c-images.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import atlas
 from .exact import (
     ExactError, IdenticallyZeroDenominator, Polynomial, RationalFunction,
     _Unreduced, divexact, rf, rfvar, rfvars,
@@ -72,12 +76,10 @@ def _pii_derivation() -> Derivation:
 
 
 def _phase_derivation() -> Derivation:
-    t, q, p, c = rfvars("t", "q", "p", "c")
-    return Derivation("phase-level", (
-        ("t", rf(1)),
-        ("q", q ** 2 + p + t * _HALF),
-        ("p", -2 * q * p + c),
-    ))
+    """W1's Hamilton field with (y1, z1) read as (q, p)."""
+    as_phase = {"y1": rfvar("q"), "z1": rfvar("p")}
+    fq, fp = (f.substitute(as_phase) for f in atlas.hamilton_field("W1"))
+    return Derivation("phase-level", (("t", rf(1)), ("q", fq), ("p", fp)))
 
 
 PII = _pii_derivation()
@@ -204,16 +206,44 @@ def unshifted_reflection() -> PhaseMap:
 
 
 def phase_residual(m: PhaseMap) -> tuple[_Unreduced, _Unreduced]:
-    """Defects of the phase system at the image parameter along the two
-    mapped variables; (0, 0) exactly when m is a symmetry."""
-    t = Polynomial.variable("t")
-    q, p = _Unreduced.of(m.q_img), _Unreduced.of(m.p_img)
+    """D of each image minus the field's right-hand side at the images and
+    at c_img; (0, 0) exactly when m is a symmetry."""
+    binding = {"q": m.q_img, "p": m.p_img, "c": m.c_img}
     try:
-        r1 = PHASE.of(q) - (q ** 2 + p + t * _HALF)
-        r2 = PHASE.of(p) - (-2 * q * p + m.c_img)
+        return tuple(PHASE.of(_Unreduced.of(binding[var]))
+                     - _Unreduced.of(img).substitute(binding)
+                     for var, img in PHASE.images if var != "t")
     except IdenticallyZeroDenominator as e:
         raise DenominatorVanishes(m.name) from e
-    return r1, r2
+
+
+# ---------------------------------------------------------------------------
+# the reflection on the atlas
+
+
+def _reflection_on_w1(c_img=None) -> dict:
+    """``phase_reflection`` as a substitution on W1 data, (q, p) read as
+    (y1, z1); ``c_img`` replaces its c-image."""
+    m = phase_reflection()
+    on_w1 = {"q": rfvar("y1"), "p": rfvar("z1")}
+    return {"y1": m.q_img.substitute(on_w1), "z1": m.p_img.substitute(on_w1),
+            "c": m.c_img if c_img is None else c_img}
+
+
+def involution_check(c_img: RationalFunction | Polynomial | None = None) -> bool:
+    """The reflection on W1 carries the W1-to-W12 rule to minus the
+    W1-to-W3 one, and the W1-to-W3 rule to minus the W1-to-W12 one.  Any
+    c-image other than -1 - c (the negative control) breaks this."""
+    sigma = _reflection_on_w1(c_img)
+    tr13, tr112 = atlas.transition("W1", "W3"), atlas.transition("W1", "W12")
+    return all((_Unreduced.of(a).substitute(sigma) + b).is_zero() for a, b in (
+        (tr112.y_img, tr13.y_img), (tr112.z_img, tr13.z_img),
+        (tr13.y_img, tr112.y_img), (tr13.z_img, tr112.z_img)))
+
+
+def involution_squared_is_identity() -> bool:
+    m = phase_reflection().compose(phase_reflection())
+    return (m.q_img, m.p_img, m.c_img) == rfvars("q", "p", "c")
 
 
 # ---------------------------------------------------------------------------

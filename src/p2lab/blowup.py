@@ -98,6 +98,7 @@ def _p(name: str) -> Polynomial:
 
 def curve_specs(regime: str = "generic") -> dict[str, CurveSpec]:
     """Defining data of the named affine curves (c still symbolic here)."""
+    _regime_value(regime)       # an unknown regime raises
     t, c = _p("t"), _p("c")
     y1, z1 = _p("y1"), _p("z1")
     y3, z3 = _p("y3"), _p("z3")
@@ -121,15 +122,22 @@ def curve_specs(regime: str = "generic") -> dict[str, CurveSpec]:
 # chart transport
 
 
+def _regime_value(regime: str) -> Fraction | None:
+    """c's value in the regime, None where c stays symbolic."""
+    if regime not in REGIME_C:
+        raise BlowupError(f"unknown regime {regime!r}")
+    return REGIME_C[regime]
+
+
 def _specialize(poly: Polynomial, regime: str) -> Polynomial:
-    cval = REGIME_C[regime]
+    cval = _regime_value(regime)
     if cval is None:
         return poly
     return poly.subs_poly({"c": Polynomial.const(cval)})
 
 
 def _regime_c(regime: str) -> Polynomial:
-    cval = REGIME_C[regime]
+    cval = _regime_value(regime)
     return Polynomial.variable("c") if cval is None else Polynomial.const(cval)
 
 
@@ -158,7 +166,7 @@ def _bindings(source: str, target: str, regime: str) -> MappingProxyType:
     variables bound to ``atlas.transition(target, source)``'s images with
     c set, built once as unreduced quotients over monomials, with no gcd
     taken."""
-    cval = REGIME_C[regime]
+    cval = _regime_value(regime)
     if cval is not None:
         pairs = {v: e.substitute({"c": cval})
                  for v, e in _bindings(source, target, "generic").items()}
@@ -426,6 +434,7 @@ def stated_intersections(regime: str = "generic") -> list[tuple[str, str, int]]:
     """Intersection numbers asserted by the reference table shipped with
     this package.  Two entries (the allowlist) are known to disagree with
     the recomputation and are reported as such, never asserted."""
+    _regime_value(regime)       # an unknown regime raises
     if regime == "generic":
         rows = [
             ("C1", "C1", -1), ("C2", "C2", -1), ("C1", "C2", 0),
@@ -445,12 +454,10 @@ def stated_intersections(regime: str = "generic") -> list[tuple[str, str, int]]:
             ("C1", "C1", -1), ("C2prime", "C2prime", -2), ("C1", "C2prime", 1),
             ("C1", "D1", 1),
         ] + [("C2prime", f"D{i}", 0) for i in range(8)]
-    if regime == "c=-1":
-        return [
-            ("C3", "C3", -1), ("C4prime", "C4prime", -2), ("C3", "C4prime", 1),
-            ("C3", "D7", 1),
-        ] + [("C4prime", f"D{i}", 0) for i in range(8)]
-    raise BlowupError(f"unknown regime {regime!r}")
+    return [
+        ("C3", "C3", -1), ("C4prime", "C4prime", -2), ("C3", "C4prime", 1),
+        ("C3", "D7", 1),
+    ] + [("C4prime", f"D{i}", 0) for i in range(8)]
 
 
 @dataclass(frozen=True)

@@ -543,12 +543,18 @@ def divexact(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial._new(quotient)
 
 
-def _top_var(p: Polynomial) -> int | None:
-    """Highest alphabet index present, or None for constants."""
+def _present(p: Polynomial) -> int:
+    """The OR of p's packed keys: x_i's field is nonzero exactly when x_i
+    occurs in p."""
     present = 0
     for e in p._terms:
         present |= e
-    present &= (1 << _DEG_SHIFT) - 1
+    return present
+
+
+def _top_var(p: Polynomial) -> int | None:
+    """Highest alphabet index present, or None for constants."""
+    present = _present(p) & ((1 << _DEG_SHIFT) - 1)
     if not present:
         return None
     low = (present & -present).bit_length() - 1
@@ -1029,16 +1035,20 @@ class _Unreduced:
         """Simultaneously replace variables by quotients.  Numerator and
         denominator are both multiplied through by den_v ** k_v for each
         bound v, with k_v the larger of their degrees in v, which clears
-        every inner denominator and leaves the quotient unchanged.  A
-        binding of a variable that occurs in neither changes no term, so
-        it is dropped (every binding is still checked), and with none left
-        the quotient itself is returned."""
+        every inner denominator and leaves the quotient unchanged.  One
+        OR over the packed keys of both parts shows which variables occur;
+        a binding of any other changes no term, so it is dropped (every
+        binding is still checked), and with none left the quotient itself
+        is returned."""
+        present = _present(self.num) | _present(self.den)
         subs, top = {}, {}
         for n, v in bindings.items():
-            i, v = var_index(n), _Unreduced.of(v)
-            k = max(_deg_idx(self.num, i), _deg_idx(self.den, i))
-            if k > 0:
-                subs[i], top[i] = v, k
+            i = var_index(n)
+            if (present >> _SHIFT[i]) & 0xFF:
+                subs[i] = _Unreduced.of(v)
+                top[i] = max(_deg_idx(self.num, i), _deg_idx(self.den, i))
+            elif not isinstance(v, _QUOTIENTS):
+                _Unreduced.of(v)        # not a quotient: raises ExactError
         if not subs:
             return self
         den = _subs_cleared(self.den, subs, top)
@@ -1046,6 +1056,9 @@ class _Unreduced:
             raise IdenticallyZeroDenominator(
                 "substitution sends the denominator to zero identically")
         return _Unreduced(_subs_cleared(self.num, subs, top), den)
+
+
+_QUOTIENTS = (_Unreduced, RationalFunction, Polynomial, int, Fraction)
 
 
 def _subs_cleared(p: Polynomial, subs: Mapping[int, _Unreduced],

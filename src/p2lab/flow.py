@@ -52,7 +52,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -784,12 +783,12 @@ def riccati_compare(t0: float, t1: float, q0: float,
                     checkpoints: int = 8) -> tuple[float, float]:
     """At the parameter value where the zero-p locus is invariant, the
     q-component must follow the scalar first-order equation
-    dq/dt = q^2 + t/2.  Returns (max |q difference| over checkpoints,
-    max |p| drift)."""
+    dq/dt = q^2 + t/2, W1's first field component at z1 = 0.  Returns
+    (max |q difference| over checkpoints, max |p| drift)."""
     c = 0.0
-    q, t = RationalFunction.variable("q"), RationalFunction.variable("t")
-    scalar = _loop_fn((q ** 2 + Fraction(1, 2) * t,),
-                      ("q", "t"))(config.rtol, config.atol)
+    fy, _ = atlas.hamilton_field("W1")
+    scalar = _loop_fn((fy.substitute({"z1": 0}),),
+                      ("y1", "t"))(config.rtol, config.atol)
 
     drift = 0.0
     worst = 0.0

@@ -1,10 +1,12 @@
 """Extended affine Weyl symmetries: parameter maps, lattice isometries,
 and the infinite orbit of numerical -1-classes.
 
-The two generators act on the parameter line as c -> -c and c -> -1-c.
-Their induced actions on the rank-10 class lattice are integer matrices
-over the standard basis (S, f, E1..E8), where the intersection form
-certifies each as an isometry.  The D-fixing one is the reflection in the
+The two generators act on the parameter line as c -> -c and c -> -1-c:
+these are the c-images of ``backlund``'s phase negation and phase
+reflection, which ``param_word`` composes by substitution.  Their
+induced actions on the rank-10 class lattice are integer matrices over
+the standard basis (S, f, E1..E8), where the intersection form certifies
+each as an isometry.  The D-fixing one is the reflection in the
 (-2)-curve of the c = 0 regime; the D-reversing one is declared on the
 basis (C1, C3, D0..D7) and conjugated.  The composite (first the
 D-reversing map, then the D-fixing one) is the translation; iterating it
@@ -26,7 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import intlinalg, lattice
+from . import backlund, intlinalg, lattice
+from .exact import RationalFunction, rfvar
 from .lattice import DivisorClass
 
 
@@ -42,49 +45,25 @@ class NotIsometry(WeylError):
 # action on the parameter line
 
 
-@dataclass(frozen=True)
-class ParamMap:
-    """Affine map c -> sign*c + shift with sign in {+1, -1}."""
-
-    sign: int
-    shift: Fraction
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise WeylError(f"sign must be +-1, got {self.sign}")
-        object.__setattr__(self, "shift", Fraction(self.shift))
-
-    @classmethod
-    def identity(cls) -> "ParamMap":
-        return cls(1, Fraction(0))
-
-    def apply(self, c: Fraction) -> Fraction:
-        return self.sign * Fraction(c) + self.shift
-
-    def compose(self, other: "ParamMap") -> "ParamMap":
-        """self after other."""
-        return ParamMap(self.sign * other.sign,
-                        self.sign * other.shift + self.shift)
+_LETTERS = {"i": backlund.phase_negation, "j": backlund.phase_reflection}
 
 
-PARAM_I = ParamMap(-1, Fraction(0))
-PARAM_J = ParamMap(-1, Fraction(-1))
-_LETTERS = {"i": PARAM_I, "j": PARAM_J}
-
-
-def param_word(word) -> ParamMap:
-    """Compose a word over {i, j}, rightmost letter acting first."""
-    out = ParamMap.identity()
+def param_word(word) -> RationalFunction:
+    """The parameter map of a word over {i, j} as a function of c: the
+    c-images of the phase maps (``i`` the negation, ``j`` the reflection)
+    composed by substitution, rightmost letter acting first."""
+    out = rfvar("c")
     for letter in word:
         try:
-            out = out.compose(_LETTERS[letter])
+            phase_map = _LETTERS[letter]
         except KeyError:
             raise WeylError(f"unknown generator {letter!r}") from None
+        out = out.substitute({"c": phase_map().c_img})
     return out
 
 
 def param_apply(word, c) -> Fraction:
-    return param_word(word).apply(Fraction(c))
+    return param_word(word).eval_fractions({"c": Fraction(c)})
 
 
 # ---------------------------------------------------------------------------

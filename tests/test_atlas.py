@@ -1,9 +1,10 @@
 """The three-chart cover: transitions, Hamiltonians, gluing of the
 fiberwise symplectic structure, the deformation cocycle, the parameter
-involution, and the vanishing-cycle periods.  Verdicts the `verify`
-registry states are asserted once, by `test_acceptance.test_check`; the
-zero checks are also run here against the canonical route they replaced,
-on the identity and on a perturbed negative control."""
+involution (``backlund``'s reflection read on W1), and the vanishing-cycle
+periods.  Verdicts the `verify` registry states are asserted once, by
+`test_acceptance.test_check`; the zero checks are also run here against
+the canonical route they replaced, on the identity and on a perturbed
+negative control."""
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from p2lab import atlas, blowup, flow
+from p2lab import atlas, backlund, blowup, flow
 from p2lab.atlas import (
     CHARTS,
     hamiltonian,
@@ -33,7 +34,8 @@ ORDERED_PAIRS = PAIRS + tuple((j, i) for i, j in PAIRS)
 # -- the canonical route the zero checks replaced, kept as the reference ----
 #
 # Composition by canonical substitution (the former Transition.compose),
-# the canonical pullback and the former involution, each compared with ==.
+# the canonical pullback and the involution as the atlas once typed it on
+# W1, each compared with ==.
 
 def ref_compose(first, then):
     """The images of ``then`` after ``first``, canonical."""
@@ -160,7 +162,7 @@ def test_consistency_and_its_controls():
 
 
 def test_base_hamiltonian_is_the_phase_hamiltonian():
-    h = hamiltonian("W1").poly
+    h = hamiltonian("W1")
     y = Polynomial.variable("y1")
     z = Polynomial.variable("z1")
     t = Polynomial.variable("t")
@@ -171,8 +173,8 @@ def test_base_hamiltonian_is_the_phase_hamiltonian():
 
 
 def test_other_hamiltonians_are_polynomial():
-    h3 = hamiltonian("W3").poly
-    h12 = hamiltonian("W12").poly
+    h3 = hamiltonian("W3")
+    h12 = hamiltonian("W12")
     assert h3.degree_in("y3") == 4
     assert h12.degree_in("y12") == 4
     # transported Hamiltonians lose all negative powers, which is the
@@ -199,10 +201,10 @@ def test_fields_are_derived_once_and_read_by_the_forms(monkeypatch):
     monkeypatch.undo()
     for chart in CHARTS:
         assert atlas.hamilton_field(chart) is fields[chart]
-        h = rf(hamiltonian(chart).poly)
+        h = rf(hamiltonian(chart))
         y, z = atlas.CHART_VARS[chart]
         got = forms[chart]
-        want = atlas.symplectic_form(chart, hamiltonian(chart).poly)
+        want = atlas.symplectic_form(chart, hamiltonian(chart))
         for a, b in ((got.dy_dz, want.dy_dz), (got.dy_dt, h.partial(y)),
                      (got.dz_dt, h.partial(z)), (got.dy_dt, want.dy_dt),
                      (got.dz_dt, want.dz_dt)):
@@ -250,10 +252,10 @@ def test_gluing_and_chain_rule_read_the_pulled_field(monkeypatch):
     # an override on the target chart takes the generic pullback
     with pytest.raises(AssertionError, match="substituted again"):
         atlas.glue_residual("W1", "W3",
-                            h_override={"W3": hamiltonian("W3").poly})
+                            h_override={"W3": hamiltonian("W3")})
     monkeypatch.undo()
     for i, j in PAIRS:
-        h = hamiltonian(j).poly
+        h = hamiltonian(j)
         assert atlas.glue_residual(i, j, h_override={j: h}).is_zero()
         bumped = h + Polynomial.variable(atlas.CHART_VARS[j][0])
         assert not atlas.glue_residual(i, j, h_override={j: bumped}).is_zero()
@@ -336,21 +338,23 @@ def test_cocycle_values(monkeypatch):
 
 
 def test_involution_and_controls(monkeypatch):
+    # backlund's reflection read on W1 is the substitution the atlas typed
     c = rfvar("c")
+    assert backlund._reflection_on_w1() == ref_involution_w1(-(c + 1))
     for c_img, want in ((-(c + 1), True), (-c, False), (-c - 2, False)):
         sigma = ref_involution_w1(c_img)
-        assert {k: rf(v) for k, v in atlas._involution_w1(c_img).items()} \
-            == sigma
-        assert atlas.involution_check(c_img) is want
+        assert backlund._reflection_on_w1(c_img) == sigma
+        assert backlund.involution_check(c_img) is want
         assert ref_involution_check(sigma) is want
     sigma = ref_involution_w1(-(c + 1))
-    assert atlas.involution_squared_is_identity()
+    assert backlund.involution_squared_is_identity()
     assert ref_involution_squared_is_identity(sigma)
     # a map that also doubles y1 is not an involution, under either route
-    real = atlas._involution_w1
-    monkeypatch.setattr(atlas, "_involution_w1", lambda c_img: {
-        **real(c_img), "y1": 2 * real(c_img)["y1"]})
-    assert not atlas.involution_squared_is_identity()
+    real = backlund.phase_reflection()
+    monkeypatch.setattr(backlund, "phase_reflection", lambda: replace(
+        real, q_img=2 * real.q_img))
+    assert backlund._reflection_on_w1() == {**sigma, "y1": 2 * sigma["y1"]}
+    assert not backlund.involution_squared_is_identity()
     assert not ref_involution_squared_is_identity({**sigma,
                                                    "y1": 2 * sigma["y1"]})
 

@@ -3,6 +3,7 @@ maps, with the negative controls that show the checks have teeth.
 Verdicts the `verify` registry states are asserted once, by
 `test_acceptance.test_check`."""
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from p2lab.backlund import (
     sign_flip_only,
     unshifted_reflection,
 )
-from p2lab.exact import Polynomial, rf, rfvar
+from p2lab.exact import Polynomial, rf, rfvar, rfvars
 
 
 def test_reflection_needs_the_parameter_shift():
@@ -111,6 +112,23 @@ def test_a_cold_backlund_suite_composes_the_translation_once(monkeypatch):
     assert all(c.status == "pass" for c in checks)
     assert composed == [1]
     assert [mk.cache_info().misses for mk in CACHED_MAPS] == [1, 1, 1, 1]
+
+
+def test_a_wrong_reflection_fails_its_residual_and_the_involution(monkeypatch):
+    # the atlas involution reads phase_reflection, so p -> 2q^2 - p - t
+    # (still an involution) breaks both, and the control that prints the
+    # reflection's second residual
+    from p2lab import cli
+    phase_translation()        # composed once, from the true reflection
+    t, q, p = rfvars("t", "q", "p")
+    real = phase_reflection()
+    monkeypatch.setattr(backlund, "phase_reflection",
+                        lambda: replace(real, p_img=2 * q ** 2 - p - t))
+    assert backlund.involution_squared_is_identity()
+    failed = [c.id for c in cli.backlund_checks() + cli.atlas_checks()
+              if c.status != "pass"]
+    assert failed == ["phase residual phase-reflection",
+                      "control unshifted-reflection", "involution"]
 
 
 def test_translation_denominator_is_the_expected_quadric():
@@ -258,7 +276,7 @@ def test_schwartz_zippel_backstop():
         form = atlas.glue_residual(i, j)
         checks.append((f"glue {i}.{j}", (form.dy_dz, form.dy_dt, form.dz_dt),
                        True))
-    bumped = atlas.hamiltonian("W1").poly + Polynomial.variable("y1")
+    bumped = atlas.hamiltonian("W1") + Polynomial.variable("y1")
     form = atlas.glue_residual("W1", "W3", h_override={"W1": bumped})
     checks.append(("glue perturbed", (form.dy_dz, form.dy_dt, form.dz_dt),
                    False))

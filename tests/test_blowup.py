@@ -123,6 +123,26 @@ def test_regime_split_errors():
             chain_trace(curve_specs(regime)[name], regime)
 
 
+UNKNOWN_REGIME_CALLS = {
+    "curve_specs": lambda: curve_specs("bogus"),
+    "engine_classes": lambda: engine_classes("bogus"),
+    "verify_intersection_table":
+        lambda: blowup.verify_intersection_table("bogus"),
+    "stated_intersections": lambda: blowup.stated_intersections("bogus"),
+    "chain_trace": lambda: chain_trace(curve_specs()["C1"], "c=1"),
+    "base_class": lambda: blowup.base_class(curve_specs()["C5"], "c=1"),
+}
+
+
+@pytest.mark.parametrize("call", UNKNOWN_REGIME_CALLS.values(),
+                         ids=list(UNKNOWN_REGIME_CALLS))
+def test_an_unknown_regime_is_a_blowup_error(call):
+    # one lookup of the regime's c, not a raw KeyError, and never the
+    # generic specs in silence
+    with pytest.raises(blowup.BlowupError, match="unknown regime"):
+        call()
+
+
 def test_squarefree_guard():
     y3 = Polynomial.variable("y3")
     bad = CurveSpec("doubled", "W3", y3 * y3)

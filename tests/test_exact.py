@@ -809,6 +809,10 @@ def test_unreduced_substitution_guards():
         u.substitute({"q": p})
     with pytest.raises(ExactError):
         _Unreduced.of("q")
+    # every binding is checked, of a variable u leaves out as well
+    for bad in ({"c": 0.5}, {"c": "q"}, {"nope": 0}, {"q": 1, "c": 0.5}):
+        with pytest.raises(ExactError):
+            u.substitute(bad)
     with pytest.raises(ExactError):
         u ** -1
 

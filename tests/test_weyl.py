@@ -1,12 +1,15 @@
-"""Parameter reflections, induced lattice isometries, and the orbit of
-the off-boundary -1-class under the translation element.  Verdicts the
-`verify` registry states are asserted once, by
-`test_acceptance.test_check`."""
+"""Parameter reflections, induced lattice isometries, the period map
+that ties them together, and the orbit of the off-boundary -1-class under
+the translation element.  Verdicts the `verify` registry states are
+asserted once, by `test_acceptance.test_check`."""
+from dataclasses import dataclass
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from p2lab import lattice, weyl
+from p2lab import atlas, lattice, weyl
 from p2lab.lattice import DivisorClass
 
 
@@ -14,12 +17,49 @@ words = st.lists(st.sampled_from(["i", "j"]), max_size=8)
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
 
+# -- the affine composition weyl typed before it read the phase maps, kept
+# as the reference for the parameter side
+
+@dataclass(frozen=True)
+class ParamMap:
+    """Affine map c -> sign*c + shift with sign in {+1, -1}."""
+
+    sign: int
+    shift: Fraction
+
+    def apply(self, c):
+        return self.sign * Fraction(c) + self.shift
+
+    def compose(self, other):
+        """self after other."""
+        return ParamMap(self.sign * other.sign,
+                        self.sign * other.shift + self.shift)
+
+
+REF_LETTERS = {"i": ParamMap(-1, Fraction(0)), "j": ParamMap(-1, Fraction(-1))}
+
+
+def ref_param_word(word):
+    out = ParamMap(1, Fraction(0))
+    for letter in word:
+        out = out.compose(REF_LETTERS[letter])
+    return out
+
+
+@given(words, rationals)
+def test_param_apply_matches_the_affine_composition(word, c):
+    assert weyl.param_apply(word, c) == ref_param_word(word).apply(c)
+
+
 @given(words, words, rationals)
 def test_param_word_is_a_homomorphism(w1, w2, c):
-    # concatenation acts like composition, rightmost letter first
+    # concatenation acts like composition by substitution, rightmost
+    # letter first
     whole = weyl.param_word(list(w1) + list(w2))
-    split = weyl.param_word(w1).compose(weyl.param_word(w2))
-    assert whole.apply(c) == split.apply(c)
+    split = weyl.param_word(w1).substitute({"c": weyl.param_word(w2)})
+    assert whole == split
+    assert weyl.param_apply(list(w1) + list(w2), c) == \
+        weyl.param_apply(w1, weyl.param_apply(w2, c))
 
 
 @given(rationals)
@@ -212,3 +252,48 @@ def test_orbit_argument_guards():
         weyl.gamma_full(0)
     with pytest.raises(weyl.WeylError):
         weyl.distinctness(1)
+
+
+# -- the period map ties each isometry to its parameter map -----------------
+
+
+def test_the_special_roots_are_the_vanishing_cycles():
+    # each (-2)-curve appears exactly where its period vanishes
+    v1, v2 = _vanishing_cycles()
+    assert C2PRIME == v1 and C4PRIME == v2
+    assert atlas.period_c2_minus_c1(0) == 0
+    assert atlas.period_c4_minus_c3(-1) == 0
+
+
+def period(x, c):
+    """The period of a class x in span(v1, v2) at c, extended linearly;
+    x's coordinates over (v1, v2) are its pairings with C1 and C3."""
+    reg = lattice.named_classes()
+    a, b = lattice.pair(x, reg["C1"]), lattice.pair(x, reg["C3"])
+    v1, v2 = _vanishing_cycles()
+    assert x == a * v1 + b * v2
+    return a * atlas.period_c2_minus_c1(c) + b * atlas.period_c4_minus_c3(c)
+
+
+ISOMETRY_WORDS = {"istar": "i", "jstar": "j", "tplus_star": "ij"}
+
+
+@given(st.sampled_from(sorted(ISOMETRY_WORDS)), st.integers(-20, 20),
+       st.integers(-20, 20), rationals)
+def test_periods_are_equivariant(name, a, b, c):
+    # the period of w.x at w(c) is the period of x at c, with w(c) read
+    # off the phase maps' c-images
+    v1, v2 = _vanishing_cycles()
+    x = a * v1 + b * v2
+    w_c = weyl.param_apply(ISOMETRY_WORDS[name], c)
+    assert period(getattr(weyl, name)().apply(x), w_c) == period(x, c)
+
+
+@given(rationals)
+def test_delta_is_null_with_constant_period(c):
+    v1, v2 = _vanishing_cycles()
+    delta = v1 + v2
+    assert lattice.pair(delta, delta) == 0
+    assert period(delta, c) == -1
+    t = weyl.tplus_star()
+    assert (t.apply(v1), t.apply(v2)) == (v1 + delta, v2 - delta)
