@@ -18,11 +18,13 @@ In the single z-descending coordinate chain the centers are, in order,
     step 8:     (y11, z11) = (0, 2c+1)
 
 A curve given by one polynomial equation in one ruled-surface chart is
-pushed into this chain; the power of the exceptional coordinate that
-factors out at each step is the multiplicity of the strict transform at
-that center (cross-checked against the vanishing order of the shifted
-local expansion).  Together with the class of the image in the ruled
-surface this yields the divisor class upstairs.
+pushed into this chain by substitution: each step moves its center to the
+origin and substitutes y = y_next, z = y_next * z_next, and the inversion
+substitutes z8 = 1/v8 after stripping the curve's z8 factor.  The power of
+the exceptional coordinate that factors out at each step is the
+multiplicity of the strict transform at that center.  Together with the
+class of the image in the ruled surface this yields the divisor class
+upstairs.
 
 Each chart change is an ``atlas.transition`` read backwards, built once
 per regime; W1 -> W4 is W1 -> W3 pulled through W3 -> W4.  Transporting
@@ -40,10 +42,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from . import atlas
-from .exact import (
-    Polynomial, _ONE, _SHIFT, _Unreduced, _check_degree, _degree, poly_gcd,
-    var_index,
-)
+from .exact import Polynomial, _Unreduced, poly_gcd
 from .lattice import DivisorClass
 
 REGIME_C = {"generic": None, "c=0": Fraction(0), "c=-1": Fraction(-1)}
@@ -63,6 +62,18 @@ _CHAIN = tuple(chart + (center,) for chart, center in zip(_CHAIN_CHARTS[1:], (
     lambda c: Polynomial.zero(),
     lambda c: Polynomial.variable("t"),
     lambda c: 2 * c + Polynomial.const(1))))
+# Blow-up k + 1 of the origin of chart k, in the chart of the monomial map
+# y = ny, z = ny * nz: y^a z^b goes to ny^(a+b) nz^b, so the power of ny
+# that factors out is the curve's order at the origin.
+_BLOW_UP = tuple(
+    MappingProxyType({y: Polynomial.variable(ny),
+                      z: Polynomial.variable(ny) * Polynomial.variable(nz)})
+    for y, z, (ny, nz, _) in zip(_CHAIN_Y, _CHAIN_Z, _CHAIN))
+# The inversion z8 = 1/v8 before the fifth blow-up.  On a curve free of z8
+# factors, clearing the denominator sends z8^k to v8^(d - k), d the top z8
+# power, so the top terms keep v8^0 and no power of v8 divides the result.
+_INVERSION = MappingProxyType(
+    {"z8": _Unreduced(Polynomial.const(1), Polynomial.variable("v8"))})
 
 
 class BlowupError(Exception):
@@ -184,8 +195,9 @@ def _numerator_after(poly: Polynomial, bindings: MappingProxyType) -> Polynomial
     """Numerator of poly under the bindings, with no gcd taken.  The
     bindings' denominators are monomials in the target chart's variables,
     so this differs from the canonical numerator by a constant and at most
-    such a monomial; the callers strip those variables wherever a monomial
-    can arise, and make the result primitive."""
+    such a monomial; the chart transports strip those variables wherever a
+    monomial can arise, and make the result primitive.  The chain's z8
+    inversion needs neither: its curve is free of z8 factors."""
     return _Unreduced.of(poly).substitute(bindings).num
 
 
@@ -242,46 +254,6 @@ class ChainTrace:
         return tuple(s.multiplicity for s in self.steps)
 
 
-def _vanishing_order(p: Polynomial, yname: str, zname: str) -> int:
-    """Multiplicity of the curve p = 0 at the origin of (yname, zname)."""
-    sy, sz = _SHIFT[var_index(yname)], _SHIFT[var_index(zname)]
-    return min(((e >> sy) & 0xFF) + ((e >> sz) & 0xFF) for e in p._terms)
-
-
-def _blow_up(p: Polynomial, yname: str, zname: str, ny: str, nz: str) -> Polynomial:
-    """Total transform of p under the blow-up of the origin of (yname,
-    zname), in the chart of the monomial map yname = ny, zname = ny * nz:
-    each term y^a z^b becomes ny^(a+b) nz^b.  Distinct terms stay
-    distinct, so the map only moves exponents, on the packed keys of a p
-    free of ny and nz."""
-    iy, iz, jy, jz = (var_index(v) for v in (yname, zname, ny, nz))
-    sy, sz = _SHIFT[iy], _SHIFT[iz]
-    dy, dz = _ONE[jy] - _ONE[iy], _ONE[jy] + _ONE[jz] - _ONE[iz]
-    out = {e + ((e >> sy) & 0xFF) * dy + ((e >> sz) & 0xFF) * dz: q
-           for e, q in p._terms.items()}
-    _check_degree(_degree(max(out)))
-    return Polynomial._new(out)
-
-
-def _invert_z8(p: Polynomial) -> tuple[Polynomial, int]:
-    """Replace z8 by 1/v8 and clear denominators by exponent reversal.
-
-    Returns the new polynomial in (y8, v8) and the z8-adic valuation of the
-    input, i.e. the order of the section component that leaves the chart.
-    A term z8^k goes to v8^(d - k), d the top z8 power, so the top terms
-    keep v8^0 and no power of v8 divides the result.
-    """
-    iz, iv = var_index("z8"), var_index("v8")
-    if any((e >> _SHIFT[iv]) & 0xFF for e in p._terms):
-        raise BlowupError("v8 already present before inversion")
-    ks = [(e >> _SHIFT[iz]) & 0xFF for e in p._terms]
-    d, r = max(ks), min(ks)
-    out = {e + (d - k) * _ONE[iv] - k * _ONE[iz]: q
-           for (e, q), k in zip(p._terms.items(), ks)}
-    _check_degree(_degree(max(out)))
-    return Polynomial._new(out), r
-
-
 def chain_trace(spec: CurveSpec, regime: str = "generic") -> ChainTrace:
     """Run the curve through all eight blow-ups, recording multiplicities."""
     p0 = _specialize(spec.poly, regime)
@@ -293,30 +265,21 @@ def chain_trace(spec: CurveSpec, regime: str = "generic") -> ChainTrace:
     c_poly = _regime_c(regime)
     cur = w4
     for k, (ny, nz, center_fn) in enumerate(_CHAIN):
-        y_cur, z_cur = _CHAIN_Y[k], _CHAIN_Z[k]
         if k == 4:
-            cur, dropped = _invert_z8(cur)
-            trace.dropped_section_power = dropped
+            cur, trace.dropped_section_power = cur.strip_var("z8")
+            cur = _numerator_after(cur, _INVERSION)
             if cur.is_constant():
-                # the whole curve lay in the section leaving the chart
-                trace.steps.extend(
-                    ChainStep(j + 1, ("", ""), 0, cur) for j in range(k, 8))
-                return trace
-        # move the center to the origin once; the local order and the
-        # blow-up are then both read off the translated curve
+                break   # the whole curve lay in the section leaving the chart
         center = center_fn(c_poly)
         if not center.is_zero():
+            z_cur = _CHAIN_Z[k]
             cur = cur.subs_poly({z_cur: Polynomial.variable(z_cur) + center})
-        expected = _vanishing_order(cur, y_cur, z_cur)
-        cur, m = _blow_up(cur, y_cur, z_cur, ny, nz).strip_var(ny)
-        if m != expected:
-            raise BlowupError(
-                f"step {k + 1}: factored power {m} != local order {expected}")
+        cur, m = cur.subs_poly(_BLOW_UP[k]).strip_var(ny)
         trace.steps.append(ChainStep(k + 1, (ny, nz), m, cur))
         if cur.is_constant():
-            trace.steps.extend(
-                ChainStep(j + 1, ("", ""), 0, cur) for j in range(k + 1, 8))
             break
+    trace.steps.extend(ChainStep(j + 1, ("", ""), 0, cur)
+                       for j in range(len(trace.steps), 8))
     return trace
 
 

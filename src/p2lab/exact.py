@@ -33,9 +33,8 @@ top bit of every field is a guard bit that stays 0, so one subtraction
 tests divisibility in every field at once.  A total degree above
 ``MAX_DEGREE`` raises ``ExactError``: products check it before they add, so
 a carry never passes from one field into the next.  The packing is private
-to this module and to ``blowup``'s monomial maps, which move exponents on
-the keys; ``Polynomial`` takes and ``Polynomial.terms`` shows exponent
-tuples.
+to this module: ``Polynomial`` takes and ``Polynomial.terms`` shows
+exponent tuples, and other modules move exponents by substitution.
 
 Canonical form of a quotient: numerator and denominator are coprime, and
 scaled so the denominator has integer coprime coefficients ("content 1") and

@@ -214,11 +214,11 @@ def diagonalize_unimodular() -> list[list[int]]:
     target[0][0] = 1
     for i in range(1, RANK):
         target[i][i] = -1
+    # U and G are integral, so U^T G U = target gives det(U)^2 det(G) = -1
+    # in the integers: det(U) = +-1 and U is unimodular
     ut = intlinalg.transpose(u)
     if intlinalg.matmul(intlinalg.matmul(ut, GRAM), u) != target:
         raise LatticeError("basis change does not diagonalize the form")
-    if abs(intlinalg.det(u)) != 1:
-        raise LatticeError("basis change is not unimodular")
     return u
 
 

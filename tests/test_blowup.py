@@ -203,10 +203,10 @@ def test_unreduced_numerators_match_the_canonical_route(monkeypatch):
     assert got == traces()
 
 
-# -- the monomial maps against the tuple route they replaced -----------------
+# -- the chain's substitutions against the tuple route ------------------------
 #
-# Each unpacked the public ``terms`` view (exponent tuples and Fraction
-# coefficients) and repacked its result through ``Polynomial(...)``.
+# The tuple route unpacks the public ``terms`` view (exponent tuples and
+# Fraction coefficients) and repacks its result through ``Polynomial(...)``.
 
 
 def tuple_strip_var(p, name):
@@ -240,8 +240,6 @@ def tuple_blow_up(p, yname, zname, ny, nz):
 def tuple_invert_z8(p):
     iz = var_index("z8")
     iv = var_index("v8")
-    if any(e[iv] for e in p.terms):
-        raise blowup.BlowupError("v8 already present before inversion")
     d = max(e[iz] for e in p.terms)
     r = min(e[iz] for e in p.terms)
     out = {}
@@ -298,20 +296,24 @@ def test_blow_up_matches_the_tuple_route(args):
     k, p = args
     y, z = blowup._CHAIN_Y[k], blowup._CHAIN_Z[k]
     ny, nz = blowup._CHAIN[k][:2]
-    assert blowup._vanishing_order(p, y, z) == tuple_vanishing_order(p, y, z)
-    got = blowup._blow_up(p, y, z, ny, nz)
+    got = p.subs_poly(blowup._BLOW_UP[k])
     want = tuple_blow_up(p, y, z, ny, nz)
     assert as_listed(got) == as_listed(want) and got == want
+    # the power of ny that factors out is the curve's order at the origin
+    assert got.strip_var(ny)[1] == tuple_vanishing_order(p, y, z)
+
+
+def invert_z8(p):
+    """The chain's inversion: strip the z8 factor, then clear z8 = 1/v8."""
+    q, r = p.strip_var("z8")
+    return blowup._numerator_after(q, blowup._INVERSION), r
 
 
 @given(polynomials(("y8", "z8", "t", "c"), min_size=1))
 def test_invert_z8_matches_the_tuple_route(p):
-    q, r = blowup._invert_z8(p)
+    q, r = invert_z8(p)
     q_ref, r_ref = tuple_invert_z8(p)
     assert (as_listed(q), r) == (as_listed(q_ref), r_ref)
-    # a curve that already has v8 is refused
-    with pytest.raises(blowup.BlowupError, match="v8 already present"):
-        blowup._invert_z8(p * Polynomial.variable("v8"))
 
 
 @pytest.mark.parametrize("regime", lattice.REGIMES)
@@ -319,21 +321,23 @@ def test_inversion_leaves_no_v8_factor_on_the_engine_curves(monkeypatch, regime)
     # z8^k goes to v8^(d - k), so the terms of top z8 power keep v8^0
     inverted = []
 
-    def recorded(p):
-        q, r = invert(p)
-        inverted.append((p, q, r))
-        return q, r
-    invert = blowup._invert_z8
-    monkeypatch.setattr(blowup, "_invert_z8", recorded)
+    def recorded(poly, bindings):
+        q = numerator_after(poly, bindings)
+        if bindings is blowup._INVERSION:
+            inverted.append((poly, q))
+        return q
+    numerator_after = blowup._numerator_after
+    monkeypatch.setattr(blowup, "_numerator_after", recorded)
     for spec in curve_specs(regime).values():
         try:
             chain_trace(spec, regime)
         except RegimeSplit:
             continue
     assert inverted
-    for p, q, r in inverted:
+    for p, q in inverted:
+        assert p.strip_var("z8") == (p, 0)
         assert q.strip_var("v8") == (q, 0)
-        assert q.degree_in("v8") == p.degree_in("z8") - r
+        assert q.degree_in("v8") == p.degree_in("z8")
 
 
 # -- the chain against the substitution it replaced --------------------------

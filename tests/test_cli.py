@@ -216,6 +216,29 @@ def test_w12_trajectory_digest(capsys):
     assert hashlib.sha256((out + err).encode()).hexdigest() == want
 
 
+VERIFY_TWICE = """
+import contextlib, hashlib, io
+from p2lab import cli
+for _ in range(2):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(["verify", "all", "--json"])
+    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+def test_verify_report_matches_the_committed_digest_cold_and_warm(checkout_env):
+    # one fresh process, so the first report is computed from cold caches
+    # and the second from warm ones; the digest is the benchmark's, read
+    # here and never written
+    expected = Path(__file__).parents[1] / "perfbench/expected/verify_all.json"
+    want = json.loads(expected.read_text())["sha256"]
+    r = subprocess.run([sys.executable, "-c", VERIFY_TWICE], capture_output=True,
+                       text=True, timeout=600, env=checkout_env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == [f"0 {want}"] * 2
+
+
 def test_integrate_grid_sample_matches_the_committed_digests():
     # every 29th command of the benchmark's integrate grid, and the pole
     # demo that ends it; CI replays all of them (tests/grid_digests.py)

@@ -3,9 +3,11 @@
 Everything downstream trusts this layer blindly, so the algebraic laws
 are exercised with random inputs rather than hand-picked examples.
 """
+import ast
 import operator
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -1205,3 +1207,30 @@ def test_monomial_substitution_past_the_degree_ceiling_raises():
         with pytest.raises(ExactError, match="exceeds 127"):
             route(p, subs, {i: 2 for i in subs})
 
+
+# the packed-key helpers and the Polynomial internals that hold packed keys
+PACKED_NAMES = {"_ONE", "_SHIFT", "_DEG_SHIFT", "_GUARDS", "_pack", "_unpack",
+                "_degree", "_check_degree"}
+PACKED_ATTRS = {"_terms", "_new"}
+
+
+def test_the_packed_format_is_private_to_exact():
+    # no other module of the package names a packed-key helper or reaches
+    # into a polynomial's packed terms; they go through the public views
+    # and substitution
+    found = []
+    for path in sorted(Path(exact.__file__).parent.glob("*.py")):
+        if path.name == "exact.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                name, banned = node.attr, PACKED_NAMES | PACKED_ATTRS
+            elif isinstance(node, ast.Name):
+                name, banned = node.id, PACKED_NAMES
+            elif isinstance(node, ast.alias):
+                name, banned = node.name, PACKED_NAMES
+            else:
+                continue
+            if name in banned:
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    assert not found

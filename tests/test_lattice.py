@@ -207,7 +207,8 @@ def test_express_in_basis_over_the_empty_basis():
 
 
 def test_diagonalization_realizes_signature():
-    # the registry checks U^T G U = diag(1, -1, ..., -1); U is unimodular
+    # the registry checks U^T G U = diag(1, -1, ..., -1), which makes the
+    # integral U unimodular; the determinant is taken here, not at run time
     from p2lab.intlinalg import det
     assert abs(det(lattice.diagonalize_unimodular())) == 1
 
