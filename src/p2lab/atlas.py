@@ -9,9 +9,9 @@ periods are all handled exactly.  The W1 Hamiltonian is the phase-space
 one: ``backlund`` reads its field as the phase derivation, and checks
 the parameter involution against these transitions with its reflection.
 A check that only asks whether an identity holds substitutes into
-unreduced quotients (``exact._Unreduced``), which take no gcd, and tests
-the difference for a zero numerator; canonical values are kept for what
-is printed or compiled to float code.
+``exact.Quotient`` values, which take no gcd, and tests the difference
+for a zero numerator; canonical values are kept for what is printed or
+compiled to float code.
 
 Relative forms are taken over the c-line: t is a coordinate, c a
 constant, matching the convention in which d kills dc but not dt.
@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .exact import (
-    Polynomial, RationalFunction, _Unreduced, rf, rfvar, rfvars,
+    Polynomial, Quotient, RationalFunction, rf, rfvar, rfvars,
 )
 
 CHARTS = ("W1", "W3", "W12")
@@ -69,7 +69,8 @@ class Transition:
         coordinates, as unreduced quotients; the gluing and chain-rule
         checks both read it."""
         b = self.bindings()
-        return tuple(_pulled(f, b) for f in hamilton_field(self.target))
+        return tuple(Quotient.of(f).substitute(b)
+                     for f in hamilton_field(self.target))
 
     def bindings(self) -> dict:
         ty, tz = CHART_VARS[self.target]
@@ -124,17 +125,12 @@ def transition(source: str, target: str) -> Transition:
     raise AtlasError(f"unknown chart pair {key}")
 
 
-def _pulled(expr, bindings: dict) -> _Unreduced:
-    """expr with the bindings substituted, as an unreduced quotient."""
-    return _Unreduced.of(expr).substitute(bindings)
-
-
 def round_trip_is_identity(i: str, j: str) -> bool:
     b = transition(i, j).bindings()
     back = transition(j, i)
     sy, sz = (Polynomial.variable(v) for v in CHART_VARS[i])
-    return ((_pulled(back.y_img, b) - sy).is_zero()
-            and (_pulled(back.z_img, b) - sz).is_zero())
+    return ((Quotient.of(back.y_img).substitute(b) - sy).is_zero()
+            and (Quotient.of(back.z_img).substitute(b) - sz).is_zero())
 
 
 def consistency_check(quartic_coeff=2, reflect_c_on_direct: bool = False) -> bool:
@@ -145,17 +141,17 @@ def consistency_check(quartic_coeff=2, reflect_c_on_direct: bool = False) -> boo
     """
     step = transition("W3", "W12")
     # a quartic coefficient k in place of 2 adds (2 - k)/y3^4 to z12
-    step_z = _Unreduced.of(step.z_img) + _Unreduced(
+    step_z = Quotient.of(step.z_img) + Quotient(
         Polynomial.const(2 - Fraction(quartic_coeff)),
         Polynomial.variable("y3") ** 4)
     b = transition("W1", "W3").bindings()
     direct = transition("W1", "W12")
-    dy, dz = _Unreduced.of(direct.y_img), _Unreduced.of(direct.z_img)
+    dy, dz = Quotient.of(direct.y_img), Quotient.of(direct.z_img)
     if reflect_c_on_direct:
         flip = {"c": -1 - Polynomial.variable("c")}
-        dy, dz = _pulled(dy, flip), _pulled(dz, flip)
-    return ((_pulled(step.y_img, b) - dy).is_zero()
-            and (_pulled(step_z, b) - dz).is_zero())
+        dy, dz = dy.substitute(flip), dz.substitute(flip)
+    return ((Quotient.of(step.y_img).substitute(b) - dy).is_zero()
+            and (step_z.substitute(b) - dz).is_zero())
 
 
 def jacobian_det(i: str, j: str) -> RationalFunction:
@@ -212,9 +208,9 @@ class RelTwoForm:
     coefficients are canonical in a chart's own form and unreduced
     quotients in a pulled-back form or a difference with one."""
 
-    dy_dz: RationalFunction | _Unreduced
-    dy_dt: RationalFunction | _Unreduced
-    dz_dt: RationalFunction | _Unreduced
+    dy_dz: RationalFunction | Quotient
+    dy_dt: RationalFunction | Quotient
+    dz_dt: RationalFunction | Quotient
 
     def is_zero(self) -> bool:
         return (self.dy_dz.is_zero() and self.dy_dt.is_zero()
@@ -232,8 +228,8 @@ class RelOneForm:
     cocycle value and unreduced quotients in a pulled-back form or a sum
     with one."""
 
-    dy: RationalFunction | _Unreduced
-    dz: RationalFunction | _Unreduced
+    dy: RationalFunction | Quotient
+    dz: RationalFunction | Quotient
 
     def is_zero(self) -> bool:
         return self.dy.is_zero() and self.dz.is_zero()
@@ -263,13 +259,14 @@ def pullback_two_form(form: RelTwoForm, tr: Transition) -> RelTwoForm:
     tested for zero, which needs no gcd."""
     b = tr.bindings()
     return _pullback_coefficients(
-        tr, *(_pulled(f, b) for f in (form.dy_dz, form.dy_dt, form.dz_dt)))
+        tr, *(Quotient.of(f).substitute(b)
+              for f in (form.dy_dz, form.dy_dt, form.dz_dt)))
 
 
 def _pullback_coefficients(tr: Transition, a, bb, cc) -> RelTwoForm:
     """The pulled-back form, given its coefficients a, bb, cc already
     substituted into tr.source coordinates."""
-    (yy, yz, yt), (zy, zz, zt) = (map(_Unreduced.of, row) for row in tr.jacobian)
+    (yy, yz, yt), (zy, zz, zt) = (map(Quotient.of, row) for row in tr.jacobian)
     return RelTwoForm(
         a * (yy * zz - yz * zy),
         a * (yy * zt - yt * zy) + bb * yy + cc * zy,
@@ -281,8 +278,8 @@ def pullback_one_form(form: RelOneForm, tr: Transition) -> RelOneForm:
     """Express a one-form on tr.target in tr.source coordinates, with
     unreduced coefficients, like ``pullback_two_form``."""
     b = tr.bindings()
-    (yy, yz, _), (zy, zz, _) = (map(_Unreduced.of, row) for row in tr.jacobian)
-    a, bb = _pulled(form.dy, b), _pulled(form.dz, b)
+    (yy, yz, _), (zy, zz, _) = (map(Quotient.of, row) for row in tr.jacobian)
+    a, bb = (Quotient.of(f).substitute(b) for f in (form.dy, form.dz))
     return RelOneForm(a * yy + bb * zy, a * yz + bb * zz)
 
 
@@ -303,7 +300,7 @@ def glue_residual(i: str, j: str,
         pulled = pullback_two_form(symplectic_form(j, h_override[j]), tr)
     else:
         fy, fz = tr.pulled_field
-        pulled = _pullback_coefficients(tr, _Unreduced.of(rf(1)), -fz, fy)
+        pulled = _pullback_coefficients(tr, Quotient.of(rf(1)), -fz, fy)
     return pulled - form_i
 
 

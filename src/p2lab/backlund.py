@@ -6,11 +6,10 @@ second derivatives, and a map is a symmetry exactly when its residual
 has a zero numerator.  No epsilon appears anywhere in this module.
 
 The maps themselves are canonical ``RationalFunction`` values, and the
-four the checks share are built once per process.  The
-residuals are worked on unreduced quotients (``exact._Unreduced``), which
-take no gcd: a residual is zero exactly when its numerator is the zero
-polynomial, and a nonzero one is reduced to canonical form only when it
-is printed.
+four the checks share are built once per process.  The residuals are
+worked on ``exact.Quotient`` values, which take no gcd: a residual is
+zero exactly when its numerator is the zero polynomial, and a nonzero one
+is reduced to canonical form only when it is printed.
 
 Two fields are in play.  At the solution level the alphabet is
 (t, y, yp, alpha) with D(y) = yp and D(yp) = 2y^3 + t*y + alpha.  At the
@@ -30,8 +29,8 @@ from functools import lru_cache
 
 from . import atlas
 from .exact import (
-    ExactError, IdenticallyZeroDenominator, Polynomial, RationalFunction,
-    _Unreduced, divexact, rf, rfvar, rfvars,
+    ExactError, IdenticallyZeroDenominator, Polynomial, Quotient,
+    RationalFunction, divexact, rf, rfvar, rfvars,
 )
 
 
@@ -58,9 +57,10 @@ class Derivation:
     images: tuple  # ((var, RationalFunction), ...)
 
     def of(self, expr):
-        """D(expr): canonical for a ``RationalFunction`` (or anything it
-        coerces), unreduced for an unreduced quotient."""
-        if not isinstance(expr, _Unreduced):
+        """D(expr): a canonical ``RationalFunction`` for one (or for
+        anything it coerces), and an unreduced ``Quotient`` for a
+        ``Quotient``."""
+        if not isinstance(expr, Quotient):
             expr = RationalFunction.coerce(expr)
         terms = [expr.partial(var) * img for var, img in self.images]
         return sum(terms[1:], terms[0])
@@ -135,11 +135,11 @@ def sign_flip_only() -> PIIMap:
     return PIIMap("sign-flip-only", -y, alpha)
 
 
-def pii_residual(m: PIIMap) -> _Unreduced:
+def pii_residual(m: PIIMap) -> Quotient:
     """D(D(r)) - 2r^3 - t*r - g: zero exactly when m sends solutions at
     parameter alpha to solutions at parameter g(alpha)."""
     t = Polynomial.variable("t")
-    r = _Unreduced.of(m.r)
+    r = Quotient.of(m.r)
     try:
         # both sides come out over den(r)^4, so the difference reuses it
         return PII.of(PII.of(r)) - (2 * r ** 3 + t * r + m.g)
@@ -205,13 +205,13 @@ def unshifted_reflection() -> PhaseMap:
     return PhaseMap("unshifted-reflection", m.q_img, m.p_img, rfvar("c"))
 
 
-def phase_residual(m: PhaseMap) -> tuple[_Unreduced, _Unreduced]:
+def phase_residual(m: PhaseMap) -> tuple[Quotient, Quotient]:
     """D of each image minus the field's right-hand side at the images and
     at c_img; (0, 0) exactly when m is a symmetry."""
     binding = {"q": m.q_img, "p": m.p_img, "c": m.c_img}
     try:
-        return tuple(PHASE.of(_Unreduced.of(binding[var]))
-                     - _Unreduced.of(img).substitute(binding)
+        return tuple(PHASE.of(Quotient.of(binding[var]))
+                     - Quotient.of(img).substitute(binding)
                      for var, img in PHASE.images if var != "t")
     except IdenticallyZeroDenominator as e:
         raise DenominatorVanishes(m.name) from e
@@ -236,7 +236,7 @@ def involution_check(c_img: RationalFunction | Polynomial | None = None) -> bool
     c-image other than -1 - c (the negative control) breaks this."""
     sigma = _reflection_on_w1(c_img)
     tr13, tr112 = atlas.transition("W1", "W3"), atlas.transition("W1", "W12")
-    return all((_Unreduced.of(a).substitute(sigma) + b).is_zero() for a, b in (
+    return all((Quotient.of(a).substitute(sigma) + b).is_zero() for a, b in (
         (tr112.y_img, tr13.y_img), (tr112.z_img, tr13.z_img),
         (tr13.y_img, tr112.y_img), (tr13.z_img, tr112.z_img)))
 
@@ -272,8 +272,8 @@ def phi_conjugation_residuals(p_image=None, c_image=None):
     for var, img in PHASE.images:
         if var == "t":
             continue
-        expr = _Unreduced.of(binding[var])
-        out.append(PII.of(expr) - _Unreduced.of(img).substitute(binding))
+        expr = Quotient.of(binding[var])
+        out.append(PII.of(expr) - Quotient.of(img).substitute(binding))
     return tuple(out)
 
 
@@ -290,11 +290,11 @@ def composition_coherence_residuals():
     tr = phase_translation()
     binding = phase_bindings()
     t = Polynomial.variable("t")
-    r = _Unreduced.of(up.r)
-    q_res = _Unreduced.of(tr.q_img).substitute(binding) - r
+    r = Quotient.of(up.r)
+    q_res = Quotient.of(tr.q_img).substitute(binding) - r
     p_new = PII.of(r) - r ** 2 - t * _HALF
-    p_res = _Unreduced.of(tr.p_img).substitute(binding) - p_new
-    c_res = _Unreduced.of(tr.c_img).substitute(binding) - up.g + _HALF
+    p_res = Quotient.of(tr.p_img).substitute(binding) - p_new
+    c_res = Quotient.of(tr.c_img).substitute(binding) - up.g + _HALF
     return q_res, p_res, c_res
 
 
@@ -316,7 +316,7 @@ def invariant_curve_division(f: Polynomial, c0) -> tuple[bool, Polynomial | None
     if f0.is_zero() or f0.is_constant():
         raise BacklundError("curve degenerates at this parameter")
     # the phase images are polynomials, so D(f0) comes out over 1
-    df0 = PHASE.of(_Unreduced.of(f0)).num.subs_poly(spec)
+    df0 = PHASE.of(Quotient.of(f0)).num.subs_poly(spec)
     try:
         return True, divexact(df0, f0)
     except ExactError:

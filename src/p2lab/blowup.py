@@ -42,7 +42,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from . import atlas
-from .exact import Polynomial, _Unreduced, poly_gcd
+from .exact import Polynomial, Quotient, poly_gcd
 from .lattice import DivisorClass
 
 REGIME_C = {"generic": None, "c=0": Fraction(0), "c=-1": Fraction(-1)}
@@ -73,7 +73,7 @@ _BLOW_UP = tuple(
 # factors, clearing the denominator sends z8^k to v8^(d - k), d the top z8
 # power, so the top terms keep v8^0 and no power of v8 divides the result.
 _INVERSION = MappingProxyType(
-    {"z8": _Unreduced(Polynomial.const(1), Polynomial.variable("v8"))})
+    {"z8": Quotient(Polynomial.const(1), Polynomial.variable("v8"))})
 
 
 class BlowupError(Exception):
@@ -186,7 +186,7 @@ def _bindings(source: str, target: str, regime: str) -> MappingProxyType:
         pairs = {v: e.substitute(inner)
                  for v, e in _bindings("W1", "W3", regime).items()}
     else:
-        pairs = {v: _Unreduced.of(e) for v, e in
+        pairs = {v: Quotient.of(e) for v, e in
                  atlas.transition(target, source).bindings().items()}
     return MappingProxyType(pairs)
 
@@ -198,7 +198,7 @@ def _numerator_after(poly: Polynomial, bindings: MappingProxyType) -> Polynomial
     such a monomial; the chart transports strip those variables wherever a
     monomial can arise, and make the result primitive.  The chain's z8
     inversion needs neither: its curve is free of z8 factors."""
-    return _Unreduced.of(poly).substitute(bindings).num
+    return Quotient.of(poly).substitute(bindings).num
 
 
 def to_w1(spec: CurveSpec, regime: str) -> Polynomial | None:

@@ -1,6 +1,6 @@
 """Exact multivariate arithmetic over the rationals.
 
-Everything symbolic in this package runs on two types defined here:
+Everything symbolic in this package runs on three types defined here:
 
 * ``Polynomial``: a sparse multivariate polynomial with rational
   coefficients over a closed, build-time variable alphabet (``ALPHABET``);
@@ -8,16 +8,16 @@ Everything symbolic in this package runs on two types defined here:
   expressions always line up.
 * ``RationalFunction``: a quotient of two polynomials kept in a canonical
   form, so that ``==`` is exact mathematical equality.
+* ``Quotient``: a pair (num, den) for checks that only ask whether an
+  expression is zero.  It adds, multiplies, substitutes and
+  differentiates (by the plain quotient rule) with no gcd, and reuses a
+  denominator when both operands share it.  It is zero exactly when its
+  numerator is, and ``==`` cross-multiplies; with no canonical form, it
+  is not hashable.  It becomes canonical only when rendered, through the
+  public ``RationalFunction(num, den)`` constructor; a zero renders as
+  ``0`` with no gcd.
 
-A third, private value serves checks that only ask whether an expression
-is zero: ``_Unreduced``, a pair (num, den) that adds, multiplies,
-substitutes and differentiates (by the plain quotient rule) without taking
-any gcd, and reuses a denominator when both operands share it.  It is zero
-exactly when its numerator is the zero polynomial.  It becomes canonical
-only when rendered, through the public ``RationalFunction(num, den)``
-constructor; a zero renders as ``0`` with no gcd.
-
-All substitution runs on that pair, in one loop (``_subs_cleared``):
+All substitution runs on ``Quotient``, in one loop (``_subs_cleared``):
 ``RationalFunction.substitute`` expands the pair under the bindings with
 every inner denominator cleared and canonicalizes the result once, and
 ``Polynomial.subs_poly`` is the same loop with unit denominators.  When
@@ -36,10 +36,11 @@ a carry never passes from one field into the next.  The packing is private
 to this module: ``Polynomial`` takes and ``Polynomial.terms`` shows
 exponent tuples, and other modules move exponents by substitution.
 
-Canonical form of a quotient: numerator and denominator are coprime, and
-scaled so the denominator has integer coprime coefficients ("content 1") and
-a positive leading coefficient under the graded-lexicographic order induced
-by the alphabet order.  The zero function is ``0/1``.
+Canonical form of a ``RationalFunction``: numerator and denominator are
+coprime, and scaled so the denominator has integer coprime coefficients
+("content 1") and a positive leading coefficient under the
+graded-lexicographic order induced by the alphabet order.  The zero
+function is ``0/1``.
 
 Only the public constructor divides by the gcd of the full numerator and
 denominator.  The field operations and ``partial`` start from canonical
@@ -62,10 +63,10 @@ them.
 """
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd as _int_gcd
-from typing import Union
+from types import MappingProxyType
 
 # Closed variable alphabet.  Order matters: it fixes the monomial order and
 # therefore every canonical form and every rendered string.
@@ -88,7 +89,7 @@ _DEG_SHIFT = 8 * NVARS
 _ONE = tuple((1 << _DEG_SHIFT) | (1 << s) for s in _SHIFT)   # x_i, packed
 _GUARDS = int.from_bytes(b"\x80" * _NBYTES, "big")
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 class ExactError(Exception):
@@ -158,41 +159,6 @@ def _coef(value: Scalar) -> Scalar:
     return q.numerator if q.denominator == 1 else q
 
 
-class _Terms(Mapping):
-    """Read-only view of a polynomial's terms with exponent-tuple keys, in
-    the polynomial's own term order."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: dict):
-        self._terms = terms
-
-    def __getitem__(self, exp):
-        try:
-            key = _pack(exp)
-        except (ExactError, TypeError):
-            raise KeyError(exp) from None
-        return Fraction(self._terms[key])
-
-    def __iter__(self):
-        return map(_unpack, self._terms)
-
-    def __len__(self):
-        return len(self._terms)
-
-    def items(self):
-        return _TermItems(self)
-
-    def __repr__(self):
-        return repr(dict(self.items()))
-
-
-class _TermItems(ItemsView):
-    def __iter__(self):
-        for key, q in self._mapping._terms.items():
-            yield _unpack(key), Fraction(q)
-
-
 def _add_into(out: dict, terms) -> None:
     """out += terms, given as (key, coefficient) pairs, dropping terms that
     cancel; a new monomial goes last."""
@@ -233,8 +199,10 @@ class Polynomial:
 
     @property
     def terms(self) -> Mapping[tuple, Fraction]:
-        """Exponent tuple -> Fraction coefficient, read-only."""
-        return _Terms(self._terms)
+        """Exponent tuple -> Fraction coefficient, read-only, in the
+        polynomial's own term order."""
+        return MappingProxyType({_unpack(e): Fraction(q)
+                                 for e, q in self._terms.items()})
 
     # -- constructors -------------------------------------------------
 
@@ -416,7 +384,7 @@ class Polynomial:
 
     def subs_poly(self, bindings: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Substitute polynomials for variables (others untouched)."""
-        subs = {var_index(n): _Unreduced.of(p) for n, p in bindings.items()}
+        subs = {var_index(n): Quotient.of(p) for n, p in bindings.items()}
         return _subs_cleared(self, subs, dict.fromkeys(subs, 0))
 
     def eval_fractions(self, bindings: Mapping[str, Scalar]) -> Fraction:
@@ -854,7 +822,7 @@ class RationalFunction:
         Raises IdenticallyZeroDenominator if the substituted denominator
         collapses to the zero polynomial.
         """
-        return _Unreduced.of(self).substitute(bindings).canonical()
+        return Quotient.of(self).substitute(bindings).canonical()
 
     def partial(self, name: str) -> "RationalFunction":
         """Partial derivative (quotient rule, exact)."""
@@ -924,30 +892,33 @@ def _cross_cancel(n1: Polynomial, d1: Polynomial,
 _POLY_ONE = Polynomial.const(1)
 
 
-class _Unreduced:
+class Quotient:
     """A quotient ``num/den`` kept as it is built: sums, products,
     substitution and ``partial`` take no gcd, so numerator and denominator
-    may share factors.  ``is_zero`` is exact all the same, since a quotient
-    vanishes exactly when its numerator does.  Rendering goes through the
-    public constructor, so a nonzero value prints in canonical form and a
-    zero prints ``0`` with no gcd taken."""
+    may share factors.  ``is_zero`` and ``==`` are exact all the same,
+    since a quotient vanishes exactly when its numerator does, and n1/d1
+    equals n2/d2 exactly when n1*d2 equals n2*d1.  Rendering goes through
+    the public constructor, so a nonzero value prints in canonical form
+    and a zero prints ``0`` with no gcd taken."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Polynomial, den: Polynomial):
+        if not den._terms:
+            raise DivisionByZero("zero denominator")
         self.num = num
         self.den = den
 
     @staticmethod
-    def of(x) -> "_Unreduced":
-        if isinstance(x, _Unreduced):
+    def of(x) -> "Quotient":
+        if isinstance(x, Quotient):
             return x
         if isinstance(x, RationalFunction):
-            return _Unreduced(x.num, x.den)
+            return Quotient(x.num, x.den)
         if isinstance(x, Polynomial):
-            return _Unreduced(x, _POLY_ONE)
+            return Quotient(x, _POLY_ONE)
         if isinstance(x, (int, Fraction)):
-            return _Unreduced(Polynomial.const(x), _POLY_ONE)
+            return Quotient(Polynomial.const(x), _POLY_ONE)
         raise ExactError(f"cannot interpret {x!r} as a quotient")
 
     def is_zero(self) -> bool:
@@ -955,6 +926,17 @@ class _Unreduced:
 
     def __bool__(self) -> bool:
         return not self.num.is_zero()
+
+    def __eq__(self, other) -> bool:
+        try:
+            o = Quotient.of(other)
+        except ExactError:
+            return NotImplemented
+        return self.num * o.den == o.num * self.den
+
+    # equal values may be stored as different pairs, and only a gcd would
+    # bring them to one
+    __hash__ = None
 
     def canonical(self) -> RationalFunction:
         return RationalFunction(self.num, self.den)
@@ -971,11 +953,11 @@ class _Unreduced:
     # -- ring operations ----------------------------------------------
 
     def __neg__(self):
-        return _Unreduced(-self.num, self.den)
+        return Quotient(-self.num, self.den)
 
     def __add__(self, other):
         try:
-            o = _Unreduced.of(other)
+            o = Quotient.of(other)
         except ExactError:
             return NotImplemented
         n1, d1, n2, d2 = self.num, self.den, o.num, o.den
@@ -984,53 +966,53 @@ class _Unreduced:
         if not n2:
             return self
         if d1 == d2:
-            return _Unreduced(n1 + n2, d1)
-        return _Unreduced(n1 * d2 + n2 * d1, d1 * d2)
+            return Quotient(n1 + n2, d1)
+        return Quotient(n1 * d2 + n2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         try:
-            o = _Unreduced.of(other)
+            o = Quotient.of(other)
         except ExactError:
             return NotImplemented
         return self + (-o)
 
     def __rsub__(self, other):
         try:
-            o = _Unreduced.of(other)
+            o = Quotient.of(other)
         except ExactError:
             return NotImplemented
         return o + (-self)
 
     def __mul__(self, other):
         try:
-            o = _Unreduced.of(other)
+            o = Quotient.of(other)
         except ExactError:
             return NotImplemented
         if not self.num or not o.num:
-            return _Unreduced(Polynomial.zero(), _POLY_ONE)
-        return _Unreduced(self.num * o.num, self.den * o.den)
+            return Quotient(Polynomial.zero(), _POLY_ONE)
+        return Quotient(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "_Unreduced":
+    def __pow__(self, n: int) -> "Quotient":
         if n < 0:
             raise ExactError("negative power of an unreduced quotient")
-        return _Unreduced(self.num ** n, self.den ** n)
+        return Quotient(self.num ** n, self.den ** n)
 
     # -- substitution and calculus ------------------------------------
 
-    def partial(self, name: str) -> "_Unreduced":
+    def partial(self, name: str) -> "Quotient":
         """Quotient rule, D(n/d) = (Dn*d - n*Dd)/d^2, or Dn/d when d is
         free of the variable."""
         n, d = self.num, self.den
         dn, dd = n.diff(name), d.diff(name)
         if not dd:
-            return _Unreduced(dn, d)
-        return _Unreduced(dn * d - n * dd, d * d)
+            return Quotient(dn, d)
+        return Quotient(dn * d - n * dd, d * d)
 
-    def substitute(self, bindings: Mapping[str, object]) -> "_Unreduced":
+    def substitute(self, bindings: Mapping[str, object]) -> "Quotient":
         """Simultaneously replace variables by quotients.  Numerator and
         denominator are both multiplied through by den_v ** k_v for each
         bound v, with k_v the larger of their degrees in v, which clears
@@ -1044,23 +1026,23 @@ class _Unreduced:
         for n, v in bindings.items():
             i = var_index(n)
             if (present >> _SHIFT[i]) & 0xFF:
-                subs[i] = _Unreduced.of(v)
+                subs[i] = Quotient.of(v)
                 top[i] = max(_deg_idx(self.num, i), _deg_idx(self.den, i))
             elif not isinstance(v, _QUOTIENTS):
-                _Unreduced.of(v)        # not a quotient: raises ExactError
+                Quotient.of(v)        # not a quotient: raises ExactError
         if not subs:
             return self
         den = _subs_cleared(self.den, subs, top)
         if den.is_zero():
             raise IdenticallyZeroDenominator(
                 "substitution sends the denominator to zero identically")
-        return _Unreduced(_subs_cleared(self.num, subs, top), den)
+        return Quotient(_subs_cleared(self.num, subs, top), den)
 
 
-_QUOTIENTS = (_Unreduced, RationalFunction, Polynomial, int, Fraction)
+_QUOTIENTS = (Quotient, RationalFunction, Polynomial, int, Fraction)
 
 
-def _subs_cleared(p: Polynomial, subs: Mapping[int, _Unreduced],
+def _subs_cleared(p: Polynomial, subs: Mapping[int, Quotient],
                   top: Mapping[int, int]) -> Polynomial:
     """p with each x_i replaced by subs[i] = n_i/d_i, multiplied by the
     product of d_i ** top[i]; top[i] is at least p's degree in x_i, so
@@ -1093,7 +1075,7 @@ def _subs_cleared(p: Polynomial, subs: Mapping[int, _Unreduced],
     return Polynomial._new(out)
 
 
-def _subs_monomial(p: Polynomial, subs: Mapping[int, _Unreduced],
+def _subs_monomial(p: Polynomial, subs: Mapping[int, Quotient],
                    top: Mapping[int, int]) -> Polynomial | None:
     """``_subs_cleared`` when every binding is a monomial or zero over a
     monomial: each term of p goes to one term, whose key is the sum of the

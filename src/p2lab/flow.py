@@ -56,7 +56,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import atlas, backlund
-from .exact import Polynomial, RationalFunction, _Unreduced, var_index
+from .exact import Polynomial, Quotient, RationalFunction, var_index
 
 
 class FlowError(Exception):
@@ -258,7 +258,7 @@ def field_consistency_symbolic(i: str, j: str) -> bool:
     on the overlap, as an exact identity (on unreduced quotients, so no
     gcd is taken)."""
     tr = atlas.transition(i, j)
-    (yy, yz, yt), (zy, zz, zt) = (map(_Unreduced.of, row) for row in tr.jacobian)
+    (yy, yz, yt), (zy, zz, zt) = (map(Quotient.of, row) for row in tr.jacobian)
     fy_i, fz_i = atlas.hamilton_field(i)
     fy_j, fz_j = tr.pulled_field
     push_y = yy * fy_i + yz * fz_i + yt

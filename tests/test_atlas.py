@@ -24,7 +24,7 @@ from p2lab.atlas import (
     transition,
 )
 from p2lab.exact import (
-    Polynomial, RationalFunction, _Unreduced, rf, rfvar, rfvars, var_index,
+    Polynomial, Quotient, RationalFunction, rf, rfvar, rfvars, var_index,
 )
 
 PAIRS = (("W1", "W3"), ("W3", "W12"), ("W1", "W12"))
@@ -222,7 +222,7 @@ def fresh_pulled_field(tr):
     """The target chart's field substituted afresh, as the gluing and the
     chain rule each did before the transition kept it."""
     b = tr.bindings()
-    return [terms(_Unreduced.of(f).substitute(b))
+    return [terms(Quotient.of(f).substitute(b))
             for f in atlas.hamilton_field(tr.target)]
 
 
@@ -244,7 +244,7 @@ def test_gluing_and_chain_rule_read_the_pulled_field(monkeypatch):
 
     def refused(self, bindings):
         raise AssertionError("substituted again")
-    monkeypatch.setattr(_Unreduced, "substitute", refused)
+    monkeypatch.setattr(Quotient, "substitute", refused)
     for i, j in PAIRS:
         assert atlas.glue_residual(i, j).is_zero()
     for i, j in ORDERED_PAIRS:

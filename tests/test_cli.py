@@ -216,6 +216,13 @@ def test_w12_trajectory_digest(capsys):
     assert hashlib.sha256((out + err).encode()).hexdigest() == want
 
 
+def committed_verify_digest():
+    """The sha256 of ``verify all --json`` that the benchmark checks, read
+    here and never written."""
+    expected = Path(__file__).parents[1] / "perfbench/expected/verify_all.json"
+    return json.loads(expected.read_text())["sha256"]
+
+
 VERIFY_TWICE = """
 import contextlib, hashlib, io
 from p2lab import cli
@@ -229,14 +236,27 @@ for _ in range(2):
 
 def test_verify_report_matches_the_committed_digest_cold_and_warm(checkout_env):
     # one fresh process, so the first report is computed from cold caches
-    # and the second from warm ones; the digest is the benchmark's, read
-    # here and never written
-    expected = Path(__file__).parents[1] / "perfbench/expected/verify_all.json"
-    want = json.loads(expected.read_text())["sha256"]
+    # and the second from warm ones
+    want = committed_verify_digest()
     r = subprocess.run([sys.executable, "-c", VERIFY_TWICE], capture_output=True,
                        text=True, timeout=600, env=checkout_env)
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines() == [f"0 {want}"] * 2
+
+
+@pytest.mark.parametrize("flags, env", [
+    pytest.param(["-O"], {}, id="O"),
+    *(pytest.param([], {"PYTHONHASHSEED": seed}, id=f"hashseed-{seed}")
+      for seed in ("0", "1", "4242")),
+])
+def test_verify_report_digest_under_O_and_hash_seeds(checkout_env, flags, env):
+    # the report may depend neither on assert statements nor on the order
+    # of str-keyed sets and dicts
+    r = subprocess.run([sys.executable, *flags, "-m", "p2lab.cli", "verify",
+                        "all", "--json"], capture_output=True, timeout=600,
+                       env={**checkout_env, **env})
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(r.stdout).hexdigest() == committed_verify_digest()
 
 
 def test_integrate_grid_sample_matches_the_committed_digests():

@@ -26,13 +26,13 @@ from p2lab.exact import (
     IdenticallyZeroDenominator,
     NotPolynomial,
     Polynomial,
+    Quotient,
     RationalFunction,
     _check_degree,
     _deg_idx,
     _degree,
     _is_one,
     _mul_power,
-    _Unreduced,
     _pack,
     _prs_gcd,
     _unpack,
@@ -710,16 +710,16 @@ def expressions(draw, depth):
     if depth == 0 or draw(st.integers(0, 3)) == 0 or op == "s":
         a = draw(rationals)
         if op != "s":
-            return a, _Unreduced.of(a)
+            return a, Quotient.of(a)
         v = draw(st.sampled_from(VARS))
         w = draw(rationals)
         try:
             ref = substitute_reference(a, {v: w})
         except IdenticallyZeroDenominator:
             with pytest.raises(IdenticallyZeroDenominator):
-                _Unreduced.of(a).substitute({v: w})
-            return a, _Unreduced.of(a)
-        return ref, _Unreduced.of(a).substitute({v: w})
+                Quotient.of(a).substitute({v: w})
+            return a, Quotient.of(a)
+        return ref, Quotient.of(a).substitute({v: w})
     a, ua = draw(expressions(depth - 1))
     if op in "+-*":
         b, ub = draw(expressions(depth - 1))
@@ -758,32 +758,32 @@ def test_unreduced_expression_canonicalizes_to_the_canonical_route(pair):
 @settings(max_examples=40, deadline=None)
 @given(rationals, rationals)
 def test_unreduced_mixes_with_canonical_operands(a, b):
-    u = _Unreduced.of(a)
+    u = Quotient.of(a)
     for got, want in ((u + b, a + b), (b + u, b + a), (u - b, a - b),
                       (b - u, b - a), (u * b, a * b), (b * u, b * a),
                       (Fraction(1, 3) * u, a / 3), (u - 2, a - 2),
                       (b.num * u, a * b.num), (u ** 2, a ** 2)):
-        assert isinstance(got, _Unreduced)
+        assert isinstance(got, Quotient)
         assert _parts(got.canonical()) == _parts(want)
 
 
 def test_unreduced_sum_reuses_an_equal_denominator():
     q, p, t = (Polynomial.variable(v) for v in VARS)
     d = q * p + t
-    s = _Unreduced(q, d) + _Unreduced(p - 1, d)
+    s = Quotient(q, d) + Quotient(p - 1, d)
     assert s.num == q + p - 1 and s.den == d
     # a cross-multiplied sum keeps both factors
-    s = _Unreduced(q, d) + _Unreduced(Polynomial.const(1), q)
+    s = Quotient(q, d) + Quotient(Polynomial.const(1), q)
     assert s.num == q * q + d and s.den == d * q
 
 
 def test_unreduced_partial_is_the_plain_quotient_rule():
     q, p, t = (Polynomial.variable(v) for v in VARS)
     n, d = q ** 2 + t, q * p + 1
-    u = _Unreduced(n, d).partial("q")
+    u = Quotient(n, d).partial("q")
     assert u.num == n.diff("q") * d - n * d.diff("q") and u.den == d * d
     # a denominator free of the variable is kept as it is
-    u = _Unreduced(n, d).partial("t")
+    u = Quotient(n, d).partial("t")
     assert u.num == Polynomial.const(1) and u.den == d
 
 
@@ -794,7 +794,7 @@ def test_unreduced_zero_test_takes_no_gcd(monkeypatch):
     calls = []
     monkeypatch.setattr(exact, "poly_gcd",
                         lambda a, b: calls.append(1) or poly_gcd(a, b))
-    u = _Unreduced.of(f)
+    u = Quotient.of(f)
     # d/dq (f * g) = f_q * g + f
     zero = u.partial("q") * g + u - (u * g).partial("q")
     assert zero.is_zero() and str(zero) == "0" and not zero
@@ -806,17 +806,52 @@ def test_unreduced_zero_test_takes_no_gcd(monkeypatch):
 
 def test_unreduced_substitution_guards():
     q, p = rfvar("q"), rfvar("p")
-    u = _Unreduced.of(1 / (q - p))
+    u = Quotient.of(1 / (q - p))
     with pytest.raises(IdenticallyZeroDenominator):
         u.substitute({"q": p})
     with pytest.raises(ExactError):
-        _Unreduced.of("q")
+        Quotient.of("q")
+    with pytest.raises(DivisionByZero):
+        Quotient(Polynomial.variable("q"), Polynomial.zero())
     # every binding is checked, of a variable u leaves out as well
     for bad in ({"c": 0.5}, {"c": "q"}, {"nope": 0}, {"q": 1, "c": 0.5}):
         with pytest.raises(ExactError):
             u.substitute(bad)
     with pytest.raises(ExactError):
         u ** -1
+
+
+def test_quotient_equality_is_exact_and_takes_no_gcd(monkeypatch):
+    q, p, t = (Polynomial.variable(v) for v in VARS)
+    calls = []
+    monkeypatch.setattr(exact, "poly_gcd",
+                        lambda a, b: calls.append(1) or poly_gcd(a, b))
+    y = Polynomial.variable("y")
+    assert Quotient.of(y) == rfvar("y") and rfvar("y") == Quotient.of(y)
+    assert Quotient.of(y) == Quotient.of(y) and Quotient.of(y) == y
+    # the same value from two pairs that share different factors
+    assert Quotient(q * p, p * t) == Quotient(q * (q + 1), t * (q + 1))
+    assert Quotient(2 * q, 2 * q) == 1 and 1 == Quotient(2 * q, 2 * q)
+    assert Quotient(q, 2 * q) == Fraction(1, 2)
+    assert Quotient(q, t) != Quotient(t, q) and Quotient.of(q) != p
+    assert Quotient.of(q) != "q" and Quotient.of(0) == 0
+    assert calls == []
+    with pytest.raises(TypeError):
+        hash(Quotient.of(q))
+
+
+# equality cross-multiplies, so it is checked against the canonical forms on
+# the expressions whose canonicalization the tests above already take
+@settings(max_examples=60, deadline=None)
+@given(expressions(1), expressions(1))
+def test_quotient_equality_is_equality_of_canonical_forms(pair_a, pair_b):
+    (a, ua), (b, ub) = pair_a, pair_b
+    for x in (ub, Quotient.of(b), Quotient.of(a)):
+        assert (ua == x) == (ua.canonical() == x.canonical())
+        assert (x == ua) == (ua == x) and (ua != x) == (not ua == x)
+    # a canonical operand on either side compares as its own pair
+    assert (ua == b) == (b == ua) == (ua == Quotient.of(b))
+    assert ua == a and a == ua
 
 
 # -- int coefficients -------------------------------------------------------
@@ -864,7 +899,7 @@ def substituted(x, y):
     """x/y with q -> y/x and p -> x, or None where the denominator
     vanishes identically."""
     try:
-        return _Unreduced(x, y).substitute({"q": _Unreduced(y, x), "p": x})
+        return Quotient(x, y).substitute({"q": Quotient(y, x), "p": x})
     except IdenticallyZeroDenominator:
         return None
 
@@ -951,6 +986,17 @@ def test_stored_coefficients_are_ints_where_integral(a, b):
         p = Polynomial.const(k)
         (c,) = _stored(p)
         assert type(c) is kind and type(p.constant_value()) is Fraction
+
+
+@given(st.one_of(polys(), rational_polys()))
+def test_terms_lists_the_packed_terms_as_tuples(p):
+    # reference: each packed key read field by field, in stored order
+    want = [(tuple((k >> s) & 0xFF for s in _SHIFT), Fraction(q))
+            for k, q in p._terms.items()]
+    assert list(p.terms.items()) == want
+    assert all(type(q) is Fraction for _, q in p.terms.items())
+    back = Polynomial(p.terms)
+    assert back == p and list(back._terms) == list(p._terms)
 
 
 # -- unit and one-term factors ----------------------------------------------
@@ -1082,18 +1128,18 @@ def monomial_bindings(draw):
     coeff * c^e * y^a * z^b over k * z^m."""
     kind = draw(st.sampled_from(("constant", "variable", "inverse", "quotient")))
     if kind == "constant":
-        return _Unreduced.of(draw(st.sampled_from(
+        return Quotient.of(draw(st.sampled_from(
             (0, -1, 1, 2, Fraction(1, 2), Fraction(-3, 4)))))
     v = Polynomial.variable(draw(st.sampled_from(MVARS)))
     if kind == "variable":
-        return _Unreduced.of(v)
+        return Quotient.of(v)
     if kind == "inverse":
-        return _Unreduced(Polynomial.const(1), v)
+        return Quotient(Polynomial.const(1), v)
     num = monomial(draw(rational_coeffs.filter(bool)), c=draw(st.integers(0, 1)),
                    y=draw(st.integers(0, 3)), z=draw(st.integers(0, 3)))
     den = monomial(draw(st.sampled_from((1, -1, 2, 3, Fraction(2, 3)))),
                    z=draw(st.integers(0, 2)))
-    return _Unreduced(num, den)
+    return Quotient(num, den)
 
 
 def bound(bindings):
@@ -1117,9 +1163,9 @@ def outcome(route, *args):
                                     min_size=1, max_size=3),
        st.integers(0, 2))
 @example(monomial(3, c=2, y=1) + monomial(Fraction(1, 2), y=1, z=1),
-         {"c": _Unreduced.of(0)}, 0)
+         {"c": Quotient.of(0)}, 0)
 @example(monomial(1, y=2) - monomial(1, z=2),
-         {"y": _Unreduced.of(Polynomial.variable("z"))}, 1)
+         {"y": Quotient.of(Polynomial.variable("z"))}, 1)
 def test_monomial_substitution_matches_the_general_loop(p, bindings, extra):
     subs = bound(bindings)
     top = {i: max(_deg_idx(p, i), 0) + extra for i in subs}
@@ -1132,9 +1178,9 @@ def test_monomial_substitution_matches_the_general_loop(p, bindings, extra):
     num, den = (expanded_subs_cleared(x, subs, top) for x in (p, d))
     if not den:
         with pytest.raises(IdenticallyZeroDenominator):
-            _Unreduced(p, d).substitute(bindings)
+            Quotient(p, d).substitute(bindings)
     else:
-        u = _Unreduced(p, d).substitute(bindings)
+        u = Quotient(p, d).substitute(bindings)
         assert (listed(u.num), listed(u.den)) == (listed(num), listed(den))
     if all(v.den == 1 for v in subs.values()):
         want = expanded_subs_cleared(p, subs, dict.fromkeys(subs, 0))
@@ -1153,16 +1199,16 @@ any_bindings = st.dictionaries(
 
 @settings(deadline=None)
 @given(cyz_polys(), cyz_polys().filter(bool), any_bindings)
-@example(Polynomial.const(1), monomial(1, y=1), {"c": _Unreduced.of(0)})
+@example(Polynomial.const(1), monomial(1, y=1), {"c": Quotient.of(0)})
 @example(monomial(1, y=2) + monomial(2, c=1), monomial(1, z=1),
-         {"t": _Unreduced.of(Polynomial.variable("q")) + 1,
-          "c": _Unreduced(Polynomial.const(1), Polynomial.variable("z"))})
+         {"t": Quotient.of(Polynomial.variable("q")) + 1,
+          "c": Quotient(Polynomial.const(1), Polynomial.variable("z"))})
 def test_substitution_matches_the_full_loop_over_every_binding(p, d, bindings):
     """Bindings of variables in neither p nor d are dropped before the
     clearing loop; what is left gives the same terms, in the same order,
     as the general loop over every binding, and with nothing left the
     quotient itself comes back."""
-    u, subs = _Unreduced(p, d), bound(bindings)
+    u, subs = Quotient(p, d), bound(bindings)
     top = {i: max(_deg_idx(p, i), _deg_idx(d, i)) for i in subs}
     num, den = (expanded_subs_cleared(x, subs, top) for x in (p, d))
     if not den:
@@ -1187,7 +1233,7 @@ def test_monomial_substitution_near_the_degree_ceiling(p, bindings):
 
 def test_monomial_substitution_past_the_degree_ceiling_raises():
     y, z = Polynomial.variable("y"), Polynomial.variable("z")
-    yz = {var_index("y"): _Unreduced.of(y * z)}
+    yz = {var_index("y"): Quotient.of(y * z)}
     at = y ** 63 * z                  # y -> y*z gives degree 127, the bound
     got = exact._subs_cleared(at, yz, {var_index("y"): 63})
     assert listed(got) == listed(y ** 63 * z ** 64)
@@ -1201,11 +1247,34 @@ def test_monomial_substitution_past_the_degree_ceiling_raises():
         past.subs_poly({"y": y * z})
     # a term sent to zero by c -> 0 still raises, as the general loop takes
     # the power of z^64 before it multiplies by the zero
-    subs = bound({"c": _Unreduced.of(0), "y": _Unreduced.of(z ** 64)})
+    subs = bound({"c": Quotient.of(0), "y": Quotient.of(z ** 64)})
     p = Polynomial.variable("c") * y ** 2
     for route in (exact._subs_cleared, expanded_subs_cleared):
         with pytest.raises(ExactError, match="exceeds 127"):
             route(p, subs, {i: 2 for i in subs})
+
+
+def test_no_module_imports_a_private_name_of_exact():
+    # other modules use exact's public names only: no underscore name is
+    # imported from it or read off it as an attribute
+    found = []
+    for path in sorted(Path(exact.__file__).parent.glob("*.py")):
+        if path.name == "exact.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    (node.level == 1 and node.module == "exact")
+                    or node.module == "p2lab.exact"):
+                names = [a.name for a in node.names]
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "exact"):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}"
+                      for name in names if name.startswith("_")]
+    assert not found
 
 
 # the packed-key helpers and the Polynomial internals that hold packed keys
