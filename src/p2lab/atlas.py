@@ -19,7 +19,7 @@ Fixed-t statements drop the dt components.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -42,17 +42,10 @@ class AtlasError(Exception):
 # transitions
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(namedtuple("Transition", "source target y_img z_img")):
     """Target coordinates as rational functions of source coordinates
-    (and t, c).  ``domain`` is a polynomial whose nonvanishing defines
-    where the change is regular."""
-
-    source: str
-    target: str
-    y_img: RationalFunction
-    z_img: RationalFunction
-    domain: Polynomial
+    (and t, c).  No ``__slots__``: the instance ``__dict__`` holds the
+    cached properties."""
 
     @cached_property
     def jacobian(self) -> tuple:
@@ -96,32 +89,25 @@ def transition(source: str, target: str) -> Transition:
     key = (source, target)
     if key in (("W2", "W1"), ("W4", "W3")):    # the fibre inversion z -> 1/z
         sy, sz = CHART_VARS[source]
-        return Transition(source, target, rfvar(sy), 1 / rfvar(sz),
-                          Polynomial.variable(sz))
+        return Transition(source, target, rfvar(sy), 1 / rfvar(sz))
     t, c = rfvars("t", "c")
     y1, z1 = rfvars("y1", "z1")
     y3, z3 = rfvars("y3", "z3")
     y12, z12 = rfvars("y12", "z12")
     if key == ("W1", "W3"):
-        return Transition("W1", "W3", 1 / y1, c * y1 - y1 ** 2 * z1,
-                          Polynomial.variable("y1"))
+        return Transition("W1", "W3", 1 / y1, c * y1 - y1 ** 2 * z1)
     if key == ("W3", "W1"):
-        return Transition("W3", "W1", 1 / y3, y3 * (c - y3 * z3),
-                          Polynomial.variable("y3"))
+        return Transition("W3", "W1", 1 / y3, y3 * (c - y3 * z3))
     if key == ("W3", "W12"):
-        return Transition("W3", "W12", y3, z3 - _shear_tail(y3, c, t),
-                          Polynomial.variable("y3"))
+        return Transition("W3", "W12", y3, z3 - _shear_tail(y3, c, t))
     if key == ("W12", "W3"):
-        return Transition("W12", "W3", y12, z12 + _shear_tail(y12, c, t),
-                          Polynomial.variable("y12"))
+        return Transition("W12", "W3", y12, z12 + _shear_tail(y12, c, t))
     if key == ("W1", "W12"):
         return Transition("W1", "W12", 1 / y1,
-                          -(c + 1) * y1 - y1 ** 2 * (z1 + 2 * y1 ** 2 + t),
-                          Polynomial.variable("y1"))
+                          -(c + 1) * y1 - y1 ** 2 * (z1 + 2 * y1 ** 2 + t))
     if key == ("W12", "W1"):
         return Transition("W12", "W1", 1 / y12,
-                          y12 * (-(c + 1) - y12 * z12) - 2 / y12 ** 2 - t,
-                          Polynomial.variable("y12"))
+                          y12 * (-(c + 1) - y12 * z12) - 2 / y12 ** 2 - t)
     raise AtlasError(f"unknown chart pair {key}")
 
 
@@ -202,15 +188,12 @@ def hamilton_field(chart: str) -> tuple[RationalFunction, RationalFunction]:
 # relative forms over the c-line
 
 
-@dataclass(frozen=True)
-class RelTwoForm:
+class RelTwoForm(namedtuple("RelTwoForm", "dy_dz dy_dt dz_dt")):
     """A*dy^dz + B*dy^dt + C*dz^dt in a fixed chart's coordinates.  The
     coefficients are canonical in a chart's own form and unreduced
     quotients in a pulled-back form or a difference with one."""
 
-    dy_dz: RationalFunction | Quotient
-    dy_dt: RationalFunction | Quotient
-    dz_dt: RationalFunction | Quotient
+    __slots__ = ()
 
     def is_zero(self) -> bool:
         return (self.dy_dz.is_zero() and self.dy_dt.is_zero()
@@ -222,14 +205,12 @@ class RelTwoForm:
                           self.dz_dt - other.dz_dt)
 
 
-@dataclass(frozen=True)
-class RelOneForm:
+class RelOneForm(namedtuple("RelOneForm", "dy dz")):
     """A*dy + B*dz at fixed (t, c).  The coefficients are canonical in a
     cocycle value and unreduced quotients in a pulled-back form or a sum
     with one."""
 
-    dy: RationalFunction | Quotient
-    dz: RationalFunction | Quotient
+    __slots__ = ()
 
     def is_zero(self) -> bool:
         return self.dy.is_zero() and self.dz.is_zero()

@@ -23,7 +23,7 @@ declaration of the phase-side symmetries: the atlas involution reads
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -48,13 +48,12 @@ class DenominatorVanishes(BacklundError):
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class Derivation:
-    """D with prescribed images on the listed variables; all other
-    variables are constants, and t always has image 1."""
+class Derivation(namedtuple("Derivation", "name images")):
+    """D with prescribed images on the listed variables, ``images`` a
+    tuple of (var, RationalFunction) pairs; all other variables are
+    constants, and t always has image 1."""
 
-    name: str
-    images: tuple  # ((var, RationalFunction), ...)
+    __slots__ = ()
 
     def of(self, expr):
         """D(expr): a canonical ``RationalFunction`` for one (or for
@@ -90,17 +89,14 @@ PHASE = _phase_derivation()
 # solution-level maps
 
 
-@dataclass(frozen=True)
-class PIIMap:
+class PIIMap(namedtuple("PIIMap", "name r g")):
     """Solution image r(t, y, yp, alpha) and parameter image g(alpha)."""
 
-    name: str
-    r: RationalFunction
-    g: RationalFunction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", RationalFunction.coerce(self.r))
-        object.__setattr__(self, "g", RationalFunction.coerce(self.g))
+    def __new__(cls, name, r, g):
+        coerce = RationalFunction.coerce
+        return super().__new__(cls, name, coerce(r), coerce(g))
 
 
 @lru_cache(maxsize=None)
@@ -151,18 +147,15 @@ def pii_residual(m: PIIMap) -> Quotient:
 # phase-level maps
 
 
-@dataclass(frozen=True)
-class PhaseMap:
+class PhaseMap(namedtuple("PhaseMap", "name q_img p_img c_img")):
     """(q, p) |-> (q_img, p_img) over the parameter change c |-> c_img."""
 
-    name: str
-    q_img: RationalFunction
-    p_img: RationalFunction
-    c_img: RationalFunction
+    __slots__ = ()
 
-    def __post_init__(self):
-        for f in ("q_img", "p_img", "c_img"):
-            object.__setattr__(self, f, RationalFunction.coerce(getattr(self, f)))
+    def __new__(cls, name, q_img, p_img, c_img):
+        coerce = RationalFunction.coerce
+        return super().__new__(cls, name, coerce(q_img), coerce(p_img),
+                               coerce(c_img))
 
     def compose(self, other: "PhaseMap") -> "PhaseMap":
         """self after other (c-images composed the same way)."""

@@ -36,7 +36,7 @@ through curves defined on W1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -88,19 +88,17 @@ class RegimeSplit(BlowupError):
     """The curve is reducible in this regime; split it before computing."""
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(namedtuple("CurveSpec", "name chart poly proper_steps",
+                           defaults=(8,))):
     """A curve on the ruled surface: one equation in one chart.
 
-    ``proper_steps`` is how many blow-ups the transform is proper through;
-    the remaining centers contribute nothing even if the strict transform
-    passes through them (used for the total-transform convention of C4).
+    ``proper_steps`` is how many blow-ups the transform is proper through
+    (8 unless given); the remaining centers contribute nothing even if
+    the strict transform passes through them (used for the
+    total-transform convention of C4).
     """
 
-    name: str
-    chart: str
-    poly: Polynomial
-    proper_steps: int = 8
+    __slots__ = ()
 
 
 def _p(name: str) -> Polynomial:
@@ -233,19 +231,15 @@ def to_w4(spec: CurveSpec, regime: str) -> Polynomial | None:
 # the chain
 
 
-@dataclass
-class ChainStep:
-    index: int
-    chart_vars: tuple[str, str]
-    multiplicity: int
-    strict: Polynomial
+ChainStep = namedtuple("ChainStep", "index chart_vars multiplicity strict")
 
 
-@dataclass
-class ChainTrace:
-    w4_equation: Polynomial | None
-    steps: list[ChainStep] = field(default_factory=list)
-    dropped_section_power: int = 0  # z8-adic valuation lost at the inversion
+class ChainTrace(namedtuple("ChainTrace",
+                            "w4_equation steps dropped_section_power")):
+    """The eight ``ChainStep``s of a curve, and the z8-adic valuation
+    dropped at the inversion; no steps when it misses the W4 chart."""
+
+    __slots__ = ()
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
@@ -259,14 +253,13 @@ def chain_trace(spec: CurveSpec, regime: str = "generic") -> ChainTrace:
     p0 = _specialize(spec.poly, regime)
     _check_curve_ok(p0, regime, atlas.CHART_VARS[spec.chart])
     w4 = to_w4(spec, regime)
-    trace = ChainTrace(w4_equation=w4)
     if w4 is None:
-        return trace
+        return ChainTrace(None, (), 0)
     c_poly = _regime_c(regime)
-    cur = w4
+    cur, steps, dropped = w4, [], 0
     for k, (ny, nz, center_fn) in enumerate(_CHAIN):
         if k == 4:
-            cur, trace.dropped_section_power = cur.strip_var("z8")
+            cur, dropped = cur.strip_var("z8")
             cur = _numerator_after(cur, _INVERSION)
             if cur.is_constant():
                 break   # the whole curve lay in the section leaving the chart
@@ -275,12 +268,12 @@ def chain_trace(spec: CurveSpec, regime: str = "generic") -> ChainTrace:
             z_cur = _CHAIN_Z[k]
             cur = cur.subs_poly({z_cur: Polynomial.variable(z_cur) + center})
         cur, m = cur.subs_poly(_BLOW_UP[k]).strip_var(ny)
-        trace.steps.append(ChainStep(k + 1, (ny, nz), m, cur))
+        steps.append(ChainStep(k + 1, (ny, nz), m, cur))
         if cur.is_constant():
             break
-    trace.steps.extend(ChainStep(j + 1, ("", ""), 0, cur)
-                       for j in range(len(trace.steps), 8))
-    return trace
+    steps.extend(ChainStep(j + 1, ("", ""), 0, cur)
+                 for j in range(len(steps), 8))
+    return ChainTrace(w4, tuple(steps), dropped)
 
 
 def multiplicities(spec: CurveSpec, regime: str = "generic") -> tuple[int, ...]:
@@ -423,13 +416,8 @@ def stated_intersections(regime: str = "generic") -> list[tuple[str, str, int]]:
     ] + [("C4prime", f"D{i}", 0) for i in range(8)]
 
 
-@dataclass(frozen=True)
-class TableCheck:
-    a: str
-    b: str
-    computed: int
-    stated: int
-    status: str  # "pass" | "fail" | "known-discrepancy"
+# status is "pass", "fail" or "known-discrepancy"
+TableCheck = namedtuple("TableCheck", "a b computed stated status")
 
 
 def verify_intersection_table(regime: str = "generic") -> list[TableCheck]:

@@ -18,29 +18,21 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import atlas, backlund, blowup, flow, intlinalg, lattice, weyl
 from .exact import Polynomial, rfvar
 
 
-@dataclass
-class Check:
-    id: str
-    status: str               # pass | fail | known-discrepancy
-    computed: object = None
-    expected: object = None
-    note: str = ""
-
-    def as_json(self) -> dict:
-        return {"id": self.id, "status": self.status,
-                "computed": self.computed, "expected": self.expected,
-                "note": self.note}
+def _entry(cid, status, computed=None, expected=None, note="") -> dict:
+    """One check of the report; status is pass, fail or
+    known-discrepancy."""
+    return {"id": cid, "status": status, "computed": computed,
+            "expected": expected, "note": note}
 
 
-def _check(cid, ok, computed=None, expected=None, note="") -> Check:
-    return Check(cid, "pass" if ok else "fail", computed, expected, note)
+def _check(cid, ok, computed=None, expected=None, note="") -> dict:
+    return _entry(cid, "pass" if ok else "fail", computed, expected, note)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +109,8 @@ def lattice_checks() -> list:
     # every stated intersection number, recomputed from curve equations
     for regime in lattice.REGIMES:
         for tc in blowup.verify_intersection_table(regime):
-            checks.append(Check(f"table[{regime}] {tc.a}.{tc.b}", tc.status,
-                                tc.computed, tc.stated))
+            checks.append(_entry(f"table[{regime}] {tc.a}.{tc.b}", tc.status,
+                                 tc.computed, tc.stated))
         eng = blowup.engine_classes(regime)
         regn = lattice.named_classes(regime)
         for name in sorted(set(eng) & set(regn)):
@@ -189,11 +181,11 @@ def lattice_checks() -> list:
                          {n: str(v) for n, v in low.items()},
                          {n: str(weyl.STATED_GAMMA_MOD[n]) for n in low}))
     high = {n: weyl.gamma_mod(n) for n in sorted(weyl.GAMMA_ALLOWLIST)}
-    checks.append(Check("orbit-stated-high", "known-discrepancy",
-                        {n: str(v) for n, v in high.items()},
-                        {n: str(weyl.STATED_GAMMA_MOD[n]) for n in high},
-                        "the shipped reference list conflicts with its own "
-                        "recurrence; the recurrence values are used"))
+    checks.append(_entry("orbit-stated-high", "known-discrepancy",
+                         {n: str(v) for n, v in high.items()},
+                         {n: str(weyl.STATED_GAMMA_MOD[n]) for n in high},
+                         "the shipped reference list conflicts with its own "
+                         "recurrence; the recurrence values are used"))
     return checks
 
 
@@ -366,7 +358,7 @@ def run_suite(name: str) -> dict:
         except Exception as exc:
             errors.append(_check(f"suite-error[{n}]", False,
                                  f"{type(exc).__name__}: {exc}"))
-    return {"suite": name, "checks": [c.as_json() for c in checks + errors]}
+    return {"suite": name, "checks": checks + errors}
 
 
 def _print_report(rep: dict, as_json: bool) -> int:

@@ -51,9 +51,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from . import atlas, backlund
 from .exact import Polynomial, Quotient, RationalFunction, var_index
@@ -84,40 +83,24 @@ MAX_STEPS = 200_000
 NO_CHART_BOUND = 1e8
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    switch_threshold: float = 5.0
+class IntegratorConfig(namedtuple("IntegratorConfig",
+                                  "rtol atol switch_threshold")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, rtol=1e-10, atol=1e-12, switch_threshold=5.0):
         # written so that nan fails too
-        if not (self.rtol > 0 and self.atol > 0):
+        if not (rtol > 0 and atol > 0):
             raise FlowError("tolerances must be positive")
-        if not self.switch_threshold > 1:
+        if not switch_threshold > 1:
             raise FlowError("switch threshold must exceed 1")
+        return super().__new__(cls, rtol, atol, switch_threshold)
 
 
-class FlowState(NamedTuple):
-    chart: str
-    y: float
-    z: float
-    t: float
-    c: float
+FlowState = namedtuple("FlowState", "chart y z t c")
+SwitchEvent = namedtuple(
+    "SwitchEvent", "t from_chart to_chart y_pre z_pre y_post z_post")
 
 
-@dataclass(frozen=True)
-class SwitchEvent:
-    t: float
-    from_chart: str
-    to_chart: str
-    y_pre: float
-    z_pre: float
-    y_post: float
-    z_post: float
-
-
-@dataclass
 class StepStats:
     """What one integration did.  A step is rejected for its error norm
     (above 1), for an OverflowError in its stages or its norm, or for a
@@ -127,15 +110,17 @@ class StepStats:
     first stage returned, so an attempt whose first stage overflows counts
     one; h_min and h_max range over the accepted |h|, and chart_steps counts
     the accepted steps taken in each chart."""
-    field_evals: int = 0
-    accepted: int = 0
-    rejected_error: int = 0
-    rejected_overflow: int = 0
-    rejected_non_finite: int = 0
-    forced: int = 0
-    h_min: float = math.inf
-    h_max: float = 0.0
-    chart_steps: dict = field(default_factory=dict)
+
+    __slots__ = ("field_evals", "accepted", "rejected_error",
+                 "rejected_overflow", "rejected_non_finite", "forced",
+                 "h_min", "h_max", "chart_steps")
+
+    def __init__(self):
+        self.field_evals = self.accepted = self.forced = 0
+        self.rejected_error = self.rejected_overflow = 0
+        self.rejected_non_finite = 0
+        self.h_min, self.h_max = math.inf, 0.0
+        self.chart_steps = {}
 
     @property
     def rejected(self) -> int:
@@ -143,12 +128,16 @@ class StepStats:
                 + self.rejected_non_finite)
 
 
-@dataclass
 class Trajectory:
-    c: float
-    states: list = field(default_factory=list)
-    switches: list = field(default_factory=list)
-    stats: StepStats = field(default_factory=StepStats)
+    """The accepted states (``FlowState``s) and chart switches
+    (``SwitchEvent``s) of one integration at parameter c, and its
+    ``StepStats``."""
+
+    __slots__ = ("c", "states", "switches", "stats")
+
+    def __init__(self, c: float):
+        self.c = c
+        self.states, self.switches, self.stats = [], [], StepStats()
 
     @property
     def final(self) -> FlowState:

@@ -14,7 +14,7 @@ equations, and tests compare the two routes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -53,24 +53,25 @@ class Degenerate(LatticeError):
     """The Gram matrix of the proposed basis is singular."""
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(namedtuple("DivisorClass", "coeffs")):
     """Integer vector in the (S, f, E1..E8) basis."""
 
-    coeffs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coeffs) != RANK or not all(isinstance(x, int) for x in self.coeffs):
+    def __new__(cls, coeffs):
+        if len(coeffs) != RANK or not all(isinstance(x, int) for x in coeffs):
             raise LatticeError("a divisor class needs 10 integer coefficients")
+        return super().__new__(cls, coeffs)
 
     @classmethod
     def of(cls, **components) -> "DivisorClass":
         v = [0] * RANK
         for name, value in components.items():
             try:
-                v[BASIS.index(name)] = int(value)
+                i = BASIS.index(name)
             except ValueError:
                 raise LatticeError(f"unknown basis element {name!r}") from None
+            v[i] = value
         return cls(tuple(v))
 
     @classmethod
@@ -167,14 +168,8 @@ def express_in_basis(target: DivisorClass, basis: list[DivisorClass]) -> list[in
     return x
 
 
-@dataclass(frozen=True)
-class EulerInvariants:
-    K2: int
-    c2: int
-    chi_theta: int
-    h1_theta: int
-    h1_log: int
-    h1_log_plus: int
+EulerInvariants = namedtuple(
+    "EulerInvariants", "K2 c2 chi_theta h1_theta h1_log h1_log_plus")
 
 
 def euler_invariants() -> EulerInvariants:

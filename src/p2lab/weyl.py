@@ -24,7 +24,7 @@ pair as the unit matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -70,18 +70,17 @@ def param_apply(word, c) -> Fraction:
 # induced isometries of the class lattice
 
 
-@dataclass(frozen=True)
-class LatticeIsometry:
+class LatticeIsometry(namedtuple("LatticeIsometry", "matrix")):
     """Integer matrix over (S, f, E1..E8) preserving the pairing."""
 
-    matrix: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = tuple(tuple(row) for row in self.matrix)
+    def __new__(cls, matrix):
+        m = tuple(tuple(row) for row in matrix)
         g = lattice.GRAM
         if intlinalg.matmul(intlinalg.matmul(intlinalg.transpose(m), g), m) != g:
             raise NotIsometry("matrix does not preserve the intersection form")
-        object.__setattr__(self, "matrix", m)
+        return super().__new__(cls, m)
 
     def apply(self, cls: DivisorClass) -> DivisorClass:
         return DivisorClass(tuple(intlinalg.matvec(self.matrix, cls.coeffs)))

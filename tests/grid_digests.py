@@ -1,8 +1,15 @@
-"""Byte-identity replay of every command of the benchmark grid
-(``perfbench/workloads.py``): the 421 lattice-side commands of
-``lattice_grid()`` (curves, orbits, gammas and periods), twice in one
-process, cold then warm, and the 638 `p2lab integrate` commands of
-``integrate_grid()``.
+"""Byte-identity replay of every pinned output, stdlib only:
+
+- a cold ``p2lab verify all --json``, the first command of the process,
+  against ``perfbench/expected/verify_all.json`` (its check list and its
+  sha256), which ``perfbench/make_expected.py`` records;
+- the 421 lattice-side commands of the benchmark grid's
+  ``lattice_grid()`` (``perfbench/workloads.py``: curves, orbits, gammas
+  and periods), twice, cold then warm;
+- the 638 `p2lab integrate` commands of ``integrate_grid()``;
+- the README pole demo, whose stdout's sha256 is ``tests/pole_demo.sha256``;
+- the W12 trajectory, whose stdout then stderr hash to
+  ``tests/w12_trajectory.sha256``.
 
     python tests/grid_digests.py            # replay, compare with the files
     python tests/grid_digests.py --write    # record the integrate digests,
@@ -10,17 +17,15 @@ process, cold then warm, and the 638 `p2lab integrate` commands of
 
 Each command runs in-process through ``p2lab.cli.run``.  A lattice
 command's stdout is checked by ``workloads.check_lattice`` against
-``perfbench/expected/lattice_tables.json``, which
-``perfbench/make_expected.py`` records; the warm pass reads every cache
-the cold pass filled.  An integrate command's digest is the sha256 of
-``json.dumps([exit status, stdout, stderr])``; the digests are kept in
+``perfbench/expected/lattice_tables.json``; the warm pass reads every
+cache the cold pass filled.  An integrate command's digest is the sha256
+of ``json.dumps([exit status, stdout, stderr])``; the digests are kept in
 ``tests/integrate_grid.json``, keyed by the space-joined argv.  The
 script prints one line per group and exits 1 on any mismatch.
 """
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import io
 import json
 import sys
@@ -28,6 +33,10 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 DIGESTS = HERE / "integrate_grid.json"
+POLE_DEMO = ["integrate", "--c", "1/2", "--t0", "0", "--t1", "8",
+             "--q0", "0", "--p0", "0"]
+W12_TRAJECTORY = ["integrate", "--c=-1", "--t0=0.0", "--t1=10.0",
+                  "--q0=-1.5", "--p0=0.0"]
 
 
 def load_workloads():
@@ -43,7 +52,8 @@ def integrate_grid() -> list:
     return load_workloads().integrate_grid()
 
 
-def digest(argv) -> str:
+def run(argv) -> tuple:
+    """Exit status, stdout and stderr of one in-process ``cli.run``."""
     from p2lab import cli
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -51,8 +61,11 @@ def digest(argv) -> str:
             code = cli.run(list(argv))
         except SystemExit as exc:
             code = exc.code
-    text = json.dumps([code, out.getvalue(), err.getvalue()])
-    return hashlib.sha256(text.encode()).hexdigest()
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(argv) -> str:
+    return load_workloads().digest(json.dumps(list(run(argv))))
 
 
 def load() -> dict:
@@ -67,18 +80,40 @@ def mismatches(commands, expected: dict) -> list:
             if digest(argv) != expected.get(" ".join(argv))]
 
 
+def committed_verify_digest() -> str:
+    """The sha256 of ``verify all --json`` that the benchmark checks, read
+    here and never written."""
+    return load_workloads().load_expected("verify_all")["sha256"]
+
+
+def verify_mismatch() -> str:
+    """Why ``verify all --json`` differs from the committed report, or the
+    empty string."""
+    wl = load_workloads()
+    code, out, _ = run(wl.VERIFY_ALL_ARGV)
+    return wl.check_verify_all(out, code, wl.load_expected("verify_all"))
+
+
+def pinned_mismatch(argv, name: str, with_stderr: bool = False) -> str:
+    """Why the command's stdout (then stderr, with ``with_stderr``) does
+    not hash to the digest in ``tests/<name>``, or the empty string."""
+    want = (HERE / name).read_text().strip()
+    code, out, err = run(argv)
+    got = load_workloads().digest(out + err if with_stderr else out)
+    if code != 0:
+        return f"exit status {code}"
+    return "" if got == want else f"sha256 {got}, not {want}"
+
+
 def lattice_mismatches(commands) -> list:
     """The lattice commands whose stdout or exit status differs from the
     committed one, each with the reason."""
-    from p2lab import cli
     wl = load_workloads()
     expected = wl.load_expected("lattice_tables")
     bad = []
     for argv in commands:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            rc = cli.run(argv)
-        why = wl.check_lattice(argv, out.getvalue(), rc, expected)
+        rc, out, _ = run(argv)
+        why = wl.check_lattice(argv, out, rc, expected)
         if why:
             bad.append(" ".join(argv) + ": " + why)
     return bad
@@ -95,14 +130,29 @@ def main(argv=None) -> int:
     if args:
         print(__doc__, file=sys.stderr)
         return 2
+    bad = []
+
+    def report(lines, ok: str):
+        bad.extend(lines)
+        print("\n".join(lines) or ok)
+
+    why = verify_mismatch()
+    report([f"verify all --json, cold: {why}"] if why else [],
+           "verify all --json matches the committed report, cold")
     lattice = load_workloads().lattice_grid()
-    bad_lattice = [f"{label} {line}" for label in ("cold", "warm")
-                   for line in lattice_mismatches(lattice)]
-    print("\n".join(bad_lattice)
-          or f"all {len(lattice)} lattice commands match, cold and warm")
-    bad = mismatches(commands, load())
-    print("\n".join(bad) or f"all {len(commands)} integrate commands match")
-    return 1 if bad or bad_lattice else 0
+    report([f"{label} {line}" for label in ("cold", "warm")
+            for line in lattice_mismatches(lattice)],
+           f"all {len(lattice)} lattice commands match, cold and warm")
+    report(mismatches(commands, load()),
+           f"all {len(commands)} integrate commands match")
+    for label, argv, name, with_stderr in (
+            ("pole demo", POLE_DEMO, "pole_demo.sha256", False),
+            ("W12 trajectory (stdout, then stderr)", W12_TRAJECTORY,
+             "w12_trajectory.sha256", True)):
+        why = pinned_mismatch(argv, name, with_stderr)
+        report([f"{label}: {why}"] if why else [],
+               f"{label} matches tests/{name}")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

@@ -356,20 +356,19 @@ def substitution_chain_trace(spec, regime="generic"):
                   "W4": ("y4", "z4")}[spec.chart]
     blowup._check_curve_ok(p0, regime, chart_vars)
     w4 = blowup.to_w4(spec, regime)
-    trace = blowup.ChainTrace(w4_equation=w4)
     if w4 is None:
-        return trace
+        return blowup.ChainTrace(None, (), 0)
     cval = blowup.REGIME_C[regime]
     c_poly = Polynomial.variable("c") if cval is None else Polynomial.const(cval)
-    cur = w4
+    cur, steps, dropped = w4, [], 0
     for k, (ny, nz, center_fn) in enumerate(blowup._CHAIN):
         y_cur, z_cur = blowup._CHAIN_Y[k], blowup._CHAIN_Z[k]
         if k == 4:
-            cur, trace.dropped_section_power = tuple_invert_z8(cur)
+            cur, dropped = tuple_invert_z8(cur)
             if cur.is_constant():
-                trace.steps.extend(blowup.ChainStep(j + 1, ("", ""), 0, cur)
-                                   for j in range(k, 8))
-                return trace
+                steps.extend(blowup.ChainStep(j + 1, ("", ""), 0, cur)
+                             for j in range(k, 8))
+                break
         center = center_fn(c_poly)
         local = cur.subs_poly({z_cur: Polynomial.variable(z_cur) + center})
         expected = tuple_vanishing_order(local, y_cur, z_cur)
@@ -377,12 +376,12 @@ def substitution_chain_trace(spec, regime="generic"):
         cur = cur.subs_poly({y_cur: nyp, z_cur: center + nyp * nzp})
         cur, m = tuple_strip_var(cur, ny)
         assert m == expected
-        trace.steps.append(blowup.ChainStep(k + 1, (ny, nz), m, cur))
+        steps.append(blowup.ChainStep(k + 1, (ny, nz), m, cur))
         if cur.is_constant():
-            trace.steps.extend(blowup.ChainStep(j + 1, ("", ""), 0, cur)
-                               for j in range(k + 1, 8))
+            steps.extend(blowup.ChainStep(j + 1, ("", ""), 0, cur)
+                         for j in range(k + 1, 8))
             break
-    return trace
+    return blowup.ChainTrace(w4, tuple(steps), dropped)
 
 
 def trace_or_error(fn, spec, regime):

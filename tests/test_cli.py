@@ -19,7 +19,9 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from p2lab import atlas, blowup, cli, flow, intlinalg, lattice, weyl
+from p2lab import (
+    atlas, backlund, blowup, cli, flow, intlinalg, lattice, weyl,
+)
 
 
 def run_cli(env, *args):
@@ -195,11 +197,10 @@ def test_outputs_are_byte_identical_across_runs(checkout_env):
 
 
 def test_pole_demo_digest(capsys):
-    # the README pole demo's CSV, pinned across Python versions; CI checks
-    # the same digest file against the installed entry point
+    # the README pole demo's CSV, pinned across Python versions;
+    # tests/grid_digests.py replays it under every interpreter
     want = (Path(__file__).parent / "pole_demo.sha256").read_text().strip()
-    assert cli.run(["integrate", "--c", "1/2", "--t0", "0", "--t1", "8",
-                    "--q0", "0", "--p0", "0"]) == 0
+    assert cli.run(grid_digests.POLE_DEMO) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == want
 
@@ -207,20 +208,12 @@ def test_pole_demo_digest(capsys):
 def test_w12_trajectory_digest(capsys):
     # a trajectory through all three charts with rejected steps (1983
     # accepted, 9 rejected, 15 switches): the digest is of stdout followed
-    # by stderr, pinned like the pole demo's and checked in CI the same way
+    # by stderr, pinned and replayed like the pole demo's
     want = (Path(__file__).parent / "w12_trajectory.sha256").read_text().strip()
-    assert cli.run(["integrate", "--c=-1", "--t0=0.0", "--t1=10.0",
-                    "--q0=-1.5", "--p0=0.0"]) == 0
+    assert cli.run(grid_digests.W12_TRAJECTORY) == 0
     out, err = capsys.readouterr()
     assert "W12" in out
     assert hashlib.sha256((out + err).encode()).hexdigest() == want
-
-
-def committed_verify_digest():
-    """The sha256 of ``verify all --json`` that the benchmark checks, read
-    here and never written."""
-    expected = Path(__file__).parents[1] / "perfbench/expected/verify_all.json"
-    return json.loads(expected.read_text())["sha256"]
 
 
 VERIFY_TWICE = """
@@ -237,7 +230,7 @@ for _ in range(2):
 def test_verify_report_matches_the_committed_digest_cold_and_warm(checkout_env):
     # one fresh process, so the first report is computed from cold caches
     # and the second from warm ones
-    want = committed_verify_digest()
+    want = grid_digests.committed_verify_digest()
     r = subprocess.run([sys.executable, "-c", VERIFY_TWICE], capture_output=True,
                        text=True, timeout=600, env=checkout_env)
     assert r.returncode == 0, r.stderr
@@ -256,7 +249,64 @@ def test_verify_report_digest_under_O_and_hash_seeds(checkout_env, flags, env):
                         "all", "--json"], capture_output=True, timeout=600,
                        env={**checkout_env, **env})
     assert r.returncode == 0, r.stderr
-    assert hashlib.sha256(r.stdout).hexdigest() == committed_verify_digest()
+    want = grid_digests.committed_verify_digest()
+    assert hashlib.sha256(r.stdout).hexdigest() == want
+
+
+LIGHT_IMPORT = """
+import sys, p2lab.cli
+print(sorted(m for m in ("dataclasses", "inspect", "typing")
+             if m in sys.modules))
+"""
+
+
+def test_the_cli_import_loads_no_dataclasses_inspect_or_typing(checkout_env):
+    # start-up: the records are namedtuples and slotted classes, and the
+    # stdlib modules the package imports load none of the three; -S keeps
+    # site (and what it imports) out of the child
+    r = subprocess.run([sys.executable, "-S", "-c", LIGHT_IMPORT],
+                       capture_output=True, text=True, timeout=600,
+                       env=checkout_env)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == "[]\n"
+
+
+def some_chain_trace():
+    return blowup.chain_trace(blowup.curve_specs()["C1"])
+
+
+@pytest.mark.parametrize("make, field", [
+    pytest.param(lambda: atlas.transition("W1", "W3"), "y_img",
+                 id="Transition"),
+    pytest.param(lambda: atlas.symplectic_form("W1"), "dy_dz",
+                 id="RelTwoForm"),
+    pytest.param(lambda: atlas.RelOneForm(*atlas.hamilton_field("W1")), "dz",
+                 id="RelOneForm"),
+    pytest.param(lambda: backlund.PII, "images", id="Derivation"),
+    pytest.param(backlund.shift_up, "g", id="PIIMap"),
+    pytest.param(backlund.phase_reflection, "c_img", id="PhaseMap"),
+    pytest.param(lambda: blowup.curve_specs()["C4"], "proper_steps",
+                 id="CurveSpec"),
+    pytest.param(lambda: some_chain_trace().steps[0], "multiplicity",
+                 id="ChainStep"),
+    pytest.param(some_chain_trace, "dropped_section_power", id="ChainTrace"),
+    pytest.param(lambda: blowup.verify_intersection_table()[0], "status",
+                 id="TableCheck"),
+    pytest.param(lattice.DivisorClass.zero, "coeffs", id="DivisorClass"),
+    pytest.param(lattice.euler_invariants, "K2", id="EulerInvariants"),
+    pytest.param(weyl.istar, "matrix", id="LatticeIsometry"),
+    pytest.param(flow.IntegratorConfig, "rtol", id="IntegratorConfig"),
+    pytest.param(lambda: flow.FlowState("W1", 0.0, 0.0, 0.0, 0.5), "chart",
+                 id="FlowState"),
+    pytest.param(lambda: flow.SwitchEvent(1.0, "W1", "W3", 2.0, 0.0, 0.5,
+                                          0.0), "to_chart", id="SwitchEvent"),
+])
+def test_a_field_of_an_immutable_record_cannot_be_assigned(make, field):
+    record = make()
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    assert getattr(record, field) is before
 
 
 def test_integrate_grid_sample_matches_the_committed_digests():
@@ -358,11 +408,18 @@ def trajectories(draw):
                                  times), max_size=4))
     switches = [flow.SwitchEvent(t, draw(charts), draw(charts), 0.0, 0.0,
                                  0.0, 0.0) for t in at]
-    return flow.Trajectory(c=0.5, states=states, switches=switches)
+    return built_trajectory(states, switches)
+
+
+def built_trajectory(states, switches=()):
+    traj = flow.Trajectory(0.5)
+    traj.states.extend(states)
+    traj.switches.extend(switches)
+    return traj
 
 
 @given(trajectories())
-@example(flow.Trajectory(c=0.5, states=[
+@example(built_trajectory([
     flow.FlowState(chart, y, 1.0, 0.5, 0.5) for chart in ("W3", "W12")
     for y in (0.0, -0.0, 1e200, -1e200)]))
 def test_generated_rows_match_the_reference_on_built_trajectories(traj):
@@ -506,7 +563,7 @@ def test_a_wrong_orbit_pair_fails_the_orbit_check(monkeypatch, wrong):
                         bent(weyl.gamma_mod_closed_form))
     if wrong == "recurrence-and-closed-form":
         monkeypatch.setattr(weyl, "gamma_mod", bent(weyl.gamma_mod))
-    status = {c.id: c.status for c in cli.lattice_checks()}
+    status = {c["id"]: c["status"] for c in cli.lattice_checks()}
     assert status["orbit-invariants"] == "fail"
     assert status["orbit-seed"] == "pass"
 

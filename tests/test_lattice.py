@@ -2,6 +2,8 @@
 complements, and the numeric invariants derived from them.  Verdicts the
 `verify` registry states are asserted once, by
 `test_acceptance.test_check`."""
+from dataclasses import make_dataclass
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -30,6 +32,35 @@ def row_walk_pair(a, b):
             row = GRAM[i]
             total += ai * sum(row[j] * bj for j, bj in enumerate(b.coeffs) if bj)
     return total
+
+
+# DivisorClass as it was declared before it became a namedtuple
+RefDivisorClass = make_dataclass("DivisorClass", [("coeffs", tuple)],
+                                 frozen=True)
+
+
+@given(big_vectors, big_vectors)
+def test_divisor_class_compares_hashes_and_prints_like_the_dataclass(u, v):
+    a, b = cls(u), cls(v)
+    ref_a, ref_b = RefDivisorClass(tuple(u)), RefDivisorClass(tuple(v))
+    for x, ref_x in ((a, ref_a), (b, ref_b)):
+        assert hash(x) == hash(ref_x)
+        assert repr(x) == repr(ref_x)
+        assert x == cls(list(ref_x.coeffs))
+    assert (a == b) == (ref_a == ref_b)
+    assert (a != b) == (ref_a != ref_b)
+
+
+@pytest.mark.parametrize("components,message", [
+    ({"S": 1.5}, "10 integer coefficients"),
+    ({"S": "1"}, "10 integer coefficients"),
+    ({"E9": 1}, "unknown basis element 'E9'"),
+], ids=["float", "string", "unknown-name"])
+def test_of_refuses_non_integers_and_unknown_names(components, message):
+    # a float used to be truncated by int(), and a string named the
+    # element unknown
+    with pytest.raises(lattice.LatticeError, match=message):
+        DivisorClass.of(**components)
 
 
 @given(big_vectors, big_vectors)
