@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .exact import (
-    Polynomial, Quotient, RationalFunction, rf, rfvar, rfvars,
+    Polynomial, Quotient, RationalFunction, Substitution, rf, rfvar, rfvars,
 )
 
 CHARTS = ("W1", "W3", "W12")
@@ -61,13 +61,16 @@ class Transition(namedtuple("Transition", "source target y_img z_img")):
         """The target chart's Hamilton field (dy/dt, dz/dt) in source
         coordinates, as unreduced quotients; the gluing and chain-rule
         checks both read it."""
-        b = self.bindings()
+        b = self.bindings
         return tuple(Quotient.of(f).substitute(b)
                      for f in hamilton_field(self.target))
 
-    def bindings(self) -> dict:
+    @cached_property
+    def bindings(self) -> Substitution:
+        """The target chart's variables bound to their images, prepared
+        once per transition."""
         ty, tz = CHART_VARS[self.target]
-        return {ty: self.y_img, tz: self.z_img}
+        return Substitution({ty: self.y_img, tz: self.z_img})
 
     def apply(self, y, z, t, c) -> tuple[Fraction, Fraction]:
         vals = {"t": Fraction(t), "c": Fraction(c)}
@@ -112,7 +115,7 @@ def transition(source: str, target: str) -> Transition:
 
 
 def round_trip_is_identity(i: str, j: str) -> bool:
-    b = transition(i, j).bindings()
+    b = transition(i, j).bindings
     back = transition(j, i)
     sy, sz = (Polynomial.variable(v) for v in CHART_VARS[i])
     return ((Quotient.of(back.y_img).substitute(b) - sy).is_zero()
@@ -130,7 +133,7 @@ def consistency_check(quartic_coeff=2, reflect_c_on_direct: bool = False) -> boo
     step_z = Quotient.of(step.z_img) + Quotient(
         Polynomial.const(2 - Fraction(quartic_coeff)),
         Polynomial.variable("y3") ** 4)
-    b = transition("W1", "W3").bindings()
+    b = transition("W1", "W3").bindings
     direct = transition("W1", "W12")
     dy, dz = Quotient.of(direct.y_img), Quotient.of(direct.z_img)
     if reflect_c_on_direct:
@@ -167,10 +170,10 @@ def hamiltonian(chart: str) -> Polynomial:
         return h.as_polynomial()
     if chart == "W3":
         h1 = rf(hamiltonian("W1"))
-        return h1.substitute(transition("W3", "W1").bindings()).as_polynomial()
+        return h1.substitute(transition("W3", "W1").bindings).as_polynomial()
     if chart == "W12":
         h3 = rf(hamiltonian("W3"))
-        h12 = h3.substitute(transition("W12", "W3").bindings()) - 1 / rfvar("y12")
+        h12 = h3.substitute(transition("W12", "W3").bindings) - 1 / rfvar("y12")
         return h12.as_polynomial()
     raise AtlasError(f"unknown chart {chart!r}")
 
@@ -238,7 +241,7 @@ def pullback_two_form(form: RelTwoForm, tr: Transition) -> RelTwoForm:
     """Express a form on tr.target in tr.source coordinates.  The
     coefficients come out as unreduced quotients: they are only ever
     tested for zero, which needs no gcd."""
-    b = tr.bindings()
+    b = tr.bindings
     return _pullback_coefficients(
         tr, *(Quotient.of(f).substitute(b)
               for f in (form.dy_dz, form.dy_dt, form.dz_dt)))
@@ -258,7 +261,7 @@ def _pullback_coefficients(tr: Transition, a, bb, cc) -> RelTwoForm:
 def pullback_one_form(form: RelOneForm, tr: Transition) -> RelOneForm:
     """Express a one-form on tr.target in tr.source coordinates, with
     unreduced coefficients, like ``pullback_two_form``."""
-    b = tr.bindings()
+    b = tr.bindings
     (yy, yz, _), (zy, zz, _) = (map(Quotient.of, row) for row in tr.jacobian)
     a, bb = (Quotient.of(f).substitute(b) for f in (form.dy, form.dz))
     return RelOneForm(a * yy + bb * zy, a * yz + bb * zz)
@@ -295,7 +298,7 @@ def ks_cocycle(i: str, j: str) -> RelOneForm:
     tau carries chart-j coordinates to chart-i ones.  Measures how the
     two Hamiltonians disagree as functions on the overlap (cached)."""
     tau = transition(j, i)
-    hi = rf(hamiltonian(i)).substitute(tau.bindings())
+    hi = rf(hamiltonian(i)).substitute(tau.bindings)
     diff = hi - rf(hamiltonian(j))
     y, z = CHART_VARS[j]
     return RelOneForm(diff.partial(y), diff.partial(z))
@@ -342,7 +345,7 @@ def _period_ends() -> tuple[RationalFunction, RationalFunction]:
         raise AtlasError("dy3^dz3 must be -(1/z4^2) dy4^dz4")
 
     # substitute y4 = Y z, z4 = z; the Jacobian multiplies the coefficient
-    sub = {"y4": Y * z, "z4": z}
+    sub = Substitution({"y4": Y * z, "z4": z})
     jblow = ((Y * z).partial("Y") * z.partial("z")
              - (Y * z).partial("z") * z.partial("Y"))
     coeff = j34.substitute(sub) * jblow

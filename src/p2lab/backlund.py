@@ -30,7 +30,7 @@ from functools import lru_cache
 from . import atlas
 from .exact import (
     ExactError, IdenticallyZeroDenominator, Polynomial, Quotient,
-    RationalFunction, divexact, rf, rfvar, rfvars,
+    RationalFunction, Substitution, divexact, rf, rfvar, rfvars,
 )
 
 
@@ -76,7 +76,7 @@ def _pii_derivation() -> Derivation:
 
 def _phase_derivation() -> Derivation:
     """W1's Hamilton field with (y1, z1) read as (q, p)."""
-    as_phase = {"y1": rfvar("q"), "z1": rfvar("p")}
+    as_phase = Substitution({"y1": rfvar("q"), "z1": rfvar("p")})
     fq, fp = (f.substitute(as_phase) for f in atlas.hamilton_field("W1"))
     return Derivation("phase-level", (("t", rf(1)), ("q", fq), ("p", fp)))
 
@@ -159,7 +159,8 @@ class PhaseMap(namedtuple("PhaseMap", "name q_img p_img c_img")):
 
     def compose(self, other: "PhaseMap") -> "PhaseMap":
         """self after other (c-images composed the same way)."""
-        binding = {"q": other.q_img, "p": other.p_img, "c": other.c_img}
+        binding = Substitution(
+            {"q": other.q_img, "p": other.p_img, "c": other.c_img})
         try:
             return PhaseMap(
                 f"{self.name}*{other.name}",
@@ -201,9 +202,10 @@ def unshifted_reflection() -> PhaseMap:
 def phase_residual(m: PhaseMap) -> tuple[Quotient, Quotient]:
     """D of each image minus the field's right-hand side at the images and
     at c_img; (0, 0) exactly when m is a symmetry."""
-    binding = {"q": m.q_img, "p": m.p_img, "c": m.c_img}
+    images = {"q": m.q_img, "p": m.p_img, "c": m.c_img}
+    binding = Substitution(images)
     try:
-        return tuple(PHASE.of(Quotient.of(binding[var]))
+        return tuple(PHASE.of(Quotient.of(images[var]))
                      - Quotient.of(img).substitute(binding)
                      for var, img in PHASE.images if var != "t")
     except IdenticallyZeroDenominator as e:
@@ -218,7 +220,7 @@ def _reflection_on_w1(c_img=None) -> dict:
     """``phase_reflection`` as a substitution on W1 data, (q, p) read as
     (y1, z1); ``c_img`` replaces its c-image."""
     m = phase_reflection()
-    on_w1 = {"q": rfvar("y1"), "p": rfvar("z1")}
+    on_w1 = Substitution({"q": rfvar("y1"), "p": rfvar("z1")})
     return {"y1": m.q_img.substitute(on_w1), "z1": m.p_img.substitute(on_w1),
             "c": m.c_img if c_img is None else c_img}
 
@@ -227,7 +229,7 @@ def involution_check(c_img: RationalFunction | Polynomial | None = None) -> bool
     """The reflection on W1 carries the W1-to-W12 rule to minus the
     W1-to-W3 one, and the W1-to-W3 rule to minus the W1-to-W12 one.  Any
     c-image other than -1 - c (the negative control) breaks this."""
-    sigma = _reflection_on_w1(c_img)
+    sigma = Substitution(_reflection_on_w1(c_img))
     tr13, tr112 = atlas.transition("W1", "W3"), atlas.transition("W1", "W12")
     return all((Quotient.of(a).substitute(sigma) + b).is_zero() for a, b in (
         (tr112.y_img, tr13.y_img), (tr112.z_img, tr13.z_img),
@@ -261,12 +263,13 @@ def phi_conjugation_residuals(p_image=None, c_image=None):
     for each phase variable v, D_solution(v-expression) minus the
     substituted phase image of v."""
     binding = phase_bindings(p_image, c_image)
+    prepared = Substitution(binding)
     out = []
     for var, img in PHASE.images:
         if var == "t":
             continue
         expr = Quotient.of(binding[var])
-        out.append(PII.of(expr) - Quotient.of(img).substitute(binding))
+        out.append(PII.of(expr) - Quotient.of(img).substitute(prepared))
     return tuple(out)
 
 
@@ -281,7 +284,7 @@ def composition_coherence_residuals():
     rebuilt from the shifted solution and its derivative."""
     up = shift_up()
     tr = phase_translation()
-    binding = phase_bindings()
+    binding = Substitution(phase_bindings())
     t = Polynomial.variable("t")
     r = Quotient.of(up.r)
     q_res = Quotient.of(tr.q_img).substitute(binding) - r
@@ -304,7 +307,7 @@ def invariant_curve_division(f: Polynomial, c0) -> tuple[bool, Polynomial | None
     multiple of f?  Returns the cofactor on success."""
     if f.is_zero():
         raise BacklundError("zero polynomial")
-    spec = {"c": Polynomial.const(Fraction(c0))}
+    spec = Substitution({"c": Fraction(c0)})
     f0 = f.subs_poly(spec)
     if f0.is_zero() or f0.is_constant():
         raise BacklundError("curve degenerates at this parameter")

@@ -42,10 +42,15 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from . import atlas
-from .exact import Polynomial, Quotient, poly_gcd
+from .exact import Polynomial, Quotient, Substitution, poly_gcd
 from .lattice import DivisorClass
 
 REGIME_C = {"generic": None, "c=0": Fraction(0), "c=-1": Fraction(-1)}
+# c set to its value, in each regime that fixes one
+_AT_C = {regime: Substitution({"c": cval})
+         for regime, cval in REGIME_C.items() if cval is not None}
+# the slices of a curve along the section: z2 = 0 in W2 and z4 = 0 in W4
+_ON_SECTION = {z: Substitution({z: 0}) for z in ("z2", "z4")}
 
 # The chain's charts, from W4 to W12: blow-up k + 1 is centred in chart k
 # and lands in chart k + 1; the fifth is centred in (y8, v8), v8 = 1/z8.
@@ -66,13 +71,13 @@ _CHAIN = tuple(chart + (center,) for chart, center in zip(_CHAIN_CHARTS[1:], (
 # y = ny, z = ny * nz: y^a z^b goes to ny^(a+b) nz^b, so the power of ny
 # that factors out is the curve's order at the origin.
 _BLOW_UP = tuple(
-    MappingProxyType({y: Polynomial.variable(ny),
-                      z: Polynomial.variable(ny) * Polynomial.variable(nz)})
+    Substitution({y: Polynomial.variable(ny),
+                  z: Polynomial.variable(ny) * Polynomial.variable(nz)})
     for y, z, (ny, nz, _) in zip(_CHAIN_Y, _CHAIN_Z, _CHAIN))
 # The inversion z8 = 1/v8 before the fifth blow-up.  On a curve free of z8
 # factors, clearing the denominator sends z8^k to v8^(d - k), d the top z8
 # power, so the top terms keep v8^0 and no power of v8 divides the result.
-_INVERSION = MappingProxyType(
+_INVERSION = Substitution(
     {"z8": Quotient(Polynomial.const(1), Polynomial.variable("v8"))})
 
 
@@ -139,10 +144,9 @@ def _regime_value(regime: str) -> Fraction | None:
 
 
 def _specialize(poly: Polynomial, regime: str) -> Polynomial:
-    cval = _regime_value(regime)
-    if cval is None:
+    if _regime_value(regime) is None:
         return poly
-    return poly.subs_poly({"c": Polynomial.const(cval)})
+    return poly.subs_poly(_AT_C[regime])
 
 
 def _regime_c(regime: str) -> Polynomial:
@@ -170,26 +174,25 @@ def _check_curve_ok(p: Polynomial, regime: str, chart_vars: tuple[str, str]) -> 
 
 
 @lru_cache(maxsize=None)
-def _bindings(source: str, target: str, regime: str) -> MappingProxyType:
+def _bindings(source: str, target: str, regime: str) -> Substitution:
     """The source -> target chart change in the regime: the source chart's
     variables bound to ``atlas.transition(target, source)``'s images with
     c set, built once as unreduced quotients over monomials, with no gcd
-    taken."""
-    cval = _regime_value(regime)
-    if cval is not None:
-        pairs = {v: e.substitute({"c": cval})
+    taken, and prepared once."""
+    if _regime_value(regime) is not None:
+        at_c = _AT_C[regime]
+        pairs = {v: e.substitute(at_c)
                  for v, e in _bindings(source, target, "generic").items()}
     elif (source, target) == ("W1", "W4"):
         inner = _bindings("W3", "W4", regime)
         pairs = {v: e.substitute(inner)
                  for v, e in _bindings("W1", "W3", regime).items()}
     else:
-        pairs = {v: Quotient.of(e) for v, e in
-                 atlas.transition(target, source).bindings().items()}
-    return MappingProxyType(pairs)
+        return atlas.transition(target, source).bindings
+    return Substitution(pairs)
 
 
-def _numerator_after(poly: Polynomial, bindings: MappingProxyType) -> Polynomial:
+def _numerator_after(poly: Polynomial, bindings: Substitution) -> Polynomial:
     """Numerator of poly under the bindings, with no gcd taken.  The
     bindings' denominators are monomials in the target chart's variables,
     so this differs from the canonical numerator by a constant and at most
@@ -311,7 +314,7 @@ def _base_class(spec: CurveSpec, regime: str, w4: Polynomial | None) -> tuple[in
     if w1 is not None:
         num = _numerator_after(w1, _bindings("W1", "W2", regime))
         num, _ = num.strip_var("z2")
-        slice_ = num.subs_poly({"z2": Polynomial.zero()})
+        slice_ = num.subs_poly(_ON_SECTION["z2"])
         if slice_.is_zero():
             raise BlowupError("curve contains the section; self-pairing undefined")
         w2_part = max(slice_.degree_in("y2"), 0)
@@ -319,7 +322,7 @@ def _base_class(spec: CurveSpec, regime: str, w4: Polynomial | None) -> tuple[in
     # W4 contribution: vanishing order at y4 = 0 of the z4 = 0 slice.
     w4_part = 0
     if w4 is not None:
-        slice_ = w4.subs_poly({"z4": Polynomial.zero()})
+        slice_ = w4.subs_poly(_ON_SECTION["z4"])
         if slice_.is_zero():
             raise BlowupError("curve contains the section; self-pairing undefined")
         _, w4_part = slice_.strip_var("y4")

@@ -19,6 +19,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import atlas, backlund, blowup, flow, intlinalg, lattice, weyl
 from .exact import Polynomial, rfvar
@@ -86,8 +87,7 @@ def lattice_checks() -> list:
                          lattice.sublattice_equal(back, d),
                          [list(v.coeffs) for v in back], "span(D0..D7)"))
 
-    coords = lattice.express_in_basis(
-        reg["C2"], [reg["C1"], reg["C3"]] + d)
+    coords = weyl.action_coordinates(reg["C2"])
     want_coords = [-1, 2, 1, -1, 0, 1, 2, 2, 2, 2]
     checks.append(_check("section-expansion", coords == want_coords,
                          coords, want_coords))
@@ -361,10 +361,104 @@ def run_suite(name: str) -> dict:
     return {"suite": name, "checks": checks + errors}
 
 
+_INF = float("inf")
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(k) -> str:
+    """A dict key as json writes it, before quoting."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _json_float(k)
+    if k is True:
+        return "true"
+    if k is False:
+        return "false"
+    if k is None:
+        return "null"
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {k.__class__.__name__}")
+
+
+def _dumps(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte.  Given ``indent``,
+    json runs its pure-Python encoder; this writer walks dicts and lists
+    itself, quotes strings with json's C function and writes a flat list
+    of ints or of strings with one join.  A value or key that json
+    refuses raises json's ``TypeError``."""
+    out = []
+    _write(value, "\n", out)
+    return "".join(out)
+
+
+def _write(v, nl: str, out: list) -> None:
+    """Append v's JSON text to out; nl is a newline and the indent of the
+    line v starts on."""
+    if isinstance(v, str):
+        out.append(_json_str(v))
+    elif v is None:
+        out.append("null")
+    elif v is True:
+        out.append("true")
+    elif v is False:
+        out.append("false")
+    elif isinstance(v, int):
+        out.append(int.__repr__(v))
+    elif isinstance(v, float):
+        out.append(_json_float(v))
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        if all(type(x) is int for x in v):
+            out.append(f"[{inner}{sep.join(map(int.__repr__, v))}{nl}]")
+        elif all(type(x) is str for x in v):
+            out.append(f"[{inner}{sep.join(map(_json_str, v))}{nl}]")
+        else:
+            head = "[" + inner
+            for x in v:
+                out.append(head)
+                _write(x, inner, out)
+                head = sep
+            out.append(nl + "]")
+    elif isinstance(v, dict):
+        if not v:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        head = "{" + inner
+        for k, x in v.items():
+            head += _json_str(k if type(k) is str else _json_key(k)) + ": "
+            if type(x) is str:
+                out.append(head + _json_str(x))
+            else:
+                out.append(head)
+                _write(x, inner, out)
+            head = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {v.__class__.__name__} "
+                        f"is not JSON serializable")
+
+
 def _print_report(rep: dict, as_json: bool) -> int:
     checks = rep["checks"]
     if as_json:
-        print(json.dumps(rep, indent=2))
+        print(_dumps(rep))
     else:
         for c in checks:
             line = f"[{c['status']}] {c['id']}"

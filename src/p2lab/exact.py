@@ -23,7 +23,8 @@ every inner denominator cleared and canonicalizes the result once, and
 ``Polynomial.subs_poly`` is the same loop with unit denominators.  When
 every binding is a monomial or zero over a monomial, the loop sends each
 term to one term by moving its packed key (``_subs_monomial``), with no
-polynomial product.
+polynomial product.  Bindings used more than once are prepared once as a
+``Substitution``, which each of the three takes in place of a mapping.
 
 A monomial is stored packed into one int (Monagan & Pearce's packed
 monomials): one 8-bit field per variable, ``ALPHABET[0]`` highest, and the
@@ -382,10 +383,10 @@ class Polynomial:
                 out[e - one] = q * p
         return Polynomial._new(out)
 
-    def subs_poly(self, bindings: Mapping[str, "Polynomial"]) -> "Polynomial":
+    def subs_poly(self, bindings: "Mapping[str, Polynomial] | Substitution") -> "Polynomial":
         """Substitute polynomials for variables (others untouched)."""
-        subs = {var_index(n): Quotient.of(p) for n, p in bindings.items()}
-        return _subs_cleared(self, subs, dict.fromkeys(subs, 0))
+        s = Substitution.of(bindings)
+        return _subs_cleared(self, s._subs, s._top0, s._maps0)
 
     def eval_fractions(self, bindings: Mapping[str, Scalar]) -> Fraction:
         """Fully evaluate; every variable present must be bound."""
@@ -816,7 +817,7 @@ class RationalFunction:
 
     # -- substitution and calculus ------------------------------------
 
-    def substitute(self, bindings: Mapping[str, "RationalFunction | Polynomial | Scalar"]) -> "RationalFunction":
+    def substitute(self, bindings: "Mapping[str, RationalFunction | Polynomial | Scalar] | Substitution") -> "RationalFunction":
         """Simultaneously replace variables by rational functions.
 
         Raises IdenticallyZeroDenominator if the substituted denominator
@@ -1012,44 +1013,96 @@ class Quotient:
             return Quotient(dn, d)
         return Quotient(dn * d - n * dd, d * d)
 
-    def substitute(self, bindings: Mapping[str, object]) -> "Quotient":
+    def substitute(self, bindings: "Mapping[str, object] | Substitution") -> "Quotient":
         """Simultaneously replace variables by quotients.  Numerator and
         denominator are both multiplied through by den_v ** k_v for each
         bound v, with k_v the larger of their degrees in v, which clears
         every inner denominator and leaves the quotient unchanged.  One
         OR over the packed keys of both parts shows which variables occur;
-        a binding of any other changes no term, so it is dropped (every
-        binding is still checked), and with none left the quotient itself
-        is returned."""
-        present = _present(self.num) | _present(self.den)
+        a binding of any other changes no term, so it is dropped, and with
+        none left the quotient itself is returned."""
+        s = Substitution.of(bindings)
+        num, den = self.num, self.den
+        present = _present(num) | _present(den)
         subs, top = {}, {}
-        for n, v in bindings.items():
-            i = var_index(n)
+        for i, v in s._subs.items():
             if (present >> _SHIFT[i]) & 0xFF:
-                subs[i] = Quotient.of(v)
-                top[i] = max(_deg_idx(self.num, i), _deg_idx(self.den, i))
-            elif not isinstance(v, _QUOTIENTS):
-                Quotient.of(v)        # not a quotient: raises ExactError
+                subs[i] = v
+                top[i] = max(_deg_idx(num, i), _deg_idx(den, i))
         if not subs:
             return self
-        den = _subs_cleared(self.den, subs, top)
+        maps = _clearing_maps(s._maps, top)
+        den = _subs_cleared(den, subs, top, maps)
         if den.is_zero():
             raise IdenticallyZeroDenominator(
                 "substitution sends the denominator to zero identically")
-        return Quotient(_subs_cleared(self.num, subs, top), den)
+        return Quotient(_subs_cleared(num, subs, top, maps), den)
 
 
-_QUOTIENTS = (Quotient, RationalFunction, Polynomial, int, Fraction)
+class Substitution:
+    """Bindings of variables to quotients, checked and prepared once for
+    any number of substitutions.  ``Polynomial.subs_poly``,
+    ``Quotient.substitute`` and ``RationalFunction.substitute`` each take
+    one wherever they take a mapping, and prepare a mapping on every call.
+    A name outside the alphabet or a value that is not a quotient raises
+    ``ExactError`` here.  The variable indices, each binding's monomial
+    map and ``subs_poly``'s zero clearing degrees are built here too, in
+    the bindings' order, which fixes the order of every product and so
+    the term order of the result."""
+
+    __slots__ = ("_subs", "_maps", "_top0", "_maps0")
+
+    def __init__(self, bindings: Mapping[str, object]):
+        self._subs = {var_index(n): Quotient.of(v) for n, v in bindings.items()}
+        self._maps = {i: _monomial_map(i, v) for i, v in self._subs.items()}
+        self._top0 = dict.fromkeys(self._subs, 0)
+        self._maps0 = _clearing_maps(self._maps, self._top0)
+
+    @staticmethod
+    def of(bindings: "Mapping[str, object] | Substitution") -> "Substitution":
+        if isinstance(bindings, Substitution):
+            return bindings
+        return Substitution(bindings)
+
+    def items(self):
+        """(name, Quotient) pairs, in the bindings' order."""
+        return [(ALPHABET[i], v) for i, v in self._subs.items()]
+
+
+def _monomial_map(i: int, v: Quotient) -> tuple | None:
+    """What ``_subs_monomial`` needs of x_i = v, when v is a monomial or
+    zero over a monomial: x_i's field, the key step from x_i to the
+    numerator's monomial, and the numerator's coefficient, the
+    denominator's key and its coefficient.  None for any other v."""
+    if len(v.num._terms) > 1 or len(v.den._terms) != 1:
+        return None
+    ((dk, dc),) = v.den._terms.items()
+    ((nk, nc),) = v.num._terms.items() or ((0, 0),)
+    return _SHIFT[i], nk - _ONE[i], nc, dk, dc
+
+
+def _clearing_maps(maps: Mapping[int, tuple | None],
+                   top: Mapping[int, int]) -> list | None:
+    """The monomial maps of the variables in top, each with its clearing
+    degree top[i] last, as ``_subs_monomial`` reads them; None when one
+    of those bindings is no monomial."""
+    out = []
+    for i, k in top.items():
+        m = maps[i]
+        if m is None:
+            return None
+        out.append(m + (k,))
+    return out
 
 
 def _subs_cleared(p: Polynomial, subs: Mapping[int, Quotient],
-                  top: Mapping[int, int]) -> Polynomial:
+                  top: Mapping[int, int], maps: list | None) -> Polynomial:
     """p with each x_i replaced by subs[i] = n_i/d_i, multiplied by the
     product of d_i ** top[i]; top[i] is at least p's degree in x_i, so
-    the result is a polynomial."""
-    if all(len(v.num._terms) < 2 and len(v.den._terms) == 1
-           for v in subs.values()):
-        out = _subs_monomial(p, subs, top)
+    the result is a polynomial.  ``maps`` is ``_clearing_maps`` of the
+    bindings, None when one is no monomial."""
+    if maps is not None:
+        out = _subs_monomial(p, maps)
         if out is not None:
             return out
     out: dict = {}
@@ -1075,8 +1128,7 @@ def _subs_cleared(p: Polynomial, subs: Mapping[int, Quotient],
     return Polynomial._new(out)
 
 
-def _subs_monomial(p: Polynomial, subs: Mapping[int, Quotient],
-                   top: Mapping[int, int]) -> Polynomial | None:
+def _subs_monomial(p: Polynomial, maps: list) -> Polynomial | None:
     """``_subs_cleared`` when every binding is a monomial or zero over a
     monomial: each term of p goes to one term, whose key is the sum of the
     keys and whose coefficient is the product of the coefficients' powers,
@@ -1084,11 +1136,6 @@ def _subs_monomial(p: Polynomial, subs: Mapping[int, Quotient],
     and are summed as the general loop sums them.  None when a term's
     degree, counting every power the general loop takes, passes
     MAX_DEGREE; that loop then decides whether the substitution raises."""
-    maps = []
-    for i, v in subs.items():
-        ((dk, dc),) = v.den._terms.items()
-        ((nk, nc),) = v.num._terms.items() or ((0, 0),)
-        maps.append((_SHIFT[i], nk - _ONE[i], nc, dk, dc, top[i]))
     terms = []
     for e, q in p._terms.items():
         key = e

@@ -113,6 +113,12 @@ def _basis_change():
     return b, intlinalg.invert_unimodular(b)
 
 
+def action_coordinates(cls: DivisorClass) -> list[int]:
+    """Integer coordinates of cls in the action basis (C1, C3, D0..D7),
+    read through the basis change's cached inverse."""
+    return intlinalg.matvec(_basis_change()[1], cls.coeffs)
+
+
 def _conjugate(action_cols: list[list[int]]) -> LatticeIsometry:
     """Action given by columns in the (C1, C3, D0..D7) basis, conjugated
     to the standard basis."""

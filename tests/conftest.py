@@ -30,7 +30,8 @@ settings.register_profile(
                            HealthCheck.too_slow],
 )
 # the same, ten times deeper: CI runs the generated-code properties of
-# tests/test_flow.py under it once (--hypothesis-profile=p2lab-deep)
+# tests/test_flow.py, the report writer's and the prepared substitution's
+# under it once (--hypothesis-profile=p2lab-deep)
 settings.register_profile("p2lab-deep", settings.get_profile("p2lab"),
                           max_examples=600)
 settings.load_profile("p2lab")

@@ -1,8 +1,10 @@
 """Byte-identity replay of every pinned output, stdlib only:
 
-- a cold ``p2lab verify all --json``, the first command of the process,
-  against ``perfbench/expected/verify_all.json`` (its check list and its
-  sha256), which ``perfbench/make_expected.py`` records;
+- ``p2lab verify all --json`` against ``perfbench/expected/verify_all.json``
+  (its check list and its sha256), which ``perfbench/make_expected.py``
+  records: cold, as the first command of the process, then warm, and in
+  child processes of the same interpreter under ``-O`` and under
+  ``PYTHONHASHSEED`` 0, 1 and 4242;
 - the 421 lattice-side commands of the benchmark grid's
   ``lattice_grid()`` (``perfbench/workloads.py``: curves, orbits, gammas
   and periods), twice, cold then warm;
@@ -15,8 +17,9 @@
     python tests/grid_digests.py --write    # record the integrate digests,
                                             # on a tree known right
 
-Each command runs in-process through ``p2lab.cli.run``.  A lattice
-command's stdout is checked by ``workloads.check_lattice`` against
+Every command runs in-process through ``p2lab.cli.run``, except the
+child verify runs: each is ``python -m p2lab.cli`` with this checkout's
+``src`` first on its ``PYTHONPATH``.  A lattice command's stdout is checked by ``workloads.check_lattice`` against
 ``perfbench/expected/lattice_tables.json``; the warm pass reads every
 cache the cold pass filled.  An integrate command's digest is the sha256
 of ``json.dumps([exit status, stdout, stderr])``; the digests are kept in
@@ -28,10 +31,13 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+SRC = HERE.parent / "src"
 DIGESTS = HERE / "integrate_grid.json"
 POLE_DEMO = ["integrate", "--c", "1/2", "--t0", "0", "--t1", "8",
              "--q0", "0", "--p0", "0"]
@@ -94,6 +100,26 @@ def verify_mismatch() -> str:
     return wl.check_verify_all(out, code, wl.load_expected("verify_all"))
 
 
+# the child runs: (label, interpreter flags, environment additions)
+CHILD_VERIFY_RUNS = (("-O", ["-O"], {}), *(
+    (f"PYTHONHASHSEED={seed}", [], {"PYTHONHASHSEED": seed})
+    for seed in ("0", "1", "4242")))
+
+
+def child_verify_mismatch(flags, env) -> str:
+    """Why ``verify all --json``, run in a child of this interpreter with
+    the flags and the environment additions, differs from the committed
+    report, or the empty string."""
+    wl = load_workloads()
+    child_env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+    r = subprocess.run([sys.executable, *flags, "-m", "p2lab.cli",
+                        *wl.VERIFY_ALL_ARGV], capture_output=True,
+                       timeout=600, env=child_env)
+    return wl.check_verify_all(r.stdout.decode("utf-8", "replace"),
+                               r.returncode, wl.load_expected("verify_all"))
+
+
 def pinned_mismatch(argv, name: str, with_stderr: bool = False) -> str:
     """Why the command's stdout (then stderr, with ``with_stderr``) does
     not hash to the digest in ``tests/<name>``, or the empty string."""
@@ -136,9 +162,15 @@ def main(argv=None) -> int:
         bad.extend(lines)
         print("\n".join(lines) or ok)
 
-    why = verify_mismatch()
-    report([f"verify all --json, cold: {why}"] if why else [],
-           "verify all --json matches the committed report, cold")
+    for label in ("cold", "warm"):
+        why = verify_mismatch()
+        report([f"verify all --json, {label}: {why}"] if why else [],
+               f"verify all --json matches the committed report, {label}")
+    for label, flags, env in CHILD_VERIFY_RUNS:
+        why = child_verify_mismatch(flags, env)
+        report([f"verify all --json, child {label}: {why}"] if why else [],
+               f"verify all --json matches the committed report, "
+               f"child {label}")
     lattice = load_workloads().lattice_grid()
     report([f"{label} {line}" for label in ("cold", "warm")
             for line in lattice_mismatches(lattice)],

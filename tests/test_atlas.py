@@ -38,7 +38,7 @@ ORDERED_PAIRS = PAIRS + tuple((j, i) for i, j in PAIRS)
 
 def ref_compose(first, then):
     """The images of ``then`` after ``first``, canonical."""
-    b = first.bindings()
+    b = first.bindings
     return then.y_img.substitute(b), then.z_img.substitute(b)
 
 
@@ -80,7 +80,7 @@ def ref_involution_squared_is_identity(sigma):
 
 
 def ref_pullback_one_form(form, tr):
-    b = tr.bindings()
+    b = tr.bindings
     (yy, yz, _), (zy, zz, _) = tr.jacobian
     a, bb = form.dy.substitute(b), form.dz.substitute(b)
     return atlas.RelOneForm(a * yy + bb * zy, a * yz + bb * zz)
@@ -221,7 +221,7 @@ def terms(u):
 def fresh_pulled_field(tr):
     """The target chart's field substituted afresh, as the gluing and the
     chain rule each did before the transition kept it."""
-    b = tr.bindings()
+    b = tr.bindings
     return [terms(Quotient.of(f).substitute(b))
             for f in atlas.hamilton_field(tr.target)]
 
@@ -310,7 +310,7 @@ def test_w12_chart_is_the_blow_up_chain():
                        (transition("W12", "W3"), backward)):
         assert images == (tr.y_img, tr.z_img), (tr.source, tr.target)
     # W1 -> W12 through W1 -> W3, and W12 -> W1 through W3 -> W1
-    b13 = transition("W1", "W3").bindings()
+    b13 = transition("W1", "W3").bindings
     tr = transition("W1", "W12")
     assert tuple(f.substitute(b13) for f in forward) == (tr.y_img, tr.z_img)
     b123 = {"y3": backward[0], "z3": backward[1]}

@@ -81,7 +81,7 @@ def test_chart_changes_are_built_once_and_compose(regime):
     for source, target in CHART_CHANGES[:3]:
         tr = atlas.transition(target, source)
         assert canonical(blowup._bindings(source, target, regime)) == {
-            v: e.substitute(at) for v, e in tr.bindings().items()}
+            v: e.substitute(at) for v, e in tr.bindings.items()}
     to_w4 = blowup._bindings("W1", "W4", regime)
     assert blowup._bindings("W1", "W4", regime) is to_w4
     with pytest.raises(TypeError):

@@ -253,6 +253,64 @@ def test_verify_report_digest_under_O_and_hash_seeds(checkout_env, flags, env):
     assert hashlib.sha256(r.stdout).hexdigest() == want
 
 
+# -- the report writer against json.dumps(indent=2), which it replaces ------
+
+json_strings = st.text(st.one_of(
+    st.characters(), st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)),
+    max_size=6)
+json_ints = st.one_of(st.integers(), st.integers(-10 ** 60, 10 ** 60))
+json_floats = st.one_of(st.floats(), st.sampled_from(
+    [-0.0, 1e16, math.nan, math.inf, -math.inf]))
+json_scalars = st.one_of(st.none(), st.booleans(), json_ints, json_floats,
+                         json_strings)
+json_keys = st.one_of(json_strings, json_ints, json_floats, st.booleans(),
+                      st.none())
+# flat lists of ints or of strings take the writer's one-join path; a bool
+# among ints must not
+json_values = st.recursive(
+    st.one_of(json_scalars, st.lists(json_ints), st.lists(json_strings),
+              st.lists(st.one_of(st.integers(), st.booleans()))),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(json_keys, inner, max_size=4)),
+    max_leaves=12)
+
+
+@given(json_values)
+@example({"": [], "a": {}, 7: (), 2.5: [[]], True: None, False: 0,
+          None: [1, "x"], 1e16: -0.0})
+@example([1, True, 2])
+def test_the_report_writer_matches_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(1, 2), {1, 2}, {"a": [1, Fraction(1, 3)]}, {(1, 2): 3},
+    [object()], b"x", {"k": {frozenset(): 1}}, [[1, 2], {"k": {3}}],
+], ids=["Fraction", "set", "nested-Fraction", "tuple-key", "object",
+        "bytes", "frozenset-key", "nested-set"])
+def test_the_report_writer_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as got:
+        cli._dumps(value)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("suite", ["lattice", "backlund", "atlas", "all",
+                                   "suite-error"])
+def test_the_report_writer_writes_each_report_as_json_does(monkeypatch, suite):
+    if suite == "suite-error":
+        def broken():
+            raise atlas.AtlasError("no chart change W4 -> W3")
+        monkeypatch.setitem(cli._SUITES, "backlund", broken)
+        rep = cli.run_suite("all")
+        assert rep["checks"][-1]["id"] == "suite-error[backlund]"
+    else:
+        rep = cli.run_suite(suite)
+    assert cli._dumps(rep) == json.dumps(rep, indent=2)
+
+
 LIGHT_IMPORT = """
 import sys, p2lab.cli
 print(sorted(m for m in ("dataclasses", "inspect", "typing")
@@ -547,9 +605,10 @@ def test_verify_all_walks_the_orbit_once(monkeypatch, capsys):
     # the two complements are two containment tests, one Smith form each;
     # jstar and istar only permute the D's, which takes none
     assert containment == [(True, 2), (True, 2), (True, 0), (True, 0)]
-    # the two complements' kernels, the four containment solves, the
-    # section expansion and the inverse of the action basis
-    assert calls["snf"] == 8
+    # the two complements' kernels, the four containment solves and the
+    # inverse of the action basis, which the section expansion reads (it
+    # took a Smith-form solve of its own before)
+    assert calls["snf"] == 7
     assert calls["reduce"] == 0
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from p2lab import exact
@@ -28,6 +28,7 @@ from p2lab.exact import (
     Polynomial,
     Quotient,
     RationalFunction,
+    Substitution,
     _check_degree,
     _deg_idx,
     _degree,
@@ -1146,6 +1147,19 @@ def bound(bindings):
     return {var_index(n): v for n, v in bindings.items()}
 
 
+def prepared_maps(subs, top):
+    """The monomial maps a ``Substitution`` prepares for the bindings,
+    with the clearing degrees top."""
+    return exact._clearing_maps(
+        {i: exact._monomial_map(i, v) for i, v in subs.items()}, top)
+
+
+def cleared(p, subs, top):
+    """The clearing loop, with its monomial path as the prepared routes
+    take it."""
+    return exact._subs_cleared(p, subs, top, prepared_maps(subs, top))
+
+
 def listed(p):
     return list(p._terms.items())
 
@@ -1169,9 +1183,9 @@ def outcome(route, *args):
 def test_monomial_substitution_matches_the_general_loop(p, bindings, extra):
     subs = bound(bindings)
     top = {i: max(_deg_idx(p, i), 0) + extra for i in subs}
-    got = exact._subs_cleared(p, subs, top)
+    got = cleared(p, subs, top)
     assert listed(got) == listed(expanded_subs_cleared(p, subs, top))
-    assert exact._subs_monomial(p, subs, top) is not None
+    assert exact._subs_monomial(p, prepared_maps(subs, top)) is not None
     # the public routes: substitution into a quotient, and subs_poly
     d = monomial(2, z=1)
     top = {i: max(_deg_idx(p, i), _deg_idx(d, i)) for i in subs}
@@ -1227,7 +1241,7 @@ def test_substitution_matches_the_full_loop_over_every_binding(p, d, bindings):
 def test_monomial_substitution_near_the_degree_ceiling(p, bindings):
     subs = bound(bindings)
     top = {i: max(_deg_idx(p, i), 0) for i in subs}
-    assert (outcome(exact._subs_cleared, p, subs, top)
+    assert (outcome(cleared, p, subs, top)
             == outcome(expanded_subs_cleared, p, subs, top))
 
 
@@ -1235,12 +1249,12 @@ def test_monomial_substitution_past_the_degree_ceiling_raises():
     y, z = Polynomial.variable("y"), Polynomial.variable("z")
     yz = {var_index("y"): Quotient.of(y * z)}
     at = y ** 63 * z                  # y -> y*z gives degree 127, the bound
-    got = exact._subs_cleared(at, yz, {var_index("y"): 63})
+    got = cleared(at, yz, {var_index("y"): 63})
     assert listed(got) == listed(y ** 63 * z ** 64)
     past = y ** 64 * z                # degree 129
     top = {var_index("y"): 64}
-    assert exact._subs_monomial(past, yz, top) is None
-    for route in (exact._subs_cleared, expanded_subs_cleared):
+    assert exact._subs_monomial(past, prepared_maps(yz, top)) is None
+    for route in (cleared, expanded_subs_cleared):
         with pytest.raises(ExactError, match="exceeds 127"):
             route(past, yz, top)
     with pytest.raises(ExactError, match="exceeds 127"):
@@ -1249,9 +1263,98 @@ def test_monomial_substitution_past_the_degree_ceiling_raises():
     # the power of z^64 before it multiplies by the zero
     subs = bound({"c": Quotient.of(0), "y": Quotient.of(z ** 64)})
     p = Polynomial.variable("c") * y ** 2
-    for route in (exact._subs_cleared, expanded_subs_cleared):
+    for route in (cleared, expanded_subs_cleared):
         with pytest.raises(ExactError, match="exceeds 127"):
             route(p, subs, {i: 2 for i in subs})
+
+
+# -- prepared substitutions -------------------------------------------------
+#
+# A ``Substitution`` is checked and prepared once and read by every route.
+# Reference: the mapping route as it ran before bindings were prepared,
+# through the general loop above: a quotient drops the bindings of
+# variables that occur in neither part and clears each kept one to the
+# larger of its degrees; ``subs_poly`` keeps every binding and clears none.
+
+
+def mapping_route(u, bindings):
+    present = set(u.num.variables()) | set(u.den.variables())
+    subs = {var_index(n): v for n, v in bindings.items() if n in present}
+    if not subs:
+        return u
+    top = {i: max(_deg_idx(u.num, i), _deg_idx(u.den, i)) for i in subs}
+    den = expanded_subs_cleared(u.den, subs, top)
+    if not den:
+        raise IdenticallyZeroDenominator("reference")
+    return Quotient(expanded_subs_cleared(u.num, subs, top), den)
+
+
+def result(route, *args):
+    """A route's terms in order, numerator and denominator for a
+    quotient, or the class of the ExactError it raised."""
+    try:
+        out = route(*args)
+    except ExactError as exc:
+        return type(exc)
+    if isinstance(out, Polynomial):
+        return listed(out)
+    return listed(out.num), listed(out.den)
+
+
+@settings(deadline=None)
+@given(st.one_of(cyz_polys(), cyz_polys(max_exps=(5, 70, 52))),
+       st.one_of(st.builds(monomial, rational_coeffs.filter(bool),
+                           c=st.integers(0, 2), y=st.integers(0, 2),
+                           z=st.integers(0, 2)),
+                 cyz_polys().filter(bool)),
+       any_bindings)
+@example(monomial(1, y=63, z=1), monomial(1, z=1),
+         {"y": Quotient.of(Polynomial.variable("y") * Polynomial.variable("z"))})
+@example(monomial(1, y=64, z=1), monomial(1, z=1),
+         {"y": Quotient.of(Polynomial.variable("y") * Polynomial.variable("z"))})
+@example(monomial(1, y=2) + monomial(1, c=1), monomial(1, z=1),
+         {"c": Quotient.of(0), "y": Quotient.of(Polynomial.variable("z") ** 64)})
+@example(monomial(1, y=1), monomial(1, c=1), {"c": Quotient.of(0)})
+def test_a_prepared_substitution_matches_the_mapping_route(p, d, bindings):
+    """Prepared once and used twice, a Substitution gives each route the
+    value and the term order of the mapping route, and raises where that
+    route raises, at the degree ceiling too."""
+    prepared = Substitution(bindings)
+    assert [n for n, _ in prepared.items()] == list(bindings)
+    u = Quotient(p, d)
+    want = result(mapping_route, u, bindings)
+    want_poly = result(expanded_subs_cleared, p, bound(bindings),
+                       dict.fromkeys(bound(bindings), 0))
+    event(f"quotient route: {getattr(want, '__name__', 'terms')}")
+    for _ in range(2):
+        assert result(u.substitute, prepared) == want
+        assert result(p.subs_poly, prepared) == want_poly
+    assert result(u.substitute, bindings) == want
+    assert result(p.subs_poly, bindings) == want_poly
+    # the canonical route, where its gcds are against a monomial
+    if len(d.terms) == 1:
+        r = RationalFunction(p, d)
+        q = result(mapping_route, Quotient(r.num, r.den), bindings)
+        if isinstance(q, tuple) and len(q[1]) == 1:
+            event("canonical route compared")
+            ref = mapping_route(Quotient(r.num, r.den), bindings).canonical()
+            assert result(r.substitute, prepared) == \
+                result(r.substitute, bindings) == (listed(ref.num), listed(ref.den))
+
+
+@pytest.mark.parametrize("bindings", [
+    {"w": 1}, {"y": "1"}, {"y": 1.5}, {"y": None},
+    {"c": 0, "nope": Polynomial.const(1)}, {"t": Quotient.of(1), "q": [1]},
+])
+def test_a_bad_binding_raises_when_the_substitution_is_prepared(bindings):
+    with pytest.raises(ExactError):
+        Substitution(bindings)
+    # the mapping routes prepare theirs on each call, so they raise too,
+    # even where no bound variable occurs
+    for route in (Polynomial.const(1).subs_poly, Quotient.of(1).substitute,
+                  rf(1).substitute):
+        with pytest.raises(ExactError):
+            route(bindings)
 
 
 def test_no_module_imports_a_private_name_of_exact():

@@ -55,7 +55,7 @@ def ref_field_consistency_symbolic(i, j):
     (yy, yz, yt), (zy, zz, zt) = tr.jacobian
     fy_i, fz_i = atlas.hamilton_field(i)
     fy_j, fz_j = atlas.hamilton_field(j)
-    b = tr.bindings()
+    b = tr.bindings
     return ((yy * fy_i + yz * fz_i + yt - fy_j.substitute(b)).is_zero()
             and (zy * fy_i + zz * fz_i + zt - fz_j.substitute(b)).is_zero())
 

@@ -221,6 +221,19 @@ def test_vanishing_cycle_pairings_match_the_reduction(source):
             weyl.reduce_mod_boundary(cls)
 
 
+@pytest.mark.parametrize("source", ["orbit", *lattice.REGIMES])
+def test_action_coordinates_match_the_basis_solve(source):
+    # `verify`'s section-expansion reads the cached inverse of the action
+    # basis; the reference is the Gram, determinant and Smith-form solve
+    # of lattice.express_in_basis
+    classes = (weyl.orbit(300) if source == "orbit"
+               else lattice.named_classes(source).values())
+    basis = weyl.action_basis_classes()
+    for cls in classes:
+        assert weyl.action_coordinates(cls) == \
+            lattice.express_in_basis(cls, basis)
+
+
 def _reference_walk(n):
     cls = lattice.named_classes()["C3"]
     out = []
