@@ -16,7 +16,8 @@ def main() -> None:
     ap.add_argument("--t1", type=float, default=8.0)
     ap.add_argument("--q0", type=float, default=0.0)
     ap.add_argument("--p0", type=float, default=0.0)
-    ap.add_argument("--rtol", type=float, default=1e-10)
+    ap.add_argument("--rtol", type=float,
+                    default=flow.IntegratorConfig().rtol)
     args = ap.parse_args()
 
     c = float(Fraction(args.c))

@@ -633,9 +633,11 @@ def build_parser() -> argparse.ArgumentParser:
     it.add_argument("--t1", type=_finite_float, required=True)
     it.add_argument("--q0", type=_finite_float, required=True)
     it.add_argument("--p0", type=_finite_float, required=True)
-    it.add_argument("--rtol", type=_finite_float, default=1e-10)
-    it.add_argument("--atol", type=_finite_float, default=1e-12)
-    it.add_argument("--R", type=_finite_float, default=5.0)
+    defaults = flow.IntegratorConfig()
+    it.add_argument("--rtol", type=_finite_float, default=defaults.rtol)
+    it.add_argument("--atol", type=_finite_float, default=defaults.atol)
+    it.add_argument("--R", type=_finite_float,
+                    default=defaults.switch_threshold)
     it.add_argument("--stats", action="store_true",
                     help="write the step statistics as one JSON line to "
                          "stderr")

@@ -112,10 +112,11 @@ class IdenticallyZeroDenominator(ExactError):
 
 
 class NotPolynomial(ExactError):
-    """``as_polynomial`` was called on a quotient with nontrivial denominator."""
+    """``as_polynomial`` was called on a quotient with a non-constant
+    denominator, or ``subs_poly`` on a binding whose denominator is not 1."""
 
     def __init__(self, denominator: "Polynomial"):
-        super().__init__(f"denominator is not constant: {denominator}")
+        super().__init__(f"denominator is not 1: {denominator}")
         self.denominator = denominator
 
 
@@ -384,8 +385,12 @@ class Polynomial:
         return Polynomial._new(out)
 
     def subs_poly(self, bindings: "Mapping[str, Polynomial] | Substitution") -> "Polynomial":
-        """Substitute polynomials for variables (others untouched)."""
+        """Substitute polynomials for variables (others untouched).  A
+        binding whose denominator is not 1 raises ``NotPolynomial``."""
         s = Substitution.of(bindings)
+        if s._top0 is None:
+            raise NotPolynomial(next(v.den for v in s._subs.values()
+                                     if not _is_one(v.den)))
         return _subs_cleared(self, s._subs, s._top0, s._maps0)
 
     def eval_fractions(self, bindings: Mapping[str, Scalar]) -> Fraction:
@@ -1048,15 +1053,19 @@ class Substitution:
     ``ExactError`` here.  The variable indices, each binding's monomial
     map and ``subs_poly``'s zero clearing degrees are built here too, in
     the bindings' order, which fixes the order of every product and so
-    the term order of the result."""
+    the term order of the result.  The clearing degrees are None unless
+    every denominator is 1, as ``subs_poly`` needs."""
 
     __slots__ = ("_subs", "_maps", "_top0", "_maps0")
 
     def __init__(self, bindings: Mapping[str, object]):
         self._subs = {var_index(n): Quotient.of(v) for n, v in bindings.items()}
         self._maps = {i: _monomial_map(i, v) for i, v in self._subs.items()}
-        self._top0 = dict.fromkeys(self._subs, 0)
-        self._maps0 = _clearing_maps(self._maps, self._top0)
+        if all(_is_one(v.den) for v in self._subs.values()):
+            self._top0 = dict.fromkeys(self._subs, 0)
+            self._maps0 = _clearing_maps(self._maps, self._top0)
+        else:
+            self._top0 = self._maps0 = None
 
     @staticmethod
     def of(bindings: "Mapping[str, object] | Substitution") -> "Substitution":

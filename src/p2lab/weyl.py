@@ -16,11 +16,10 @@ anticanonical class once.
 The orbit is walked once per process: ``orbit(n_max)`` extends a single
 walk from C3 only past the longest prefix asked for so far, and
 ``gamma_full``, ``distinctness`` and ``orbit_report`` all read it.
-Only the ``orbit`` command and ``scripts/orbit_growth.py`` read
-``orbit_report``, whose mod-boundary pairs take a Smith-form solve each
-(``reduce_mod_boundary``); verify's orbit check reads them as pairings
-with the vanishing cycles C2 - C1 and C4 - C3, against which C1 and C3
-pair as the unit matrix.
+Only the ``orbit`` command reads ``orbit_report``, whose mod-boundary
+pairs take a Smith-form solve each (``reduce_mod_boundary``); verify's
+orbit check reads them as pairings with the vanishing cycles C2 - C1 and
+C4 - C3, against which C1 and C3 pair as the unit matrix.
 """
 from __future__ import annotations
 
@@ -105,12 +104,14 @@ def action_basis_classes() -> list[DivisorClass]:
 
 @lru_cache(maxsize=None)
 def _basis_change():
-    """Columns are the action-basis vectors; unimodular by construction."""
+    """Columns are the action-basis vectors; unimodular by construction,
+    which the inverse's Smith form checks."""
     cols = action_basis_classes()
     b = [[cols[j].coeffs[i] for j in range(10)] for i in range(10)]
-    if abs(intlinalg.det(b)) != 1:
-        raise WeylError("action basis is not a lattice basis")
-    return b, intlinalg.invert_unimodular(b)
+    try:
+        return b, intlinalg.invert_unimodular(b)
+    except ValueError:
+        raise WeylError("action basis is not a lattice basis") from None
 
 
 def action_coordinates(cls: DivisorClass) -> list[int]:

@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -521,6 +522,9 @@ def test_integrate_stats(capsys, argv, stats):
     code, out, err = run_in_process(capsys, *argv, "--stats")
     last = err.splitlines()[-1]
     assert (code, out, err) == (plain[0], plain[1], plain[2] + last + "\n")
+    # each integrates to t1
+    t1 = cli.build_parser().parse_args(argv).t1
+    assert code == 0 and float(out.splitlines()[-1].split(",")[0]) == t1
     assert json.loads(last) == {"stats": stats}
     assert stats["field_evals"] == 6 * (
         stats["accepted"] + sum(stats["rejected"].values())
@@ -586,6 +590,7 @@ def test_verify_all_walks_the_orbit_once(monkeypatch, capsys):
     monkeypatch.setattr(blowup, "to_w4", counted("to_w4", blowup.to_w4))
     monkeypatch.setattr(intlinalg, "smith_normal_form",
                         counted("snf", intlinalg.smith_normal_form))
+    monkeypatch.setattr(intlinalg, "det", counted("det", intlinalg.det))
     monkeypatch.setattr(weyl, "reduce_mod_boundary",
                         counted("reduce", weyl.reduce_mod_boundary))
     containment = []
@@ -609,6 +614,9 @@ def test_verify_all_walks_the_orbit_once(monkeypatch, capsys):
     # inverse of the action basis, which the section expansion reads (it
     # took a Smith-form solve of its own before)
     assert calls["snf"] == 7
+    # that inverse's Smith form is the unimodularity check (a Bareiss
+    # determinant checked it again before)
+    assert calls["det"] == 0
     assert calls["reduce"] == 0
 
 
@@ -719,6 +727,17 @@ def test_the_orbit_ceiling_is_allowed_and_stated(capsys):
     assert f"above {n}" in " ".join(readme.split())
 
 
+def test_the_orbit_table_up_to_the_ceiling_has_the_closed_form_mod(capsys):
+    # each row's mod-boundary pair is a Smith-form solve of its own
+    n_max = cli.ORBIT_N_MAX
+    code, out, err = run_in_process(capsys, "orbit", f"--n-max={n_max}")
+    rows = out.splitlines()
+    assert (code, err, len(rows)) == (0, "", n_max)
+    bad = [row for n, row in enumerate(rows, 1)
+           if not re.fullmatch(rf"n={n} .* mod=\(-{n}, {n + 1}\)", row)]
+    assert not bad
+
+
 @pytest.mark.parametrize("argv", [
     ["gamma", "--n", "0"],
     ["gamma", "--n", "x"],
@@ -753,3 +772,18 @@ def test_bad_input_is_a_one_line_usage_error(argv, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("p2lab: error: ")
+
+
+def test_the_integrate_defaults_are_the_integrator_configs():
+    args = cli.build_parser().parse_args(integrate_argv())
+    assert (args.rtol, args.atol, args.R) == tuple(flow.IntegratorConfig())
+
+
+@pytest.mark.parametrize("script", ["orbit_growth", "table_audit",
+                                    "pole_crossing_demo"])
+def test_the_script_runs_to_completion(script, checkout_env, tmp_path):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{script}.py"
+    args = ["--out", str(tmp_path)] if script == "table_audit" else []
+    r = subprocess.run([sys.executable, str(path), *args], capture_output=True,
+                       text=True, timeout=600, env=checkout_env, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr

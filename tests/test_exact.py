@@ -1274,7 +1274,8 @@ def test_monomial_substitution_past_the_degree_ceiling_raises():
 # Reference: the mapping route as it ran before bindings were prepared,
 # through the general loop above: a quotient drops the bindings of
 # variables that occur in neither part and clears each kept one to the
-# larger of its degrees; ``subs_poly`` keeps every binding and clears none.
+# larger of its degrees; ``subs_poly`` keeps every binding and clears none,
+# and refuses bindings unless every denominator is 1.
 
 
 def mapping_route(u, bindings):
@@ -1323,8 +1324,11 @@ def test_a_prepared_substitution_matches_the_mapping_route(p, d, bindings):
     assert [n for n, _ in prepared.items()] == list(bindings)
     u = Quotient(p, d)
     want = result(mapping_route, u, bindings)
-    want_poly = result(expanded_subs_cleared, p, bound(bindings),
-                       dict.fromkeys(bound(bindings), 0))
+    if all(listed(v.den) == [(0, 1)] for v in bindings.values()):
+        want_poly = result(expanded_subs_cleared, p, bound(bindings),
+                           dict.fromkeys(bound(bindings), 0))
+    else:
+        want_poly = NotPolynomial
     event(f"quotient route: {getattr(want, '__name__', 'terms')}")
     for _ in range(2):
         assert result(u.substitute, prepared) == want
@@ -1355,6 +1359,31 @@ def test_a_bad_binding_raises_when_the_substitution_is_prepared(bindings):
                   rf(1).substitute):
         with pytest.raises(ExactError):
             route(bindings)
+
+
+Z8, V8 = Polynomial.variable("z8"), Polynomial.variable("v8")
+
+
+@pytest.mark.parametrize("value", [
+    Quotient(Polynomial.const(1), V8),
+    1 / rfvar("v8"),
+    Quotient(Polynomial.const(1), Polynomial.const(2)),
+], ids=["quotient", "rational-function", "constant-denominator"])
+def test_subs_poly_refuses_a_binding_with_a_denominator(value):
+    # before, z8^2 + 1 went to 2 each time: the denominator was dropped,
+    # where the values are (v8^2 + 1)/v8^2 and 5/4
+    p = Z8 ** 2 + 1
+    for bindings in ({"z8": value}, Substitution({"z8": value})):
+        with pytest.raises(NotPolynomial):
+            p.subs_poly(bindings)
+
+
+def test_subs_poly_takes_a_quotient_over_one():
+    p = Z8 ** 2 + 1
+    want = listed(V8 ** 2 + 2 * V8 + 2)
+    for bindings in ({"z8": Quotient.of(V8 + 1)},
+                     Substitution({"z8": Quotient(V8 + 1, Polynomial.const(1))})):
+        assert listed(p.subs_poly(bindings)) == want
 
 
 def test_no_module_imports_a_private_name_of_exact():

@@ -88,6 +88,25 @@ def test_isometry_constructor_guards():
         weyl.LatticeIsometry(tuple(tuple(r) for r in m))
 
 
+@pytest.mark.parametrize("first", [
+    lambda classes: DivisorClass(tuple(2 * x for x in classes[0].coeffs)),
+    lambda classes: classes[1],
+], ids=["index-2", "singular"])
+def test_an_action_basis_that_is_no_lattice_basis_raises(monkeypatch, first):
+    # the inverse's Smith form decides, with no determinant taken: twice
+    # C1 in place of C1 spans an index-2 sublattice, and C3 twice spans
+    # no full-rank one
+    classes = weyl.action_basis_classes()
+    monkeypatch.setattr(weyl, "action_basis_classes",
+                        lambda: [first(classes), *classes[1:]])
+    weyl._basis_change.cache_clear()
+    try:
+        with pytest.raises(weyl.WeylError, match="not a lattice basis"):
+            weyl._basis_change()
+    finally:
+        weyl._basis_change.cache_clear()
+
+
 @given(st.lists(st.integers(-7, 7), min_size=10, max_size=10),
        st.lists(st.integers(-7, 7), min_size=10, max_size=10))
 def test_isometries_preserve_pairing(u, v):
