@@ -52,9 +52,14 @@ numerator against that gcd alone.
 
 A coefficient is stored as a plain ``int`` when it is integral and as a
 ``fractions.Fraction`` otherwise, so the products and sums of integral
-coefficients run on CPython's int arithmetic.  Only the constructors,
-``_scaled`` and ``divexact`` need care, since ``int / int`` is a float:
-they store an integral value as an int and divide exactly.  The other
+coefficients run on CPython's int arithmetic.  Division is the one
+operation that needs care, since ``int / int`` is a float: ``divexact``
+and ``_scaled`` divide two ints with ``//`` where the divisor divides
+and build the ``Fraction`` otherwise.  The contents stay on ints too:
+``signed_content`` of an all-int polynomial is the ``math.gcd`` of its
+coefficients, and ``RationalFunction`` scales an all-int denominator by
+that int, signed by its leading coefficient; a ``Fraction`` coefficient
+sends either to the numerator-gcd over denominator-lcm route.  The other
 operations take any mix of the two types, and compare, hash and print by
 value, so a ``Fraction`` with denominator 1 works the same as the int.
 The public views (``terms``, ``leading``, ``constant_value``,
@@ -321,28 +326,38 @@ class Polynomial:
         return p + (-self)
 
     def __mul__(self, other):
-        p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        t1, t2 = self._terms, p._terms
+        if not isinstance(other, Polynomial):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        t1, t2 = self._terms, other._terms
         if not t1 or not t2:
             return Polynomial._new({})
         # no terms dict is written after _new, so a unit factor can hand
-        # back the other operand itself
-        if _is_one(p):
-            return self
-        if _is_one(self):
-            return p
-        # the top monomial has the top degree; below the bound no field carries
-        _check_degree(_degree(max(t1)) + _degree(max(t2)))
-        # a one-term factor shifts every key of the other one, in its order;
-        # distinct keys stay distinct and no product of nonzeros is zero
+        # back the other operand itself; a one-term factor shifts every key
+        # of the other one, in its order, and distinct keys stay distinct.
+        # The top monomial has the top degree; below the bound no field
+        # carries.
         if len(t2) == 1:
             ((e2, q2),) = t2.items()
+            if not e2 and q2 == 1:
+                return self
+            if len(t1) == 1:
+                ((e1, q1),) = t1.items()
+                if not e1 and q1 == 1:
+                    return other
+                e = e1 + e2
+                _check_degree(_degree(e))
+                return Polynomial._new({e: q1 * q2})
+            _check_degree(_degree(max(t1)) + _degree(e2))
             return Polynomial._new({e1 + e2: q1 * q2 for e1, q1 in t1.items()})
         if len(t1) == 1:
             ((e1, q1),) = t1.items()
+            if not e1 and q1 == 1:
+                return other
+            _check_degree(_degree(e1) + _degree(max(t2)))
             return Polynomial._new({e1 + e2: q1 * q2 for e2, q2 in t2.items()})
+        _check_degree(_degree(max(t1)) + _degree(max(t2)))
         out: dict = {}
         for e1, q1 in t1.items():
             for e2, q2 in t2.items():
@@ -362,15 +377,22 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ExactError("negative power of a polynomial; use RationalFunction")
-        result = Polynomial.const(1)
+        if not n:
+            return Polynomial.const(1)
         base = self
-        while True:
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        # the square-and-multiply product from the constant 1: its first
+        # factor, or the int 1 when that factor is a unit
+        result = Polynomial._new({0: 1}) if _is_one(base) else base
+        n >>= 1
+        while n:
+            base = base * base
             if n & 1:
                 result = result * base
             n >>= 1
-            if not n:
-                return result
-            base = base * base
+        return result
 
     # -- calculus and substitution ------------------------------------
 
@@ -414,17 +436,18 @@ class Polynomial:
     def signed_content(self) -> Fraction:
         """Rational r with self == r * primitive, primitive having coprime
         integer coefficients and positive leading coefficient.  Zero for 0."""
-        if not self._terms:
+        t = self._terms
+        if not t:
             return Fraction(0)
+        if all(type(q) is int for q in t.values()):
+            g = _int_gcd(*t.values())
+            return Fraction(-g if t[max(t)] < 0 else g)
         num_gcd = 0
         den_lcm = 1
-        for q in self._terms.values():
-            num_gcd = _int_gcd(num_gcd, abs(q.numerator))
+        for q in t.values():
+            num_gcd = _int_gcd(num_gcd, q.numerator)
             den_lcm = den_lcm * q.denominator // _int_gcd(den_lcm, q.denominator)
-        r = Fraction(num_gcd, den_lcm)
-        if self._terms[max(self._terms)] < 0:
-            r = -r
-        return r
+        return Fraction(-num_gcd if t[max(t)] < 0 else num_gcd, den_lcm)
 
     def primitive(self) -> "Polynomial":
         if not self._terms:
@@ -465,13 +488,18 @@ class Polynomial:
     __repr__ = __str__
 
 
-def _scaled(p: Polynomial, r: Fraction) -> Polynomial:
-    """p / r for a nonzero Fraction r; an integral quotient is stored as an
-    int, so a primitive polynomial has only int coefficients."""
+def _scaled(p: Polynomial, r: Scalar) -> Polynomial:
+    """p / r for a nonzero int or Fraction r; an integral quotient is
+    stored as an int, so a primitive polynomial has only int coefficients.
+    An int coefficient over an integral r is divided as ints."""
+    n = r.numerator if r.denominator == 1 else 0
     out = {}
     for e, q in p._terms.items():
-        q = q / r
-        out[e] = q.numerator if q.denominator == 1 else q
+        if n and type(q) is int:
+            out[e] = q // n if not q % n else Fraction(q, n)
+        else:
+            q = q / r
+            out[e] = q.numerator if q.denominator == 1 else q
     return Polynomial._new(out)
 
 
@@ -689,12 +717,18 @@ class RationalFunction:
             self.num = Polynomial.zero()
             self.den = Polynomial.const(1)
             return
-        r = den.signed_content()
+        t = den._terms
+        if all(type(q) is int for q in t.values()):
+            r = _int_gcd(*t.values())
+            if t[max(t)] < 0:
+                r = -r
+        else:
+            r = den.signed_content()
+            if r == 1:
+                den = _scaled(den, r)    # an integral Fraction left by a product
         if r != 1:
             den = _scaled(den, r)
             num = _scaled(num, r)
-        elif any(type(q) is not int for q in den._terms.values()):
-            den = _scaled(den, r)    # an integral Fraction left by a product
         self.num = num
         self.den = den
 
@@ -1123,17 +1157,32 @@ def _subs_cleared(p: Polynomial, subs: Mapping[int, Quotient],
             pow_cache[key] = base ** k
         return pow_cache[key]
 
+    # each binding's denominator, None where it is 1
+    dens = [(i, v.num, None if _is_one(v.den) else v.den, top[i])
+            for i, v in subs.items()]
     for e, q in p._terms.items():
-        term = _POLY_ONE
+        # the product starts at its first factor, which the constant 1
+        # times it would hand back (no power is a unit Fraction)
+        term = None
         rest = e
-        for i, v in subs.items():
+        for i, num, den, m in dens:
             k = (rest >> _SHIFT[i]) & 0xFF
             if k:
                 rest -= k * _ONE[i]
-                term = term * power(v.num, k)
-            if top[i] > k and not _is_one(v.den):
-                term = term * power(v.den, top[i] - k)
-        _add_into(out, (term * Polynomial._new({rest: q}))._terms.items())
+                f = power(num, k)
+                term = f if term is None else term * f
+            if m > k and den is not None:
+                f = power(den, m - k)
+                term = f if term is None else term * f
+        # times the unbound monomial rest * q, as Polynomial.__mul__ takes it
+        t = _POLY_ONE._terms if term is None else term._terms
+        if not rest and q == 1:
+            _add_into(out, t.items())
+        elif len(t) == 1 and t.get(0) == 1:
+            _add_into(out, ((rest, q),))
+        elif t:
+            _check_degree(_degree(max(t)) + _degree(rest))
+            _add_into(out, [(e1 + rest, q1 * q) for e1, q1 in t.items()])
     return Polynomial._new(out)
 
 

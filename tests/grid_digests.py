@@ -19,7 +19,9 @@
 
 Every command runs in-process through ``p2lab.cli.run``, except the
 child verify runs: each is ``python -m p2lab.cli`` with this checkout's
-``src`` first on its ``PYTHONPATH``.  A lattice command's stdout is checked by ``workloads.check_lattice`` against
+``src`` first on its ``PYTHONPATH``.  The script puts the same ``src``
+first on its own ``sys.path`` when it loads, so both replay this tree,
+with nothing installed too.  A lattice command's stdout is checked by ``workloads.check_lattice`` against
 ``perfbench/expected/lattice_tables.json``; the warm pass reads every
 cache the cold pass filled.  An integrate command's digest is the sha256
 of ``json.dumps([exit status, stdout, stderr])``; the digests are kept in
@@ -38,6 +40,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
+sys.path.insert(0, str(SRC))
 DIGESTS = HERE / "integrate_grid.json"
 POLE_DEMO = ["integrate", "--c", "1/2", "--t0", "0", "--t1", "8",
              "--q0", "0", "--p0", "0"]

@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -787,3 +788,18 @@ def test_the_script_runs_to_completion(script, checkout_env, tmp_path):
     r = subprocess.run([sys.executable, str(path), *args], capture_output=True,
                        text=True, timeout=600, env=checkout_env, cwd=tmp_path)
     assert r.returncode == 0, r.stderr
+
+
+def test_the_replay_script_imports_this_checkouts_src(tmp_path):
+    # run as its docstring says, with nothing on PYTHONPATH, the replay's
+    # in-process groups import the p2lab its child runs import
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    code = ("import runpy, sys; runpy.run_path(sys.argv[1]); "
+            "import p2lab; print(p2lab.__file__)")
+    r = subprocess.run([sys.executable, "-c", code,
+                        str(Path(grid_digests.__file__).resolve())],
+                       capture_output=True, text=True, timeout=600, env=env,
+                       cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert Path(r.stdout.strip()).resolve() == \
+        grid_digests.SRC / "p2lab" / "__init__.py"

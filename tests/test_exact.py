@@ -4,6 +4,7 @@ Everything downstream trusts this layer blindly, so the algebraic laws
 are exercised with random inputs rather than hand-picked examples.
 """
 import ast
+import math
 import operator
 import random
 from fractions import Fraction
@@ -1028,7 +1029,9 @@ def double_loop_product(a, b):
     return Polynomial._new(out)
 
 
-units = st.sampled_from([Polynomial.const(1), as_fractions(Polynomial.const(1))])
+units = st.sampled_from([Polynomial.const(1), Polynomial.const(-1),
+                         as_fractions(Polynomial.const(1)),
+                         as_fractions(Polynomial.const(-1))])
 one_term_polys = rational_polys(max_terms=1).filter(bool)
 
 
@@ -1065,9 +1068,10 @@ def test_one_term_products_check_the_degree():
 # -- monomial substitutions ------------------------------------------------
 #
 # Bindings that are each a monomial (or zero) over a monomial send every
-# term to one term.  Reference: the general loop of ``_subs_cleared``, which
-# raises each binding's numerator and denominator to powers and multiplies
-# them in as polynomials; it is kept here verbatim.  The terms must come out
+# term to one term.  Reference: the general loop of ``_subs_cleared`` as it
+# ran before its short paths, which raises each binding's numerator and
+# denominator to powers and multiplies them in as polynomials from the
+# constant 1, by the general product and power kept below.  The terms must come out
 # in the same order, since compiled float code sums them in that order.
 
 
@@ -1078,7 +1082,7 @@ def expanded_subs_cleared(p, subs, top):
     def power(base, k):
         key = (id(base), k)
         if key not in pow_cache:
-            pow_cache[key] = base ** k
+            pow_cache[key] = general_power(base, k)
         return pow_cache[key]
 
     for e, q in p._terms.items():
@@ -1088,10 +1092,10 @@ def expanded_subs_cleared(p, subs, top):
             k = (rest >> _SHIFT[i]) & 0xFF
             if k:
                 rest -= k * _ONE[i]
-                term = term * power(v.num, k)
+                term = general_product(term, power(v.num, k))
             if top[i] > k and not _is_one(v.den):
-                term = term * power(v.den, top[i] - k)
-        for e2, q2 in (term * Polynomial._new({rest: q}))._terms.items():
+                term = general_product(term, power(v.den, top[i] - k))
+        for e2, q2 in general_product(term, Polynomial._new({rest: q}))._terms.items():
             if e2 in out:
                 s = out[e2] + q2
                 if s:
@@ -1266,6 +1270,199 @@ def test_monomial_substitution_past_the_degree_ceiling_raises():
     for route in (cleared, expanded_subs_cleared):
         with pytest.raises(ExactError, match="exceeds 127"):
             route(p, subs, {i: 2 for i in subs})
+
+
+# -- short paths of the small operations --------------------------------------
+#
+# Products, powers, the substitution loop, contents and scalings each take a
+# short path for a unit, a one-term or an all-int operand.  Reference: the
+# route each one replaced, kept here.  A short path must give the same terms
+# in the same order, with the same coefficient types (an int or a Fraction,
+# an integral Fraction among them, as products may leave one), and raise the
+# same degree-ceiling error.
+
+
+def general_product(a, b):
+    """a * b as every product ran before its short paths: both unit
+    tests, the degree check, then the one-term shifts or the double loop."""
+    t1, t2 = a._terms, b._terms
+    if not t1 or not t2:
+        return Polynomial.zero()
+    if _is_one(b):
+        return a
+    if _is_one(a):
+        return b
+    _check_degree(_degree(max(t1)) + _degree(max(t2)))
+    if len(t2) == 1:
+        ((e2, q2),) = t2.items()
+        return Polynomial._new({e1 + e2: q1 * q2 for e1, q1 in t1.items()})
+    if len(t1) == 1:
+        ((e1, q1),) = t1.items()
+        return Polynomial._new({e1 + e2: q1 * q2 for e2, q2 in t2.items()})
+    return double_loop_product(a, b)
+
+
+def general_power(p, n):
+    """p ** n by square-and-multiply from the constant 1."""
+    result, base = Polynomial.const(1), p
+    while True:
+        if n & 1:
+            result = general_product(result, base)
+        n >>= 1
+        if not n:
+            return result
+        base = general_product(base, base)
+
+
+def general_content(p):
+    """signed_content through Fractions for every coefficient."""
+    if not p._terms:
+        return Fraction(0)
+    num_gcd, den_lcm = 0, 1
+    for q in p._terms.values():
+        num_gcd = math.gcd(num_gcd, abs(q.numerator))
+        den_lcm = den_lcm * q.denominator // math.gcd(den_lcm, q.denominator)
+    r = Fraction(num_gcd, den_lcm)
+    return -r if p._terms[max(p._terms)] < 0 else r
+
+
+def general_scaled(p, r):
+    """p / r through Fraction division for every coefficient (r as a
+    Fraction, the only divisor the route took)."""
+    out = {}
+    for e, q in p._terms.items():
+        q = q / Fraction(r)
+        out[e] = q.numerator if q.denominator == 1 else q
+    return Polynomial._new(out)
+
+
+def general_scale(num, den):
+    """The pair RationalFunction stores for a nonzero num over den, by the
+    Fraction content and the Fraction scaling."""
+    r = general_content(den)
+    if r != 1:
+        return general_scaled(num, r), general_scaled(den, r)
+    if any(type(q) is not int for q in den._terms.values()):
+        den = general_scaled(den, r)
+    return num, den
+
+
+def typed(p):
+    """p's terms in order, each with its coefficient's type."""
+    return [(e, type(q), q) for e, q in p._terms.items()]
+
+
+def typed_outcome(route, *args):
+    """A route's typed terms, or the message of the ExactError it raised."""
+    try:
+        return typed(route(*args))
+    except ExactError as exc:
+        return str(exc)
+
+
+stored_coeffs = st.one_of(coeffs.filter(bool),
+                          st.fractions(-9, 9, max_denominator=4).filter(bool),
+                          coeffs.filter(bool).map(Fraction))
+
+
+@st.composite
+def stored_polys(draw, max_terms=4, x3=(0, 0)):
+    """Polynomials as products may store them: int, Fraction and integral
+    Fraction coefficients, with x3's degree in the given range (to put
+    products, powers and substitutions near the degree ceiling)."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        e = [0] * NVARS
+        for name, k in zip(VARS, draw(exponents)):
+            e[var_index(name)] = k
+        e[var_index("x3")] = draw(st.integers(*x3))
+        terms[_pack(e)] = draw(stored_coeffs)
+    return Polynomial._new(terms)
+
+
+kernel_polys = st.one_of(units, stored_polys(max_terms=1),
+                         stored_polys(), stored_polys(max_terms=2, x3=(56, 64)))
+
+
+@given(kernel_polys, st.one_of(kernel_polys, st.sampled_from(
+    (1, -1, 2, Fraction(1), Fraction(1, 2)))))
+@example(Polynomial.const(1), as_fractions(Polynomial.const(1)))
+@example(as_fractions(Polynomial.const(1)), Polynomial.variable("q"))
+@example(monomial(1, x3=64) + 1, monomial(Fraction(2), x3=64))
+@example(monomial(1, x3=64), monomial(Fraction(1, 2), x3=64))
+@example(Polynomial.variable("q") + 1, as_fractions(Polynomial.const(1)))
+def test_products_match_the_general_product(a, b):
+    b_poly = b if isinstance(b, Polynomial) else Polynomial.const(b)
+    for left, right in ((a, b_poly), (b_poly, a), (a, a)):
+        want = typed_outcome(general_product, left, right)
+        event("raises" if isinstance(want, str) else "terms")
+        assert typed_outcome(operator.mul, left, right) == want
+    assert (typed_outcome(operator.mul, a, b)
+            == typed_outcome(general_product, a, b_poly))
+    # a unit hands back the other operand itself (the left one when both are)
+    if a and _is_one(b_poly):
+        assert a * b_poly is a
+        assert (b_poly * a) is (b_poly if _is_one(a) else a)
+
+
+@given(st.one_of(units, stored_polys(max_terms=3),
+                 stored_polys(max_terms=2, x3=(16, 40))), st.integers(0, 6))
+@example(as_fractions(Polynomial.const(1)), 1)
+@example(as_fractions(Polynomial.const(-1)), 2)
+@example(as_fractions(Polynomial.const(-1)), 6)
+@example(monomial(1, x3=40), 3)
+@example(monomial(1, x3=40), 4)
+def test_powers_match_the_general_power(p, n):
+    want = typed_outcome(general_power, p, n)
+    event("raises" if isinstance(want, str) else "terms")
+    assert typed_outcome(operator.pow, p, n) == want
+    if n == 1 and not _is_one(p):
+        assert p ** 1 is p
+
+
+kernel_quotients = st.builds(Quotient, st.one_of(units, stored_polys(max_terms=3)),
+                             st.one_of(units, stored_polys(max_terms=2).filter(bool)))
+
+
+@given(st.one_of(stored_polys(max_terms=5), stored_polys(max_terms=3, x3=(96, 118))),
+       st.dictionaries(st.sampled_from(VARS), kernel_quotients, min_size=1, max_size=3),
+       st.integers(0, 2))
+# a constant binding over a constant leaves the unit Fraction 1/2 * 2
+@example(monomial(1, q=1), {"q": Quotient(Polynomial.const(Fraction(1, 2)),
+                                          Polynomial.const(2))}, 1)
+@example(monomial(1, q=1, p=1), {"q": Quotient(Polynomial.const(Fraction(1, 2)),
+                                               Polynomial.const(2))}, 1)
+@example(monomial(Fraction(1), q=1), {"q": Quotient(Polynomial.const(Fraction(1, 2)),
+                                                    Polynomial.const(2))}, 1)
+@example(monomial(1, q=1, x3=60), {"q": Quotient(Polynomial.variable("p") ** 3 + 1,
+                                                 Polynomial.const(1))}, 21)
+def test_the_clearing_loop_matches_the_general_loop(p, bindings, extra):
+    subs = bound(bindings)
+    top = {i: max(_deg_idx(p, i), 0) + extra for i in subs}
+    want = typed_outcome(expanded_subs_cleared, p, subs, top)
+    event("raises" if isinstance(want, str) else "terms")
+    assert typed_outcome(exact._subs_cleared, p, subs, top, None) == want
+
+
+contents = st.one_of(st.integers(-12, 12).filter(bool),
+                     st.integers(-12, 12).filter(bool).map(Fraction),
+                     st.fractions(-9, 9, max_denominator=6).filter(bool))
+
+
+@given(st.one_of(polys(), stored_polys(), stored_polys(max_terms=2)), contents)
+@example(Polynomial.const(-6) + 4 * Polynomial.variable("q"), -2)
+@example(monomial(-3, q=1) + monomial(Fraction(6), p=1), Fraction(-3))
+def test_contents_and_scalings_match_the_fraction_route(p, r):
+    got, want = p.signed_content(), general_content(p)
+    assert (type(got), got) == (type(want), want)
+    assert typed_outcome(Polynomial.primitive, p) == \
+        typed_outcome(lambda x: general_scaled(x, want) if x else x, p)
+    assert typed_outcome(exact._scaled, p, r) == typed_outcome(general_scaled, p, r)
+    if p:
+        for den in (p, p * r):
+            stored = RationalFunction._coprime(Polynomial.variable("t") * r + 1, den)
+            assert (typed(stored.num), typed(stored.den)) == tuple(
+                typed(x) for x in general_scale(Polynomial.variable("t") * r + 1, den))
 
 
 # -- prepared substitutions -------------------------------------------------
