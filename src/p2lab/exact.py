@@ -51,27 +51,30 @@ sum takes the gcd of the two denominators and then cancels the new
 numerator against that gcd alone.
 
 A coefficient is stored as a plain ``int`` when it is integral and as a
-``fractions.Fraction`` otherwise, so the products and sums of integral
-coefficients run on CPython's int arithmetic.  Division is the one
-operation that needs care, since ``int / int`` is a float: ``divexact``
-and ``_scaled`` divide two ints with ``//`` where the divisor divides
-and build the ``Fraction`` otherwise.  The contents stay on ints too:
-``signed_content`` of an all-int polynomial is the ``math.gcd`` of its
-coefficients, and ``RationalFunction`` scales an all-int denominator by
-that int, signed by its leading coefficient; a ``Fraction`` coefficient
-sends either to the numerator-gcd over denominator-lcm route.  The other
-operations take any mix of the two types, and compare, hash and print by
-value, so a ``Fraction`` with denominator 1 works the same as the int.
-The public views (``terms``, ``leading``, ``constant_value``,
-``signed_content``, ``eval_fractions``) return ``Fraction``.  Rational
-numbers themselves are plain ``fractions.Fraction``; nothing here wraps
-them.
+``_Rat`` otherwise: a numerator and a denominator above 1, coprime ints
+with the sign on the numerator.  ``_Rat``'s operators do the int
+arithmetic with ``math.gcd`` and hand back an int wherever the value is
+integral, so the products and sums of coefficients run on ints and
+never reach ``fractions.Fraction``'s operators or its constructor.
+Division is the one operation that needs care, since ``int / int`` is a
+float: ``divexact`` multiplies by the stored inverse of the divisor's
+leading coefficient, and ``_scaled`` and ``_coef`` build each quotient
+with ``_ratio``.  The contents stay on ints too: ``_content`` of an
+all-int polynomial is the ``math.gcd`` of its coefficients, else the gcd
+of the numerators over the lcm of the denominators.  Every operation
+also takes ``Fraction`` coefficients, alone or mixed with the stored
+ones, and gives the same values, since both compare, hash and print by
+value.  The public views (``terms``, ``leading``, ``constant_value``,
+``signed_content``, ``eval_fractions``) return ``Fraction``; a ``_Rat``
+never leaves this module.
 """
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
+from numbers import Rational
+from sys import hash_info as _HASH
 from types import MappingProxyType
 
 # Closed variable alphabet.  Order matters: it fixes the monomial order and
@@ -158,12 +161,142 @@ def _unpack(key: int) -> tuple:
     return tuple(key.to_bytes(_NBYTES, "big")[1:])
 
 
-def _coef(value: Scalar) -> Scalar:
-    """A coefficient as stored: an int when integral, else a Fraction."""
-    if type(value) is int:
+class _Rat:
+    """A rational that is not an integer, as ``Polynomial`` stores one:
+    ``numerator`` and ``denominator`` are coprime ints, the denominator
+    above 1 and the sign on the numerator.  The operators take an int, a
+    ``_Rat`` or a ``Fraction`` and return an int where the value is
+    integral, so no integral ``_Rat`` is ever built; ``==``, ``<``,
+    ``hash`` and ``str`` agree with ``Fraction``'s, and ``Fraction(x)``
+    converts one.  The constructor does not reduce; ``_ratio`` does."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, n: int, d: int):
+        self.numerator = n
+        self.denominator = d
+
+    def __add__(a, b):
+        n, d = a.numerator, a.denominator
+        if type(b) is int:
+            return _Rat(n + b * d, d)
+        if isinstance(b, _RATIONALS):
+            return _ratio(n * b.denominator + b.numerator * d, d * b.denominator)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(a, b):
+        n, d = a.numerator, a.denominator
+        if type(b) is int:
+            return _Rat(n - b * d, d)
+        if isinstance(b, _RATIONALS):
+            return _ratio(n * b.denominator - b.numerator * d, d * b.denominator)
+        return NotImplemented
+
+    def __rsub__(a, b):
+        n, d = a.numerator, a.denominator
+        if type(b) is int:
+            return _Rat(b * d - n, d)
+        if isinstance(b, _RATIONALS):
+            return _ratio(b.numerator * d - n * b.denominator, d * b.denominator)
+        return NotImplemented
+
+    def __mul__(a, b):
+        if isinstance(b, _RATIONALS):
+            return _ratio(a.numerator * b.numerator, a.denominator * b.denominator)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(a, b):
+        if not isinstance(b, _RATIONALS):
+            return NotImplemented
+        if not b:
+            raise ZeroDivisionError(f"{a} / 0")
+        return _ratio(a.numerator * b.denominator, a.denominator * b.numerator)
+
+    def __rtruediv__(a, b):
+        if isinstance(b, _RATIONALS):
+            return _ratio(b.numerator * a.denominator, b.denominator * a.numerator)
+        return NotImplemented
+
+    def __pow__(a, k):
+        if type(k) is not int or k < 0:
+            return NotImplemented
+        return _Rat(a.numerator ** k, a.denominator ** k) if k else 1
+
+    def __neg__(a):
+        return _Rat(-a.numerator, a.denominator)
+
+    def __abs__(a):
+        return _Rat(abs(a.numerator), a.denominator)
+
+    def __eq__(a, b):
+        if type(b) is int:
+            return False
+        if isinstance(b, _RATIONALS):
+            return a.numerator == b.numerator and a.denominator == b.denominator
+        return NotImplemented
+
+    def __lt__(a, b):
+        if isinstance(b, _RATIONALS):
+            return a.numerator * b.denominator < b.numerator * a.denominator
+        return NotImplemented
+
+    def __gt__(a, b):
+        if isinstance(b, _RATIONALS):
+            return a.numerator * b.denominator > b.numerator * a.denominator
+        return NotImplemented
+
+    def __hash__(a):
+        # Python's hash of the rational n/d, which Fraction and int share
+        n, d = a.numerator, a.denominator
+        try:
+            h = hash(hash(abs(n)) * pow(d, -1, _HASH.modulus))
+        except ValueError:              # d is a multiple of the modulus
+            h = _HASH.inf
+        return h if n >= 0 else -h       # hash() itself turns -1 into -2
+
+    def __str__(a):
+        return f"{a.numerator}/{a.denominator}"
+
+    __repr__ = __str__
+
+
+Rational.register(_Rat)        # Fraction(x), ==, < read its two ints
+_RATIONALS = (int, _Rat, Fraction)
+
+
+def _ratio(n: int, d: int) -> "int | _Rat":
+    """n/d for ints n and d != 0, as stored: an int where d divides n,
+    else a _Rat in lowest terms."""
+    g = _int_gcd(n, d)
+    if d < 0:
+        g = -g
+    d //= g
+    return n // g if d == 1 else _Rat(n // g, d)
+
+
+def _coef(value: Scalar) -> "int | _Rat":
+    """A coefficient as stored: an int when integral, else a _Rat."""
+    if type(value) is int or type(value) is _Rat:
         return value
-    q = Fraction(value)
-    return q.numerator if q.denominator == 1 else q
+    q = value if type(value) is Fraction else Fraction(value)
+    return _ratio(q.numerator, q.denominator)
+
+
+def _content(t: dict) -> "int | _Rat":
+    """The signed content of nonempty terms: the gcd of the numerators
+    over the lcm of the denominators, which are coprime, with the sign of
+    the leading coefficient."""
+    vals = t.values()
+    if all(type(q) is int for q in vals):
+        r = _int_gcd(*vals)
+    else:
+        r = _ratio(_int_gcd(*(q.numerator for q in vals)),
+                   _int_lcm(*(q.denominator for q in vals)))
+    return -r if t[max(t)] < 0 else r
 
 
 def _add_into(out: dict, terms) -> None:
@@ -182,7 +315,7 @@ def _add_into(out: dict, terms) -> None:
 
 class Polynomial:
     """Sparse polynomial: ``{packed monomial: nonzero coefficient}``, each
-    coefficient an int when integral and a Fraction otherwise.  The public
+    coefficient an int when integral and a ``_Rat`` otherwise.  The public
     views return the coefficients as Fractions."""
 
     __slots__ = ("_terms",)
@@ -197,9 +330,9 @@ class Polynomial:
 
     @classmethod
     def _new(cls, terms: dict) -> "Polynomial":
-        """Wrap a packed dict of nonzero int or Fraction coefficients (an
-        int where integral, as the kernel stores them; an integral Fraction
-        gives the same values, only slower)."""
+        """Wrap a packed dict of nonzero coefficients: ints and _Rat, as
+        the kernel stores them, or any mix with Fractions, which gives the
+        same values, only slower."""
         p = object.__new__(cls)
         p._terms = terms
         return p
@@ -297,7 +430,7 @@ class Polynomial:
     def __hash__(self):
         # a constant equals its Fraction, so it hashes as one
         if self.is_constant():
-            return hash(self.constant_value())
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "Polynomial":
@@ -419,8 +552,8 @@ class Polynomial:
         """Fully evaluate; every variable present must be bound."""
         vals = {}
         for n, v in bindings.items():
-            vals[var_index(n)] = Fraction(v)
-        total = Fraction(0)
+            vals[var_index(n)] = _coef(v)
+        total = 0
         for e, q in self._terms.items():
             prod = q
             for i, p in enumerate(_unpack(e)):
@@ -429,31 +562,19 @@ class Polynomial:
                         raise ExactError(f"unbound variable {ALPHABET[i]!r} in evaluation")
                     prod *= vals[i] ** p
             total += prod
-        return total
+        return Fraction(total)
 
     # -- integer normalization ----------------------------------------
 
     def signed_content(self) -> Fraction:
         """Rational r with self == r * primitive, primitive having coprime
         integer coefficients and positive leading coefficient.  Zero for 0."""
-        t = self._terms
-        if not t:
-            return Fraction(0)
-        if all(type(q) is int for q in t.values()):
-            g = _int_gcd(*t.values())
-            return Fraction(-g if t[max(t)] < 0 else g)
-        num_gcd = 0
-        den_lcm = 1
-        for q in t.values():
-            num_gcd = _int_gcd(num_gcd, q.numerator)
-            den_lcm = den_lcm * q.denominator // _int_gcd(den_lcm, q.denominator)
-        return Fraction(-num_gcd if t[max(t)] < 0 else num_gcd, den_lcm)
+        return Fraction(_content(self._terms)) if self._terms else Fraction(0)
 
     def primitive(self) -> "Polynomial":
         if not self._terms:
             return self
-        r = self.signed_content()
-        return _scaled(self, r)
+        return _scaled(self, _content(self._terms))
 
     # -- rendering ----------------------------------------------------
 
@@ -488,19 +609,12 @@ class Polynomial:
     __repr__ = __str__
 
 
-def _scaled(p: Polynomial, r: Scalar) -> Polynomial:
-    """p / r for a nonzero int or Fraction r; an integral quotient is
-    stored as an int, so a primitive polynomial has only int coefficients.
-    An int coefficient over an integral r is divided as ints."""
-    n = r.numerator if r.denominator == 1 else 0
-    out = {}
-    for e, q in p._terms.items():
-        if n and type(q) is int:
-            out[e] = q // n if not q % n else Fraction(q, n)
-        else:
-            q = q / r
-            out[e] = q.numerator if q.denominator == 1 else q
-    return Polynomial._new(out)
+def _scaled(p: Polynomial, r) -> Polynomial:
+    """p / r for a nonzero int, _Rat or Fraction r, each quotient stored,
+    so a primitive polynomial has only int coefficients."""
+    n, d = r.numerator, r.denominator
+    return Polynomial._new({e: _ratio(q.numerator * d, q.denominator * n)
+                            for e, q in p._terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +629,7 @@ def divexact(a: Polynomial, b: Polynomial) -> Polynomial:
         return a
     eb = max(b._terms)
     cb = b._terms[eb]
+    inv = _ratio(cb.denominator, cb.numerator)        # 1 / cb, as stored
     rest = [(e, c) for e, c in b._terms.items() if e != eb]
     quotient: dict = {}
     rem = dict(a._terms)
@@ -525,12 +640,7 @@ def divexact(a: Polynomial, b: Polynomial) -> Polynomial:
         if d & _GUARDS != _GUARDS:
             raise ExactError("inexact polynomial division")
         d ^= _GUARDS
-        q = rem.pop(er)
-        if type(q) is int and type(cb) is int:
-            q = q // cb if q % cb == 0 else Fraction(q, cb)
-        else:
-            q = q / cb
-        quotient[d] = q
+        q = quotient[d] = rem.pop(er) * inv
         for e, c in rest:
             e += d
             if e in rem:
@@ -717,15 +827,7 @@ class RationalFunction:
             self.num = Polynomial.zero()
             self.den = Polynomial.const(1)
             return
-        t = den._terms
-        if all(type(q) is int for q in t.values()):
-            r = _int_gcd(*t.values())
-            if t[max(t)] < 0:
-                r = -r
-        else:
-            r = den.signed_content()
-            if r == 1:
-                den = _scaled(den, r)    # an integral Fraction left by a product
+        r = _content(den._terms)
         if r != 1:
             den = _scaled(den, r)
             num = _scaled(num, r)
@@ -881,12 +983,10 @@ class RationalFunction:
         return RationalFunction._coprime(top, g * e * e)
 
     def as_polynomial(self) -> Polynomial:
+        # a canonical constant denominator is 1
         if not self.den.is_constant():
             raise NotPolynomial(self.den)
-        d = self.den.constant_value()
-        if d == 1:
-            return self.num
-        return _scaled(self.num, d)
+        return self.num
 
     def eval_fractions(self, bindings: Mapping[str, Scalar]) -> Fraction:
         den = self.den.eval_fractions(bindings)
@@ -897,7 +997,7 @@ class RationalFunction:
     # -- rendering ----------------------------------------------------
 
     def __str__(self) -> str:
-        if self.den.is_constant() and self.den.constant_value() == 1:
+        if self.den.is_constant():
             return str(self.num)
         num = str(self.num)
         den = str(self.den)

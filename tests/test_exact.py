@@ -7,7 +7,10 @@ import ast
 import math
 import operator
 import random
+import sys
+from collections.abc import Mapping
 from fractions import Fraction
+from numbers import Number
 from pathlib import Path
 
 import pytest
@@ -30,6 +33,7 @@ from p2lab.exact import (
     Quotient,
     RationalFunction,
     Substitution,
+    _Rat,
     _check_degree,
     _deg_idx,
     _degree,
@@ -859,9 +863,9 @@ def test_quotient_equality_is_equality_of_canonical_forms(pair_a, pair_b):
 # -- int coefficients -------------------------------------------------------
 #
 # The kernel stores an integral coefficient as an int and any other as a
-# Fraction.  Reference: the same polynomial with every coefficient a
-# Fraction, the layout the kernel stored before; both must compute the same
-# values and print the same strings, alone and mixed.
+# _Rat.  Reference: the same polynomial with every coefficient a Fraction,
+# the layout the kernel stored before; both must compute the same values
+# and print the same strings, alone and mixed.
 
 rational_coeffs = st.one_of(coeffs, st.fractions(-9, 9, max_denominator=4))
 
@@ -955,14 +959,14 @@ def test_exact_division_by_an_int_keeps_a_fraction():
     half = divexact(3 * q, Polynomial.const(2))
     assert half == Fraction(3, 2) * q
     (c,) = _stored(half)
-    assert type(c) is Fraction and c == Fraction(3, 2)
+    assert type(c) is _Rat and c == Fraction(3, 2)
     (c,) = _stored(divexact(4 * q, Polynomial.const(2)))
     assert type(c) is int and c == 2
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_rational_polys, small_rational_polys)
-# a product leaves the Fraction 1/2 * 2 in a denominator with content 1
+# a product leaves 1/2 * 2 in a denominator with content 1
 @example(Polynomial.const(1), Fraction(1, 2) * (2 * Polynomial.variable("q")))
 def test_stored_coefficients_are_ints_where_integral(a, b):
     canonical = [RationalFunction(a, b), rf(a) / rf(b) + rf(b).partial("p")]
@@ -971,9 +975,9 @@ def test_stored_coefficients_are_ints_where_integral(a, b):
     u = substituted(a, b)
     if u is not None:
         ops.append(u)
-    # no float, whatever the operation
+    # no float and no Fraction, whatever the operation
     for c in _stored(*ops):
-        assert type(c) in (int, Fraction)
+        assert type(c) in (int, _Rat)
     # primitive parts and canonical denominators are all-int
     for c in _stored(a.primitive(), poly_gcd(a, b), *(r.den for r in canonical)):
         assert type(c) is int
@@ -984,7 +988,7 @@ def test_stored_coefficients_are_ints_where_integral(a, b):
         assert all(type(p.terms[e]) is Fraction for e in p.terms)
         assert type(p.leading()[1]) is Fraction
         assert type(p.signed_content()) is Fraction
-    for k, kind in ((3, int), (Fraction(6, 2), int), (Fraction(1, 2), Fraction)):
+    for k, kind in ((3, int), (Fraction(6, 2), int), (Fraction(1, 2), _Rat)):
         p = Polynomial.const(k)
         (c,) = _stored(p)
         assert type(c) is kind and type(p.constant_value()) is Fraction
@@ -999,6 +1003,71 @@ def test_terms_lists_the_packed_terms_as_tuples(p):
     assert all(type(q) is Fraction for _, q in p.terms.items())
     back = Polynomial(p.terms)
     assert back == p and list(back._terms) == list(p._terms)
+
+
+# -- the stored rational ------------------------------------------------------
+#
+# A non-integral coefficient is a _Rat.  Reference: Fraction, on the same
+# values.  Every operator the kernel uses must give Fraction's value, as an
+# int exactly when it is integral and otherwise as a _Rat in lowest terms
+# with the sign on the numerator; ==, <, hash and str must agree with
+# Fraction's, whichever side the _Rat is on.
+
+rat_values = st.fractions(-10 ** 6, 10 ** 6, max_denominator=60)
+
+
+def as_stored(q):
+    """The value q as the kernel stores it."""
+    return q.numerator if q.denominator == 1 else _Rat(q.numerator, q.denominator)
+
+
+def assert_stored(x, want):
+    if want.denominator == 1:
+        assert type(x) is int and x == want
+    else:
+        assert type(x) is _Rat and x.denominator > 1
+        assert math.gcd(x.numerator, x.denominator) == 1
+        assert (x.numerator, x.denominator) == (want.numerator, want.denominator)
+
+
+@settings(deadline=None)
+@given(rat_values, rat_values, st.integers(0, 5))
+@example(Fraction(1, 2), Fraction(-1, 2), 0)
+@example(Fraction(-3, 4), Fraction(4, 3), 2)
+@example(Fraction(1, 6), Fraction(1, 3), 1)
+@example(Fraction(5, 2), Fraction(0), 3)
+# a denominator the hash modulus divides, and a value whose hash is -2,
+# as no hash is -1
+@example(Fraction(-1, sys.hash_info.modulus), Fraction(-(sys.hash_info.modulus + 2), 2), 1)
+def test_the_stored_rational_matches_fraction(a, b, k):
+    forms = [(x, y) for x in (as_stored(a), a) for y in (as_stored(b), b)
+             if type(x) is _Rat or type(y) is _Rat]
+    for x, y in forms:
+        for op in (operator.add, operator.sub, operator.mul):
+            assert_stored(op(x, y), op(a, b))
+        if b:
+            assert_stored(x / y, a / b)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        for cmp in (operator.eq, operator.ne, operator.lt, operator.gt):
+            assert cmp(x, y) is cmp(a, b)
+    for x in (as_stored(a), as_stored(b)):
+        if type(x) is not _Rat:
+            continue
+        q = Fraction(x)
+        assert type(q) is Fraction and q == x
+        assert_stored(-x, -q)
+        assert_stored(abs(x), abs(q))
+        assert_stored(x ** k, q ** k)
+        assert bool(x) and hash(x) == hash(q) and str(x) == str(q)
+        # mixed with an int on either side
+        for n in (0, 1, -2, k):
+            for op in (operator.add, operator.sub, operator.mul):
+                assert_stored(op(x, n), op(q, n))
+                assert_stored(op(n, x), op(n, q))
+            assert_stored(n / x, n / q)
+            assert (x == n, x < n, x > n, n < x) == (q == n, q < n, q > n, n < q)
 
 
 # -- unit and one-term factors ----------------------------------------------
@@ -1277,9 +1346,9 @@ def test_monomial_substitution_past_the_degree_ceiling_raises():
 # Products, powers, the substitution loop, contents and scalings each take a
 # short path for a unit, a one-term or an all-int operand.  Reference: the
 # route each one replaced, kept here.  A short path must give the same terms
-# in the same order, with the same coefficient types (an int or a Fraction,
-# an integral Fraction among them, as products may leave one), and raise the
-# same degree-ceiling error.
+# in the same order, with the same coefficient types (an int, a _Rat or a
+# Fraction, an integral Fraction among them, as the Fraction layout may leave
+# one), and raise the same degree-ceiling error.
 
 
 def general_product(a, b):
@@ -1328,12 +1397,10 @@ def general_content(p):
 
 def general_scaled(p, r):
     """p / r through Fraction division for every coefficient (r as a
-    Fraction, the only divisor the route took)."""
-    out = {}
-    for e, q in p._terms.items():
-        q = q / Fraction(r)
-        out[e] = q.numerator if q.denominator == 1 else q
-    return Polynomial._new(out)
+    Fraction, the only divisor the route took), each quotient stored as
+    the kernel stores it."""
+    return Polynomial._new({e: as_stored(Fraction(q) / Fraction(r))
+                            for e, q in p._terms.items()})
 
 
 def general_scale(num, den):
@@ -1342,8 +1409,6 @@ def general_scale(num, den):
     r = general_content(den)
     if r != 1:
         return general_scaled(num, r), general_scaled(den, r)
-    if any(type(q) is not int for q in den._terms.values()):
-        den = general_scaled(den, r)
     return num, den
 
 
@@ -1362,14 +1427,17 @@ def typed_outcome(route, *args):
 
 stored_coeffs = st.one_of(coeffs.filter(bool),
                           st.fractions(-9, 9, max_denominator=4).filter(bool),
-                          coeffs.filter(bool).map(Fraction))
+                          coeffs.filter(bool).map(Fraction),
+                          st.fractions(-9, 9, max_denominator=4).filter(
+                              lambda q: q.denominator > 1).map(as_stored))
 
 
 @st.composite
 def stored_polys(draw, max_terms=4, x3=(0, 0)):
-    """Polynomials as products may store them: int, Fraction and integral
-    Fraction coefficients, with x3's degree in the given range (to put
-    products, powers and substitutions near the degree ceiling)."""
+    """Polynomials as the kernel stores them or the Fraction layout gives
+    them: int, _Rat, Fraction and integral Fraction coefficients, with
+    x3's degree in the given range (to put products, powers and
+    substitutions near the degree ceiling)."""
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
         e = [0] * NVARS
@@ -1604,6 +1672,65 @@ def test_no_module_imports_a_private_name_of_exact():
             found += [f"{path.name}:{node.lineno}: {name}"
                       for name in names if name.startswith("_")]
     assert not found
+
+
+# each public name of the three classes, with the arguments it is called
+# with; a name missing here fails the test below
+HALF = Fraction(1, 2)
+PUBLIC_CALLS = {
+    "zero": (), "const": (HALF,), "variable": ("q",), "coerce": (HALF,),
+    "of": (HALF,), "is_zero": (), "is_constant": (), "constant_value": (),
+    "variables": (), "degree_in": ("q",), "leading": (), "coeff_in": ("q", 1),
+    "strip_var": ("q",), "diff": ("q",), "subs_poly": ({"q": HALF},),
+    "eval_fractions": ({"q": HALF, "p": Fraction(-1, 3)},),
+    "signed_content": (), "primitive": (), "substitute": ({"q": HALF},),
+    "partial": ("q",), "as_polynomial": (), "canonical": (),
+    "terms": None, "num": None, "den": None,
+}
+
+
+def _leaves(value):
+    """The scalars in a returned value, through tuples and mappings, and
+    the numerator and denominator of a returned quotient."""
+    if isinstance(value, (RationalFunction, Quotient)):
+        yield from _leaves((value.num, value.den))
+    elif isinstance(value, Polynomial):
+        yield from _leaves(dict(value.terms))
+    elif isinstance(value, Mapping):
+        yield from _leaves(tuple(value.items()))
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from _leaves(v)
+    else:
+        yield value
+
+
+def test_no_public_value_is_the_stored_rational():
+    # every scalar a public method or attribute of the three classes hands
+    # out is an int or a Fraction, from operands whose stored coefficients
+    # are _Rat values; the _Rat stays inside exact
+    q, p = Polynomial.variable("q"), Polynomial.variable("p")
+    poly = HALF * q ** 2 + Fraction(-2, 3) * p + Fraction(5, 4)
+    samples = [poly, Polynomial.const(Fraction(7, 3)), HALF * q,
+               RationalFunction(poly, Fraction(3, 2) * p + 1), rf(Fraction(7, 3)),
+               Quotient(poly, HALF * p + 1), Quotient.of(Fraction(7, 3))]
+    assert any(type(c) is _Rat for x in samples for c in _stored(x))
+    seen = set()
+    for x in samples:
+        names = {n for n in dir(type(x)) if not n.startswith("_")}
+        assert names <= set(PUBLIC_CALLS), names - set(PUBLIC_CALLS)
+        for name in sorted(names):
+            args = PUBLIC_CALLS[name]
+            try:
+                out = getattr(x, name) if args is None else getattr(x, name)(*args)
+            except ExactError:
+                continue
+            seen.add(name)
+            for v in _leaves(out):
+                assert not isinstance(v, _Rat), (type(x).__name__, name)
+                if isinstance(v, Number):
+                    assert type(v) in (int, bool, Fraction), (type(x).__name__, name, v)
+    assert seen == set(PUBLIC_CALLS)
 
 
 # the packed-key helpers and the Polynomial internals that hold packed keys
