@@ -18,11 +18,11 @@ In the single z-descending coordinate chain the centers are, in order,
     step 8:     (y11, z11) = (0, 2c+1)
 
 A curve given by one polynomial equation in one ruled-surface chart is
-pushed into this chain by substitution: each step moves its center to the
-origin and substitutes y = y_next, z = y_next * z_next, and the inversion
-substitutes z8 = 1/v8 after stripping the curve's z8 factor.  The power of
-the exceptional coordinate that factors out at each step is the
-multiplicity of the strict transform at that center.  Together with the
+pushed into this chain by substitution: each step is one substitution,
+y = y_next, z = y_next * z_next + center, and the inversion substitutes
+z8 = 1/v8 after stripping the curve's z8 factor.  The power of the
+exceptional coordinate that factors out at each step is the multiplicity
+of the strict transform at that center.  Together with the
 class of the image in the ruled surface this yields the divisor class
 upstairs.
 
@@ -43,7 +43,7 @@ from types import MappingProxyType
 
 from . import atlas
 from .exact import Polynomial, Quotient, Substitution, poly_gcd
-from .lattice import DivisorClass
+from .lattice import DivisorClass, pair
 
 REGIME_C = {"generic": None, "c=0": Fraction(0), "c=-1": Fraction(-1)}
 # c set to its value, in each regime that fixes one
@@ -57,23 +57,10 @@ _ON_SECTION = {z: Substitution({z: 0}) for z in ("z2", "z4")}
 _CHAIN_CHARTS = (atlas.CHART_VARS["W4"],
                  *((f"y{k}", f"z{k}") for k in range(5, 12)),
                  atlas.CHART_VARS["W12"])
-_CHAIN_Y = tuple(y for y, _ in _CHAIN_CHARTS[:-1])
-_CHAIN_Z = tuple("v8" if z == "z8" else z for _, z in _CHAIN_CHARTS[:-1])
-# (new_y, new_z, center_z) per chain step; center_z is a polynomial builder
-# evaluated with the regime's c so symbolic regimes stay symbolic.
-_CHAIN = tuple(chart + (center,) for chart, center in zip(_CHAIN_CHARTS[1:], (
-    *(lambda c: Polynomial.zero(),) * 4,
-    lambda c: Polynomial.const(2),          # after the inversion
-    lambda c: Polynomial.zero(),
-    lambda c: Polynomial.variable("t"),
-    lambda c: 2 * c + Polynomial.const(1))))
-# Blow-up k + 1 of the origin of chart k, in the chart of the monomial map
-# y = ny, z = ny * nz: y^a z^b goes to ny^(a+b) nz^b, so the power of ny
-# that factors out is the curve's order at the origin.
-_BLOW_UP = tuple(
-    Substitution({y: Polynomial.variable(ny),
-                  z: Polynomial.variable(ny) * Polynomial.variable(nz)})
-    for y, z, (ny, nz, _) in zip(_CHAIN_Y, _CHAIN_Z, _CHAIN))
+# The eight centers' z coordinates, in t and a symbolic c; every center
+# has y = 0, on the previous exceptional curve.
+_CENTERS = (*(Polynomial.zero(),) * 4, Polynomial.const(2), Polynomial.zero(),
+            Polynomial.variable("t"), 2 * Polynomial.variable("c") + 1)
 # The inversion z8 = 1/v8 before the fifth blow-up.  On a curve free of z8
 # factors, clearing the denominator sends z8^k to v8^(d - k), d the top z8
 # power, so the top terms keep v8^0 and no power of v8 divides the result.
@@ -149,11 +136,6 @@ def _specialize(poly: Polynomial, regime: str) -> Polynomial:
     return poly.subs_poly(_AT_C[regime])
 
 
-def _regime_c(regime: str) -> Polynomial:
-    cval = _regime_value(regime)
-    return Polynomial.variable("c") if cval is None else Polynomial.const(cval)
-
-
 def _check_curve_ok(p: Polynomial, regime: str, chart_vars: tuple[str, str]) -> None:
     if p.is_zero():
         raise BlowupError("zero defining polynomial")
@@ -190,6 +172,21 @@ def _bindings(source: str, target: str, regime: str) -> Substitution:
     else:
         return atlas.transition(target, source).bindings
     return Substitution(pairs)
+
+
+@lru_cache(maxsize=None)
+def _blow_ups(regime: str) -> tuple[Substitution, ...]:
+    """The eight blow-ups in the regime, each prepared once: blow-up k + 1
+    binds chart k's y = ny and z = ny * nz + center, c set in the center.
+    y^a (z - center)^b goes to ny^(a+b) nz^b, so the power of ny that
+    factors out is the curve's order at the center."""
+    out = []
+    for (y, z), (ny, nz), center in zip(_CHAIN_CHARTS, _CHAIN_CHARTS[1:],
+                                        _CENTERS):
+        z = "v8" if z == "z8" else z        # the fifth follows the inversion
+        center = _specialize(center, regime)
+        out.append(Substitution({y: _p(ny), z: _p(ny) * _p(nz) + center}))
+    return tuple(out)
 
 
 def _numerator_after(poly: Polynomial, bindings: Substitution) -> Polynomial:
@@ -258,19 +255,15 @@ def chain_trace(spec: CurveSpec, regime: str = "generic") -> ChainTrace:
     w4 = to_w4(spec, regime)
     if w4 is None:
         return ChainTrace(None, (), 0)
-    c_poly = _regime_c(regime)
     cur, steps, dropped = w4, [], 0
-    for k, (ny, nz, center_fn) in enumerate(_CHAIN):
+    for k, blow_up in enumerate(_blow_ups(regime)):
         if k == 4:
             cur, dropped = cur.strip_var("z8")
             cur = _numerator_after(cur, _INVERSION)
             if cur.is_constant():
                 break   # the whole curve lay in the section leaving the chart
-        center = center_fn(c_poly)
-        if not center.is_zero():
-            z_cur = _CHAIN_Z[k]
-            cur = cur.subs_poly({z_cur: Polynomial.variable(z_cur) + center})
-        cur, m = cur.subs_poly(_BLOW_UP[k]).strip_var(ny)
+        ny, nz = _CHAIN_CHARTS[k + 1]
+        cur, m = cur.subs_poly(blow_up).strip_var(ny)
         steps.append(ChainStep(k + 1, (ny, nz), m, cur))
         if cur.is_constant():
             break
@@ -425,8 +418,6 @@ TableCheck = namedtuple("TableCheck", "a b computed stated status")
 
 def verify_intersection_table(regime: str = "generic") -> list[TableCheck]:
     """Recompute every stated intersection number from defining equations."""
-    from .lattice import pair
-
     classes = engine_classes(regime)
     out = []
     for a, b, stated in stated_intersections(regime):

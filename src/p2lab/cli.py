@@ -351,7 +351,7 @@ def run_suite(name: str) -> dict:
     raises adds one fail check, ``suite-error[<name>]``, with the error
     as computed, after the checks of the suites that ran."""
     checks, errors = [], []
-    for n in ("lattice", "backlund", "atlas") if name == "all" else (name,):
+    for n in _SUITES if name == "all" else (name,):
         suite = _SUITES[n]
         try:
             checks.extend(suite())
@@ -607,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("suite", choices=["lattice", "backlund", "atlas", "all"])
+    v.add_argument("suite", choices=[*_SUITES, "all"])
     v.add_argument("--json", action="store_true")
 
     cv = sub.add_parser("curves", help="intersection table as CSV")

@@ -279,11 +279,14 @@ def _ratio(n: int, d: int) -> "int | _Rat":
 
 
 def _coef(value: Scalar) -> "int | _Rat":
-    """A coefficient as stored: an int when integral, else a _Rat."""
+    """A coefficient as stored: an int when integral, else a _Rat.  Any
+    value but an int (a bool too), a _Rat or a Fraction raises, a float
+    included."""
     if type(value) is int or type(value) is _Rat:
         return value
-    q = value if type(value) is Fraction else Fraction(value)
-    return _ratio(q.numerator, q.denominator)
+    if isinstance(value, (int, Fraction)):
+        return _ratio(value.numerator, value.denominator)
+    raise ExactError(f"cannot interpret {value!r} as an exact coefficient")
 
 
 def _content(t: dict) -> "int | _Rat":
@@ -324,7 +327,8 @@ class Polynomial:
         """From a mapping of exponent tuples (over the whole alphabet) to
         rational coefficients; zero coefficients are dropped."""
         if terms:
-            self._terms = {_pack(e): _coef(q) for e, q in terms.items() if q}
+            self._terms = {_pack(e): c for e, q in terms.items()
+                           if (c := _coef(q))}
         else:
             self._terms = {}
 

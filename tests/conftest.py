@@ -30,8 +30,9 @@ settings.register_profile(
                            HealthCheck.too_slow],
 )
 # the same, ten times deeper: CI runs the generated-code properties of
-# tests/test_flow.py, the report writer's, the prepared substitution's and
-# the stored rational's under it once (--hypothesis-profile=p2lab-deep)
+# tests/test_flow.py, the report writer's, the prepared substitution's,
+# the stored rational's and the prepared blow-ups' under it once
+# (--hypothesis-profile=p2lab-deep)
 settings.register_profile("p2lab-deep", settings.get_profile("p2lab"),
                           max_examples=600)
 settings.load_profile("p2lab")

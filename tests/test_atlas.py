@@ -266,9 +266,8 @@ def test_gluing_and_chain_rule_read_the_pulled_field(monkeypatch):
 def chain_images():
     """W12's coordinates as functions of W3's, and W3's as functions of
     W12's, composed from the fibre inversion W4 -> W3 of
-    ``atlas.transition`` and the blow-ups of ``blowup._CHAIN``, with the
-    inversion v8 = 1/z8 before the fifth."""
-    c = Polynomial.variable("c")
+    ``atlas.transition`` and the blow-ups centred at ``blowup._CENTERS``,
+    with the inversion v8 = 1/z8 before the fifth."""
     inversion = transition("W4", "W3")
 
     def glue(y, z):
@@ -281,15 +280,15 @@ def chain_images():
     assert glue(*glue(y3, z3)) == (y3, z3)   # so it is W3 -> W4 as well
     # W3 -> W12: each blow-up takes z_next = (z_prev - center) / y
     y, z = glue(y3, z3)
-    for k, (_, _, center) in enumerate(blowup._CHAIN):
+    for k, center in enumerate(blowup._CENTERS):
         if k == 4:
             z = 1 / z
-        z = (z - rf(center(c))) / y
+        z = (z - rf(center)) / y
     forward = (y, z)
     # W12 -> W3: z_prev = center + y * z_next, back down the chain
     y, z = rfvars("y12", "z12")
-    for k in reversed(range(len(blowup._CHAIN))):
-        z = rf(blowup._CHAIN[k][2](c)) + y * z
+    for k in reversed(range(len(blowup._CENTERS))):
+        z = rf(blowup._CENTERS[k]) + y * z
         if k == 4:
             z = 1 / z
     return forward, glue(y, z)

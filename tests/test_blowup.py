@@ -86,7 +86,7 @@ def test_chart_changes_are_built_once_and_compose(regime):
     assert blowup._bindings("W1", "W4", regime) is to_w4
     with pytest.raises(TypeError):
         to_w4["y1"] = rf(1)
-    c = rf(blowup._regime_c(regime))
+    c = rf(blowup._specialize(Polynomial.variable("c"), regime))
     y4, z4 = rfvar("y4"), rfvar("z4")
     assert canonical(to_w4) == {"y1": 1 / y4, "z1": y4 * (c * z4 - y4) / z4}
     composed = {v: e.substitute(to_w4).canonical()
@@ -289,18 +289,53 @@ def test_strip_var_matches_the_tuple_route(p, name, j):
     assert q == q_ref
 
 
-@given(st.integers(0, 7).flatmap(lambda k: st.tuples(
-    st.just(k), polynomials((blowup._CHAIN_Y[k], blowup._CHAIN_Z[k], "t", "c"),
-                            min_size=1))))
+def chain_step(k):
+    """Blow-up k + 1's chart (y, z), v8 for z8, its new (y, z) and its
+    center with c symbolic."""
+    y, z = blowup._CHAIN_CHARTS[k]
+    return ((y, "v8" if z == "z8" else z), blowup._CHAIN_CHARTS[k + 1],
+            blowup._CENTERS[k])
+
+
+def step_polynomials(k):
+    """k and a polynomial in blow-up k + 1's (y, z, t, c)."""
+    return st.tuples(st.just(k), polynomials((*chain_step(k)[0], "t", "c"),
+                                             min_size=1))
+
+
+@given(st.integers(0, 7).flatmap(step_polynomials))
 def test_blow_up_matches_the_tuple_route(args):
     k, p = args
-    y, z = blowup._CHAIN_Y[k], blowup._CHAIN_Z[k]
-    ny, nz = blowup._CHAIN[k][:2]
-    got = p.subs_poly(blowup._BLOW_UP[k])
+    (y, z), (ny, nz), center = chain_step(k)
+    # the prepared step blows up the center: move the origin there first
+    got = p.subs_poly({z: Polynomial.variable(z) - center}).subs_poly(
+        blowup._blow_ups("generic")[k])
     want = tuple_blow_up(p, y, z, ny, nz)
     assert as_listed(got) == as_listed(want) and got == want
     # the power of ny that factors out is the curve's order at the origin
     assert got.strip_var(ny)[1] == tuple_vanishing_order(p, y, z)
+
+
+@pytest.mark.parametrize("regime", lattice.REGIMES)
+@given(polynomials(("y4", "z4", "t", "c"), min_size=1))
+def test_the_prepared_blow_ups_match_the_two_step_route(regime, p4):
+    # the route each prepared step replaced: translate z by the center,
+    # then blow up the origin by y = ny, z = ny * nz; every step, on the
+    # drawn curve moved into its chart
+    for k, blow_up in enumerate(blowup._blow_ups(regime)):
+        (y, z), (ny, nz), center = chain_step(k)
+        p = p4.subs_poly({"y4": Polynomial.variable(y),
+                          "z4": Polynomial.variable(z)})
+        center = blowup._specialize(center, regime)
+        translated = p.subs_poly({z: Polynomial.variable(z) + center}) \
+            if center else p
+        nyp = Polynomial.variable(ny)
+        want = translated.subs_poly({y: nyp, z: nyp * Polynomial.variable(nz)})
+        got = p.subs_poly(blow_up)
+        assert got == want, k
+        assert got.strip_var(ny)[1] == want.strip_var(ny)[1], k
+        if not center:
+            assert as_listed(got) == as_listed(want), k
 
 
 def invert_z8(p):
@@ -358,18 +393,16 @@ def substitution_chain_trace(spec, regime="generic"):
     w4 = blowup.to_w4(spec, regime)
     if w4 is None:
         return blowup.ChainTrace(None, (), 0)
-    cval = blowup.REGIME_C[regime]
-    c_poly = Polynomial.variable("c") if cval is None else Polynomial.const(cval)
     cur, steps, dropped = w4, [], 0
-    for k, (ny, nz, center_fn) in enumerate(blowup._CHAIN):
-        y_cur, z_cur = blowup._CHAIN_Y[k], blowup._CHAIN_Z[k]
+    for k in range(8):
+        (y_cur, z_cur), (ny, nz), center = chain_step(k)
         if k == 4:
             cur, dropped = tuple_invert_z8(cur)
             if cur.is_constant():
                 steps.extend(blowup.ChainStep(j + 1, ("", ""), 0, cur)
                              for j in range(k, 8))
                 break
-        center = center_fn(c_poly)
+        center = blowup._specialize(center, regime)
         local = cur.subs_poly({z_cur: Polynomial.variable(z_cur) + center})
         expected = tuple_vanishing_order(local, y_cur, z_cur)
         nyp, nzp = Polynomial.variable(ny), Polynomial.variable(nz)
@@ -398,6 +431,28 @@ def test_chain_matches_the_substitution_route(regime):
     for name, spec in curve_specs(regime).items():
         assert trace_or_error(chain_trace, spec, regime) == \
             trace_or_error(substitution_chain_trace, spec, regime), name
+
+
+def test_a_warm_round_of_chain_traces_builds_no_substitution(monkeypatch):
+    # the chart changes, blow-ups and inversion are each prepared once per
+    # regime, so a second round over every regime's curves builds none
+    def traces():
+        for regime in lattice.REGIMES:
+            for spec in curve_specs(regime).values():
+                try:
+                    chain_trace(spec, regime)
+                except RegimeSplit:
+                    continue
+    traces()
+    built = []
+    init = exact.Substitution.__init__
+
+    def counted(self, bindings):
+        built.append(bindings)
+        init(self, bindings)
+    monkeypatch.setattr(exact.Substitution, "__init__", counted)
+    traces()
+    assert built == []
 
 
 def random_curve(chart, terms):

@@ -827,6 +827,26 @@ def test_unreduced_substitution_guards():
         u ** -1
 
 
+# the four entry points that read a caller's coefficient
+COEFFICIENT_ENTRIES = {
+    "Polynomial.const": Polynomial.const,
+    "Polynomial": lambda x: Polynomial({(0,) * NVARS: x}),
+    "eval_fractions":
+        lambda x: Polynomial.variable("q").eval_fractions({"q": x}),
+    "RationalFunction.const": RationalFunction.const,
+}
+
+
+@pytest.mark.parametrize("entry", COEFFICIENT_ENTRIES.values(),
+                         ids=list(COEFFICIENT_ENTRIES))
+@pytest.mark.parametrize("value", [0.1, float("nan"), 0.0], ids=repr)
+def test_a_float_coefficient_is_an_exact_error(entry, value):
+    # a float is no exact value: it is refused, as `p + 0.1` and `rf(0.5)`
+    # refuse theirs, and a zero float before zero terms are dropped
+    with pytest.raises(ExactError, match="exact coefficient"):
+        entry(value)
+
+
 def test_quotient_equality_is_exact_and_takes_no_gcd(monkeypatch):
     q, p, t = (Polynomial.variable(v) for v in VARS)
     calls = []
