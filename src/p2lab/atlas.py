@@ -73,9 +73,8 @@ class Transition(namedtuple("Transition", "source target y_img z_img")):
         return Substitution({ty: self.y_img, tz: self.z_img})
 
     def apply(self, y, z, t, c) -> tuple[Fraction, Fraction]:
-        vals = {"t": Fraction(t), "c": Fraction(c)}
         sy, sz = CHART_VARS[self.source]
-        vals[sy], vals[sz] = Fraction(y), Fraction(z)
+        vals = {"t": t, "c": c, sy: y, sz: z}
         return self.y_img.eval_fractions(vals), self.z_img.eval_fractions(vals)
 
 
@@ -131,7 +130,7 @@ def consistency_check(quartic_coeff=2, reflect_c_on_direct: bool = False) -> boo
     step = transition("W3", "W12")
     # a quartic coefficient k in place of 2 adds (2 - k)/y3^4 to z12
     step_z = Quotient.of(step.z_img) + Quotient(
-        Polynomial.const(2 - Fraction(quartic_coeff)),
+        Polynomial.const(2 - quartic_coeff),
         Polynomial.variable("y3") ** 4)
     b = transition("W1", "W3").bindings
     direct = transition("W1", "W12")
@@ -321,7 +320,7 @@ def period_c2_minus_c1(c0) -> Fraction:
     over the cycle joining the two -1-sections across the first
     exceptional curve: the distance between the segment's end points
     (``_period_ends``) at c = c0."""
-    at = {"c": Fraction(c0)}
+    at = {"c": c0}
     c1_end, c2_end = _period_ends()
     return c2_end.eval_fractions(at) - c1_end.eval_fractions(at)
 
@@ -373,4 +372,4 @@ def _period_ends() -> tuple[RationalFunction, RationalFunction]:
 def period_c4_minus_c3(c0) -> Fraction:
     """The companion cycle's period, via the parameter reflection that
     exchanges the two degenerations: evaluate at -1-c."""
-    return period_c2_minus_c1(Fraction(-1) - Fraction(c0))
+    return period_c2_minus_c1(-1 - c0)

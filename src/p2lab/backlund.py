@@ -307,7 +307,7 @@ def invariant_curve_division(f: Polynomial, c0) -> tuple[bool, Polynomial | None
     multiple of f?  Returns the cofactor on success."""
     if f.is_zero():
         raise BacklundError("zero polynomial")
-    spec = Substitution({"c": Fraction(c0)})
+    spec = Substitution({"c": c0})
     f0 = f.subs_poly(spec)
     if f0.is_zero() or f0.is_constant():
         raise BacklundError("curve degenerates at this parameter")

@@ -250,6 +250,8 @@ class ChainTrace(namedtuple("ChainTrace",
 
 def chain_trace(spec: CurveSpec, regime: str = "generic") -> ChainTrace:
     """Run the curve through all eight blow-ups, recording multiplicities."""
+    if spec.chart not in atlas.CHART_VARS:
+        raise BlowupError(f"no W4 transport from chart {spec.chart}")
     p0 = _specialize(spec.poly, regime)
     _check_curve_ok(p0, regime, atlas.CHART_VARS[spec.chart])
     w4 = to_w4(spec, regime)

@@ -59,7 +59,12 @@ from .exact import Polynomial, Quotient, RationalFunction, var_index
 
 
 class FlowError(Exception):
-    pass
+    """``stats`` is the failed trajectory's ``stats_record()``, or None
+    where no trajectory was kept."""
+
+    def __init__(self, message: str, stats: dict | None = None):
+        super().__init__(message)
+        self.stats = stats
 
 
 class NoChart(FlowError):
@@ -67,13 +72,7 @@ class NoChart(FlowError):
 
 
 class StepFailure(FlowError):
-    """Step size underflow or step budget exhausted.  ``stats`` is the
-    failed trajectory's ``stats_record()``, or None where no trajectory
-    was kept."""
-
-    def __init__(self, message: str, stats: dict | None = None):
-        super().__init__(message)
-        self.stats = stats
+    """Step size underflow or step budget exhausted."""
 
 
 # first and largest step, step budget, and best_chart's size bound
@@ -638,24 +637,28 @@ def integrate(c: float, initial: FlowState, t1: float,
     def pick(y, z, t):
         return best_chart(chart, y, z, t, c)
 
-    while True:
-        loop = _chart_loop(chart)(config.rtol, config.atol, c)
-        before = stats.accepted
-        try:
-            status, u, t, h, err_prev, target = loop(
-                u, t, t1, h, err_prev, MAX_STEPS, config.switch_threshold,
-                pick, stats, record, FlowState, chart, cf)
-        finally:
-            if stats.accepted > before:
-                stats.chart_steps[chart] = (stats.chart_steps.get(chart, 0)
-                                            + stats.accepted - before)
-        if status != "switch":
-            break
-        y, z = u
-        u = transport(chart, target, y, z, t, c)
-        traj.switches.append(SwitchEvent(t, chart, target, y, z, *u))
-        chart = target
-        record(FlowState(chart, *u, t, cf))
+    try:
+        while True:
+            loop = _chart_loop(chart)(config.rtol, config.atol, c)
+            before = stats.accepted
+            try:
+                status, u, t, h, err_prev, target = loop(
+                    u, t, t1, h, err_prev, MAX_STEPS, config.switch_threshold,
+                    pick, stats, record, FlowState, chart, cf)
+            finally:
+                if stats.accepted > before:
+                    stats.chart_steps[chart] = (stats.chart_steps.get(chart, 0)
+                                                + stats.accepted - before)
+            if status != "switch":
+                break
+            y, z = u
+            u = transport(chart, target, y, z, t, c)
+            traj.switches.append(SwitchEvent(t, chart, target, y, z, *u))
+            chart = target
+            record(FlowState(chart, *u, t, cf))
+    except NoChart as exc:
+        exc.stats = traj.stats_record()
+        raise
     if status is not None:
         raise StepFailure(status, traj.stats_record())
     return traj

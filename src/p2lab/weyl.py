@@ -62,7 +62,7 @@ def param_word(word) -> RationalFunction:
 
 
 def param_apply(word, c) -> Fraction:
-    return param_word(word).eval_fractions({"c": Fraction(c)})
+    return param_word(word).eval_fractions({"c": c})
 
 
 # ---------------------------------------------------------------------------

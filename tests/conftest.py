@@ -29,10 +29,8 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.filter_too_much,
                            HealthCheck.too_slow],
 )
-# the same, ten times deeper: CI runs the generated-code properties of
-# tests/test_flow.py, the report writer's, the prepared substitution's,
-# the stored rational's and the prepared blow-ups' under it once
-# (--hypothesis-profile=p2lab-deep)
+# the same, ten times deeper: CI runs the tests marked ``deep`` under it
+# once (pytest -m deep --hypothesis-profile=p2lab-deep)
 settings.register_profile("p2lab-deep", settings.get_profile("p2lab"),
                           max_examples=600)
 settings.load_profile("p2lab")

@@ -9,6 +9,7 @@ criterion consists of, and the criterion holds when all of them pass.
 as `p2lab verify all` prints one line per check.  Criterion 11 is the
 numerical budget for the chart-switching integrator.
 """
+import json
 from fnmatch import fnmatchcase
 from fractions import Fraction
 
@@ -141,3 +142,28 @@ def test_criterion_11_numerics():
 def test_check(check_id, report):
     # every check passes except the README's three known discrepancies
     assert_check(report[check_id])
+
+
+# the passing checks that report unequal values: each keeps a verdict of
+# its own, because making its strings equal would move the pinned digest
+UNEQUAL = {
+    "complement-forward": "two bases of one lattice; the verdict compares "
+                          "the spans",
+    "complement-reverse": "a basis against the span it must equal, named "
+                          "in words",
+    "hamiltonian-polynomial W3": "the Hamiltonian against the words 'a "
+                                 "polynomial'; building it is the check",
+    "hamiltonian-polynomial W12": "the Hamiltonian against the words 'a "
+                                  "polynomial'; building it is the check",
+    "hamilton-field-base": "the expected strings write t/2 where the field "
+                           "prints 1/2*t; the verdict compares the field",
+}
+
+
+def test_a_passing_check_reports_equal_values(report):
+    # a value check passes exactly when the values it reports are equal,
+    # as printed, except for the checks of UNEQUAL
+    unequal = [cid for cid, c in report.items() if c["status"] == "pass"
+               and c["computed"] is not None and c["expected"] is not None
+               and json.dumps(c["computed"]) != json.dumps(c["expected"])]
+    assert unequal == list(UNEQUAL)

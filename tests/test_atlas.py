@@ -23,7 +23,8 @@ from p2lab.atlas import (
     transition,
 )
 from p2lab.exact import (
-    Polynomial, Quotient, RationalFunction, rf, rfvar, rfvars, var_index,
+    ExactError, Polynomial, Quotient, RationalFunction, rf, rfvar, rfvars,
+    var_index,
 )
 
 PAIRS = (("W1", "W3"), ("W3", "W12"), ("W1", "W12"))
@@ -426,6 +427,20 @@ def test_period_ends_match_the_per_call_derivation():
         assert period_c2_minus_c1(c) == per_call_period_c2_minus_c1(c), c
         assert period_c4_minus_c3(c) == per_call_period_c2_minus_c1(-1 - c), c
     assert atlas._period_ends.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda: period_c2_minus_c1(0.1),
+    lambda: period_c4_minus_c3(0.1),
+    lambda: transition("W1", "W3").apply(0.1, 1, 0, 1),
+    lambda: atlas.consistency_check(quartic_coeff=2.0),
+], ids=["period_c2_minus_c1", "period_c4_minus_c3", "Transition.apply",
+        "consistency_check"])
+def test_a_float_is_refused(call):
+    # Fraction(0.1) is the binary 3602879701896397/36028797018963968; the
+    # value goes to the exact kernel as given, which refuses it
+    with pytest.raises(ExactError, match="exact coefficient"):
+        call()
 
 
 def test_transition_domain_guard():

@@ -28,7 +28,7 @@ from p2lab.backlund import (
     sign_flip_only,
     unshifted_reflection,
 )
-from p2lab.exact import Polynomial, rf, rfvar, rfvars
+from p2lab.exact import ExactError, Polynomial, rf, rfvar, rfvars
 
 
 def test_reflection_needs_the_parameter_shift():
@@ -153,6 +153,12 @@ def test_invariant_curves():
         got = invariant_curve_division(f, c0)
         assert got == (want is not None, want)
         assert got == ref_invariant_curve_division(f, c0)
+
+
+def test_a_float_parameter_is_refused():
+    # not read as the binary rational Fraction(0.1)
+    with pytest.raises(ExactError, match="as a quotient"):
+        invariant_curve_division(Polynomial.variable("p"), 0.1)
 
 
 # -- the unreduced route against the canonical one --------------------------

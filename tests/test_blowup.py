@@ -316,6 +316,7 @@ def test_blow_up_matches_the_tuple_route(args):
     assert got.strip_var(ny)[1] == tuple_vanishing_order(p, y, z)
 
 
+@pytest.mark.deep
 @pytest.mark.parametrize("regime", lattice.REGIMES)
 @given(polynomials(("y4", "z4", "t", "c"), min_size=1))
 def test_the_prepared_blow_ups_match_the_two_step_route(regime, p4):
@@ -493,3 +494,11 @@ def test_class_of_the_negation_image_of_c6():
         "2*y1^3*z1^3 + t*y1*z1^3 - 6*c*y1^2*z1^2 + y1*z1^4 - t*c*z1^2 "
         "+ 6*c^2*y1*z1 - 2*c*z1^3 - 2*c^3 + z1^3")
     blowup.total_class(CurveSpec("img", "W1", image.num), "generic")
+
+
+@pytest.mark.parametrize("fn", [chain_trace, blowup.total_class],
+                         ids=["chain_trace", "total_class"])
+def test_a_curve_on_an_unknown_chart_raises_blowup_error(fn):
+    # as base_class does, not a KeyError from the chart table
+    with pytest.raises(blowup.BlowupError, match="from chart W9"):
+        fn(CurveSpec("X", "W9", Polynomial.variable("y1")))

@@ -278,6 +278,7 @@ json_values = st.recursive(
     max_leaves=12)
 
 
+@pytest.mark.deep
 @given(json_values)
 @example({"": [], "a": {}, 7: (), 2.5: [[]], True: None, False: 0,
           None: [1, "x"], 1e16: -0.0})
@@ -668,18 +669,31 @@ def underflow_stats(field_evals):
             "steps_per_chart": {"W1": 0, "W3": 0, "W12": 0}, "switches": 0}
 
 
-@pytest.mark.parametrize("opts,stats", [
+UNDERFLOW = "p2lab: error: step size underflow\n"
+
+
+@pytest.mark.parametrize("opts,stats,error", [
     # the error norm overflows after all seven stages of every step
-    ({"rtol": "1e-300", "atol": "1e-300"}, underflow_stats(7 * 16)),
+    ({"rtol": "1e-300", "atol": "1e-300"}, underflow_stats(7 * 16),
+     UNDERFLOW),
     # the first stage overflows every time
-    ({"q0": "1e200"}, underflow_stats(16)),
-], ids=["norm-overflow", "first-stage-overflow"])
+    ({"q0": "1e200"}, underflow_stats(16), UNDERFLOW),
+    # on the removed divisor: one step in W1, then no chart keeps the
+    # state finite; the stats count that segment's step
+    ({"q0": "2e8", "p0": "2e8"},
+     {"field_evals": 77, "accepted": 1,
+      "rejected": {"error_norm": 7, "overflow": 4, "non_finite": 0},
+      "forced": 0, "h_min": 8.638336954945925e-11,
+      "h_max": 8.638336954945925e-11,
+      "steps_per_chart": {"W1": 1, "W3": 0, "W12": 0}, "switches": 0},
+     "p2lab: error: no finite chart at t=8.638336954945925e-11 "
+     "(smallest size 203516080.9835717)\n"),
+], ids=["norm-overflow", "first-stage-overflow", "no-chart"])
 def test_a_failed_integration_writes_its_stats_before_the_error(capsys, opts,
-                                                                stats):
+                                                                stats, error):
     # stdout stays empty and the exit status 2; with --stats, stderr is
     # the stats line and then the one-line error
     argv = integrate_argv(**opts)
-    error = "p2lab: error: step size underflow\n"
     assert run_in_process(capsys, *argv) == (2, "", error)
     code, out, err = run_in_process(capsys, *argv, "--stats")
     assert (code, out) == (2, "")
@@ -691,6 +705,22 @@ def test_a_failed_integration_writes_its_stats_before_the_error(capsys, opts,
 def integrate_argv(**opts):
     argv = {"c": "1/2", "t0": "0", "t1": "1", "q0": "0", "p0": "0", **opts}
     return ["integrate"] + [f"--{k}={v}" for k, v in argv.items()]
+
+
+@pytest.mark.parametrize("argv", [
+    lambda c: ["periods", f"--c={c}"],
+    lambda c: integrate_argv(c=c),
+], ids=["periods", "integrate"])
+def test_c_refuses_underscores_and_inner_whitespace(argv, capsys):
+    # Fraction takes the first two from 3.11 on and the last two from
+    # 3.12 on; --c refuses all four on every interpreter
+    for c in ("1_0", "1e1_0", "1 /3", "1/ 3"):
+        assert run_in_process(capsys, *argv(c)) == (
+            2, "", f"p2lab: error: argument --c: not a rational number "
+                   f"that prints: {c!r}\n")
+    # whitespace around the number is stripped, as every version does
+    code, out, _ = run_in_process(capsys, *argv(" 1/3 "))
+    assert code == 0 and out
 
 
 def test_a_negative_rational_value_takes_an_equals_sign(capsys):

@@ -1050,6 +1050,7 @@ def assert_stored(x, want):
         assert (x.numerator, x.denominator) == (want.numerator, want.denominator)
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(rat_values, rat_values, st.integers(0, 5))
 @example(Fraction(1, 2), Fraction(-1, 2), 0)
@@ -1587,6 +1588,7 @@ def result(route, *args):
     return listed(out.num), listed(out.den)
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(st.one_of(cyz_polys(), cyz_polys(max_exps=(5, 70, 52))),
        st.one_of(st.builds(monomial, rational_coeffs.filter(bool),

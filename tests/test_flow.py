@@ -462,6 +462,7 @@ exact_exprs = st.builds(
 
 # summing three or more terms in another order changes the rounding in
 # about one example in ten, so this cheap property gets more examples
+@pytest.mark.deep
 @settings(max_examples=300)
 @given(exact_exprs, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0),
        st.floats(-4.0, 4.0))
@@ -471,6 +472,7 @@ def test_generated_rf_matches_the_interpreter_bit_for_bit(expr, q, p, t):
         outcome(interpret_rf(expr, names), q, p, t)
 
 
+@pytest.mark.deep
 def test_generated_rf_matches_the_interpreter_at_edge_values():
     q, p, t = rfvar("q"), rfvar("p"), rfvar("t")
     names = ("q", "p", "t")
@@ -518,6 +520,7 @@ def assert_step_matches_the_loop(bind, ref_bind, u, t, h, params, rtol,
         assert bits(k7) == bits(field(u5, t + h))
 
 
+@pytest.mark.deep
 @given(st.sampled_from(flow.atlas.CHARTS), moderate, moderate, moderate,
        moderate, step_sizes, tolerances, tolerances)
 def test_generated_step_matches_the_loop_in_two_components(chart, y, z, t, c,
@@ -527,6 +530,7 @@ def test_generated_step_matches_the_loop_in_two_components(chart, y, z, t, c,
                                  (y, z), t, h, (c,), rtol, atol)
 
 
+@pytest.mark.deep
 @given(fracs, fracs, moderate, moderate, step_sizes, tolerances, tolerances)
 # k1..k6 finite and k7 = inf: the reference's u5 (which adds 0.0 * k7) is
 # nan, the generated loop's new state (the seventh stage's input) is
@@ -541,6 +545,7 @@ def test_generated_step_matches_the_loop_in_one_component(a, b, q, t, h, rtol,
                                  (q,), t, h, (), rtol, atol)
 
 
+@pytest.mark.deep
 def test_generated_step_matches_the_loop_at_edge_values():
     for chart in flow.atlas.CHARTS:
         for y, z, h in ((1e100, 1.0, 0.1), (1e30, 1e30, -0.1),
@@ -789,6 +794,7 @@ one_variable = st.one_of(
 thresholds = st.one_of(st.just(math.inf), st.none(), st.floats(1.01, 20.0))
 
 
+@pytest.mark.deep
 @given(one_variable, starts, moderate, spans, loose, loose, budgets,
        thresholds)
 @example(rfvar("q") * rfvar("t"), 1.7e308, 2.0, 1.0, 1e-10, 1e-12,
@@ -820,6 +826,7 @@ def test_generated_loop_matches_the_driver_in_one_component(
     assert_runs_agree(got, want)
 
 
+@pytest.mark.deep
 @given(st.sampled_from(flow.atlas.CHARTS), starts, starts, moderate,
        moderate, spans, loose, loose, budgets)
 def test_generated_loop_matches_the_driver_in_two_components(

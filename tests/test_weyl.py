@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from p2lab import atlas, lattice, weyl
+from p2lab.exact import ExactError
 from p2lab.lattice import DivisorClass
 
 
@@ -79,6 +80,12 @@ def test_translation_powers(c, n):
 def test_unknown_generator_rejected():
     with pytest.raises(weyl.WeylError):
         weyl.param_word(["k"])
+
+
+def test_a_float_parameter_is_refused():
+    # Fraction(0.1) would read it as 3602879701896397/36028797018963968
+    with pytest.raises(ExactError, match="exact coefficient"):
+        weyl.param_apply(["i"], 0.1)
 
 
 def test_isometry_constructor_guards():
