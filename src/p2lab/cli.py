@@ -342,43 +342,14 @@ def run_suite(name: str) -> dict:
     return {"suite": name, "checks": checks + errors}
 
 
-_INF = float("inf")
-
-
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _json_key(k) -> str:
-    """A dict key as json writes it, before quoting."""
-    if isinstance(k, str):
-        return k
-    if isinstance(k, float):
-        return _json_float(k)
-    if k is True:
-        return "true"
-    if k is False:
-        return "false"
-    if k is None:
-        return "null"
-    if isinstance(k, int):
-        return int.__repr__(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {k.__class__.__name__}")
-
-
 def _dumps(value) -> str:
-    """``json.dumps(value, indent=2)``, byte for byte.  Given ``indent``,
-    json runs its pure-Python encoder; this writer walks dicts and lists
-    itself, quotes strings with json's C function and writes a flat list
-    of ints or of strings with one join.  A value or key that json
-    refuses raises json's ``TypeError``."""
+    """``json.dumps(value, indent=2)``, byte for byte, for the values a
+    report holds: None, bools, ints, strings, and lists and dicts of
+    these, a dict keyed by strings or ints.  Given ``indent``, json runs
+    its pure-Python encoder; this writer walks dicts and lists itself,
+    quotes strings with json's C function and writes a flat list of ints
+    or of strings with one join.  Any other value or key, a float or a
+    tuple included, raises ``TypeError``."""
     out = []
     _write(value, "\n", out)
     return "".join(out)
@@ -397,9 +368,7 @@ def _write(v, nl: str, out: list) -> None:
         out.append("false")
     elif isinstance(v, int):
         out.append(int.__repr__(v))
-    elif isinstance(v, float):
-        out.append(_json_float(v))
-    elif isinstance(v, (list, tuple)):
+    elif isinstance(v, list):
         if not v:
             out.append("[]")
             return
@@ -423,7 +392,13 @@ def _write(v, nl: str, out: list) -> None:
         inner = nl + "  "
         head = "{" + inner
         for k, x in v.items():
-            head += _json_str(k if type(k) is str else _json_key(k)) + ": "
+            if type(k) is str:
+                head += _json_str(k) + ": "
+            elif type(k) is int:
+                head += f'"{k}": '
+            else:
+                raise TypeError(f"keys must be str or int, "
+                                f"not {k.__class__.__name__}")
             if type(x) is str:
                 out.append(head + _json_str(x))
             else:

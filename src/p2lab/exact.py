@@ -56,12 +56,13 @@ with the sign on the numerator.  ``_Rat``'s operators do the int
 arithmetic with ``math.gcd`` and hand back an int wherever the value is
 integral, so the products and sums of coefficients run on ints and
 never reach ``fractions.Fraction``'s operators or its constructor.
-Division is the one operation that needs care, since ``int / int`` is a
-float: ``divexact`` multiplies by the stored inverse of the divisor's
-leading coefficient, and ``_scaled`` and ``_coef`` build each quotient
-with ``_ratio``.  The contents stay on ints too: ``_content`` of an
-all-int polynomial is the ``math.gcd`` of its coefficients, else the gcd
-of the numerators over the lcm of the denominators.  Every operation
+No coefficient is divided by another, since ``int / int`` is a float,
+and ``_Rat`` has no ``/``: ``divexact`` multiplies by the stored inverse
+of the divisor's leading coefficient, and ``_scaled``, ``_content`` and
+``_coef`` build each quotient with ``_ratio``.  The contents stay on
+ints too: ``_content`` of an all-int polynomial is the ``math.gcd`` of
+its coefficients, else the gcd of the numerators over the lcm of the
+denominators.  Every operation
 also takes ``Fraction`` coefficients, alone or mixed with the stored
 ones, and gives the same values, since both compare, hash and print by
 value.  The public views (``terms``, ``leading``, ``constant_value``,
@@ -164,11 +165,14 @@ def _unpack(key: int) -> tuple:
 class _Rat:
     """A rational that is not an integer, as ``Polynomial`` stores one:
     ``numerator`` and ``denominator`` are coprime ints, the denominator
-    above 1 and the sign on the numerator.  The operators take an int, a
-    ``_Rat`` or a ``Fraction`` and return an int where the value is
-    integral, so no integral ``_Rat`` is ever built; ``==``, ``<``,
-    ``hash`` and ``str`` agree with ``Fraction``'s, and ``Fraction(x)``
-    converts one.  The constructor does not reduce; ``_ratio`` does."""
+    above 1 and the sign on the numerator.  ``+``, ``-`` and ``*`` take an
+    int, a ``_Rat`` or a ``Fraction`` on either side and, like ``**``,
+    unary ``-`` and ``abs``, return an int where the value is integral,
+    so no integral ``_Rat`` is ever built; ``==``, ``<`` with the ``_Rat``
+    on the left, ``hash`` and ``str`` agree with ``Fraction``'s, and
+    ``Fraction(x)`` converts one.  There is no ``/`` and no ``>``, which
+    nothing here applies to a coefficient.  The constructor does not
+    reduce; ``_ratio`` does."""
 
     __slots__ = ("numerator", "denominator")
 
@@ -209,18 +213,6 @@ class _Rat:
 
     __rmul__ = __mul__
 
-    def __truediv__(a, b):
-        if not isinstance(b, _RATIONALS):
-            return NotImplemented
-        if not b:
-            raise ZeroDivisionError(f"{a} / 0")
-        return _ratio(a.numerator * b.denominator, a.denominator * b.numerator)
-
-    def __rtruediv__(a, b):
-        if isinstance(b, _RATIONALS):
-            return _ratio(b.numerator * a.denominator, b.denominator * a.numerator)
-        return NotImplemented
-
     def __pow__(a, k):
         if type(k) is not int or k < 0:
             return NotImplemented
@@ -242,11 +234,6 @@ class _Rat:
     def __lt__(a, b):
         if isinstance(b, _RATIONALS):
             return a.numerator * b.denominator < b.numerator * a.denominator
-        return NotImplemented
-
-    def __gt__(a, b):
-        if isinstance(b, _RATIONALS):
-            return a.numerator * b.denominator > b.numerator * a.denominator
         return NotImplemented
 
     def __hash__(a):
@@ -545,12 +532,14 @@ class Polynomial:
 
     def subs_poly(self, bindings: "Mapping[str, Polynomial] | Substitution") -> "Polynomial":
         """Substitute polynomials for variables (others untouched).  A
-        binding whose denominator is not 1 raises ``NotPolynomial``."""
+        binding whose denominator is not 1 raises ``NotPolynomial``.  Every
+        denominator is 1, so the clearing degrees are 0."""
         s = Substitution.of(bindings)
-        if s._top0 is None:
-            raise NotPolynomial(next(v.den for v in s._subs.values()
-                                     if not _is_one(v.den)))
-        return _subs_cleared(self, s._subs, s._top0, s._maps0)
+        for v in s._subs.values():
+            if not _is_one(v.den):
+                raise NotPolynomial(v.den)
+        top = dict.fromkeys(s._subs, 0)
+        return _subs_cleared(self, s._subs, top, _clearing_maps(s._maps, top))
 
     def eval_fractions(self, bindings: Mapping[str, Scalar]) -> Fraction:
         """Fully evaluate; every variable present must be bound."""
@@ -1188,22 +1177,15 @@ class Substitution:
     ``Quotient.substitute`` and ``RationalFunction.substitute`` each take
     one wherever they take a mapping, and prepare a mapping on every call.
     A name outside the alphabet or a value that is not a quotient raises
-    ``ExactError`` here.  The variable indices, each binding's monomial
-    map and ``subs_poly``'s zero clearing degrees are built here too, in
-    the bindings' order, which fixes the order of every product and so
-    the term order of the result.  The clearing degrees are None unless
-    every denominator is 1, as ``subs_poly`` needs."""
+    ``ExactError`` here.  The variable indices and each binding's
+    monomial map are built here too, in the bindings' order, which fixes
+    the order of every product and so the term order of the result."""
 
-    __slots__ = ("_subs", "_maps", "_top0", "_maps0")
+    __slots__ = ("_subs", "_maps")
 
     def __init__(self, bindings: Mapping[str, object]):
         self._subs = {var_index(n): Quotient.of(v) for n, v in bindings.items()}
         self._maps = {i: _monomial_map(i, v) for i, v in self._subs.items()}
-        if all(_is_one(v.den) for v in self._subs.values()):
-            self._top0 = dict.fromkeys(self._subs, 0)
-            self._maps0 = _clearing_maps(self._maps, self._top0)
-        else:
-            self._top0 = self._maps0 = None
 
     @staticmethod
     def of(bindings: "Mapping[str, object] | Substitution") -> "Substitution":

@@ -90,6 +90,8 @@ class IntegratorConfig(namedtuple("IntegratorConfig",
         # written so that nan fails too
         if not (rtol > 0 and atol > 0):
             raise FlowError("tolerances must be positive")
+        if rtol == math.inf or atol == math.inf:
+            raise FlowError("tolerances must be finite")
         if not switch_threshold > 1:
             raise FlowError("switch threshold must exceed 1")
         return super().__new__(cls, rtol, atol, switch_threshold)

@@ -17,7 +17,7 @@ import os
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 
 from p2lab import cli
 
@@ -33,6 +33,11 @@ settings.register_profile(
 # once (pytest -m deep --hypothesis-profile=p2lab-deep)
 settings.register_profile("p2lab-deep", settings.get_profile("p2lab"),
                           max_examples=600)
+# the same with no shrink phase and no example database: tests/mutants.py
+# runs each mutant's tests under it, and a failure there need only be found
+settings.register_profile("p2lab-mutants", settings.get_profile("p2lab"),
+                          phases=[p for p in Phase if p is not Phase.shrink],
+                          database=None)
 settings.load_profile("p2lab")
 
 

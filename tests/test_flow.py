@@ -182,6 +182,13 @@ def test_config_validation():
             IntegratorConfig(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["rtol", "atol"])
+def test_an_infinite_tolerance_is_refused(name):
+    # with it every error norm is 0 or nan, and the step size runs away
+    with pytest.raises(flow.FlowError, match="tolerances must be finite"):
+        IntegratorConfig(**{name: math.inf})
+
+
 def test_to_w1_identity_on_base_chart():
     s = FlowState("W1", 0.25, -0.5, 1.0, 0.5)
     assert to_w1(s) == (0.25, -0.5)

@@ -1,11 +1,14 @@
 """Scans of the source tree itself.
 
 The package may not rely on ``assert`` statements, since ``python -O``
-strips them, and no module under ``src/p2lab``, ``tests`` or ``scripts``
-may import a name it never reads.
+strips them, no module under ``src/p2lab``, ``tests`` or ``scripts``
+may import a name it never reads, and every mutant that
+``tests/mutants.py`` records must still apply.
 """
 import ast
 from pathlib import Path
+
+import mutants
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -46,3 +49,11 @@ def test_no_module_imports_a_name_it_never_reads():
            if path.name != "__init__.py"
            for found in unused_imports(path)]
     assert not bad
+
+
+def test_every_recorded_mutant_still_applies():
+    # tests/mutants.py edits each old text, which must occur exactly once;
+    # a refactor that moves one updates its record
+    stale = [f"{m.source}: {m.file} has {mutants.occurrences(m)}"
+             for m in mutants.MUTANTS if mutants.occurrences(m) != 1]
+    assert not stale
